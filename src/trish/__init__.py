@@ -36,10 +36,10 @@ from .schedules import (
     GammaSchedule,
     StepsizeSchedule,
     gammas_at,
-    stepsize_at,
     validate_stepsize,
 )
 from .optimizer import (
+    LaneRun,
     RunRecord,
     SolverSpec,
     Trajectory,
@@ -47,6 +47,7 @@ from .optimizer import (
     run_sg,
     run_trish,
     run_trish_first_order,
+    run_trish_lanes,
     trish_step,
 )
 from .bounds import (

@@ -20,7 +20,6 @@ Array = npt.NDArray[np.float64]
 # samples regardless of whether either run touches the Hessian stream.
 GRADIENT_STREAM = 0
 HESSIAN_STREAM = 1
-INIT_STREAM = 2
 
 GRADIENT_NOISE_KINDS = ("none", "bounded", "stepwise", "geometric")
 HESSIAN_KINDS = ("zero", "exact-capped", "perturbed")
@@ -47,6 +46,28 @@ def rng_stream(seed: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(purpose,)))
 
 
+# Row-stacked linear algebra.  Both forms reach the same BLAS kernel per
+# row (ddot, gemv) as their 1-D counterparts, so row i is bit-identical
+# to ``x @ y`` and ``A @ x`` as long as the rows are unit-stride (a
+# strided row takes another kernel path); ``X @ A.T``, einsum and
+# ``norm(axis=1)`` are not.
+
+
+def rowdot(X: Array, Y: Array) -> Array:
+    """Row-wise dot products; row i equals ``X[i] @ Y[i]`` bit for bit."""
+    return np.matmul(X[..., None, :], Y[..., :, None])[..., 0, 0]
+
+
+def matvec(A: Array, X: Array) -> Array:
+    """Row-wise ``A @ x`` over the rows of ``X``, bit for bit."""
+    return np.matmul(A, X[..., None])[..., 0]
+
+
+def row_norms(X: Array) -> Array:
+    """Row-wise Euclidean norms; row i equals ``np.linalg.norm(X[i])``."""
+    return np.sqrt(rowdot(X, X))
+
+
 @runtime_checkable
 class ProblemOracle(Protocol):
     """Smooth objective with certified constants.
@@ -54,7 +75,10 @@ class ProblemOracle(Protocol):
     Required: ``dim``, ``value``, ``grad``, ``hvp`` and the gradient
     Lipschitz constant ``grad_lipschitz``.  ``hess_lipschitz``,
     ``f_min`` (infimum of f) and ``pl_constant`` are ``None`` whenever
-    no certified value exists; they are never fabricated.
+    no certified value exists; they are never fabricated.  Oracles whose
+    ``row_stacked`` attribute is true also evaluate an (S, n) stack of
+    points row by row, bit-identical to S separate calls; the lockstep
+    lane runner requires it.
     """
 
     dim: int
@@ -148,15 +172,35 @@ def sample_gradient(
     k: int,
     alpha_k: float,
     rng: np.random.Generator,
+    grad: Array | None = None,
 ) -> Array:
-    """Unbiased gradient estimate with the noise model's target variance."""
-    g = np.asarray(oracle.grad(x), dtype=float)
+    """Unbiased gradient estimate with the noise model's target variance.
+
+    ``grad`` is the true gradient at ``x`` when the caller already holds
+    it; the oracle is then not called again.
+    """
+    g = np.asarray(oracle.grad(x) if grad is None else grad, dtype=float)
     if not np.all(np.isfinite(g)):
         raise EvaluationError(f"non-finite gradient at x = {x!r}")
     variance = noise.gradient_variance(k, alpha_k)
     if variance > 0.0:
         g = g + rng.normal(0.0, np.sqrt(variance / oracle.dim), size=oracle.dim)
     return g
+
+
+def draw_noise_block(rng: np.random.Generator, variances: Array, dim: int) -> Array:
+    """The noise ``sample_gradient`` adds over a run of iterations, in one draw.
+
+    ``variances`` holds the target variance of each iteration.  Row i is
+    bit-identical to the i-th of successive ``sample_gradient`` draws on
+    the same stream; rows whose variance is 0 stay zero and consume no
+    random numbers, as ``sample_gradient`` skips the draw there.
+    """
+    drawn = variances > 0.0
+    out = np.zeros((drawn.size, dim))
+    scale = np.sqrt(variances[drawn] / dim)[:, None]
+    out[drawn] = rng.normal(0.0, scale, size=(scale.size, dim))
+    return out
 
 
 def sample_hessian(
@@ -213,10 +257,14 @@ Sampler = Callable[[Array, int, float, np.random.Generator, np.random.Generator]
 
 
 def oracle_sampler(oracle: ProblemOracle, noise: NoiseModel) -> Sampler:
-    """Sampler backed by a smooth oracle plus a synthetic noise model."""
+    """Sampler backed by a smooth oracle plus a synthetic noise model.
 
-    def sample(x, k, alpha_k, grad_rng, hess_rng):
-        g = sample_gradient(oracle, x, noise, k, alpha_k, grad_rng)
+    The returned sampler also takes ``grad=``, the true gradient at ``x``
+    when the caller already holds it.
+    """
+
+    def sample(x, k, alpha_k, grad_rng, hess_rng, grad=None):
+        g = sample_gradient(oracle, x, noise, k, alpha_k, grad_rng, grad=grad)
         hess = sample_hessian(oracle, x, noise, hess_rng)
         return g, hess
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..optimizer import Trajectory
+from ..optimizer import LaneRun, Trajectory
 
 CAUCHY_TOL = 1e-10
 FEAS_TOL = 1e-12
@@ -28,6 +28,7 @@ class StepContractCounter:
     cauchy_second_bound_violations: int = 0
     feasibility_violations: int = 0
     steplength_violations: int = 0
+    nonfinite_violations: int = 0
     worst_cauchy_margin: float = field(default=np.inf)
 
     @property
@@ -38,43 +39,54 @@ class StepContractCounter:
             + self.cauchy_second_bound_violations
             + self.feasibility_violations
             + self.steplength_violations
+            + self.nonfinite_violations
         )
 
-    def update(self, traj: Trajectory) -> None:
-        for rec in traj.records[1:]:
-            if rec.g_norm is None or rec.delta is None:
-                continue  # SG rows carry no subproblem diagnostics
-            self.checked += 1
-            if rec.g_norm == 0.0:
-                continue
-            margin = rec.model_dec - rec.cauchy_dec
-            self.worst_cauchy_margin = min(self.worst_cauchy_margin, margin)
-            if margin < -CAUCHY_TOL:
-                self.cauchy_violations += 1
-            # -model(s) >= 0.5 ||g|| min{delta, ||g||/B}; B = 0 degenerates
-            # to the delta branch.  The certified bound B only weakens the
-            # asserted inequality relative to the true estimate norm.
-            bound = rec.hess_bound or 0.0
-            if bound > 0.0:
-                ref = min(rec.delta, rec.g_norm / bound)
-            else:
-                ref = rec.delta
-            if rec.model_dec < 0.5 * rec.g_norm * ref - CAUCHY_TOL:
-                self.cauchy_bound_violations += 1
+    def update(self, trace: Trajectory | LaneRun) -> None:
+        """Check every recorded step of a trajectory or of a set of lanes.
+
+        Works on the trace's columns (1-D for one run, (K+1, S) for
+        lanes).  Rows without subproblem diagnostics (SG rows, the
+        padding after a lane stopped) are NaN there and skipped; rows
+        with ``g_norm == 0`` are counted but not checked.
+        """
+        g_norm, delta, model_dec, cauchy_dec, hess_bound, step_norm, alpha, gamma1 = (
+            np.asarray(trace.column(name))[1:] for name in (
+                "g_norm", "delta", "model_dec", "cauchy_dec", "hess_bound", "step_norm",
+                "alpha", "gamma1"))
+        rows = ~np.isnan(g_norm) & ~np.isnan(delta)
+        self.checked += int(np.count_nonzero(rows))
+        finite = np.isfinite(model_dec) & np.isfinite(cauchy_dec) & np.isfinite(step_norm)
+        self.nonfinite_violations += int(np.count_nonzero(rows & ~finite))
+        live = rows & (g_norm != 0.0)
+
+        def count(violated) -> int:
+            return int(np.count_nonzero(live & violated))
+
+        margin = model_dec - cauchy_dec
+        seen = live & ~np.isnan(margin)
+        if seen.any():
+            self.worst_cauchy_margin = min(self.worst_cauchy_margin,
+                                           float(np.min(margin, where=seen, initial=np.inf)))
+        self.cauchy_violations += count(margin < -CAUCHY_TOL)
+        # -model(s) >= 0.5 ||g|| min{delta, ||g||/B}; B = 0 degenerates
+        # to the delta branch.  The certified bound B only weakens the
+        # asserted inequality relative to the true estimate norm.
+        bound = np.where(np.isnan(hess_bound), 0.0, hess_bound)
+        curved = bound > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ref = np.where(curved, np.minimum(delta, g_norm / bound), delta)
             # second Cauchy bound on the reference decrease itself:
             # cauchy_dec >= min{delta ||g|| - delta^2 B / 2, ||g||^2 / (2B)}
-            if bound > 0.0:
-                ref2 = min(rec.delta * rec.g_norm - 0.5 * rec.delta**2 * bound,
-                           0.5 * rec.g_norm**2 / bound)
-            else:
-                ref2 = rec.delta * rec.g_norm
-            if rec.cauchy_dec < ref2 - CAUCHY_TOL:
-                self.cauchy_second_bound_violations += 1
-            if rec.step_norm > rec.delta * (1.0 + FEAS_TOL):
-                self.feasibility_violations += 1
-            limit = rec.alpha * max(1.0, rec.gamma1 * rec.g_norm)
-            if rec.step_norm > limit * (1.0 + FEAS_TOL):
-                self.steplength_violations += 1
+            ref2 = np.where(curved,
+                            np.minimum(delta * g_norm - 0.5 * delta**2 * bound,
+                                       0.5 * g_norm**2 / bound),
+                            delta * g_norm)
+        self.cauchy_bound_violations += count(model_dec < 0.5 * g_norm * ref - CAUCHY_TOL)
+        self.cauchy_second_bound_violations += count(cauchy_dec < ref2 - CAUCHY_TOL)
+        self.feasibility_violations += count(step_norm > delta * (1.0 + FEAS_TOL))
+        limit = alpha * np.maximum(1.0, gamma1 * g_norm)
+        self.steplength_violations += count(step_norm > limit * (1.0 + FEAS_TOL))
 
     def stats(self) -> dict:
         return {
@@ -84,6 +96,7 @@ class StepContractCounter:
             "cauchy_second_bound_violations": self.cauchy_second_bound_violations,
             "feasibility_violations": self.feasibility_violations,
             "steplength_violations": self.steplength_violations,
+            "nonfinite_violations": self.nonfinite_violations,
             "worst_cauchy_margin": None if self.checked == 0 else self.worst_cauchy_margin,
         }
 

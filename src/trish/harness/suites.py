@@ -44,6 +44,7 @@ from ..optimizer import (
     run_sg,
     run_trish,
     run_trish_first_order,
+    run_trish_lanes,
 )
 from ..problems import (
     RosenbrockProblem,
@@ -133,19 +134,23 @@ def _point_with_gap(problem, gap: float, seed: int) -> np.ndarray:
     return problem.x_star + r * u
 
 
-def _gap_matrix(problem, x0, config_for_seed, n_seeds: int, horizon: int):
-    """Per-seed optimality-gap trajectories plus pooled contract counts."""
+def _gap_matrix(problem, x0, config_for_seed, n_seeds: int, horizon: int,
+                on_iterate=None):
+    """Per-seed optimality-gap trajectories plus pooled contract counts.
+
+    The seeds run as lockstep lanes; a seed's gaps past its last
+    recorded row are +inf.  Also returns the lane run itself.
+    """
+    run = run_trish_lanes(problem, x0, [config_for_seed(i) for i in range(n_seeds)],
+                          on_iterate=on_iterate)
     counter = StepContractCounter()
-    gaps = np.full((n_seeds, horizon + 1), np.inf)
-    aborted = 0
-    for i in range(n_seeds):
-        traj = run_trish(problem, x0, config_for_seed(i))
-        counter.update(traj)
-        if traj.aborted is not None:
-            aborted += 1
-        g = traj.gaps(problem.f_min)
-        gaps[i, : g.size] = g
-    return gaps, counter, aborted
+    counter.update(run)
+    aborted = sum(reason is not None for reason in run.aborted)
+    # seed-major C order, so the seed-axis mean and SE sum in the same order as
+    # they did over one row per scalar run
+    gaps = np.ascontiguousarray(run.column("f").T) - problem.f_min
+    gaps[np.arange(horizon + 1)[None, :] >= run.rows[:, None]] = np.inf
+    return gaps, counter, aborted, run
 
 
 def _envelope_checks(
@@ -460,7 +465,7 @@ def suite_pl_fixed(quick: bool = False) -> SuiteReport:
             enforce_stepsize_bound=True,
         )
 
-    gaps, counter, aborted = _gap_matrix(problem, x0, cfg, n_seeds, horizon)
+    gaps, counter, aborted, _ = _gap_matrix(problem, x0, cfg, n_seeds, horizon)
     envelope = np.array([
         pl_fixed_envelope(k + 1, gamma1, gamma2, alpha, m_g, c, gap0)
         for k in range(horizon + 1)
@@ -511,7 +516,7 @@ def suite_pl_merging(quick: bool = False) -> SuiteReport:
             enforce_stepsize_bound=True,
         )
 
-    gaps, counter, aborted = _gap_matrix(problem, x0, cfg, n_seeds, horizon)
+    gaps, counter, aborted, _ = _gap_matrix(problem, x0, cfg, n_seeds, horizon)
     envelope = np.array([
         pl_sublinear_envelope(k + 1, a, b, eta, gamma1, gamma2_first, c,
                               problem.grad_lipschitz, m_h, m_g, gap0)
@@ -549,19 +554,9 @@ def suite_pl_sublinear(quick: bool = False) -> SuiteReport:
             enforce_stepsize_bound=True,
         )
 
-    counter = StepContractCounter()
-    gaps = np.full((n_seeds, horizon + 1), np.inf)
-    grad_ratio = np.empty(n_seeds)
-    aborted = 0
-    for i in range(n_seeds):
-        traj = run_trish(problem, x0, cfg(i))
-        counter.update(traj)
-        if traj.aborted is not None:
-            aborted += 1
-        g = traj.gaps(problem.f_min)
-        gaps[i, : g.size] = g
-        norms = traj.column("grad_norm_true")
-        grad_ratio[i] = norms[-1] / norms[0]
+    gaps, counter, aborted, run = _gap_matrix(problem, x0, cfg, n_seeds, horizon)
+    norms = run.column("grad_norm_true")
+    grad_ratio = norms[run.rows - 1, np.arange(n_seeds)] / norms[0]
     envelope = np.array([
         pl_sublinear_fixed_gamma_envelope(k + 1, a, b, gamma1, gamma2, m_g, c, gap0)
         for k in range(horizon + 1)
@@ -601,7 +596,7 @@ def suite_geometric(quick: bool = False) -> SuiteReport:
             enforce_stepsize_bound=True,
         )
 
-    gaps, counter, aborted = _gap_matrix(problem, x0, cfg, n_seeds, horizon)
+    gaps, counter, aborted, _ = _gap_matrix(problem, x0, cfg, n_seeds, horizon)
     envelope = np.array([
         pl_geometric_envelope(k + 1, gamma1, gamma2, alpha, m_g, c, zeta, gap0)
         for k in range(horizon + 1)
@@ -621,12 +616,8 @@ def suite_nonconvex_fixed(quick: bool = False) -> SuiteReport:
     x0 = np.zeros(problem.dim)
     f1 = problem.value(x0)
 
-    counter = StepContractCounter()
-    avg_sq = np.empty(n_seeds)
-    in_box = True
-    aborted = 0
-    for i in range(n_seeds):
-        cfg = TrishConfig(
+    def cfg(i):  # first-order TRish: the Hessian estimate is zero
+        return TrishConfig(
             stepsizes=StepsizeSchedule.constant(alpha),
             gammas=GammaSchedule.constant(gamma1, gamma2),
             iterations=horizon,
@@ -634,13 +625,17 @@ def suite_nonconvex_fixed(quick: bool = False) -> SuiteReport:
             noise=NoiseModel(kind="bounded", m_g=m_g, hessian_kind="zero"),
             enforce_stepsize_bound=True,
         )
-        traj = run_trish_first_order(problem, x0, cfg, keep_iterates=True)
-        counter.update(traj)
-        if traj.aborted is not None:
-            aborted += 1
-        grads = traj.column("grad_norm_true")[:horizon]  # iterates x_1..x_K
-        avg_sq[i] = float(np.mean(grads**2))
-        in_box = in_box and all(problem.in_box(x) for x in traj.iterates)
+
+    widest = np.zeros(n_seeds)  # max |x_i| over each lane's iterates
+
+    def track_box(k, X):
+        np.maximum(widest, np.max(np.abs(X), axis=1), out=widest)
+
+    _, counter, aborted, run = _gap_matrix(problem, x0, cfg, n_seeds, horizon,
+                                           on_iterate=track_box)
+    grads = run.column("grad_norm_true")[:horizon]  # iterates x_1..x_K
+    avg_sq = np.array([np.mean(grads[: run.rows[i], i] ** 2) for i in range(n_seeds)])
+    in_box = bool(np.all(widest <= problem.box_halfwidth))
 
     bound = nonconvex_fixed_bound(horizon, gamma1, gamma2, alpha, m_g, f1,
                                   problem.f_min)

@@ -1,4 +1,5 @@
-"""TRish main loop (second- and first-order) and the SG baseline.
+"""TRish main loop (second- and first-order), the SG baseline, and a
+lockstep runner for many TRish lanes at once.
 
 Runs are deterministic given a seed: gradient noise and Hessian
 perturbations consume separate named streams, so an SG run and a
@@ -6,6 +7,8 @@ first-order TRish run sharing a seed see identical gradient samples.
 Cost accounting equates one stochastic gradient with one
 Hessian-vector product; diagnostic evaluations (true f and gradient
 each iteration, model re-evaluation in the solver) are excluded.
+``run_trish`` is the reference; ``run_trish_lanes`` reproduces it bit
+for bit on the configurations it supports.
 """
 
 from __future__ import annotations
@@ -19,17 +22,31 @@ import numpy as np
 from .core import (
     Array,
     ConfigurationError,
+    EvaluationError,
     GRADIENT_STREAM,
     HESSIAN_STREAM,
     HessianEstimate,
     NoiseModel,
     ProblemOracle,
     Sampler,
+    draw_noise_block,
     oracle_sampler,
     rng_stream,
+    row_norms,
+    rowdot,
 )
 from .schedules import GammaSchedule, StepsizeSchedule, gammas_at, validate_stepsize
-from .subproblem import RadiusCase, TRStep, cauchy_point, exact_trs, model_value, radius, steihaug_cg
+from .subproblem import (
+    RadiusCase,
+    TRStep,
+    cauchy_point,
+    exact_trs,
+    model_value,
+    radius,
+    radius_rows,
+    steihaug_cg,
+    steihaug_cg_rows,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -111,9 +128,6 @@ class Trajectory:
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records], dtype=float)
 
-    def gaps(self, f_min: float) -> np.ndarray:
-        return self.column("f") - f_min
-
 
 def trish_step(
     x: Array,
@@ -166,6 +180,23 @@ def _diverged(f: float, f0: float) -> bool:
     return not np.isfinite(f) or f > f0 + DIVERGENCE_MARGIN
 
 
+def _abort_reason(k: int, f: float) -> str:
+    return f"divergence guard tripped at iteration {k} (f={f!r})"
+
+
+def _draw_fn(oracle: ProblemOracle, noise: NoiseModel, sampler: Sampler | None):
+    """Per-iteration draw ``(x, k, alpha, grad_rng, hess_rng, true_g) -> (g, H)``.
+
+    A synthetic-noise sampler built here is handed the true gradient the
+    loop already holds for its diagnostics, so f's gradient is evaluated
+    once per iteration; a caller's sampler is called as given.
+    """
+    if sampler is None:
+        sample = oracle_sampler(oracle, noise)
+        return lambda x, k, alpha, gr, hr, true_g: sample(x, k, alpha, gr, hr, grad=true_g)
+    return lambda x, k, alpha, gr, hr, true_g: sampler(x, k, alpha, gr, hr)
+
+
 def run_trish(
     oracle: ProblemOracle,
     x0: Array,
@@ -183,8 +214,7 @@ def run_trish(
     x = np.asarray(x0, dtype=float).copy()
     if not np.all(np.isfinite(x)):
         raise ConfigurationError("initial point must be finite")
-    if sampler is None:
-        sampler = oracle_sampler(oracle, config.noise)
+    draw = _draw_fn(oracle, config.noise, sampler)
     grad_rng = rng_stream(config.seed, GRADIENT_STREAM)
     hess_rng = rng_stream(config.seed, HESSIAN_STREAM)
 
@@ -199,7 +229,7 @@ def run_trish(
     for k in range(1, config.iterations + 1):
         alpha = config.stepsizes.at(k)
         gamma1, gamma2 = gammas_at(config.gammas, config.stepsizes, k)
-        g, hess = sampler(x, k, alpha, grad_rng, hess_rng)
+        g, hess = draw(x, k, alpha, grad_rng, hess_rng, true_g)
 
         ok = validate_stepsize(alpha, gamma1, gamma2, oracle.grad_lipschitz, hess.norm_bound)
         if not ok:
@@ -241,7 +271,7 @@ def run_trish(
         if iterates is not None:
             iterates.append(x.copy())
         if _diverged(f_new, f0):
-            aborted = f"divergence guard tripped at iteration {k} (f={f_new!r})"
+            aborted = _abort_reason(k, f_new)
             break
 
     return Trajectory(algorithm, config.seed, records, x, config=config,
@@ -284,26 +314,26 @@ def run_sg(
     if not np.all(np.isfinite(x)):
         raise ConfigurationError("initial point must be finite")
     noise = replace(noise, hessian_kind="zero", m_h=0.0, perturbation=0.0)
-    if sampler is None:
-        sampler = oracle_sampler(oracle, noise)
+    draw = _draw_fn(oracle, noise, sampler)
     grad_rng = rng_stream(seed, GRADIENT_STREAM)
     hess_rng = rng_stream(seed, HESSIAN_STREAM)
 
     t0 = time.perf_counter_ns()
-    rec0, f0, _ = _initial_record(oracle, x, t0)
+    rec0, f0, true_g = _initial_record(oracle, x, t0)
     records = [rec0]
     iterates = [x.copy()] if keep_iterates else None
     aborted = None
 
     for k in range(1, iterations + 1):
         alpha = stepsizes.at(k)
-        g, _ = sampler(x, k, alpha, grad_rng, hess_rng)
+        g, _ = draw(x, k, alpha, grad_rng, hess_rng, true_g)
         x = x - alpha * g
         f_new = oracle.value(x)
+        true_g = oracle.grad(x)
         records.append(RunRecord(
             k=k,
             f=f_new,
-            grad_norm_true=float(np.linalg.norm(oracle.grad(x))),
+            grad_norm_true=float(np.linalg.norm(true_g)),
             g_norm=float(np.linalg.norm(g)),
             cost_units=k,
             wall_ns=time.perf_counter_ns() - t0,
@@ -313,7 +343,248 @@ def run_sg(
         if iterates is not None:
             iterates.append(x.copy())
         if _diverged(f_new, f0):
-            aborted = f"divergence guard tripped at iteration {k} (f={f_new!r})"
+            aborted = _abort_reason(k, f_new)
             break
 
     return Trajectory("sg", seed, records, x, aborted=aborted, iterates=iterates)
+
+
+# ---------------------------------------------------------------------------
+# lockstep lanes
+
+LANE_CHUNK = 64  # iterations of gradient noise drawn per lane at once
+LANE_COLUMNS = (
+    "f", "grad_norm_true", "g_norm", "delta", "case", "model_dec", "cauchy_dec",
+    "cg_iters", "cost_units", "alpha", "gamma1", "gamma2", "step_norm",
+    "hess_bound", "noise_step_dot",
+)
+
+
+@dataclass
+class LaneRun:
+    """S lockstep TRish runs ("lanes") traced by column.
+
+    ``columns[name]`` is a (K+1, S) array of the ``RunRecord`` field
+    ``name`` for every lane (``upsilon`` and ``wall_ns`` are not kept).
+    Lane i recorded ``rows[i]`` rows; the rows after a tripped divergence
+    guard are NaN, and ``aborted[i]`` gives the reason.
+    """
+
+    columns: dict[str, np.ndarray]
+    rows: np.ndarray
+    final_x: Array
+    aborted: list[str | None]
+
+    def column(self, name: str) -> np.ndarray:
+        return self.columns[name]
+
+
+@dataclass(frozen=True)
+class _LaneSchedule:
+    """Per-iteration parameters shared by the lanes of one (schedules, noise) group."""
+
+    alpha: Array
+    gamma1: Array
+    gamma2: Array
+    variance: Array
+    tau: float  # Hessian cap factor min{1, m_h / L_g}
+    hess_bound: float
+    first_violation: int | None  # first k failing the stepsize precondition
+
+
+def _lane_schedule(oracle, stepsizes, gammas, noise, iterations) -> _LaneSchedule:
+    """Tabulate a group's schedules with the scalar functions, so every
+    value matches ``run_trish``; configuration errors surface here."""
+    ks = range(1, iterations + 1)
+    alpha = [stepsizes.at(k) for k in ks]
+    pairs = [gammas_at(gammas, stepsizes, k) for k in ks]
+    tau = bound = 0.0
+    if noise.hessian_kind == "exact-capped" and iterations > 0:
+        if noise.m_h <= 0:
+            raise ConfigurationError("exact-capped/perturbed Hessian estimates require m_h > 0")
+        tau = min(1.0, noise.m_h / oracle.grad_lipschitz)
+        bound = tau * oracle.grad_lipschitz
+    for a, (g1, g2) in zip(alpha, pairs):
+        radius(1.0, a, g1, g2)  # validates alpha > 0 and 0 < gamma2 <= gamma1
+    first = next((k for k, a, (g1, g2) in zip(ks, alpha, pairs)
+                  if not validate_stepsize(a, g1, g2, oracle.grad_lipschitz, bound)), None)
+    return _LaneSchedule(
+        alpha=np.array(alpha, dtype=float),
+        gamma1=np.array([p[0] for p in pairs], dtype=float),
+        gamma2=np.array([p[1] for p in pairs], dtype=float),
+        variance=np.array([noise.gradient_variance(k, a) for k, a in zip(ks, alpha)],
+                          dtype=float),
+        tau=tau,
+        hess_bound=bound,
+        first_violation=first,
+    )
+
+
+def run_trish_lanes(
+    oracle: ProblemOracle,
+    x0: Array,
+    configs: list[TrishConfig],
+    on_iterate=None,
+) -> LaneRun:
+    """Run one TRish lane per config in lockstep, as one (S, n) state.
+
+    Lane i reproduces ``run_trish(oracle, x0, configs[i])`` bit for bit:
+    f, the iterates, every recorded step diagnostic, the row count and
+    the abort reason.  Each lane draws its gradient noise from its own
+    seed's stream, ``LANE_CHUNK`` iterations at a time.
+
+    Supported: oracles with ``row_stacked`` set, the Steihaug solver, and
+    the built-in synthetic noise with a zero or exact-capped Hessian.
+    Lanes may differ in seed, schedules, noise model and
+    ``enforce_stepsize_bound``; they share iterations, solver and Hessian
+    kind.  ``x0`` is one point or one row per lane.  Invalid schedule
+    values and Hessian caps raise before the first step; a stepsize
+    precondition violation is warned about or raised at its iteration,
+    as in ``run_trish``, and so are non-finite gradients and curvature.
+
+    ``on_iterate(k, X)`` is called with the (S, n) iterates at k = 0 and
+    after every iteration; a stopped lane keeps its last iterate.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ConfigurationError("run_trish_lanes needs at least one config")
+    if not getattr(oracle, "row_stacked", False):
+        raise ConfigurationError(f"{type(oracle).__name__} does not take row-stacked points")
+    head = configs[0]
+    K, solver, kind = head.iterations, head.solver, head.noise.hessian_kind
+    if solver.kind != "steihaug" or kind not in ("zero", "exact-capped"):
+        raise ConfigurationError("lanes run the Steihaug solver with a zero or exact-capped Hessian")
+    if any(c.iterations != K or c.solver != solver or c.noise.hessian_kind != kind
+           for c in configs):
+        raise ConfigurationError("lanes must share iterations, solver and Hessian kind")
+    S, n = len(configs), oracle.dim
+    # C order: BLAS reaches bit-identity with the 1-D calls on unit-stride rows only
+    X = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (S, n)), order="C")
+    if not np.all(np.isfinite(X)):
+        raise ConfigurationError("initial point must be finite")
+
+    # Lanes sharing schedules and noise share one table of per-k values.
+    groups: dict = {}
+    lane_grp = np.array([groups.setdefault((c.stepsizes, c.gammas, c.noise), len(groups))
+                         for c in configs])
+    tables = [_lane_schedule(oracle, *key, K) for key in groups]
+    ALPHA, GAMMA1, GAMMA2, VARIANCE = (
+        np.array([getattr(t, f) for t in tables]).reshape(len(tables), K)
+        for f in ("alpha", "gamma1", "gamma2", "variance"))
+    events: dict[int, list[int]] = {}  # k -> lanes first violating the precondition
+    for lane, g in enumerate(lane_grp):
+        if tables[g].first_violation is not None:
+            events.setdefault(tables[g].first_violation, []).append(lane)
+
+    cols = {name: np.full((K + 1, S), np.nan) for name in LANE_COLUMNS}
+    F0 = oracle.value(X)
+    TG = oracle.grad(X)
+    cols["f"][0] = F0
+    cols["grad_norm_true"][0] = row_norms(TG)
+    cols["cost_units"][0] = 0.0
+    rngs = [rng_stream(c.seed, GRADIENT_STREAM) for c in configs]
+    rows = np.full(S, K + 1)
+    aborted: list[str | None] = [None] * S
+    final_x = X.copy()
+    if on_iterate is not None:
+        on_iterate(0, final_x)
+
+    # State of the lanes still running; a stopped lane's rows are dropped.
+    ids = np.arange(S)
+    at = slice(None)  # their columns: a slice until the first lane stops
+    grp = lane_grp
+    tau = np.array([t.tau for t in tables])[lane_grp]
+    cost = np.zeros(S, dtype=np.int64)
+    hvp = None
+    if kind == "exact-capped":
+        def hvp(r, V):
+            return tau[r, None] * oracle.hvp(X[r], V)
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(1, K + 1):
+            j = (k - 1) % LANE_CHUNK
+            if j == 0:
+                win = slice(k - 1, min(K, k - 1 + LANE_CHUNK))
+                A, G1, G2, V = (T[grp, win] for T in (ALPHA, GAMMA1, GAMMA2, VARIANCE))
+                noise = np.stack([draw_noise_block(rngs[lane], V[i], n)
+                                  for i, lane in enumerate(ids)])
+                drawn = V > 0.0
+                drawn_all, drawn_any = drawn.all(axis=0), drawn.any(axis=0)
+
+            if not np.all(np.isfinite(TG)):
+                bad = int(np.argmin(np.isfinite(TG).all(axis=1)))
+                raise EvaluationError(f"non-finite gradient at x = {X[bad]!r}")
+            if drawn_all[j]:
+                G = TG + noise[:, j]
+            elif drawn_any[j]:
+                G = np.where(drawn[:, j, None], TG + noise[:, j], TG)
+            else:
+                G = TG
+            if k in events:
+                _precondition_events(k, events[k], rows, configs)
+
+            alpha = A[:, j]
+            gn = row_norms(G)
+            delta, case = radius_rows(gn, alpha, G1[:, j], G2[:, j])
+            steps, model_dec, cauchy_dec, iters = steihaug_cg_rows(
+                G, gn, delta, hvp, solver.max_iters, solver.tol)
+            X_new = X + steps
+            still = gn == 0.0
+            if still.any():
+                X_new[still] = X[still]  # the zero step leaves x as it is
+            cost += 1 + iters if hvp is not None else 1
+            F = oracle.value(X_new)
+            TG_new = oracle.grad(X_new)
+
+            row = {
+                "f": F, "grad_norm_true": row_norms(TG_new), "g_norm": gn,
+                "delta": delta, "case": case, "model_dec": model_dec,
+                "cauchy_dec": cauchy_dec, "cg_iters": iters, "cost_units": cost,
+                "step_norm": row_norms(steps), "noise_step_dot": rowdot(TG - G, steps),
+            }
+            for name, value in row.items():
+                cols[name][k, at] = value
+            X, TG = X_new, TG_new
+            if on_iterate is not None:
+                final_x[at] = X
+                on_iterate(k, final_x)
+
+            stop = ~np.isfinite(F) | (F > F0 + DIVERGENCE_MARGIN)
+            if stop.any():
+                final_x[at] = X
+                for i in np.flatnonzero(stop):
+                    aborted[ids[i]] = _abort_reason(k, float(F[i]))
+                    rows[ids[i]] = k + 1
+                keep = ~stop
+                ids, X, TG, F0, cost, grp, tau = (
+                    v[keep] for v in (ids, X, TG, F0, cost, grp, tau))
+                A, G1, G2, V, noise, drawn = (
+                    v[keep] for v in (A, G1, G2, V, noise, drawn))
+                drawn_all, drawn_any = drawn.all(axis=0), drawn.any(axis=0)
+                at = ids
+                if ids.size == 0:
+                    break
+    final_x[at] = X
+
+    recorded = np.arange(1, K + 1)[:, None] < rows[None, :]
+    bounds = np.array([t.hess_bound for t in tables])
+    for name, table in (("alpha", ALPHA), ("gamma1", GAMMA1), ("gamma2", GAMMA2)):
+        cols[name][1:] = np.where(recorded, table[lane_grp].T, np.nan)
+    cols["hess_bound"][1:] = np.where(recorded, bounds[lane_grp], np.nan)
+    return LaneRun(cols, rows, final_x, aborted)
+
+
+def _precondition_events(k: int, lanes: list[int], rows: np.ndarray,
+                         configs: list[TrishConfig]) -> None:
+    """The stepsize-precondition response of ``run_trish`` for lanes first
+    violating it at iteration ``k``: raise if enforced, else warn once."""
+    for lane in lanes:
+        if rows[lane] <= k:
+            continue  # the lane stopped before reaching k
+        alpha = configs[lane].stepsizes.at(k)
+        if configs[lane].enforce_stepsize_bound:
+            raise ConfigurationError(
+                f"stepsize precondition violated at k={k}: alpha={alpha}")
+        logger.warning(
+            "stepsize alpha_%d=%.3g exceeds the guaranteed-decrease bound; "
+            "convergence theory does not apply to this run", k, alpha)

@@ -18,8 +18,11 @@ import numpy as np
 from .core import (
     Array,
     ConfigurationError,
+    EvaluationError,
     HessianEstimate,
     Sampler,
+    matvec,
+    rowdot,
 )
 
 # max |d/dt sigmoid'(t)| = sqrt(3)/18, attained at sigma(t) = 1/2 -+ sqrt(3)/6
@@ -60,8 +63,11 @@ class QuadraticProblem:
     When A is positive definite the PL constant is the smallest
     eigenvalue and the infimum -0.5 b'inv(A)b is attained at inv(A)b;
     otherwise both are reported absent.  The constant Hessian makes the
-    Hessian-Lipschitz constant exactly zero.
+    Hessian-Lipschitz constant exactly zero.  ``value``, ``grad`` and
+    ``hvp`` also take (S, n) row stacks.
     """
+
+    row_stacked = True
 
     def __init__(self, A: Array, b: Array, eigenvalues: Array | None = None):
         A = np.asarray(A, dtype=float)
@@ -86,13 +92,19 @@ class QuadraticProblem:
             self.x_star = None
             self.f_min = None
 
-    def value(self, x: Array) -> float:
+    def value(self, x: Array) -> float | Array:
+        if x.ndim == 2:
+            return rowdot(0.5 * x, matvec(self.A, x)) - rowdot(x, self.b)
         return float(0.5 * x @ (self.A @ x) - self.b @ x)
 
     def grad(self, x: Array) -> Array:
+        if x.ndim == 2:
+            return matvec(self.A, x) - self.b
         return self.A @ x - self.b
 
     def hvp(self, x: Array, v: Array) -> Array:
+        if v.ndim == 2:
+            return matvec(self.A, v)
         return self.A @ v
 
     def validation_loss(self, x: Array) -> float:
@@ -210,6 +222,8 @@ class LogisticProblem:
         def sample(x, k, alpha_k, grad_rng, hess_rng):
             idx = grad_rng.integers(0, self.n_samples, size=batch_size)
             g = self.batch_gradient(x, idx)
+            if not np.all(np.isfinite(g)):
+                raise EvaluationError(f"non-finite mini-batch gradient at k={k}, x = {x!r}")
             if hessian:
                 est = self.batch_hessian(x, idx, m_h)
             else:
@@ -261,8 +275,10 @@ class RosenbrockProblem:
     attained at the all-ones point.  Curvature constants are certified
     only on the box |x_i| <= box_halfwidth (Gershgorin row sums of the
     tridiagonal Hessian); callers asserting them must keep iterates in
-    the box.
+    the box.  ``value``, ``grad`` and ``hvp`` also take (S, n) row stacks.
     """
+
+    row_stacked = True
 
     def __init__(self, n: int, box_halfwidth: float = 2.0):
         if n < 2:
@@ -281,25 +297,26 @@ class RosenbrockProblem:
     def in_box(self, x: Array) -> bool:
         return bool(np.max(np.abs(x)) <= self.box_halfwidth)
 
-    def value(self, x: Array) -> float:
-        head, tail = x[:-1], x[1:]
-        return float(np.sum(100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2))
+    def value(self, x: Array) -> float | Array:
+        head, tail = x[..., :-1], x[..., 1:]
+        terms = 100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2
+        return terms.sum(axis=-1) if x.ndim == 2 else float(np.sum(terms))
 
     def grad(self, x: Array) -> Array:
         g = np.zeros_like(x)
-        head, tail = x[:-1], x[1:]
+        head, tail = x[..., :-1], x[..., 1:]
         resid = tail - head**2
-        g[:-1] += -400.0 * head * resid - 2.0 * (1.0 - head)
-        g[1:] += 200.0 * resid
+        g[..., :-1] += -400.0 * head * resid - 2.0 * (1.0 - head)
+        g[..., 1:] += 200.0 * resid
         return g
 
     def hvp(self, x: Array, v: Array) -> Array:
         out = np.zeros_like(v)
-        head, tail = x[:-1], x[1:]
+        head, tail = x[..., :-1], x[..., 1:]
         diag_head = 1200.0 * head**2 - 400.0 * tail + 2.0
         off = -400.0 * head
-        out[:-1] += diag_head * v[:-1] + off * v[1:]
-        out[1:] += off * v[:-1] + 200.0 * v[1:]
+        out[..., :-1] += diag_head * v[..., :-1] + off * v[..., 1:]
+        out[..., 1:] += off * v[..., :-1] + 200.0 * v[..., 1:]
         return out
 
     def validation_loss(self, x: Array) -> float:

@@ -66,10 +66,6 @@ class StepsizeSchedule:
         return alpha
 
 
-def stepsize_at(schedule: StepsizeSchedule, k: int) -> float:
-    return schedule.at(k)
-
-
 @dataclass(frozen=True)
 class GammaSchedule:
     kind: str  # constant | merging

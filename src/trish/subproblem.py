@@ -13,12 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from typing import Callable
+
 from .core import (
     Array,
     ConfigurationError,
     HessianEstimate,
     NumericalError,
     ZeroGradientError,
+    rowdot,
 )
 
 
@@ -73,6 +76,20 @@ def radius(g_norm: float, alpha: float, gamma1: float, gamma2: float) -> tuple[f
     return gamma2 * alpha * g_norm, RadiusCase.CASE3
 
 
+def radius_rows(g_norm: Array, alpha, gamma1, gamma2) -> tuple[Array, Array]:
+    """``radius`` over arrays of gradient norms (and per-row parameters).
+
+    Returns the radii and the case numbers; each row equals the scalar
+    rule bit for bit.  Parameters are not validated here.
+    """
+    case1 = g_norm < 1.0 / gamma1
+    case2 = g_norm <= 1.0 / gamma2
+    delta = np.where(case1, gamma1 * alpha * g_norm,
+                     np.where(case2, alpha, gamma2 * alpha * g_norm))
+    case = np.where(case1, 1, np.where(case2, 2, 3))
+    return delta, case
+
+
 def _apply(hess: HessianEstimate | Array | None, v: Array) -> Array:
     if hess is None:
         return np.zeros_like(v)
@@ -114,6 +131,21 @@ def _boundary_tau(s: Array, d: Array, delta: float) -> float:
     if sd <= 0.0:
         return (root - sd) / dd
     return (delta * delta - ss) / (sd + root)
+
+
+def _boundary_tau_rows(s: Array, d: Array, delta: Array) -> Array:
+    """``_boundary_tau`` row by row, bit for bit."""
+    dd = rowdot(d, d)
+    sd = rowdot(s, d)
+    ss = rowdot(s, s)
+    disc = sd * sd + dd * (delta * delta - ss)
+    root = np.sqrt(np.where(disc < 0.0, 0.0, disc))  # max(disc, 0.0), NaN kept
+    return np.where(sd <= 0.0, (root - sd) / dd, (delta * delta - ss) / (sd + root))
+
+
+def _curvature_error(dHd, delta) -> NumericalError:
+    return NumericalError(
+        f"non-finite curvature d'Hd = {dHd!r} in Steihaug-CG (delta={delta!r})")
 
 
 def steihaug_cg(
@@ -165,6 +197,8 @@ def steihaug_cg(
             Hg = -Hd  # d_0 = -g, so this product doubles as H g
         dHd = float(d @ Hd)
         iters += 1
+        if not np.isfinite(dHd):
+            raise _curvature_error(dHd, delta)
         if dHd <= 0.0:
             s = s + _boundary_tau(s, d, delta) * d
             boundary = True
@@ -195,6 +229,94 @@ def steihaug_cg(
     cauchy_dec = -(t * g_norm**2 + 0.5 * t * t * gHg)
     model_dec = -model_value(g, hess, s)  # diagnostic product, not counted
     return TRStep(s, delta, case, model_dec, cauchy_dec, iters, boundary, hessian_products=products)
+
+
+def _libm_pow(x: Array, p: float) -> Array:
+    # Python's float ** (libm pow); numpy's vectorized pow can differ by an ulp
+    return (x.astype(object) ** p).astype(float)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def steihaug_cg_rows(
+    G: Array,
+    g_norm: Array,
+    delta: Array,
+    hvp: Callable[[Array, Array], Array] | None,
+    max_iters: int = 3,
+    residual_tol: float = 1e-10,
+) -> tuple[Array, Array, Array, Array]:
+    """``steihaug_cg`` on S independent row-stacked subproblems at once.
+
+    ``hvp(rows, V)`` returns the Hessian products of the subproblems
+    listed in ``rows`` with the rows of ``V``; ``None`` is the zero
+    Hessian.  Rows still iterating are tracked by index, so the cap
+    bounds the number of sweeps.  Returns the steps and the per-row
+    model decrease, Cauchy decrease and CG iterations; each row equals
+    the scalar solver's bit for bit (rows with ``g_norm == 0`` get the
+    zero step and zero decreases, as ``trish_step`` gives them).
+    Hessian products consumed equal the iterations unless ``hvp`` is
+    ``None``.
+    """
+    steps = np.zeros_like(G)
+    model_dec = np.zeros(G.shape[0])
+    cauchy_dec = np.zeros(G.shape[0])
+    iters = np.zeros(G.shape[0], dtype=np.int64)
+    live = np.flatnonzero(g_norm != 0.0)
+    g, gn, dl = G[live], g_norm[live], delta[live]
+    if hvp is None or live.size == 0:
+        # Linear model: steepest descent straight to the boundary.
+        steps[live] = -(dl / gn)[:, None] * g
+        model_dec[live] = cauchy_dec[live] = dl * gn
+        iters[live] = 1
+        return steps, model_dec, cauchy_dec, iters
+
+    s = np.zeros_like(g)
+    r = -g
+    d = r.copy()
+    rr = rowdot(r, r)
+    it = np.zeros(live.size, dtype=np.int64)
+    act = np.arange(live.size)  # rows still iterating, as positions in live
+    Hg = None
+    for sweep in range(max_iters):
+        if act.size == 0:
+            break
+        da = d[act]
+        Hd = hvp(live[act], da)
+        if sweep == 0:
+            Hg = -Hd  # d_0 = -g, so this product doubles as H g
+        dHd = rowdot(da, Hd)
+        it[act] += 1
+        if not np.all(np.isfinite(dHd)):
+            bad = int(np.argmin(np.isfinite(dHd)))
+            raise _curvature_error(float(dHd[bad]), float(dl[act[bad]]))
+        step = rr[act] / dHd
+        s_try = s[act] + step[:, None] * da
+        hit = (dHd <= 0.0) | (np.sqrt(rowdot(s_try, s_try)) >= dl[act])
+        if hit.any():
+            h = act[hit]
+            s[h] = s[h] + _boundary_tau_rows(s[h], d[h], dl[h])[:, None] * d[h]
+        inner = ~hit
+        a = act[inner]
+        s[a] = s_try[inner]
+        ra = r[a] - step[inner, None] * Hd[inner]
+        r[a] = ra
+        rr_next = rowdot(ra, ra)
+        more = ~(np.sqrt(rr_next) <= residual_tol * gn[a])
+        a = a[more]
+        d[a] = ra[more] + (rr_next[more] / rr[a])[:, None] * d[a]
+        rr[a] = rr_next[more]
+        act = a
+
+    # Reference decrease at the Cauchy point from the first product.
+    gHg = rowdot(g, Hg)
+    gn2 = _libm_pow(gn, 2)
+    interior = (gHg > 0.0) & (_libm_pow(gn, 3) <= dl * gHg)
+    t = np.where(interior, -gn2 / gHg, -dl / gn)
+    cauchy_dec[live] = -(t * gn2 + 0.5 * t * t * gHg)
+    model_dec[live] = -(rowdot(g, s) + 0.5 * rowdot(s, hvp(live, s)))
+    steps[live] = s
+    iters[live] = it
+    return steps, model_dec, cauchy_dec, iters
 
 
 def exact_trs(

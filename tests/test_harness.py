@@ -1,8 +1,20 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from trish import (
+    GammaSchedule,
+    NoiseModel,
+    StepsizeSchedule,
+    TrishConfig,
+    make_quadratic,
+    run_trish,
+    run_trish_lanes,
+)
 from trish.core import ConfigurationError
+from trish.harness.checks import StepContractCounter
 from trish.harness.cli import main
 from trish.harness.config import load_config, validate_config
 from trish.harness.experiment import CSV_COLUMNS, run_experiment, run_single, write_trace_csv
@@ -183,3 +195,45 @@ def test_verify_unknown_suite_is_config_error():
     from trish.harness.suites import verify
     with pytest.raises(ConfigurationError):
         verify("made-up-suite")
+
+
+class TestStepContractCounter:
+    def trace(self, lanes=False):
+        prob = make_quadratic(4, 1.0, 4.0, seed=2)
+        cfgs = [TrishConfig(StepsizeSchedule.constant(0.005), GammaSchedule.constant(2.0, 1.0),
+                            30, seed=s, noise=NoiseModel(kind="bounded", m_g=1.0,
+                                                         hessian_kind="exact-capped", m_h=4.0))
+                for s in range(3)]
+        if lanes:
+            return run_trish_lanes(prob, np.ones(4), cfgs)
+        return run_trish(prob, np.ones(4), cfgs[0])
+
+    def test_clean_run_has_no_violations(self):
+        for trace, steps in ((self.trace(), 30), (self.trace(lanes=True), 3 * 30)):
+            counter = StepContractCounter()
+            counter.update(trace)
+            assert counter.checked == steps
+            assert counter.total_violations == 0
+            assert counter.stats()["nonfinite_violations"] == 0
+            assert np.isfinite(counter.worst_cauchy_margin)
+
+    def test_nan_step_counts_as_violation(self):
+        traj = self.trace()
+        clean = StepContractCounter()
+        clean.update(traj)
+        traj.records[5] = replace(traj.records[5], model_dec=float("nan"),
+                                  step_norm=float("nan"))
+        counter = StepContractCounter()
+        counter.update(traj)
+        assert counter.nonfinite_violations == 1
+        assert counter.total_violations == 1
+        assert counter.checked == 30
+        assert counter.worst_cauchy_margin == clean.worst_cauchy_margin
+
+    def test_nan_lane_row_counts_as_violation(self):
+        lanes = self.trace(lanes=True)
+        lanes.columns["cauchy_dec"][7, 2] = np.inf
+        counter = StepContractCounter()
+        counter.update(lanes)
+        assert counter.nonfinite_violations == 1
+        assert counter.total_violations >= 1

@@ -2,20 +2,26 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trish import (
+    ConfigurationError,
+    EvaluationError,
     GammaSchedule,
     HessianEstimate,
     NoiseModel,
+    NumericalError,
     SolverSpec,
     StepsizeSchedule,
     TrishConfig,
     run_sg,
     run_trish,
     run_trish_first_order,
+    run_trish_lanes,
     trish_step,
 )
-from trish.problems import QuadraticProblem, make_logistic, make_quadratic
+from trish.problems import QuadraticProblem, RosenbrockProblem, make_logistic, make_quadratic
 
 
 @pytest.fixture(autouse=True)
@@ -179,3 +185,161 @@ class TestFirstOrder:
         a = run_trish_first_order(prob, np.zeros(4), cfg)
         b = run_trish_first_order(prob, np.zeros(4), cfg)
         assert np.array_equal(a.final_x, b.final_x)
+
+
+class CountingOracle:
+    """Wraps a problem and counts gradient evaluations."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.grad_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
+
+    def grad(self, x):
+        self.grad_calls += 1
+        return self.problem.grad(x)
+
+
+class TestGradientOncePerIteration:
+    @pytest.mark.parametrize("runner", ["trish", "sg"])
+    def test_one_gradient_call_per_iteration(self, runner):
+        oracle = CountingOracle(make_quadratic(4, 1.0, 4.0, seed=9))
+        noise = NoiseModel(kind="bounded", m_g=1.0)
+        if runner == "trish":
+            run_trish(oracle, np.ones(4), TrishConfig(
+                StepsizeSchedule.constant(0.01), GammaSchedule.constant(2.0, 1.0),
+                iterations=25, seed=3, noise=noise))
+        else:
+            run_sg(oracle, np.ones(4), StepsizeSchedule.constant(0.01), noise, 25, seed=3)
+        assert oracle.grad_calls == 1 + 25  # the initial point plus one per iteration
+
+
+# --- lockstep lanes against the scalar reference ---------------------------
+
+EXACT_COLUMNS = ("f", "grad_norm_true", "g_norm", "delta", "case", "step_norm",
+                 "cg_iters", "cost_units", "alpha", "gamma1", "gamma2", "hess_bound",
+                 "noise_step_dot")
+FAULTS = (ConfigurationError, EvaluationError, NumericalError)
+
+
+def assert_lanes_match_scalar(problem, x0, configs):
+    """Every lane equals run_trish at the same config, bit for bit."""
+    scalar, errors = [], []
+    for cfg in configs:
+        try:
+            scalar.append(run_trish(problem, x0, cfg))
+        except FAULTS as exc:
+            errors.append(type(exc))
+    if errors:
+        with pytest.raises(tuple(errors)):
+            run_trish_lanes(problem, x0, configs)
+        return None
+    lanes = run_trish_lanes(problem, x0, configs)
+    for i, traj in enumerate(scalar):
+        rows = len(traj.records)
+        assert lanes.rows[i] == rows
+        assert lanes.aborted[i] == traj.aborted
+        assert np.array_equal(lanes.final_x[i], traj.final_x)
+        for name in EXACT_COLUMNS:
+            assert np.array_equal(lanes.column(name)[:rows, i], traj.column(name),
+                                  equal_nan=True), name
+        for name in ("model_dec", "cauchy_dec"):
+            np.testing.assert_allclose(lanes.column(name)[:rows, i], traj.column(name),
+                                       rtol=1e-12, atol=0.0, err_msg=name)
+        assert np.all(np.isnan(lanes.column("f")[rows:, i]))
+    return lanes
+
+
+@st.composite
+def lane_cases(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 12))
+        problem = make_quadratic(n, 1.0, draw(st.sampled_from([1.0, 4.0, 10.0])),
+                                 seed=draw(st.integers(0, 10_000)))
+        x0 = np.ones(n)
+    else:
+        n = draw(st.integers(2, 6))
+        problem = RosenbrockProblem(n)
+        x0 = np.zeros(n)
+    hessian = draw(st.sampled_from(["zero", "exact-capped"]))
+    m_h = problem.grad_lipschitz * draw(st.sampled_from([0.25, 1.0, 2.0]))
+    noise = NoiseModel(kind=draw(st.sampled_from(["none", "bounded", "stepwise", "geometric"])),
+                       m_g=draw(st.sampled_from([0.1, 1.0])), zeta=1e-3,
+                       hessian_kind=hessian, m_h=m_h if hessian != "zero" else 0.0)
+    alpha = draw(st.sampled_from([0.05, 0.25, 1.0])) / problem.grad_lipschitz
+    gamma1 = draw(st.sampled_from([1.0, 2.0, 8.0]))
+    kind = draw(st.sampled_from(["constant", "diminishing", "merging"]))
+    if kind == "constant":
+        steps, gammas = StepsizeSchedule.constant(alpha), GammaSchedule.constant(gamma1, 1.0)
+    else:
+        steps = StepsizeSchedule.diminishing(alpha * 51.0, 50.0)
+        gammas = (GammaSchedule.constant(gamma1, 1.0) if kind == "diminishing"
+                  else GammaSchedule.merging(gamma1, eta=1.0))
+    iterations = draw(st.integers(0, 130))  # zeta = 1e-3 underflows to 0 after ~108 steps
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True))
+    configs = []
+    for seed in seeds:
+        if draw(st.integers(0, 3)) == 0:  # a lane that trips the divergence guard
+            lane_steps, lane_gammas = StepsizeSchedule.constant(1e7), GammaSchedule.constant(1.0, 1.0)
+        else:
+            lane_steps, lane_gammas = steps, gammas
+        configs.append(TrishConfig(lane_steps, lane_gammas, iterations, seed=seed, noise=noise))
+    return problem, x0, configs
+
+
+@settings(max_examples=40, deadline=None)
+@given(lane_cases())
+def test_lanes_bit_identical_to_scalar(case):
+    assert_lanes_match_scalar(*case)
+
+
+class TestLanes:
+    def config(self, alpha, seed, hessian="zero", iterations=60):
+        return TrishConfig(StepsizeSchedule.constant(alpha), GammaSchedule.constant(2.0, 1.0),
+                           iterations, seed=seed,
+                           noise=NoiseModel(kind="bounded", m_g=1.0, hessian_kind=hessian,
+                                            m_h=10.0 if hessian != "zero" else 0.0))
+
+    def test_divergent_lanes_stop_and_others_run_on(self):
+        prob = make_quadratic(5, 1.0, 10.0, seed=4)
+        configs = [self.config(1e7 if i % 2 else 0.005, seed=i) for i in range(6)]
+        lanes = assert_lanes_match_scalar(prob, np.ones(5), configs)
+        assert [r is not None for r in lanes.aborted] == [i % 2 == 1 for i in range(6)]
+        assert list(lanes.rows) == [61, 2, 61, 2, 61, 2]
+
+    def test_on_iterate_sees_every_iterate(self):
+        prob = make_quadratic(3, 1.0, 2.0, seed=1)
+        configs = [self.config(0.01, seed=i, iterations=5) for i in range(3)]
+        seen = []
+        lanes = run_trish_lanes(prob, np.zeros(3), configs,
+                                on_iterate=lambda k, X: seen.append((k, X.copy())))
+        assert [k for k, _ in seen] == list(range(6))
+        assert np.array_equal(seen[-1][1], lanes.final_x)
+        traj = run_trish(prob, np.zeros(3), configs[1], keep_iterates=True)
+        assert all(np.array_equal(X[1], x) for (_, X), x in zip(seen, traj.iterates))
+
+    def test_enforced_precondition_raises_at_its_iteration(self):
+        prob = make_quadratic(3, 1.0, 2.0, seed=1)
+        cfg = TrishConfig(StepsizeSchedule.constant(1.0), GammaSchedule.constant(2.0, 1.0),
+                          10, enforce_stepsize_bound=True)
+        with pytest.raises(ConfigurationError, match="k=1"):
+            run_trish_lanes(prob, np.zeros(3), [cfg])
+
+    @pytest.mark.parametrize("change", [
+        {"solver": SolverSpec(kind="exact")},
+        {"noise": NoiseModel(hessian_kind="perturbed", m_h=1.0, perturbation=0.1)},
+        {"iterations": 7},
+    ])
+    def test_unsupported_or_mixed_configs_rejected(self, change):
+        from dataclasses import replace
+        base = self.config(0.01, seed=0, hessian="exact-capped")
+        with pytest.raises(ConfigurationError):
+            run_trish_lanes(make_quadratic(3, 1.0, 2.0, seed=1), np.zeros(3),
+                            [base, replace(base, **change)])
+
+    def test_oracle_without_row_stacks_rejected(self):
+        prob = make_logistic(50, 3, l2=0.1, seed=2)
+        with pytest.raises(ConfigurationError, match="row-stacked"):
+            run_trish_lanes(prob, np.zeros(3), [self.config(0.01, seed=0)])

@@ -3,6 +3,7 @@ import pytest
 
 from trish import (
     ConfigurationError,
+    EvaluationError,
     constants,
     hvp_finite_difference,
     load_logistic_csv,
@@ -11,6 +12,7 @@ from trish import (
     make_quadratic,
     make_quartic_bowl,
 )
+from trish.core import rng_stream
 from trish.problems import QuadraticProblem, RosenbrockProblem
 
 
@@ -93,6 +95,30 @@ class TestLogistic:
         with pytest.raises(ConfigurationError):
             from trish.problems import LogisticProblem
             LogisticProblem(np.ones((3, 2)), np.array([0.0, 1.0, -1.0]))
+
+
+def test_minibatch_sampler_rejects_non_finite_gradient():
+    prob = make_logistic(40, 3, l2=0.1, seed=5)
+    sample = prob.minibatch_sampler(4)
+    with pytest.raises(EvaluationError, match="k=7"):
+        sample(np.array([np.inf, 0.0, 0.0]), 7, 0.1, rng_stream(0, 0), rng_stream(0, 1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_quadratic(7, 1.0, 10.0, seed=8),
+    lambda: RosenbrockProblem(6),
+])
+def test_row_stacked_evaluation_matches_rows(make):
+    prob = make()
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-1.5, 1.5, (9, prob.dim))
+    V = rng.standard_normal((9, prob.dim))
+    values, grads, hvps = prob.value(X), prob.grad(X), prob.hvp(X, V)
+    assert prob.row_stacked
+    for i in range(9):
+        assert values[i] == prob.value(X[i])
+        assert np.array_equal(grads[i], prob.grad(X[i]))
+        assert np.array_equal(hvps[i], prob.hvp(X[i], V[i]))
 
 
 class TestRosenbrock:

@@ -15,6 +15,7 @@ from trish import (
     radius,
     steihaug_cg,
 )
+from trish.subproblem import radius_rows, steihaug_cg_rows
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -123,3 +124,33 @@ def test_merging_gap_identity(gamma1, eta, a, b, k):
     g1, g2 = gammas_at(GammaSchedule.merging(gamma1, eta), steps, k)
     assert 0.0 < g2 <= g1
     assert abs((g1 - g2) - 0.5 * eta * g1 * alpha_k) <= 1e-12 * max(1.0, g1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.sampled_from([1, 2, 3, 5]), st.booleans())
+def test_row_solver_matches_scalar_solver(n, rows, seed, cap, curved):
+    # indefinite matrices exercise the negative-curvature exit; a zero row
+    # exercises the zero-gradient short cut
+    rng = np.random.default_rng(seed)
+    mats = [0.5 * (m + m.T) for m in rng.standard_normal((rows, n, n))]
+    G = rng.standard_normal((rows, n))
+    G[rng.integers(rows)] *= float(rng.integers(2))
+    g_norm = np.array([float(np.linalg.norm(g)) for g in G])
+    delta, case = radius_rows(g_norm, 0.1, 4.0, 0.5)
+    hvp = (lambda r, V: np.stack([mats[i] @ v for i, v in zip(r, V)])) if curved else None
+    steps, model_dec, cauchy_dec, iters = steihaug_cg_rows(G, g_norm, delta, hvp, cap)
+    for i in range(rows):
+        assert (delta[i], case[i]) == radius(g_norm[i], 0.1, 4.0, 0.5)
+        if g_norm[i] == 0.0:
+            assert not steps[i].any() and iters[i] == 0
+            continue
+        ref = steihaug_cg(G[i], op_of(mats[i]) if curved else HessianEstimate.zero(n),
+                          delta[i], cap)
+        assert np.array_equal(steps[i], ref.s)
+        assert (model_dec[i], cauchy_dec[i], iters[i]) == (
+            ref.model_decrease, ref.cauchy_decrease, ref.cg_iterations)
+
+
+def op_of(matrix):
+    return HessianEstimate(apply=lambda v: matrix @ v, norm_bound=1.0)

@@ -5,7 +5,6 @@ from trish import (
     GammaSchedule,
     StepsizeSchedule,
     gammas_at,
-    stepsize_at,
     validate_stepsize,
 )
 
@@ -13,11 +12,11 @@ from trish import (
 class TestStepsizeSchedule:
     def test_diminishing_values(self):
         sched = StepsizeSchedule.diminishing(1.0, 1.0)
-        assert stepsize_at(sched, 1) == pytest.approx(0.5)
-        assert stepsize_at(StepsizeSchedule.diminishing(2.0, 3.0), 7) == pytest.approx(0.2)
+        assert sched.at(1) == pytest.approx(0.5)
+        assert StepsizeSchedule.diminishing(2.0, 3.0).at(7) == pytest.approx(0.2)
 
     def test_constant(self):
-        assert stepsize_at(StepsizeSchedule.constant(0.1), 999) == 0.1
+        assert StepsizeSchedule.constant(0.1).at(999) == 0.1
 
     def test_custom_callback(self):
         sched = StepsizeSchedule.custom(lambda k: 1.0 / k**0.75)

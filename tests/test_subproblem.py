@@ -4,6 +4,7 @@ import pytest
 from trish import (
     ConfigurationError,
     HessianEstimate,
+    NumericalError,
     RadiusCase,
     ZeroGradientError,
     cauchy_point,
@@ -13,6 +14,7 @@ from trish import (
     radius,
     steihaug_cg,
 )
+from trish.subproblem import steihaug_cg_rows
 
 
 def op(matrix):
@@ -231,3 +233,28 @@ class TestKKTResiduals:
         s = np.array([-0.6 + 0.1, -0.8])
         stat, psd, _ = kkt_residuals(np.array([3.0, 4.0]), np.eye(2), 1.0, s, 4.0)
         assert stat >= 0.1 * psd > 0.0
+
+
+class TestNonFiniteCurvature:
+    def test_nan_hessian_product_raises(self):
+        nan_op = HessianEstimate(apply=lambda v: np.full_like(v, np.nan), norm_bound=1.0)
+        with pytest.raises(NumericalError, match="curvature"):
+            steihaug_cg(np.array([1.0, 2.0]), nan_op, 0.5)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_inf_hessian_product_raises_on_later_iteration(self):
+        calls = []
+
+        def apply(v):
+            calls.append(1)
+            return np.array([1.0, 2.0, 3.0]) * v if len(calls) == 1 else np.full_like(v, np.inf)
+
+        with pytest.raises(NumericalError):
+            steihaug_cg(np.array([1.0, 2.0, 0.5]), HessianEstimate(apply, 3.0), 10.0)
+        assert len(calls) == 2
+
+    def test_row_solver_raises_too(self):
+        G = np.array([[1.0, 2.0], [0.5, -1.0]])
+        with pytest.raises(NumericalError, match="curvature"):
+            steihaug_cg_rows(G, np.linalg.norm(G, axis=1), np.array([0.5, 0.5]),
+                             lambda rows, V: np.where(rows[:, None] == 1, np.nan, V))
