@@ -40,7 +40,6 @@ from .schedules import (
 )
 from .optimizer import (
     LaneRun,
-    RunRecord,
     SolverSpec,
     Trajectory,
     TrishConfig,
@@ -64,7 +63,6 @@ from .problems import (
     QuadraticProblem,
     QuarticBowlProblem,
     RosenbrockProblem,
-    constants,
     load_logistic_csv,
     load_quadratic_csv,
     make_logistic,

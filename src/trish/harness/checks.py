@@ -110,24 +110,15 @@ def taylor_violations(traj: Trajectory, grad_lipschitz: float) -> tuple[int, int
     weakens the asserted bound).  Valid wherever ``grad_lipschitz``
     certifies the true Hessian along the step.
     """
-    checked = 0
-    violations = 0
-    prev_f = traj.records[0].f
-    for rec in traj.records[1:]:
-        if rec.model_dec is None:
-            prev_f = rec.f
-            continue
-        checked += 1
-        rhs = (
-            prev_f
-            - rec.model_dec
-            + rec.noise_step_dot
-            + 0.5 * (grad_lipschitz + (rec.hess_bound or 0.0)) * rec.step_norm**2
-        )
-        if rec.f > rhs + TAYLOR_TOL:
-            violations += 1
-        prev_f = rec.f
-    return checked, violations
+    steps = traj.recorded("model_dec")[1:]  # no SG step: no model
+    f = traj.column("f")
+    prev_f, f = f[:-1][steps], f[1:][steps]
+    model_dec, noise_step_dot, hess_bound, step_norm = (
+        traj.column(name)[1:][steps]
+        for name in ("model_dec", "noise_step_dot", "hess_bound", "step_norm"))
+    rhs = (prev_f - model_dec + noise_step_dot
+           + 0.5 * (grad_lipschitz + hess_bound) * step_norm**2)
+    return int(np.count_nonzero(steps)), int(np.count_nonzero(f > rhs + TAYLOR_TOL))
 
 
 def cost_accounting_ok(
@@ -139,22 +130,16 @@ def cost_accounting_ok(
     Steihaug runs cost 1 + (CG products) <= 1 + cap; exact-solver runs
     cost 1 + dim for the dense materialization.
     """
-    prev = 0
-    for rec in traj.records[1:]:
-        inc = rec.cost_units - prev
-        prev = rec.cost_units
-        if mode == "first-order":
-            if inc != 1:
-                return False
-        elif mode == "steihaug":
-            if not 1 <= inc <= 1 + cg_cap:
-                return False
-        elif mode == "exact":
-            if inc != 1 + (dim or 0):
-                return False
-        else:
-            raise ValueError(f"unknown cost mode {mode!r}")
-    return True
+    inc = np.diff(traj.column("cost_units"))
+    if mode == "first-order":
+        ok = inc == 1
+    elif mode == "steihaug":
+        ok = (1 <= inc) & (inc <= 1 + cg_cap)
+    elif mode == "exact":
+        ok = inc == 1 + (dim or 0)
+    else:
+        raise ValueError(f"unknown cost mode {mode!r}")
+    return bool(np.all(ok))
 
 
 def seed_mean_and_se(per_seed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,6 @@ and ``baseline-g``.
 from __future__ import annotations
 
 import json
-from typing import Any
 
 import jsonschema
 import numpy as np
@@ -324,8 +323,3 @@ def build_trish_config(doc: dict, seed: int) -> TrishConfig:
         solver=build_solver(doc.get("solver")),
         noise=build_noise(doc.get("noise")),
     )
-
-
-def config_summary(doc: dict) -> dict[str, Any]:
-    """Echo of the experiment settings, embedded in reports."""
-    return {k: doc[k] for k in sorted(doc)}

@@ -1,8 +1,9 @@
 """Experiment execution and CSV trace export.
 
-One CSV per (algorithm, seed) with a fixed column set; every field is
-written with round-trip float repr, so reruns with the same seed are
-byte-identical except for the wall-clock column.
+One CSV per (algorithm, seed) with a fixed column set; every float is
+written with round-trip repr, so reruns with the same seed are
+byte-identical except for the wall-clock column.  A field the run did
+not record is an empty cell; a recorded NaN is written ``nan``.
 """
 
 from __future__ import annotations
@@ -26,24 +27,23 @@ CSV_COLUMNS = (
     "k", "f", "grad_norm_true", "g_norm", "delta", "case", "model_dec",
     "cauchy_dec", "cg_iters", "upsilon", "cost_units", "wall_ns",
 )
+INT_COLUMNS = frozenset({"k", "case", "cg_iters", "cost_units", "wall_ns"})
 
 OUTPUT_DIR_ENV = "TRISH_OUTPUT_DIR"
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _cells(traj: Trajectory, name: str) -> list[str]:
+    """Column ``name`` as CSV cells: integers, float reprs, or empty."""
+    fmt = (lambda v: str(int(v))) if name in INT_COLUMNS else repr
+    return [fmt(v) if kept else "" for v, kept in
+            zip(traj.column(name).tolist(), traj.recorded(name).tolist())]
 
 
 def write_trace_csv(traj: Trajectory, path: Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for rec in traj.records:
-            writer.writerow([_cell(getattr(rec, col)) for col in CSV_COLUMNS])
+        writer.writerows(zip(*(_cells(traj, name) for name in CSV_COLUMNS)))
 
 
 def resolve_output_dir(doc: dict, override: str | None = None) -> Path:

@@ -64,7 +64,7 @@ def baseline_gradient_norm(
         x0 = np.zeros(problem.dim)
     traj = run_sg(problem, x0, StepsizeSchedule.constant(BASELINE_STEPSIZE),
                   noise, iterations, seed, sampler=sampler)
-    norms = [r.g_norm for r in traj.records[1:]]
+    norms = traj.column("g_norm")[1:]
     if traj.aborted is not None:
         raise NumericalError(
             f"baseline SG run diverged ({traj.aborted}); partial mean over "

@@ -285,6 +285,7 @@ def suite_equivalence(quick: bool = False) -> SuiteReport:
     diffs = [float(np.max(np.abs(a - b)))
              for a, b in zip(tr.iterates, sg.iterates)]
     worst = max(diffs)
+    tr_g, sg_g = tr.column("g_norm")[1:], sg.column("g_norm")[1:]
     checks = [
         CheckResult(
             "TRish(H=0, gamma1=gamma2=gamma) matches SG(gamma*alpha) per coordinate",
@@ -293,8 +294,7 @@ def suite_equivalence(quick: bool = False) -> SuiteReport:
         ),
         CheckResult(
             "both runs consumed identical gradient-sample streams",
-            all(abs(a.g_norm - b.g_norm) <= 1e-12 * (1.0 + a.g_norm)
-                for a, b in zip(tr.records[1:], sg.records[1:])),
+            bool(np.all(np.abs(tr_g - sg_g) <= 1e-12 * (1.0 + tr_g))),
             {},
         ),
     ]
@@ -715,13 +715,13 @@ def suite_complexity(quick: bool = False) -> SuiteReport:
             )
             with _quiet_optimizer_warnings():
                 traj = run_trish(problem, x0, cfg, keep_iterates=True)
-            upsilons = [r.upsilon for r in traj.records[1:]]
-            if any(u <= sqrt_eps for u in upsilons):
+            dropped = np.flatnonzero(traj.column("upsilon")[1:] <= sqrt_eps)
+            if dropped.size:
                 break
             horizon *= 4
         counter.update(traj)
 
-        stop = next((i for i, u in enumerate(upsilons) if u <= sqrt_eps), None)
+        stop = int(dropped[0]) if dropped.size else None
         stats = {"eps": eps, "alpha": alpha, "stop_iteration": stop,
                  "budget": complexity_budget(eps, L_H, gap0)}
         if stop is None:
@@ -734,8 +734,7 @@ def suite_complexity(quick: bool = False) -> SuiteReport:
         f_values = traj.column("f")
         decreases = f_values[:stop] - f_values[1 : stop + 1]
         min_dec = float(np.min(decreases)) if stop > 0 else np.inf
-        deltas = np.array([r.delta for r in counted])
-        g_norms = np.array([r.g_norm for r in counted])
+        deltas, g_norms = counted.delta, counted.g_norm
         in_ball = all(problem.in_ball(x) for x in traj.iterates[: stop + 2])
         stats.update({
             "counted_iterations": stop,

@@ -1,5 +1,5 @@
-"""TRish main loop (second- and first-order), the SG baseline, and a
-lockstep runner for many TRish lanes at once.
+"""The TRish loop (second- and first-order, and the SG baseline as its
+degenerate step rule) and a lockstep runner for many TRish lanes at once.
 
 Runs are deterministic given a seed: gradient noise and Hessian
 perturbations consume separate named streams, so an SG run and a
@@ -82,51 +82,61 @@ class TrishConfig:
             raise ConfigurationError("iterations must be >= 0")
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One trace row: iterate k together with the step that produced it.
-
-    Row 0 is the initial point (step fields ``None``).  For row k >= 1
-    the step diagnostics describe iteration k, i.e. the step sampled at
-    iterate k-1.  ``cost_units`` is cumulative: one unit per stochastic
-    gradient plus one per Hessian product consumed by the subproblem
-    solver (the exact solver's dense materialization counts dim
-    products; zero-Hessian runs consume none).
-    """
-
-    k: int
-    f: float
-    grad_norm_true: float
-    g_norm: float | None = None
-    delta: float | None = None
-    case: int | None = None
-    model_dec: float | None = None
-    cauchy_dec: float | None = None
-    cg_iters: int | None = None
-    upsilon: float | None = None
-    cost_units: int = 0
-    wall_ns: int = 0
-    # diagnostics beyond the exported schema
-    alpha: float | None = None
-    gamma1: float | None = None
-    gamma2: float | None = None
-    step_norm: float | None = None
-    hess_bound: float | None = None
-    noise_step_dot: float | None = None
+# One trace row.  Row 0 is the initial point.  For row k >= 1 the step
+# fields describe iteration k, i.e. the step sampled at iterate k-1.
+# ``cost_units`` is cumulative: one unit per stochastic gradient plus one
+# per Hessian product consumed by the subproblem solver (the exact
+# solver's dense materialization counts dim products; zero-Hessian runs
+# consume none).  Fields a row does not record hold NaN.
+TRACE_DTYPE = np.dtype([(name, np.float64) for name in (
+    # recorded on every row by the loop
+    "k", "f", "grad_norm_true", "cost_units", "wall_ns",
+    # recorded by the step rule from row 1 on; the last six are
+    # diagnostics beyond the exported CSV schema
+    "g_norm", "delta", "case", "model_dec", "cauchy_dec", "cg_iters", "upsilon",
+    "alpha", "gamma1", "gamma2", "step_norm", "hess_bound", "noise_step_dot",
+)])
+STEP_FIELDS = TRACE_DTYPE.names[5:]
+SG_FIELDS = ("g_norm", "alpha", "step_norm")  # the step fields an SG step records
 
 
 @dataclass
 class Trajectory:
+    """One run's trace.
+
+    ``records`` is a record array of ``TRACE_DTYPE`` rows, read by row
+    (``records[k].f``) or by column (``records.f``, ``column("f")``).
+    """
+
     algorithm: str
     seed: int
-    records: list[RunRecord]
+    records: np.recarray
     final_x: Array
     config: TrishConfig | None = None
     aborted: str | None = None
     iterates: list[Array] | None = None  # populated when keep_iterates is set
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records], dtype=float)
+        return self.records[name]
+
+    def recorded(self, name: str) -> np.ndarray:
+        """Rows on which field ``name`` was recorded.
+
+        Decided by the recording rules, not by NaN, since a recorded
+        value may itself be NaN on a diverging run: step fields are not
+        recorded on row 0, SG steps record only ``SG_FIELDS``, and
+        ``upsilon`` comes only from exact solves (nonzero g).
+        """
+        n = len(self.records)
+        if name not in STEP_FIELDS:
+            return np.ones(n, dtype=bool)
+        if self.algorithm == "sg" and name not in SG_FIELDS:
+            return np.zeros(n, dtype=bool)
+        rows = np.arange(n) > 0
+        if name == "upsilon":
+            exact = self.config is not None and self.config.solver.kind == "exact"
+            rows &= exact & (self.records.g_norm != 0.0)
+        return rows
 
 
 def trish_step(
@@ -164,16 +174,12 @@ def trish_step(
     return x + step.s, step
 
 
-def _initial_record(oracle: ProblemOracle, x: Array, t0: int) -> tuple[RunRecord, float, Array]:
+def _initial_record(oracle: ProblemOracle, x: Array, t0: int) -> tuple[tuple, float, Array]:
+    """Row 0 of the trace, f(x_0) and the true gradient at x_0."""
     f0 = oracle.value(x)
     g0 = oracle.grad(x)
-    rec = RunRecord(
-        k=0,
-        f=f0,
-        grad_norm_true=float(np.linalg.norm(g0)),
-        wall_ns=time.perf_counter_ns() - t0,
-    )
-    return rec, f0, g0
+    row = (0, f0, float(np.linalg.norm(g0)), 0, time.perf_counter_ns() - t0)
+    return row + (np.nan,) * len(STEP_FIELDS), f0, g0
 
 
 def _diverged(f: float, f0: float) -> bool:
@@ -184,8 +190,22 @@ def _abort_reason(k: int, f: float) -> str:
     return f"divergence guard tripped at iteration {k} (f={f!r})"
 
 
-def _draw_fn(oracle: ProblemOracle, noise: NoiseModel, sampler: Sampler | None):
-    """Per-iteration draw ``(x, k, alpha, grad_rng, hess_rng, true_g) -> (g, H)``.
+def _precondition_violated(k: int, alpha: float, enforce: bool, warned: bool = False) -> bool:
+    """Respond to ``alpha_k`` failing the stepsize precondition: raise if
+    the bound is enforced, else warn unless the run already has.
+    Returns True, the run's new ``warned`` state."""
+    if enforce:
+        raise ConfigurationError(f"stepsize precondition violated at k={k}: alpha={alpha}")
+    if not warned:
+        logger.warning(
+            "stepsize alpha_%d=%.3g exceeds the guaranteed-decrease bound; "
+            "convergence theory does not apply to this run", k, alpha)
+    return True
+
+
+def _draw_fn(oracle: ProblemOracle, noise: NoiseModel, sampler: Sampler | None,
+             grad_rng: np.random.Generator, hess_rng: np.random.Generator):
+    """Per-iteration draw ``(x, k, alpha, true_g) -> (g, H)`` from the run's streams.
 
     A synthetic-noise sampler built here is handed the true gradient the
     loop already holds for its diagnostics, so f's gradient is evaluated
@@ -193,8 +213,49 @@ def _draw_fn(oracle: ProblemOracle, noise: NoiseModel, sampler: Sampler | None):
     """
     if sampler is None:
         sample = oracle_sampler(oracle, noise)
-        return lambda x, k, alpha, gr, hr, true_g: sample(x, k, alpha, gr, hr, grad=true_g)
-    return lambda x, k, alpha, gr, hr, true_g: sampler(x, k, alpha, gr, hr)
+        return lambda x, k, alpha, true_g: sample(x, k, alpha, grad_rng, hess_rng, grad=true_g)
+    return lambda x, k, alpha, true_g: sampler(x, k, alpha, grad_rng, hess_rng)
+
+
+def _run(oracle, x0, algorithm, seed, stepsizes, iterations, noise, sampler,
+         keep_iterates, step, config=None) -> Trajectory:
+    """The loop every scalar run shares; ``step`` is the algorithm.
+
+    ``step(x, k, alpha, true_g, draw)`` samples at x through
+    ``draw(x, k, alpha, true_g)`` and returns ``(x_new, cost, fields)``:
+    the next iterate, the cost units the step consumed and the values of
+    ``STEP_FIELDS``.  The loop records f and the true gradient at every
+    iterate and stops when the divergence guard trips.
+    """
+    if iterations < 0:
+        raise ConfigurationError("iterations must be >= 0")
+    x = np.asarray(x0, dtype=float).copy()
+    if not np.all(np.isfinite(x)):
+        raise ConfigurationError("initial point must be finite")
+    draw = _draw_fn(oracle, noise, sampler,
+                    rng_stream(seed, GRADIENT_STREAM), rng_stream(seed, HESSIAN_STREAM))
+    store = np.full(iterations + 1, np.nan, dtype=TRACE_DTYPE)
+
+    t0 = time.perf_counter_ns()
+    store[0], f0, true_g = _initial_record(oracle, x, t0)
+    iterates = [x.copy()] if keep_iterates else None
+    rows, cost, aborted = iterations + 1, 0, None
+
+    for k in range(1, iterations + 1):
+        x, units, fields = step(x, k, stepsizes.at(k), true_g, draw)
+        cost += units
+        f = oracle.value(x)
+        true_g = oracle.grad(x)
+        store[k] = (k, f, float(np.linalg.norm(true_g)), cost,
+                    time.perf_counter_ns() - t0) + fields
+        if iterates is not None:
+            iterates.append(x.copy())
+        if _diverged(f, f0):
+            rows, aborted = k + 1, _abort_reason(k, f)
+            break
+
+    return Trajectory(algorithm, seed, store[:rows].view(np.recarray), x, config=config,
+                      aborted=aborted, iterates=iterates)
 
 
 def run_trish(
@@ -211,71 +272,23 @@ def run_trish(
     unless the divergence guard aborts the run early.  Deterministic
     given ``config.seed``.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    if not np.all(np.isfinite(x)):
-        raise ConfigurationError("initial point must be finite")
-    draw = _draw_fn(oracle, config.noise, sampler)
-    grad_rng = rng_stream(config.seed, GRADIENT_STREAM)
-    hess_rng = rng_stream(config.seed, HESSIAN_STREAM)
-
-    t0 = time.perf_counter_ns()
-    rec0, f0, true_g = _initial_record(oracle, x, t0)
-    records = [rec0]
-    iterates = [x.copy()] if keep_iterates else None
-    cost = 0
-    aborted = None
     warned = False
 
-    for k in range(1, config.iterations + 1):
-        alpha = config.stepsizes.at(k)
+    def step(x, k, alpha, true_g, draw):
+        nonlocal warned
         gamma1, gamma2 = gammas_at(config.gammas, config.stepsizes, k)
-        g, hess = draw(x, k, alpha, grad_rng, hess_rng, true_g)
+        g, hess = draw(x, k, alpha, true_g)
+        if not validate_stepsize(alpha, gamma1, gamma2, oracle.grad_lipschitz, hess.norm_bound):
+            warned = _precondition_violated(k, alpha, config.enforce_stepsize_bound, warned)
+        x_new, s = trish_step(x, g, hess, alpha, gamma1, gamma2, config.solver)
+        return x_new, 1 + s.hessian_products, (
+            float(np.linalg.norm(g)), s.delta, s.case, s.model_decrease, s.cauchy_decrease,
+            s.cg_iterations, np.nan if s.upsilon is None else s.upsilon,
+            alpha, gamma1, gamma2, float(np.linalg.norm(s.s)), hess.norm_bound,
+            float((true_g - g) @ s.s))
 
-        ok = validate_stepsize(alpha, gamma1, gamma2, oracle.grad_lipschitz, hess.norm_bound)
-        if not ok:
-            if config.enforce_stepsize_bound:
-                raise ConfigurationError(
-                    f"stepsize precondition violated at k={k}: alpha={alpha}"
-                )
-            if not warned:
-                logger.warning(
-                    "stepsize alpha_%d=%.3g exceeds the guaranteed-decrease bound; "
-                    "convergence theory does not apply to this run", k, alpha)
-                warned = True
-
-        x_new, step = trish_step(x, g, hess, alpha, gamma1, gamma2, config.solver)
-        cost += 1 + step.hessian_products
-        f_new = oracle.value(x_new)
-        true_g_new = oracle.grad(x_new)
-        records.append(RunRecord(
-            k=k,
-            f=f_new,
-            grad_norm_true=float(np.linalg.norm(true_g_new)),
-            g_norm=float(np.linalg.norm(g)),
-            delta=step.delta,
-            case=int(step.case) if step.case is not None else None,
-            model_dec=step.model_decrease,
-            cauchy_dec=step.cauchy_decrease,
-            cg_iters=step.cg_iterations,
-            upsilon=step.upsilon,
-            cost_units=cost,
-            wall_ns=time.perf_counter_ns() - t0,
-            alpha=alpha,
-            gamma1=gamma1,
-            gamma2=gamma2,
-            step_norm=float(np.linalg.norm(step.s)),
-            hess_bound=hess.norm_bound,
-            noise_step_dot=float((true_g - g) @ step.s),
-        ))
-        x, true_g = x_new, true_g_new
-        if iterates is not None:
-            iterates.append(x.copy())
-        if _diverged(f_new, f0):
-            aborted = _abort_reason(k, f_new)
-            break
-
-    return Trajectory(algorithm, config.seed, records, x, config=config,
-                      aborted=aborted, iterates=iterates)
+    return _run(oracle, x0, algorithm, config.seed, config.stepsizes, config.iterations,
+                config.noise, sampler, keep_iterates, step, config=config)
 
 
 def run_trish_first_order(
@@ -292,6 +305,15 @@ def run_trish_first_order(
                      keep_iterates=keep_iterates)
 
 
+def _sg_step(x, k, alpha, true_g, draw):
+    """SG's step rule: x - alpha g at one cost unit, no trust-region fields."""
+    g, _ = draw(x, k, alpha, true_g)
+    g_norm = float(np.linalg.norm(g))
+    nan = np.nan
+    return x - alpha * g, 1, (g_norm, nan, nan, nan, nan, nan, nan,
+                              alpha, nan, nan, alpha * g_norm, nan, nan)
+
+
 def run_sg(
     oracle: ProblemOracle,
     x0: Array,
@@ -304,68 +326,30 @@ def run_sg(
 ) -> Trajectory:
     """Stochastic-gradient baseline x_{k+1} = x_k - alpha_k g_k.
 
-    Emits the same trace schema as TRish (radius/step fields empty) at
-    one cost unit per iteration, drawing gradient samples from the same
-    named stream a TRish run with the same seed would use.
+    The TRish loop with the SG step rule: the same trace schema with
+    only ``SG_FIELDS`` among the step fields, one cost unit per
+    iteration, and gradient samples from the same named stream a TRish
+    run with the same seed would use.
     """
-    if iterations < 0:
-        raise ConfigurationError("iterations must be >= 0")
-    x = np.asarray(x0, dtype=float).copy()
-    if not np.all(np.isfinite(x)):
-        raise ConfigurationError("initial point must be finite")
     noise = replace(noise, hessian_kind="zero", m_h=0.0, perturbation=0.0)
-    draw = _draw_fn(oracle, noise, sampler)
-    grad_rng = rng_stream(seed, GRADIENT_STREAM)
-    hess_rng = rng_stream(seed, HESSIAN_STREAM)
-
-    t0 = time.perf_counter_ns()
-    rec0, f0, true_g = _initial_record(oracle, x, t0)
-    records = [rec0]
-    iterates = [x.copy()] if keep_iterates else None
-    aborted = None
-
-    for k in range(1, iterations + 1):
-        alpha = stepsizes.at(k)
-        g, _ = draw(x, k, alpha, grad_rng, hess_rng, true_g)
-        x = x - alpha * g
-        f_new = oracle.value(x)
-        true_g = oracle.grad(x)
-        records.append(RunRecord(
-            k=k,
-            f=f_new,
-            grad_norm_true=float(np.linalg.norm(true_g)),
-            g_norm=float(np.linalg.norm(g)),
-            cost_units=k,
-            wall_ns=time.perf_counter_ns() - t0,
-            alpha=alpha,
-            step_norm=float(alpha * np.linalg.norm(g)),
-        ))
-        if iterates is not None:
-            iterates.append(x.copy())
-        if _diverged(f_new, f0):
-            aborted = _abort_reason(k, f_new)
-            break
-
-    return Trajectory("sg", seed, records, x, aborted=aborted, iterates=iterates)
+    return _run(oracle, x0, "sg", seed, stepsizes, iterations, noise, sampler,
+                keep_iterates, _sg_step)
 
 
 # ---------------------------------------------------------------------------
 # lockstep lanes
 
 LANE_CHUNK = 64  # iterations of gradient noise drawn per lane at once
-LANE_COLUMNS = (
-    "f", "grad_norm_true", "g_norm", "delta", "case", "model_dec", "cauchy_dec",
-    "cg_iters", "cost_units", "alpha", "gamma1", "gamma2", "step_norm",
-    "hess_bound", "noise_step_dot",
-)
+LANE_COLUMNS = tuple(name for name in TRACE_DTYPE.names
+                     if name not in ("k", "upsilon", "wall_ns"))
 
 
 @dataclass
 class LaneRun:
     """S lockstep TRish runs ("lanes") traced by column.
 
-    ``columns[name]`` is a (K+1, S) array of the ``RunRecord`` field
-    ``name`` for every lane (``upsilon`` and ``wall_ns`` are not kept).
+    ``columns[name]`` is a (K+1, S) array of the ``TRACE_DTYPE`` field
+    ``name`` for every lane (``k``, ``upsilon`` and ``wall_ns`` are not kept).
     Lane i recorded ``rows[i]`` rows; the rows after a tripped divergence
     guard are NaN, and ``aborted[i]`` gives the reason.
     """
@@ -520,8 +504,10 @@ def run_trish_lanes(
                 G = np.where(drawn[:, j, None], TG + noise[:, j], TG)
             else:
                 G = TG
-            if k in events:
-                _precondition_events(k, events[k], rows, configs)
+            for lane in events.get(k, ()):
+                if rows[lane] > k:  # the lane still runs
+                    _precondition_violated(k, configs[lane].stepsizes.at(k),
+                                           configs[lane].enforce_stepsize_bound)
 
             alpha = A[:, j]
             gn = row_norms(G)
@@ -573,18 +559,3 @@ def run_trish_lanes(
     cols["hess_bound"][1:] = np.where(recorded, bounds[lane_grp], np.nan)
     return LaneRun(cols, rows, final_x, aborted)
 
-
-def _precondition_events(k: int, lanes: list[int], rows: np.ndarray,
-                         configs: list[TrishConfig]) -> None:
-    """The stepsize-precondition response of ``run_trish`` for lanes first
-    violating it at iteration ``k``: raise if enforced, else warn once."""
-    for lane in lanes:
-        if rows[lane] <= k:
-            continue  # the lane stopped before reaching k
-        alpha = configs[lane].stepsizes.at(k)
-        if configs[lane].enforce_stepsize_bound:
-            raise ConfigurationError(
-                f"stepsize precondition violated at k={k}: alpha={alpha}")
-        logger.warning(
-            "stepsize alpha_%d=%.3g exceeds the guaranteed-decrease bound; "
-            "convergence theory does not apply to this run", k, alpha)

@@ -11,7 +11,6 @@ check trajectories against.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,24 +36,6 @@ def _sigmoid(t: Array) -> Array:
     et = np.exp(t[~pos])
     out[~pos] = et / (1.0 + et)
     return out
-
-
-@dataclass(frozen=True)
-class ProblemConstants:
-    grad_lipschitz: float
-    hess_lipschitz: float | None
-    pl_constant: float | None
-    f_min: float | None
-
-
-def constants(problem) -> ProblemConstants:
-    """Certified constants of a problem; absent values stay ``None``."""
-    return ProblemConstants(
-        grad_lipschitz=problem.grad_lipschitz,
-        hess_lipschitz=problem.hess_lipschitz,
-        pl_constant=problem.pl_constant,
-        f_min=problem.f_min,
-    )
 
 
 class QuadraticProblem:

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,14 +9,17 @@ from trish import (
     StepsizeSchedule,
     TrishConfig,
     make_quadratic,
+    run_sg,
     run_trish,
+    run_trish_first_order,
     run_trish_lanes,
 )
 from trish.core import ConfigurationError
-from trish.harness.checks import StepContractCounter
+from trish.harness.checks import StepContractCounter, cost_accounting_ok, taylor_violations
 from trish.harness.cli import main
 from trish.harness.config import load_config, validate_config
 from trish.harness.experiment import CSV_COLUMNS, run_experiment, run_single, write_trace_csv
+from trish.problems import QuadraticProblem
 
 
 def base_config(**overrides):
@@ -34,6 +36,43 @@ def base_config(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def strip_wall_ns(line):
+    cells = line.split(",")
+    del cells[CSV_COLUMNS.index("wall_ns")]
+    return ",".join(cells)
+
+
+# rows 0-2 of base_config runs at seed 0, every column but wall_ns
+GOLDEN_CSV = {
+    "trish": ({}, [
+        "0,0.0,1.0,,,,,,,,0",
+        "1,-0.0028290684700565854,0.9956026288904787,0.9944042273248589,0.005,2,"
+        "0.0049559620345947355,0.004955962034594736,1,,2",
+        "2,-0.0062524252165520895,0.9888170068836707,0.6244945160019326,0.005,2,"
+        "0.0030926869211565515,0.0030926869211565515,1,,4",
+    ]),
+    "exact": ({"solver": {"kind": "exact"}}, [
+        "0,0.0,1.0,,,,,,,,0",
+        "1,-0.0028253181479888103,0.9956179734064996,0.9944042273248589,0.005,2,"
+        "0.004955985240032215,0.0049559620345947355,0,197.5988912630721,5",
+        "2,-0.006260120319536757,0.9888431222623943,0.6245308171008079,0.005,2,"
+        "0.003093027460344765,0.0030928662129591426,0,122.54245016169314,10",
+    ]),
+    "trish1": ({"algorithm": "trish1"}, [
+        "0,0.0,1.0,,,,,,,,0",
+        "1,-0.0028290684700565854,0.9956026288904787,0.9944042273248589,0.005,2,"
+        "0.004972021136624294,0.004972021136624294,1,,1",
+        "2,-0.0062524252165520895,0.9888170068836707,0.6244945160019326,0.005,2,"
+        "0.003122472580009663,0.003122472580009663,1,,2",
+    ]),
+    "sg": ({"algorithm": "sg"}, [
+        "0,0.0,1.0,,,,,,,,0",
+        "1,-0.002813327006246672,0.9956271482135445,0.9944042273248589,,,,,,,1",
+        "2,-0.004958410046529099,0.9913730271548601,0.6245297566024538,,,,,,,2",
+    ]),
+}
 
 
 class TestConfigValidation:
@@ -134,6 +173,41 @@ class TestTraceCSV:
         assert body[1].startswith("0,")
         assert body[2].startswith("1,")
 
+    @pytest.mark.parametrize("variant", sorted(GOLDEN_CSV))
+    def test_golden_csv_cells(self, tmp_path, variant):
+        """Every cell but ``wall_ns`` of rows 0-2 of a 2-iteration run is frozen."""
+        overrides, expected = GOLDEN_CSV[variant]
+        doc = base_config(**overrides)
+        if doc["algorithm"] == "sg":
+            del doc["gammas"]
+        path = run_experiment(doc, output_dir=str(tmp_path))[0]
+        lines = path.read_text().splitlines()
+        assert lines[0] == ",".join(CSV_COLUMNS)
+        assert [strip_wall_ns(line) for line in lines[1:]] == expected
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverged_trace_writes_nan_cells(self, tmp_path):
+        # the run of test_divergence_guard_aborts_with_partial_trace: its
+        # last row holds NaN values, which are recorded, not empty
+        prob = QuadraticProblem(np.diag([-4.0, -2.0]), np.array([1.0, 1.0]))
+        cfg = TrishConfig(
+            stepsizes=StepsizeSchedule.constant(1e6),
+            gammas=GammaSchedule.constant(1e6, 1e6),
+            iterations=300,
+            noise=NoiseModel(kind="none", hessian_kind="exact-capped", m_h=4.0),
+        )
+        traj = run_trish(prob, np.array([1.0, 1.0]), cfg)
+        assert traj.aborted is not None
+        path = tmp_path / "diverged.csv"
+        write_trace_csv(traj, path)
+        last = dict(zip(CSV_COLUMNS, path.read_text().splitlines()[-1].split(",")))
+        assert last["f"] == last["grad_norm_true"] == last["model_dec"] == "nan"
+        assert last["upsilon"] == ""  # steihaug solver
+        assert strip_wall_ns(",".join(last.values())) == (
+            "7,nan,nan,2.04808999802562e+76,2.0480899980256198e+88,3,nan,"
+            "8.38897664002936e+176,1,,14")
+
 
 class TestCLI:
     def test_run_and_exit_codes(self, tmp_path, capsys):
@@ -221,8 +295,8 @@ class TestStepContractCounter:
         traj = self.trace()
         clean = StepContractCounter()
         clean.update(traj)
-        traj.records[5] = replace(traj.records[5], model_dec=float("nan"),
-                                  step_norm=float("nan"))
+        traj.column("model_dec")[5] = np.nan
+        traj.column("step_norm")[5] = np.nan
         counter = StepContractCounter()
         counter.update(traj)
         assert counter.nonfinite_violations == 1
@@ -237,3 +311,47 @@ class TestStepContractCounter:
         counter.update(lanes)
         assert counter.nonfinite_violations == 1
         assert counter.total_violations >= 1
+
+
+class TestColumnReaders:
+    """The column readers against a row-by-row reference."""
+
+    def runs(self):
+        prob = make_quadratic(4, 1.0, 4.0, seed=2)
+        cfg = TrishConfig(StepsizeSchedule.constant(0.005), GammaSchedule.constant(2.0, 1.0),
+                          30, seed=1, noise=NoiseModel(kind="bounded", m_g=1.0,
+                                                       hessian_kind="exact-capped", m_h=4.0))
+        sg = run_sg(prob, np.ones(4), StepsizeSchedule.constant(0.005),
+                    NoiseModel(kind="bounded", m_g=1.0), 30, seed=1)
+        return prob, run_trish(prob, np.ones(4), cfg), run_trish_first_order(prob, np.ones(4), cfg), sg
+
+    @staticmethod
+    def taylor_by_rows(traj, grad_lipschitz):
+        if traj.algorithm == "sg":
+            return 0, 0
+        violations = 0
+        for prev, rec in zip(traj.records[:-1], traj.records[1:]):
+            rhs = (float(prev.f) - float(rec.model_dec) + float(rec.noise_step_dot)
+                   + 0.5 * (grad_lipschitz + float(rec.hess_bound)) * float(rec.step_norm)**2)
+            violations += float(rec.f) > rhs + 1e-9
+        return len(traj.records) - 1, violations
+
+    def test_taylor_violations_match_row_loop(self):
+        prob, trish, trish1, sg = self.runs()
+        trish.column("f")[[7, 20]] += 1.0  # each breaks the bound of the step into it
+        for traj in (trish, trish1, sg):
+            assert taylor_violations(traj, prob.grad_lipschitz) == self.taylor_by_rows(
+                traj, prob.grad_lipschitz)
+        assert taylor_violations(trish, prob.grad_lipschitz) == (30, 2)
+        assert taylor_violations(sg, prob.grad_lipschitz) == (0, 0)
+
+    def test_cost_accounting(self):
+        prob, trish, trish1, sg = self.runs()
+        assert cost_accounting_ok(trish, "steihaug")
+        assert cost_accounting_ok(trish1, "first-order")
+        assert cost_accounting_ok(sg, "first-order")
+        assert not cost_accounting_ok(trish1, "exact", dim=prob.dim)
+        sg.column("cost_units")[12:] += 1  # one iteration costs two units
+        assert not cost_accounting_ok(sg, "first-order")
+        with pytest.raises(ValueError):
+            cost_accounting_ok(sg, "second-order")

@@ -4,7 +4,6 @@ import pytest
 from trish import (
     ConfigurationError,
     EvaluationError,
-    constants,
     hvp_finite_difference,
     load_logistic_csv,
     load_quadratic_csv,
@@ -44,16 +43,14 @@ class TestQuadratic:
 
     def test_indefinite_reports_absent_constants(self):
         prob = QuadraticProblem(np.diag([-1.0, 2.0]), np.zeros(2))
-        cs = constants(prob)
-        assert cs.pl_constant is None and cs.f_min is None
-        assert cs.grad_lipschitz == pytest.approx(2.0)
-        assert cs.hess_lipschitz == 0.0
+        assert prob.pl_constant is None and prob.f_min is None
+        assert prob.grad_lipschitz == pytest.approx(2.0)
+        assert prob.hess_lipschitz == 0.0
 
     def test_diag_example_constants(self):
         prob = QuadraticProblem(np.diag([1.0, 4.0]), np.array([1.0, 0.0]))
-        cs = constants(prob)
-        assert (cs.grad_lipschitz, cs.hess_lipschitz, cs.pl_constant) == (4.0, 0.0, 1.0)
-        assert cs.f_min == pytest.approx(-0.5)
+        assert (prob.grad_lipschitz, prob.hess_lipschitz, prob.pl_constant) == (4.0, 0.0, 1.0)
+        assert prob.f_min == pytest.approx(-0.5)
 
 
 class TestLogistic:
