@@ -23,6 +23,7 @@ from .core import (
     sample_hessian,
 )
 from .subproblem import (
+    EighMemo,
     RadiusCase,
     TRStep,
     cauchy_point,

@@ -149,19 +149,29 @@ class HessianEstimate:
 
     ``is_zero`` flags the exactly-zero operator so solvers can skip
     products entirely (first-order mode costs no Hessian products).
+    ``row_stacked`` marks an ``apply`` that also maps an (m, n) stack of
+    vectors row by row, bit-identical to m separate calls.
     """
 
     apply: Callable[[Array], Array]
     norm_bound: float
     is_zero: bool = False
+    row_stacked: bool = False
 
     @staticmethod
     def zero(dim: int) -> "HessianEstimate":
         return HessianEstimate(apply=lambda v: np.zeros(dim), norm_bound=0.0, is_zero=True)
 
     def dense(self, dim: int) -> Array:
-        """Materialize the operator column by column (small dims only)."""
+        """Materialize the operator (small dims only) as a C-ordered matrix
+        whose column j is ``apply(e_j)``: one product on the stacked
+        identity rows when the operator is ``row_stacked``, else one
+        product per column."""
         eye = np.eye(dim)
+        if self.row_stacked:
+            # C order, as the column loop gives: gemv sums in another
+            # order on an F-ordered matrix
+            return np.ascontiguousarray(self.apply(eye).T)
         return np.column_stack([self.apply(eye[:, j]) for j in range(dim)])
 
 
@@ -217,10 +227,12 @@ def sample_hessian(
 
     # Global scaling by min{1, m_h / L_g}; L_g certifies the true Hessian norm.
     tau = min(1.0, noise.m_h / oracle.grad_lipschitz)
+    rows = getattr(oracle, "row_stacked", False)
     if noise.hessian_kind == "exact-capped":
         return HessianEstimate(
             apply=lambda v: tau * oracle.hvp(x, v),
             norm_bound=tau * oracle.grad_lipschitz,
+            row_stacked=rows,
         )
 
     # perturbed: one symmetric perturbation per estimate, fixed across applies
@@ -234,8 +246,9 @@ def sample_hessian(
     raw_bound = tau * oracle.grad_lipschitz + noise.perturbation
     recap = min(1.0, noise.m_h / raw_bound)
     return HessianEstimate(
-        apply=lambda v: recap * (tau * oracle.hvp(x, v) + pert @ v),
+        apply=lambda v: recap * (tau * oracle.hvp(x, v) + matvec(pert, v)),
         norm_bound=recap * raw_bound,
+        row_stacked=rows,
     )
 
 

@@ -57,11 +57,18 @@ def resolve_output_dir(doc: dict, override: str | None = None) -> Path:
     return path
 
 
+def _build_inputs(doc: dict) -> tuple:
+    """The problem, x0 and sampler every seed of ``doc`` shares."""
+    problem = build_problem(doc["problem"])
+    return problem, build_x0(problem, doc), build_sampler(problem, doc)
+
+
 def run_single(doc: dict, seed: int) -> Trajectory:
     """One run of the configured algorithm at one seed."""
-    problem = build_problem(doc["problem"])
-    x0 = build_x0(problem, doc)
-    sampler = build_sampler(problem, doc)
+    return _run_seed(doc, seed, *_build_inputs(doc))
+
+
+def _run_seed(doc: dict, seed: int, problem, x0, sampler) -> Trajectory:
     algorithm = doc["algorithm"]
     if algorithm == "sg":
         return run_sg(problem, x0, build_stepsizes(doc["stepsizes"]),
@@ -83,8 +90,9 @@ def run_experiment(doc: dict, output_dir: str | None = None) -> list[Path]:
     out = resolve_output_dir(doc, output_dir)
     paths = []
     failures = []
+    inputs = _build_inputs(doc)
     for seed in doc["seeds"]:
-        traj = run_single(doc, seed)
+        traj = _run_seed(doc, seed, *inputs)
         path = out / f"{doc['algorithm']}_seed{seed}.csv"
         write_trace_csv(traj, path)
         paths.append(path)

@@ -37,6 +37,7 @@ from .core import (
 )
 from .schedules import GammaSchedule, StepsizeSchedule, gammas_at, validate_stepsize
 from .subproblem import (
+    EighMemo,
     RadiusCase,
     TRStep,
     cauchy_point,
@@ -147,9 +148,17 @@ def trish_step(
     gamma1: float,
     gamma2: float,
     solver: SolverSpec,
+    g_norm: float | None = None,
+    memo: EighMemo | None = None,
 ) -> tuple[Array, TRStep]:
-    """One TRish update: radius from ||g||, subproblem solve, x + s."""
-    g_norm = float(np.linalg.norm(g))
+    """One TRish update: radius from ||g||, subproblem solve, x + s.
+
+    ``g_norm`` is ``||g||`` when the caller already holds it; ``memo``
+    lets the exact solver reuse the decomposition of an unchanged dense
+    Hessian (see ``exact_trs``).  Neither changes the result.
+    """
+    if g_norm is None:
+        g_norm = float(np.linalg.norm(g))
     if g_norm == 0.0:
         # radius rule gives delta = 0; the step degenerates to zero
         zero = np.zeros_like(x)
@@ -159,7 +168,7 @@ def trish_step(
         step = steihaug_cg(g, hess, delta, solver.max_iters, solver.tol, case)
     else:
         dense = hess.dense(x.shape[0])
-        s, upsilon = exact_trs(g, dense, delta, solver.tol)
+        s, upsilon = exact_trs(g, dense, delta, solver.tol, memo=memo)
         step = TRStep(
             s=s,
             delta=delta,
@@ -169,7 +178,7 @@ def trish_step(
             cg_iterations=0,
             boundary_hit=bool(upsilon > 0.0 or np.linalg.norm(s) >= delta * (1.0 - 1e-12)),
             upsilon=float(upsilon),
-            hessian_products=x.shape[0],  # dense materialization
+            hessian_products=x.shape[0],  # dense materialization: n products
         )
     return x + step.s, step
 
@@ -273,6 +282,7 @@ def run_trish(
     given ``config.seed``.
     """
     warned = False
+    memo = EighMemo() if config.solver.kind == "exact" else None
 
     def step(x, k, alpha, true_g, draw):
         nonlocal warned
@@ -280,9 +290,11 @@ def run_trish(
         g, hess = draw(x, k, alpha, true_g)
         if not validate_stepsize(alpha, gamma1, gamma2, oracle.grad_lipschitz, hess.norm_bound):
             warned = _precondition_violated(k, alpha, config.enforce_stepsize_bound, warned)
-        x_new, s = trish_step(x, g, hess, alpha, gamma1, gamma2, config.solver)
+        g_norm = float(np.linalg.norm(g))
+        x_new, s = trish_step(x, g, hess, alpha, gamma1, gamma2, config.solver,
+                              g_norm=g_norm, memo=memo)
         return x_new, 1 + s.hessian_products, (
-            float(np.linalg.norm(g)), s.delta, s.case, s.model_decrease, s.cauchy_decrease,
+            g_norm, s.delta, s.case, s.model_decrease, s.cauchy_decrease,
             s.cg_iterations, np.nan if s.upsilon is None else s.upsilon,
             alpha, gamma1, gamma2, float(np.linalg.norm(s.s)), hess.norm_bound,
             float((true_g - g) @ s.s))

@@ -319,8 +319,21 @@ def steihaug_cg_rows(
     return steps, model_dec, cauchy_dec, iters
 
 
+@dataclass
+class EighMemo:
+    """The last matrix one run decomposed, and its ``np.linalg.eigh``.
+
+    ``exact_trs`` reuses ``eig`` while the matrix it is given equals
+    ``matrix`` exactly (``np.array_equal``, so a NaN matrix never does)
+    and decomposes afresh otherwise.  One memo per run: it is not shared.
+    """
+
+    matrix: Array | None = None
+    eig: tuple[Array, Array] | None = None
+
+
 def exact_trs(
-    g: Array, hess: Array, delta: float, tol: float = 1e-10
+    g: Array, hess: Array, delta: float, tol: float = 1e-10, memo: EighMemo | None = None
 ) -> tuple[Array, float]:
     """Globally solve the dense trust-region subproblem.
 
@@ -331,7 +344,9 @@ def exact_trs(
 
     Returns the minimizer ``s`` and the multiplier ``u >= 0`` satisfying
     ``g + (H + u I) s = 0``, ``H + u I`` positive semidefinite and
-    ``u * (delta - ||s||) = 0`` to within ``tol``.
+    ``u * (delta - ||s||) = 0`` to within ``tol``.  With a ``memo`` the
+    eigendecomposition of an unchanged ``hess`` is reused; the result is
+    the same bit for bit.
 
     Dense path, intended for small dimensions (n <= ~500).
     """
@@ -346,7 +361,12 @@ def exact_trs(
     if delta <= 0.0:
         raise ConfigurationError("delta must be positive")
 
-    w, Q = np.linalg.eigh(H)
+    if memo is None:
+        w, Q = np.linalg.eigh(H)
+    else:
+        if memo.eig is None or not np.array_equal(H, memo.matrix):
+            memo.matrix, memo.eig = H.copy(), np.linalg.eigh(H)
+        w, Q = memo.eig
     ghat = Q.T @ g
     lam_min = float(w[0])
     w_scale = max(1.0, float(np.max(np.abs(w))))

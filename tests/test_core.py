@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trish import (
     ConfigurationError,
+    HessianEstimate,
     NoiseModel,
     hvp_finite_difference,
     rng_stream,
     sample_gradient,
     sample_hessian,
 )
-from trish.problems import QuadraticProblem, RosenbrockProblem
+from trish.problems import QuadraticProblem, RosenbrockProblem, make_quadratic
 
 
 def diag_quadratic(entries):
@@ -101,6 +104,75 @@ class TestSampleHessian:
         noise = NoiseModel(kind="none", hessian_kind="exact-capped")
         with pytest.raises(ConfigurationError):
             sample_hessian(prob, np.zeros(2), noise, rng_stream(0, 1))
+
+
+def column_loop(est, n):
+    """The per-column materialization: column j is ``apply(e_j)``."""
+    eye = np.eye(n)
+    return np.column_stack([est.apply(eye[:, j]) for j in range(n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(quadratic=st.booleans(), kind=st.sampled_from(["exact-capped", "perturbed"]),
+       n=st.integers(2, 24), seed=st.integers(0, 2**32 - 1),
+       cap=st.sampled_from([0.5, 1.0, 2.0]))
+def test_row_stacked_dense_matches_column_loop(quadratic, kind, n, seed, cap):
+    rng = np.random.default_rng(seed)
+    if quadratic:
+        prob = make_quadratic(n, 1.0, 10.0, seed=int(rng.integers(1 << 30)))
+    else:
+        prob = RosenbrockProblem(n)
+    x = rng.uniform(-2.0, 2.0, n)
+    noise = NoiseModel(kind="none", hessian_kind=kind, m_h=cap * prob.grad_lipschitz,
+                       perturbation=0.3 * prob.grad_lipschitz)
+    est = sample_hessian(prob, x, noise, rng_stream(seed, 1))
+    assert est.row_stacked
+    dense = est.dense(n)
+    expected = column_loop(est, n)
+    assert dense.flags.c_contiguous
+    assert dense.shape == expected.shape and dense.tobytes() == expected.tobytes()
+
+
+class TestDenseMaterialization:
+    def test_custom_operator_keeps_column_loop(self):
+        M = make_quadratic(6, 1.0, 5.0, seed=3).A
+        calls = []
+
+        def apply(v):
+            calls.append(v.shape)
+            return M @ v
+
+        dense = HessianEstimate(apply=apply, norm_bound=5.0).dense(6)
+        assert calls == [(6,)] * 6
+        assert dense.flags.c_contiguous
+        assert dense.tobytes() == column_loop(HessianEstimate(lambda v: M @ v, 5.0), 6).tobytes()
+
+    def test_one_product_for_row_stacked_oracle(self):
+        prob = make_quadratic(7, 1.0, 5.0, seed=4)
+        calls = []
+        hvp = prob.hvp
+        prob.hvp = lambda x, v: calls.append(v.shape) or hvp(x, v)
+        noise = NoiseModel(kind="none", hessian_kind="exact-capped", m_h=2.0)
+        sample_hessian(prob, np.ones(7), noise, rng_stream(0, 1)).dense(7)
+        assert calls == [(7, 7)]
+
+    def test_oracle_without_row_stacks_keeps_column_loop(self):
+        class Plain:
+            """A quadratic oracle that takes one vector at a time."""
+
+            def __init__(self, prob):
+                self.prob, self.dim, self.grad_lipschitz = prob, prob.dim, prob.grad_lipschitz
+
+            def hvp(self, x, v):
+                assert v.ndim == 1
+                return self.prob.hvp(x, v)
+
+        prob = make_quadratic(5, 1.0, 5.0, seed=8)
+        noise = NoiseModel(kind="none", hessian_kind="perturbed", m_h=4.0, perturbation=1.0)
+        est = sample_hessian(Plain(prob), np.ones(5), noise, rng_stream(2, 1))
+        assert not est.row_stacked
+        row = sample_hessian(prob, np.ones(5), noise, rng_stream(2, 1))
+        assert est.dense(5).tobytes() == row.dense(5).tobytes()
 
 
 class TestHvpFiniteDifference:

@@ -173,6 +173,21 @@ class TestTraceCSV:
         assert body[1].startswith("0,")
         assert body[2].startswith("1,")
 
+    def test_problem_built_once_per_experiment(self, tmp_path, monkeypatch):
+        import trish.harness.experiment as experiment
+        built = []
+        build = experiment.build_problem
+        monkeypatch.setattr(experiment, "build_problem",
+                            lambda spec: built.append(spec) or build(spec))
+        doc = base_config(seeds=[0, 1, 2], iterations=4, solver={"kind": "exact"})
+        paths = run_experiment(doc, output_dir=str(tmp_path))
+        assert len(built) == 1
+        for seed, path in zip(doc["seeds"], paths):
+            single = tmp_path / f"single{seed}.csv"
+            write_trace_csv(run_single(doc, seed), single)
+            assert ([strip_wall_ns(line) for line in path.read_text().splitlines()]
+                    == [strip_wall_ns(line) for line in single.read_text().splitlines()])
+
     @pytest.mark.parametrize("variant", sorted(GOLDEN_CSV))
     def test_golden_csv_cells(self, tmp_path, variant):
         """Every cell but ``wall_ns`` of rows 0-2 of a 2-iteration run is frozen."""

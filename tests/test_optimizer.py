@@ -9,6 +9,7 @@ from trish import (
     ConfigurationError,
     EvaluationError,
     GammaSchedule,
+    EighMemo,
     HessianEstimate,
     NoiseModel,
     NumericalError,
@@ -18,9 +19,12 @@ from trish import (
     run_sg,
     run_trish,
     run_trish_first_order,
+    rng_stream,
     run_trish_lanes,
+    sample_hessian,
     trish_step,
 )
+from trish.optimizer import TRACE_DTYPE
 from trish.problems import QuadraticProblem, RosenbrockProblem, make_logistic, make_quadratic
 
 
@@ -113,6 +117,77 @@ class TestRunTrish:
         traj = run_trish(prob, np.array([1.0, 1.0]), cfg)
         assert traj.aborted is not None
         assert len(traj.records) < 301
+
+
+class TestExactDecompositionReuse:
+    """An exact-solver run decomposes its dense Hessian once while it is unchanged."""
+
+    @staticmethod
+    def config(hessian, seed):
+        return TrishConfig(
+            StepsizeSchedule.constant(1.0 / 320.0), GammaSchedule.constant(2.0, 1.0),
+            iterations=30, seed=seed, solver=SolverSpec(kind="exact"),
+            noise=NoiseModel(kind="bounded", m_g=1.0, hessian_kind=hessian, m_h=10.0,
+                             perturbation=0.5))
+
+    @staticmethod
+    def count_eigh(monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda H: calls.append(1) or eigh(H))
+        return calls
+
+    @staticmethod
+    def runs(hessian, calls):
+        """Two runs in a row, with the decompositions each one made."""
+        prob = make_quadratic(12, 1.0, 10.0, seed=21)
+        out = []
+        for seed in (3, 4):
+            before = len(calls)
+            traj = run_trish(prob, np.ones(12), TestExactDecompositionReuse.config(hessian, seed))
+            out.append((traj, len(calls) - before))
+        return out
+
+    @pytest.mark.parametrize("hessian,per_run", [("exact-capped", 1), ("perturbed", 30)])
+    def test_decompositions_per_run(self, monkeypatch, hessian, per_run):
+        calls = self.count_eigh(monkeypatch)
+        assert [n for _, n in self.runs(hessian, calls)] == [per_run, per_run]
+
+    @pytest.mark.parametrize("hessian", ["exact-capped", "perturbed"])
+    def test_traces_match_fresh_decompositions(self, monkeypatch, hessian):
+        import trish.optimizer as optimizer
+        calls = self.count_eigh(monkeypatch)
+        new = self.runs(hessian, calls)
+
+        def column_loop(est, dim):
+            eye = np.eye(dim)
+            return np.column_stack([est.apply(eye[:, j]) for j in range(dim)])
+
+        exact_trs = optimizer.exact_trs
+        monkeypatch.setattr(HessianEstimate, "dense", column_loop)
+        monkeypatch.setattr(optimizer, "exact_trs",
+                            lambda g, H, delta, tol, memo=None: exact_trs(g, H, delta, tol))
+        old = self.runs(hessian, calls)
+        assert [n for _, n in old] == [30, 30]
+        for (a, _), (b, _) in zip(new, old):
+            assert np.array_equal(a.final_x, b.final_x)
+            for name in TRACE_DTYPE.names:
+                if name != "wall_ns":
+                    assert np.array_equal(a.column(name), b.column(name), equal_nan=True), name
+
+    def test_norm_and_memo_arguments_change_nothing(self):
+        prob = make_quadratic(8, 1.0, 10.0, seed=2)
+        noise = NoiseModel(hessian_kind="exact-capped", m_h=10.0)
+        hess = sample_hessian(prob, np.ones(8), noise, rng_stream(0, 1))
+        g = prob.grad(np.ones(8))
+        memo = EighMemo()
+        plain = trish_step(np.ones(8), g, hess, 0.01, 2.0, 1.0, SolverSpec(kind="exact"))
+        for _ in range(2):  # the second call reuses the memo's decomposition
+            x, step = trish_step(np.ones(8), g, hess, 0.01, 2.0, 1.0, SolverSpec(kind="exact"),
+                                 g_norm=float(np.linalg.norm(g)), memo=memo)
+            assert x.tobytes() == plain[0].tobytes()
+            assert step.upsilon == plain[1].upsilon
+            assert step.model_decrease == plain[1].model_decrease
 
 
 class TestRunSG:

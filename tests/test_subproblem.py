@@ -3,6 +3,7 @@ import pytest
 
 from trish import (
     ConfigurationError,
+    EighMemo,
     HessianEstimate,
     NumericalError,
     RadiusCase,
@@ -212,6 +213,97 @@ class TestExactTRS:
             stat, psd, comp = kkt_residuals(g, H, delta, s, ups)
             assert stat <= 1e-8 and psd >= -1e-8 and comp <= 1e-8
             assert np.linalg.norm(s) <= delta * (1 + 1e-12)
+
+    @pytest.mark.parametrize("n", [50, 100, 200])
+    @pytest.mark.parametrize("spectrum", ["near-hard", "clustered", "clustered-near-hard"])
+    def test_large_instances_keep_kkt_accuracy(self, n, spectrum):
+        # built as in the near-hard test above; "clustered" draws the other
+        # eigenvalues from four centers (relative jitter 1e-9) and repeats
+        # the minimal one m times
+        rng = np.random.default_rng([n, ["near-hard", "clustered", "clustered-near-hard"]
+                                     .index(spectrum)])
+        clustered = spectrum.startswith("clustered")
+        for _ in range(3):
+            if clustered:
+                eigs = rng.choice(rng.uniform(-3.0, 3.0, 4), n)
+                eigs = np.sort(eigs * (1.0 + 1e-9 * rng.standard_normal(n)))
+                m = int(rng.integers(1, 5))
+            else:
+                eigs = np.sort(rng.uniform(-3.0, 3.0, n))
+                m = 1
+            eigs[:m] = -abs(eigs[0]) - 0.3
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            H = 0.5 * ((q * eigs) @ q.T + ((q * eigs) @ q.T).T)
+            ghat = rng.standard_normal(n)
+            if spectrum.endswith("near-hard"):
+                ghat[:m] = (1e-13 * np.linalg.norm(ghat[m:]) / np.sqrt(m)
+                            * rng.choice([-1.0, 1.0], m))
+            g = q @ ghat
+            y = np.zeros(n)
+            y[m:] = -ghat[m:] / (eigs[m:] - eigs[0])
+            delta = float(np.linalg.norm(y) * rng.uniform(1.1, 2.5) + 0.05)
+            s, ups = exact_trs(g, H, delta)
+            stat, psd, comp = kkt_residuals(g, H, delta, s, ups)
+            assert stat <= 1e-8 and psd >= -1e-8 and comp <= 1e-8
+            assert np.linalg.norm(s) <= delta * (1 + 1e-12)
+            # a supplied decomposition gives the same solution bit for bit
+            eig = np.linalg.eigh(H)
+            memo = EighMemo(H.copy(), eig)
+            s_memo, ups_memo = exact_trs(g, H, delta, memo=memo)
+            assert memo.eig is eig
+            assert s_memo.tobytes() == s.tobytes() and ups_memo == ups
+
+
+class TestEighMemo:
+    H = np.diag([-1.0, 0.5, 2.0])
+    g = np.array([0.3, -1.0, 0.4])
+
+    @staticmethod
+    def count_eigh(monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda H: calls.append(1) or eigh(H))
+        return calls
+
+    def test_unchanged_matrix_decomposed_once(self, monkeypatch):
+        calls = self.count_eigh(monkeypatch)
+        memo = EighMemo()
+        results = [exact_trs(self.g, self.H.copy(), delta, memo=memo) for delta in (0.5, 1.0, 4.0)]
+        assert len(calls) == 1
+        assert all(s.tobytes() == exact_trs(self.g, self.H, delta)[0].tobytes()
+                   for (s, _), delta in zip(results, (0.5, 1.0, 4.0)))
+
+    def test_changed_or_mutated_matrix_decomposed_again(self, monkeypatch):
+        calls = self.count_eigh(monkeypatch)
+        memo = EighMemo()
+        H = self.H.copy()
+        exact_trs(self.g, H, 1.0, memo=memo)
+        H[2, 2] = 3.0  # mutated in place after the call
+        s, ups = exact_trs(self.g, H, 1.0, memo=memo)
+        assert len(calls) == 2
+        assert s.tobytes() == exact_trs(self.g, H, 1.0)[0].tobytes()
+
+    def test_nan_matrix_never_reused(self, monkeypatch):
+        calls = self.count_eigh(monkeypatch)
+        memo = EighMemo()
+        H = self.H.copy()
+        H[0, 0] = np.nan
+        for _ in range(2):
+            try:
+                exact_trs(self.g, H, 1.0, memo=memo)
+            except (NumericalError, np.linalg.LinAlgError):
+                pass
+        assert len(calls) == 2
+
+    def test_checks_run_with_a_memo(self):
+        memo = EighMemo()
+        exact_trs(self.g, self.H, 1.0, memo=memo)
+        with pytest.raises(ConfigurationError):
+            exact_trs(self.g, self.H, 0.0, memo=memo)
+        with pytest.raises(ConfigurationError):
+            exact_trs(self.g, self.H + np.triu(np.ones((3, 3)), 1), 1.0, memo=memo)
+        with pytest.raises(ConfigurationError):
+            exact_trs(self.g[:2], self.H, 1.0, memo=memo)
 
 
 class TestKKTResiduals:
