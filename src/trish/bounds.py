@@ -26,14 +26,6 @@ def _contraction_power(q: float, exponent: int) -> float:
 
 
 @dataclass(frozen=True)
-class NonconvexFixedConstants:
-    """Average-squared-gradient bound: transient / K + floor."""
-
-    transient: float  # (8 / (gamma2 alpha)) * (f1 - f_min)
-    floor: float  # (8 gamma1^2 / gamma2^2 - 1) * M_g
-
-
-@dataclass(frozen=True)
 class PLFixedConstants:
     """Linear-to-neighborhood envelope: theta + rate^(k-1) * (gap0 - theta)."""
 
@@ -60,23 +52,17 @@ class GeometricConstants:
     rho: float
 
 
-def nonconvex_fixed_constants(
-    gamma1: float, gamma2: float, alpha: float, m_g: float, gap0: float
-) -> NonconvexFixedConstants:
-    return NonconvexFixedConstants(
-        transient=(8.0 / (gamma2 * alpha)) * gap0,
-        floor=(8.0 * gamma1**2 / gamma2**2 - 1.0) * m_g,
-    )
-
-
 def nonconvex_fixed_bound(
     K: int, gamma1: float, gamma2: float, alpha: float, m_g: float, f1: float, f_min: float
 ) -> float:
-    """Upper bound on E[(1/K) sum ||grad f(x_k)||^2] under fixed parameters."""
+    """Upper bound on E[(1/K) sum ||grad f(x_k)||^2] under fixed parameters:
+    a transient (8 / (gamma2 alpha)) (f1 - f_min) / K plus the floor
+    (8 gamma1^2 / gamma2^2 - 1) M_g."""
     if K < 1:
         raise ConfigurationError("K must be >= 1")
-    consts = nonconvex_fixed_constants(gamma1, gamma2, alpha, m_g, f1 - f_min)
-    return consts.transient / K + consts.floor
+    transient = (8.0 / (gamma2 * alpha)) * (f1 - f_min)
+    floor = (8.0 * gamma1**2 / gamma2**2 - 1.0) * m_g
+    return transient / K + floor
 
 
 def pl_fixed_constants(

@@ -14,7 +14,7 @@ import logging
 import sys
 
 from ..core import ConfigurationError
-from .config import build_noise, build_problem, build_sampler, build_x0, load_config
+from .config import build_inputs, build_noise, load_config
 from .experiment import run_experiment
 from .grid import GridSpec, baseline_gradient_norm, build_grid, tune
 from .suites import SUITES, verify
@@ -39,15 +39,9 @@ def _cmd_run(args) -> int:
 def _cmd_baseline_g(args) -> int:
     doc = load_config(args.config)
     baseline = doc.get("baseline", {"iterations": doc["iterations"], "seed": doc["seeds"][0]})
-    problem = build_problem(doc["problem"])
-    g = baseline_gradient_norm(
-        problem,
-        build_noise(doc.get("noise")),
-        baseline["iterations"],
-        baseline["seed"],
-        x0=build_x0(problem, doc),
-        sampler=build_sampler(problem, doc),
-    )
+    problem, x0, sampler = build_inputs(doc)
+    g = baseline_gradient_norm(problem, build_noise(doc.get("noise")), baseline["iterations"],
+                               baseline["seed"], x0=x0, sampler=sampler)
     print(repr(g))
     return EXIT_OK
 
@@ -56,9 +50,7 @@ def _cmd_tune(args) -> int:
     doc = load_config(args.config)
     if "grid" not in doc or "baseline" not in doc:
         raise ConfigurationError("tune configs require 'grid' and 'baseline' sections")
-    problem = build_problem(doc["problem"])
-    x0 = build_x0(problem, doc)
-    sampler = build_sampler(problem, doc)
+    problem, x0, sampler = build_inputs(doc)
     noise = build_noise(doc.get("noise"))
     g = baseline_gradient_norm(problem, noise, doc["baseline"]["iterations"],
                                doc["baseline"]["seed"], x0=x0, sampler=sampler)

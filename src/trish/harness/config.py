@@ -314,6 +314,12 @@ def build_sampler(problem, doc: dict) -> Sampler | None:
     return problem.minibatch_sampler(doc["batch_size"], hessian=use_hessian, m_h=m_h)
 
 
+def build_inputs(doc: dict) -> tuple:
+    """The problem, x0 and sampler every seed of ``doc`` shares."""
+    problem = build_problem(doc["problem"])
+    return problem, build_x0(problem, doc), build_sampler(problem, doc)
+
+
 def build_trish_config(doc: dict, seed: int) -> TrishConfig:
     return TrishConfig(
         stepsizes=build_stepsizes(doc["stepsizes"]),

@@ -14,14 +14,7 @@ from pathlib import Path
 
 from ..core import ConfigurationError
 from ..optimizer import Trajectory, run_sg, run_trish, run_trish_first_order
-from .config import (
-    build_noise,
-    build_problem,
-    build_sampler,
-    build_stepsizes,
-    build_trish_config,
-    build_x0,
-)
+from .config import build_inputs, build_noise, build_stepsizes, build_trish_config
 
 CSV_COLUMNS = (
     "k", "f", "grad_norm_true", "g_norm", "delta", "case", "model_dec",
@@ -57,15 +50,9 @@ def resolve_output_dir(doc: dict, override: str | None = None) -> Path:
     return path
 
 
-def _build_inputs(doc: dict) -> tuple:
-    """The problem, x0 and sampler every seed of ``doc`` shares."""
-    problem = build_problem(doc["problem"])
-    return problem, build_x0(problem, doc), build_sampler(problem, doc)
-
-
 def run_single(doc: dict, seed: int) -> Trajectory:
     """One run of the configured algorithm at one seed."""
-    return _run_seed(doc, seed, *_build_inputs(doc))
+    return _run_seed(doc, seed, *build_inputs(doc))
 
 
 def _run_seed(doc: dict, seed: int, problem, x0, sampler) -> Trajectory:
@@ -90,7 +77,7 @@ def run_experiment(doc: dict, output_dir: str | None = None) -> list[Path]:
     out = resolve_output_dir(doc, output_dir)
     paths = []
     failures = []
-    inputs = _build_inputs(doc)
+    inputs = build_inputs(doc)
     for seed in doc["seeds"]:
         traj = _run_seed(doc, seed, *inputs)
         path = out / f"{doc['algorithm']}_seed{seed}.csv"

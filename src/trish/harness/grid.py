@@ -137,35 +137,33 @@ def tune(
             return float("inf")
         return float(problem.validation_loss(traj.final_x))
 
-    entries = []
     if algorithm == "sg":
-        for alpha in grid.sg_stepsizes:
-            losses = tuple(
-                final_loss(run_sg(problem, x0, StepsizeSchedule.constant(alpha),
-                                  noise, iterations, seed, sampler=sampler))
-                for seed in seeds
-            )
-            entries.append(TuneEntry({"alpha": alpha}, float(np.mean(losses)), losses))
-        entries.sort(key=lambda e: (e.mean_loss, e.setting["alpha"]))
+        settings = [{"alpha": alpha} for alpha in grid.sg_stepsizes]
+
+        def run(setting, seed):
+            return run_sg(problem, x0, StepsizeSchedule.constant(setting["alpha"]),
+                          noise, iterations, seed, sampler=sampler)
     else:
+        settings = [{"alpha": alpha, "gamma1": gamma1, "gamma2": gamma2}
+                    for alpha, gamma1, gamma2 in grid.trish_settings]
         runner = run_trish if algorithm == "trish" else run_trish_first_order
-        for alpha, gamma1, gamma2 in grid.trish_settings:
-            cfg_losses = []
-            for seed in seeds:
-                cfg = TrishConfig(
-                    stepsizes=StepsizeSchedule.constant(alpha),
-                    gammas=GammaSchedule.constant(gamma1, gamma2),
-                    iterations=iterations,
-                    seed=seed,
-                    solver=solver,
-                    noise=noise,
-                )
-                cfg_losses.append(final_loss(runner(problem, x0, cfg, sampler=sampler)))
-            entries.append(TuneEntry(
-                {"alpha": alpha, "gamma1": gamma1, "gamma2": gamma2},
-                float(np.mean(cfg_losses)), tuple(cfg_losses)))
-        entries.sort(key=lambda e: (e.mean_loss, e.setting["alpha"],
-                                    e.setting["gamma1"]))
+
+        def run(setting, seed):
+            cfg = TrishConfig(
+                stepsizes=StepsizeSchedule.constant(setting["alpha"]),
+                gammas=GammaSchedule.constant(setting["gamma1"], setting["gamma2"]),
+                iterations=iterations,
+                seed=seed,
+                solver=solver,
+                noise=noise,
+            )
+            return runner(problem, x0, cfg, sampler=sampler)
+
+    entries = []
+    for setting in settings:
+        losses = tuple(final_loss(run(setting, seed)) for seed in seeds)
+        entries.append(TuneEntry(setting, float(np.mean(losses)), losses))
+    entries.sort(key=lambda e: (e.mean_loss, e.setting["alpha"], e.setting.get("gamma1", 0.0)))
 
     if not np.isfinite(entries[0].mean_loss):
         raise NumericalError("every grid setting diverged")

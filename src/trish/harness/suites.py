@@ -134,22 +134,20 @@ def _point_with_gap(problem, gap: float, seed: int) -> np.ndarray:
     return problem.x_star + r * u
 
 
-def _gap_matrix(problem, x0, config_for_seed, n_seeds: int, horizon: int,
-                on_iterate=None):
+def _gap_matrix(problem, x0, config, seeds, on_iterate=None):
     """Per-seed optimality-gap trajectories plus pooled contract counts.
 
-    The seeds run as lockstep lanes; a seed's gaps past its last
-    recorded row are +inf.  Also returns the lane run itself.
+    The seeds run ``config`` as lockstep lanes; a seed's gaps past its
+    last recorded row are +inf.  Also returns the lane run itself.
     """
-    run = run_trish_lanes(problem, x0, [config_for_seed(i) for i in range(n_seeds)],
-                          on_iterate=on_iterate)
+    run = run_trish_lanes(problem, x0, config, seeds, on_iterate=on_iterate)
     counter = StepContractCounter()
     counter.update(run)
     aborted = sum(reason is not None for reason in run.aborted)
     # seed-major C order, so the seed-axis mean and SE sum in the same order as
     # they did over one row per scalar run
     gaps = np.ascontiguousarray(run.column("f").T) - problem.f_min
-    gaps[np.arange(horizon + 1)[None, :] >= run.rows[:, None]] = np.inf
+    gaps[np.arange(config.iterations + 1)[None, :] >= run.rows[:, None]] = np.inf
     return gaps, counter, aborted, run
 
 
@@ -454,18 +452,17 @@ def suite_pl_fixed(quick: bool = False) -> SuiteReport:
     gap0 = problem.value(x0) - problem.f_min
     c = problem.pl_constant
 
-    def cfg(i):
-        return TrishConfig(
-            stepsizes=StepsizeSchedule.constant(alpha),
-            gammas=GammaSchedule.constant(gamma1, gamma2),
-            iterations=horizon,
-            seed=1000 + i,
-            noise=NoiseModel(kind="bounded", m_g=m_g,
-                             hessian_kind="exact-capped", m_h=m_h),
-            enforce_stepsize_bound=True,
-        )
+    config = TrishConfig(
+        stepsizes=StepsizeSchedule.constant(alpha),
+        gammas=GammaSchedule.constant(gamma1, gamma2),
+        iterations=horizon,
+        noise=NoiseModel(kind="bounded", m_g=m_g,
+                         hessian_kind="exact-capped", m_h=m_h),
+        enforce_stepsize_bound=True,
+    )
+    seeds = range(1000, 1000 + n_seeds)
 
-    gaps, counter, aborted, _ = _gap_matrix(problem, x0, cfg, n_seeds, horizon)
+    gaps, counter, aborted, _ = _gap_matrix(problem, x0, config, seeds)
     envelope = np.array([
         pl_fixed_envelope(k + 1, gamma1, gamma2, alpha, m_g, c, gap0)
         for k in range(horizon + 1)
@@ -505,18 +502,17 @@ def suite_pl_merging(quick: bool = False) -> SuiteReport:
         for k in range(1, horizon + 1)
     )
 
-    def cfg(i):
-        return TrishConfig(
-            stepsizes=steps,
-            gammas=gammas,
-            iterations=horizon,
-            seed=3000 + i,
-            noise=NoiseModel(kind="bounded", m_g=m_g,
-                             hessian_kind="exact-capped", m_h=m_h),
-            enforce_stepsize_bound=True,
-        )
+    config = TrishConfig(
+        stepsizes=steps,
+        gammas=gammas,
+        iterations=horizon,
+        noise=NoiseModel(kind="bounded", m_g=m_g,
+                         hessian_kind="exact-capped", m_h=m_h),
+        enforce_stepsize_bound=True,
+    )
+    seeds = range(3000, 3000 + n_seeds)
 
-    gaps, counter, aborted, _ = _gap_matrix(problem, x0, cfg, n_seeds, horizon)
+    gaps, counter, aborted, _ = _gap_matrix(problem, x0, config, seeds)
     envelope = np.array([
         pl_sublinear_envelope(k + 1, a, b, eta, gamma1, gamma2_first, c,
                               problem.grad_lipschitz, m_h, m_g, gap0)
@@ -544,17 +540,16 @@ def suite_pl_sublinear(quick: bool = False) -> SuiteReport:
     x0 = _point_with_gap(problem, gap=10.0, seed=204)
     gap0 = problem.value(x0) - problem.f_min
 
-    def cfg(i):
-        return TrishConfig(
-            stepsizes=steps,
-            gammas=GammaSchedule.constant(gamma1, gamma2),
-            iterations=horizon,
-            seed=5000 + i,
-            noise=NoiseModel(kind="stepwise", m_g=m_g, hessian_kind="zero"),
-            enforce_stepsize_bound=True,
-        )
+    config = TrishConfig(
+        stepsizes=steps,
+        gammas=GammaSchedule.constant(gamma1, gamma2),
+        iterations=horizon,
+        noise=NoiseModel(kind="stepwise", m_g=m_g, hessian_kind="zero"),
+        enforce_stepsize_bound=True,
+    )
+    seeds = range(5000, 5000 + n_seeds)
 
-    gaps, counter, aborted, run = _gap_matrix(problem, x0, cfg, n_seeds, horizon)
+    gaps, counter, aborted, run = _gap_matrix(problem, x0, config, seeds)
     norms = run.column("grad_norm_true")
     grad_ratio = norms[run.rows - 1, np.arange(n_seeds)] / norms[0]
     envelope = np.array([
@@ -585,18 +580,17 @@ def suite_geometric(quick: bool = False) -> SuiteReport:
     x0 = _point_with_gap(problem, gap=10.0, seed=205)
     gap0 = problem.value(x0) - problem.f_min
 
-    def cfg(i):
-        return TrishConfig(
-            stepsizes=StepsizeSchedule.constant(alpha),
-            gammas=GammaSchedule.constant(gamma1, gamma2),
-            iterations=horizon,
-            seed=7000 + i,
-            noise=NoiseModel(kind="geometric", m_g=m_g, zeta=zeta,
-                             hessian_kind="zero"),
-            enforce_stepsize_bound=True,
-        )
+    config = TrishConfig(
+        stepsizes=StepsizeSchedule.constant(alpha),
+        gammas=GammaSchedule.constant(gamma1, gamma2),
+        iterations=horizon,
+        noise=NoiseModel(kind="geometric", m_g=m_g, zeta=zeta,
+                         hessian_kind="zero"),
+        enforce_stepsize_bound=True,
+    )
+    seeds = range(7000, 7000 + n_seeds)
 
-    gaps, counter, aborted, _ = _gap_matrix(problem, x0, cfg, n_seeds, horizon)
+    gaps, counter, aborted, _ = _gap_matrix(problem, x0, config, seeds)
     envelope = np.array([
         pl_geometric_envelope(k + 1, gamma1, gamma2, alpha, m_g, c, zeta, gap0)
         for k in range(horizon + 1)
@@ -616,22 +610,21 @@ def suite_nonconvex_fixed(quick: bool = False) -> SuiteReport:
     x0 = np.zeros(problem.dim)
     f1 = problem.value(x0)
 
-    def cfg(i):  # first-order TRish: the Hessian estimate is zero
-        return TrishConfig(
-            stepsizes=StepsizeSchedule.constant(alpha),
-            gammas=GammaSchedule.constant(gamma1, gamma2),
-            iterations=horizon,
-            seed=9000 + i,
-            noise=NoiseModel(kind="bounded", m_g=m_g, hessian_kind="zero"),
-            enforce_stepsize_bound=True,
-        )
+    config = TrishConfig(  # first-order TRish: the Hessian estimate is zero
+        stepsizes=StepsizeSchedule.constant(alpha),
+        gammas=GammaSchedule.constant(gamma1, gamma2),
+        iterations=horizon,
+        noise=NoiseModel(kind="bounded", m_g=m_g, hessian_kind="zero"),
+        enforce_stepsize_bound=True,
+    )
+    seeds = range(9000, 9000 + n_seeds)
 
     widest = np.zeros(n_seeds)  # max |x_i| over each lane's iterates
 
     def track_box(k, X):
         np.maximum(widest, np.max(np.abs(X), axis=1), out=widest)
 
-    _, counter, aborted, run = _gap_matrix(problem, x0, cfg, n_seeds, horizon,
+    _, counter, aborted, run = _gap_matrix(problem, x0, config, seeds,
                                            on_iterate=track_box)
     grads = run.column("grad_norm_true")[:horizon]  # iterates x_1..x_K
     avg_sq = np.array([np.mean(grads[: run.rows[i], i] ** 2) for i in range(n_seeds)])

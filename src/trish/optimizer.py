@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -358,7 +359,7 @@ LANE_COLUMNS = tuple(name for name in TRACE_DTYPE.names
 
 @dataclass
 class LaneRun:
-    """S lockstep TRish runs ("lanes") traced by column.
+    """S lockstep TRish runs of one config ("lanes", one per seed) traced by column.
 
     ``columns[name]`` is a (K+1, S) array of the ``TRACE_DTYPE`` field
     ``name`` for every lane (``k``, ``upsilon`` and ``wall_ns`` are not kept).
@@ -375,102 +376,66 @@ class LaneRun:
         return self.columns[name]
 
 
-@dataclass(frozen=True)
-class _LaneSchedule:
-    """Per-iteration parameters shared by the lanes of one (schedules, noise) group."""
-
-    alpha: Array
-    gamma1: Array
-    gamma2: Array
-    variance: Array
-    tau: float  # Hessian cap factor min{1, m_h / L_g}
-    hess_bound: float
-    first_violation: int | None  # first k failing the stepsize precondition
-
-
-def _lane_schedule(oracle, stepsizes, gammas, noise, iterations) -> _LaneSchedule:
-    """Tabulate a group's schedules with the scalar functions, so every
-    value matches ``run_trish``; configuration errors surface here."""
-    ks = range(1, iterations + 1)
-    alpha = [stepsizes.at(k) for k in ks]
-    pairs = [gammas_at(gammas, stepsizes, k) for k in ks]
-    tau = bound = 0.0
-    if noise.hessian_kind == "exact-capped" and iterations > 0:
-        if noise.m_h <= 0:
-            raise ConfigurationError("exact-capped/perturbed Hessian estimates require m_h > 0")
-        tau = min(1.0, noise.m_h / oracle.grad_lipschitz)
-        bound = tau * oracle.grad_lipschitz
-    for a, (g1, g2) in zip(alpha, pairs):
-        radius(1.0, a, g1, g2)  # validates alpha > 0 and 0 < gamma2 <= gamma1
-    first = next((k for k, a, (g1, g2) in zip(ks, alpha, pairs)
-                  if not validate_stepsize(a, g1, g2, oracle.grad_lipschitz, bound)), None)
-    return _LaneSchedule(
-        alpha=np.array(alpha, dtype=float),
-        gamma1=np.array([p[0] for p in pairs], dtype=float),
-        gamma2=np.array([p[1] for p in pairs], dtype=float),
-        variance=np.array([noise.gradient_variance(k, a) for k, a in zip(ks, alpha)],
-                          dtype=float),
-        tau=tau,
-        hess_bound=bound,
-        first_violation=first,
-    )
-
-
 def run_trish_lanes(
     oracle: ProblemOracle,
     x0: Array,
-    configs: list[TrishConfig],
+    config: TrishConfig,
+    seeds: Iterable[int],
     on_iterate=None,
 ) -> LaneRun:
-    """Run one TRish lane per config in lockstep, as one (S, n) state.
+    """Run ``config`` at every seed in lockstep, one lane per seed, as one (S, n) state.
 
-    Lane i reproduces ``run_trish(oracle, x0, configs[i])`` bit for bit:
-    f, the iterates, every recorded step diagnostic, the row count and
-    the abort reason.  Each lane draws its gradient noise from its own
-    seed's stream, ``LANE_CHUNK`` iterations at a time.
+    Lane i reproduces ``run_trish(oracle, x0, replace(config, seed=seeds[i]))``
+    bit for bit: f, the iterates, every recorded step diagnostic, the row
+    count and the abort reason; ``config.seed`` is not read.  Each lane
+    draws its gradient noise from its own seed's stream, ``LANE_CHUNK``
+    iterations at a time.
 
     Supported: oracles with ``row_stacked`` set, the Steihaug solver, and
     the built-in synthetic noise with a zero or exact-capped Hessian.
-    Lanes may differ in seed, schedules, noise model and
-    ``enforce_stepsize_bound``; they share iterations, solver and Hessian
-    kind.  ``x0`` is one point or one row per lane.  Invalid schedule
-    values and Hessian caps raise before the first step; a stepsize
-    precondition violation is warned about or raised at its iteration,
-    as in ``run_trish``, and so are non-finite gradients and curvature.
+    ``x0`` is one point or one row per lane.  Invalid schedule values and
+    Hessian caps raise before the first step; a stepsize precondition
+    violation is warned about (once per running lane) or raised at its
+    iteration, as in ``run_trish``, and so are non-finite gradients and
+    curvature.
 
     ``on_iterate(k, X)`` is called with the (S, n) iterates at k = 0 and
     after every iteration; a stopped lane keeps its last iterate.
     """
-    configs = list(configs)
-    if not configs:
-        raise ConfigurationError("run_trish_lanes needs at least one config")
+    seeds = list(seeds)
+    if not seeds:
+        raise ConfigurationError("run_trish_lanes needs at least one seed")
     if not getattr(oracle, "row_stacked", False):
         raise ConfigurationError(f"{type(oracle).__name__} does not take row-stacked points")
-    head = configs[0]
-    K, solver, kind = head.iterations, head.solver, head.noise.hessian_kind
-    if solver.kind != "steihaug" or kind not in ("zero", "exact-capped"):
+    K, solver, noise = config.iterations, config.solver, config.noise
+    if solver.kind != "steihaug" or noise.hessian_kind not in ("zero", "exact-capped"):
         raise ConfigurationError("lanes run the Steihaug solver with a zero or exact-capped Hessian")
-    if any(c.iterations != K or c.solver != solver or c.noise.hessian_kind != kind
-           for c in configs):
-        raise ConfigurationError("lanes must share iterations, solver and Hessian kind")
-    S, n = len(configs), oracle.dim
+    S, n = len(seeds), oracle.dim
     # C order: BLAS reaches bit-identity with the 1-D calls on unit-stride rows only
     X = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (S, n)), order="C")
     if not np.all(np.isfinite(X)):
         raise ConfigurationError("initial point must be finite")
 
-    # Lanes sharing schedules and noise share one table of per-k values.
-    groups: dict = {}
-    lane_grp = np.array([groups.setdefault((c.stepsizes, c.gammas, c.noise), len(groups))
-                         for c in configs])
-    tables = [_lane_schedule(oracle, *key, K) for key in groups]
-    ALPHA, GAMMA1, GAMMA2, VARIANCE = (
-        np.array([getattr(t, f) for t in tables]).reshape(len(tables), K)
-        for f in ("alpha", "gamma1", "gamma2", "variance"))
-    events: dict[int, list[int]] = {}  # k -> lanes first violating the precondition
-    for lane, g in enumerate(lane_grp):
-        if tables[g].first_violation is not None:
-            events.setdefault(tables[g].first_violation, []).append(lane)
+    # The schedules at k = 1..K, from the scalar functions so every value
+    # matches run_trish; configuration errors surface here.
+    ks = range(1, K + 1)
+    alphas = [config.stepsizes.at(k) for k in ks]
+    pairs = [gammas_at(config.gammas, config.stepsizes, k) for k in ks]
+    tau = bound = 0.0  # Hessian cap factor min{1, m_h / L_g} and the estimate's bound
+    if noise.hessian_kind == "exact-capped" and K > 0:
+        if noise.m_h <= 0:
+            raise ConfigurationError("exact-capped/perturbed Hessian estimates require m_h > 0")
+        tau = min(1.0, noise.m_h / oracle.grad_lipschitz)
+        bound = tau * oracle.grad_lipschitz
+    for a, (g1, g2) in zip(alphas, pairs):
+        radius(1.0, a, g1, g2)  # validates alpha > 0 and 0 < gamma2 <= gamma1
+    violation = next((k for k, a, (g1, g2) in zip(ks, alphas, pairs)
+                      if not validate_stepsize(a, g1, g2, oracle.grad_lipschitz, bound)), None)
+    ALPHA = np.array(alphas, dtype=float)
+    GAMMA1 = np.array([p[0] for p in pairs], dtype=float)
+    GAMMA2 = np.array([p[1] for p in pairs], dtype=float)
+    VARIANCE = np.array([noise.gradient_variance(k, a) for k, a in zip(ks, alphas)],
+                        dtype=float)
 
     cols = {name: np.full((K + 1, S), np.nan) for name in LANE_COLUMNS}
     F0 = oracle.value(X)
@@ -478,7 +443,7 @@ def run_trish_lanes(
     cols["f"][0] = F0
     cols["grad_norm_true"][0] = row_norms(TG)
     cols["cost_units"][0] = 0.0
-    rngs = [rng_stream(c.seed, GRADIENT_STREAM) for c in configs]
+    rngs = [rng_stream(seed, GRADIENT_STREAM) for seed in seeds]
     rows = np.full(S, K + 1)
     aborted: list[str | None] = [None] * S
     final_x = X.copy()
@@ -488,42 +453,30 @@ def run_trish_lanes(
     # State of the lanes still running; a stopped lane's rows are dropped.
     ids = np.arange(S)
     at = slice(None)  # their columns: a slice until the first lane stops
-    grp = lane_grp
-    tau = np.array([t.tau for t in tables])[lane_grp]
     cost = np.zeros(S, dtype=np.int64)
     hvp = None
-    if kind == "exact-capped":
+    if noise.hessian_kind == "exact-capped":
         def hvp(r, V):
-            return tau[r, None] * oracle.hvp(X[r], V)
+            return tau * oracle.hvp(X[r], V)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, K + 1):
             j = (k - 1) % LANE_CHUNK
             if j == 0:
-                win = slice(k - 1, min(K, k - 1 + LANE_CHUNK))
-                A, G1, G2, V = (T[grp, win] for T in (ALPHA, GAMMA1, GAMMA2, VARIANCE))
-                noise = np.stack([draw_noise_block(rngs[lane], V[i], n)
-                                  for i, lane in enumerate(ids)])
-                drawn = V > 0.0
-                drawn_all, drawn_any = drawn.all(axis=0), drawn.any(axis=0)
+                V = VARIANCE[k - 1:k - 1 + LANE_CHUNK]
+                noise_block = np.stack([draw_noise_block(rngs[lane], V, n) for lane in ids])
 
             if not np.all(np.isfinite(TG)):
                 bad = int(np.argmin(np.isfinite(TG).all(axis=1)))
                 raise EvaluationError(f"non-finite gradient at x = {X[bad]!r}")
-            if drawn_all[j]:
-                G = TG + noise[:, j]
-            elif drawn_any[j]:
-                G = np.where(drawn[:, j, None], TG + noise[:, j], TG)
-            else:
-                G = TG
-            for lane in events.get(k, ()):
-                if rows[lane] > k:  # the lane still runs
-                    _precondition_violated(k, configs[lane].stepsizes.at(k),
-                                           configs[lane].enforce_stepsize_bound)
+            G = TG + noise_block[:, j] if V[j] > 0.0 else TG
+            if k == violation:
+                for _ in ids:  # every lane still running responds, as its scalar run would
+                    _precondition_violated(k, config.stepsizes.at(k),
+                                           config.enforce_stepsize_bound)
 
-            alpha = A[:, j]
             gn = row_norms(G)
-            delta, case = radius_rows(gn, alpha, G1[:, j], G2[:, j])
+            delta, case = radius_rows(gn, ALPHA[k - 1], GAMMA1[k - 1], GAMMA2[k - 1])
             steps, model_dec, cauchy_dec, iters = steihaug_cg_rows(
                 G, gn, delta, hvp, solver.max_iters, solver.tol)
             X_new = X + steps
@@ -554,20 +507,15 @@ def run_trish_lanes(
                     aborted[ids[i]] = _abort_reason(k, float(F[i]))
                     rows[ids[i]] = k + 1
                 keep = ~stop
-                ids, X, TG, F0, cost, grp, tau = (
-                    v[keep] for v in (ids, X, TG, F0, cost, grp, tau))
-                A, G1, G2, V, noise, drawn = (
-                    v[keep] for v in (A, G1, G2, V, noise, drawn))
-                drawn_all, drawn_any = drawn.all(axis=0), drawn.any(axis=0)
+                ids, X, TG, F0, cost, noise_block = (
+                    v[keep] for v in (ids, X, TG, F0, cost, noise_block))
                 at = ids
                 if ids.size == 0:
                     break
     final_x[at] = X
 
     recorded = np.arange(1, K + 1)[:, None] < rows[None, :]
-    bounds = np.array([t.hess_bound for t in tables])
     for name, table in (("alpha", ALPHA), ("gamma1", GAMMA1), ("gamma2", GAMMA2)):
-        cols[name][1:] = np.where(recorded, table[lane_grp].T, np.nan)
-    cols["hess_bound"][1:] = np.where(recorded, bounds[lane_grp], np.nan)
+        cols[name][1:] = np.where(recorded, table[:, None], np.nan)
+    cols["hess_bound"][1:] = np.where(recorded, bound, np.nan)
     return LaneRun(cols, rows, final_x, aborted)
-

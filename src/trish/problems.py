@@ -275,9 +275,6 @@ class RosenbrockProblem:
         self.pl_constant = None
         self.f_min = 0.0
 
-    def in_box(self, x: Array) -> bool:
-        return bool(np.max(np.abs(x)) <= self.box_halfwidth)
-
     def value(self, x: Array) -> float | Array:
         head, tail = x[..., :-1], x[..., 1:]
         terms = 100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2

@@ -3,24 +3,21 @@
 Two built-in families cover every regime the convergence guarantees
 need: constant and ``a/(b+k)`` diminishing stepsizes, and constant or
 "merging" gamma pairs with ``gamma2_k = gamma1 * (1 - eta*alpha_k/2)``.
-Arbitrary user sequences are accepted through the ``custom`` kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .core import ConfigurationError
 
 
 @dataclass(frozen=True)
 class StepsizeSchedule:
-    kind: str  # constant | diminishing | custom
+    kind: str  # constant | diminishing
     alpha: float = 0.0
     a: float = 0.0
     b: float = 0.0
-    fn: Callable[[int], float] | None = None
 
     def __post_init__(self) -> None:
         if self.kind == "constant":
@@ -29,9 +26,6 @@ class StepsizeSchedule:
         elif self.kind == "diminishing":
             if self.a <= 0 or self.b <= 0:
                 raise ConfigurationError("diminishing schedule requires a > 0 and b > 0")
-        elif self.kind == "custom":
-            if self.fn is None:
-                raise ConfigurationError("custom schedule requires a callable")
         else:
             raise ConfigurationError(f"unknown stepsize schedule kind {self.kind!r}")
 
@@ -44,26 +38,12 @@ class StepsizeSchedule:
         """alpha_k = a / (b + k)."""
         return cls(kind="diminishing", a=a, b=b)
 
-    @classmethod
-    def custom(cls, fn: Callable[[int], float]) -> "StepsizeSchedule":
-        return cls(kind="custom", fn=fn)
-
-    @property
-    def is_robbins_monro(self) -> bool:
-        """Whether sum(alpha_k) = inf and sum(alpha_k^2) < inf, by kind."""
-        return self.kind == "diminishing"
-
     def at(self, k: int) -> float:
         if k < 1:
             raise ConfigurationError("iteration index k is 1-based")
         if self.kind == "constant":
             return self.alpha
-        if self.kind == "diminishing":
-            return self.a / (self.b + k)
-        alpha = float(self.fn(k))  # type: ignore[misc]
-        if alpha <= 0:
-            raise ConfigurationError(f"custom schedule returned alpha_{k} = {alpha} <= 0")
-        return alpha
+        return self.a / (self.b + k)
 
 
 @dataclass(frozen=True)

@@ -174,10 +174,10 @@ class TestTraceCSV:
         assert body[2].startswith("1,")
 
     def test_problem_built_once_per_experiment(self, tmp_path, monkeypatch):
-        import trish.harness.experiment as experiment
+        import trish.harness.config as config
         built = []
-        build = experiment.build_problem
-        monkeypatch.setattr(experiment, "build_problem",
+        build = config.build_problem
+        monkeypatch.setattr(config, "build_problem",
                             lambda spec: built.append(spec) or build(spec))
         doc = base_config(seeds=[0, 1, 2], iterations=4, solver={"kind": "exact"})
         paths = run_experiment(doc, output_dir=str(tmp_path))
@@ -289,13 +289,12 @@ def test_verify_unknown_suite_is_config_error():
 class TestStepContractCounter:
     def trace(self, lanes=False):
         prob = make_quadratic(4, 1.0, 4.0, seed=2)
-        cfgs = [TrishConfig(StepsizeSchedule.constant(0.005), GammaSchedule.constant(2.0, 1.0),
-                            30, seed=s, noise=NoiseModel(kind="bounded", m_g=1.0,
-                                                         hessian_kind="exact-capped", m_h=4.0))
-                for s in range(3)]
+        cfg = TrishConfig(StepsizeSchedule.constant(0.005), GammaSchedule.constant(2.0, 1.0),
+                          30, noise=NoiseModel(kind="bounded", m_g=1.0,
+                                               hessian_kind="exact-capped", m_h=4.0))
         if lanes:
-            return run_trish_lanes(prob, np.ones(4), cfgs)
-        return run_trish(prob, np.ones(4), cfgs[0])
+            return run_trish_lanes(prob, np.ones(4), cfg, range(3))
+        return run_trish(prob, np.ones(4), cfg)
 
     def test_clean_run_has_no_violations(self):
         for trace, steps in ((self.trace(), 30), (self.trace(lanes=True), 3 * 30)):

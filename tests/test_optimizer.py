@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -299,19 +300,19 @@ EXACT_COLUMNS = ("f", "grad_norm_true", "g_norm", "delta", "case", "step_norm",
 FAULTS = (ConfigurationError, EvaluationError, NumericalError)
 
 
-def assert_lanes_match_scalar(problem, x0, configs):
-    """Every lane equals run_trish at the same config, bit for bit."""
+def assert_lanes_match_scalar(problem, x0, config, seeds):
+    """Every lane equals run_trish at its seed, bit for bit."""
     scalar, errors = [], []
-    for cfg in configs:
+    for seed in seeds:
         try:
-            scalar.append(run_trish(problem, x0, cfg))
+            scalar.append(run_trish(problem, x0, replace(config, seed=seed)))
         except FAULTS as exc:
             errors.append(type(exc))
     if errors:
         with pytest.raises(tuple(errors)):
-            run_trish_lanes(problem, x0, configs)
+            run_trish_lanes(problem, x0, config, seeds)
         return None
-    lanes = run_trish_lanes(problem, x0, configs)
+    lanes = run_trish_lanes(problem, x0, config, seeds)
     for i, traj in enumerate(scalar):
         rows = len(traj.records)
         assert lanes.rows[i] == rows
@@ -345,23 +346,18 @@ def lane_cases(draw):
                        hessian_kind=hessian, m_h=m_h if hessian != "zero" else 0.0)
     alpha = draw(st.sampled_from([0.05, 0.25, 1.0])) / problem.grad_lipschitz
     gamma1 = draw(st.sampled_from([1.0, 2.0, 8.0]))
-    kind = draw(st.sampled_from(["constant", "diminishing", "merging"]))
+    kind = draw(st.sampled_from(["constant", "diminishing", "merging", "diverging"]))
     if kind == "constant":
         steps, gammas = StepsizeSchedule.constant(alpha), GammaSchedule.constant(gamma1, 1.0)
+    elif kind == "diverging":  # every lane trips the divergence guard
+        steps, gammas = StepsizeSchedule.constant(1e7), GammaSchedule.constant(1.0, 1.0)
     else:
         steps = StepsizeSchedule.diminishing(alpha * 51.0, 50.0)
         gammas = (GammaSchedule.constant(gamma1, 1.0) if kind == "diminishing"
                   else GammaSchedule.merging(gamma1, eta=1.0))
     iterations = draw(st.integers(0, 130))  # zeta = 1e-3 underflows to 0 after ~108 steps
     seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True))
-    configs = []
-    for seed in seeds:
-        if draw(st.integers(0, 3)) == 0:  # a lane that trips the divergence guard
-            lane_steps, lane_gammas = StepsizeSchedule.constant(1e7), GammaSchedule.constant(1.0, 1.0)
-        else:
-            lane_steps, lane_gammas = steps, gammas
-        configs.append(TrishConfig(lane_steps, lane_gammas, iterations, seed=seed, noise=noise))
-    return problem, x0, configs
+    return problem, x0, TrishConfig(steps, gammas, iterations, noise=noise), seeds
 
 
 @settings(max_examples=40, deadline=None)
@@ -371,28 +367,46 @@ def test_lanes_bit_identical_to_scalar(case):
 
 
 class TestLanes:
-    def config(self, alpha, seed, hessian="zero", iterations=60):
+    def config(self, alpha, hessian="zero", iterations=60):
         return TrishConfig(StepsizeSchedule.constant(alpha), GammaSchedule.constant(2.0, 1.0),
-                           iterations, seed=seed,
+                           iterations,
                            noise=NoiseModel(kind="bounded", m_g=1.0, hessian_kind=hessian,
                                             m_h=10.0 if hessian != "zero" else 0.0))
 
     def test_divergent_lanes_stop_and_others_run_on(self):
-        prob = make_quadratic(5, 1.0, 10.0, seed=4)
-        configs = [self.config(1e7 if i % 2 else 0.005, seed=i) for i in range(6)]
-        lanes = assert_lanes_match_scalar(prob, np.ones(5), configs)
-        assert [r is not None for r in lanes.aborted] == [i % 2 == 1 for i in range(6)]
-        assert list(lanes.rows) == [61, 2, 61, 2, 61, 2]
+        # one config whose noise makes some seeds diverge: seed 6 stops at
+        # k = 42, seed 1 at the last iteration (so its row count is full)
+        config = TrishConfig(StepsizeSchedule.constant(0.006), GammaSchedule.constant(1.0, 1.0),
+                             60, noise=NoiseModel(kind="bounded", m_g=300.0))
+        lanes = assert_lanes_match_scalar(RosenbrockProblem(4), np.zeros(4), config, range(8))
+        assert list(lanes.rows) == [61, 61, 61, 61, 61, 61, 43, 61]
+        assert [r is not None for r in lanes.aborted] == [i in (1, 6) for i in range(8)]
+
+    def test_advisory_violation_warns_like_scalar_runs(self, caplog):
+        prob = make_quadratic(3, 1.0, 2.0, seed=1)
+        config = TrishConfig(StepsizeSchedule.diminishing(1.0, 0.5),
+                             GammaSchedule.constant(2.0, 1.0), 12,
+                             noise=NoiseModel(kind="bounded", m_g=1.0))
+        seeds = [4, 9, 11]
+        with caplog.at_level(logging.WARNING, logger="trish.optimizer"):
+            for seed in seeds:
+                run_trish(prob, np.zeros(3), replace(config, seed=seed))
+            scalar = [r.getMessage() for r in caplog.records]
+            caplog.clear()
+            run_trish_lanes(prob, np.zeros(3), config, seeds)
+            lanes = [r.getMessage() for r in caplog.records]
+        assert len(scalar) == len(seeds)
+        assert lanes == scalar
 
     def test_on_iterate_sees_every_iterate(self):
         prob = make_quadratic(3, 1.0, 2.0, seed=1)
-        configs = [self.config(0.01, seed=i, iterations=5) for i in range(3)]
+        config = self.config(0.01, iterations=5)
         seen = []
-        lanes = run_trish_lanes(prob, np.zeros(3), configs,
+        lanes = run_trish_lanes(prob, np.zeros(3), config, range(3),
                                 on_iterate=lambda k, X: seen.append((k, X.copy())))
         assert [k for k, _ in seen] == list(range(6))
         assert np.array_equal(seen[-1][1], lanes.final_x)
-        traj = run_trish(prob, np.zeros(3), configs[1], keep_iterates=True)
+        traj = run_trish(prob, np.zeros(3), replace(config, seed=1), keep_iterates=True)
         assert all(np.array_equal(X[1], x) for (_, X), x in zip(seen, traj.iterates))
 
     def test_enforced_precondition_raises_at_its_iteration(self):
@@ -400,21 +414,19 @@ class TestLanes:
         cfg = TrishConfig(StepsizeSchedule.constant(1.0), GammaSchedule.constant(2.0, 1.0),
                           10, enforce_stepsize_bound=True)
         with pytest.raises(ConfigurationError, match="k=1"):
-            run_trish_lanes(prob, np.zeros(3), [cfg])
+            run_trish_lanes(prob, np.zeros(3), cfg, [0])
 
     @pytest.mark.parametrize("change", [
         {"solver": SolverSpec(kind="exact")},
         {"noise": NoiseModel(hessian_kind="perturbed", m_h=1.0, perturbation=0.1)},
-        {"iterations": 7},
     ])
     def test_unsupported_or_mixed_configs_rejected(self, change):
-        from dataclasses import replace
-        base = self.config(0.01, seed=0, hessian="exact-capped")
+        base = self.config(0.01, hessian="exact-capped")
         with pytest.raises(ConfigurationError):
             run_trish_lanes(make_quadratic(3, 1.0, 2.0, seed=1), np.zeros(3),
-                            [base, replace(base, **change)])
+                            replace(base, **change), [0, 1])
 
     def test_oracle_without_row_stacks_rejected(self):
         prob = make_logistic(50, 3, l2=0.1, seed=2)
         with pytest.raises(ConfigurationError, match="row-stacked"):
-            run_trish_lanes(prob, np.zeros(3), [self.config(0.01, seed=0)])
+            run_trish_lanes(prob, np.zeros(3), self.config(0.01), [0])

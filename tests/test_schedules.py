@@ -18,14 +18,6 @@ class TestStepsizeSchedule:
     def test_constant(self):
         assert StepsizeSchedule.constant(0.1).at(999) == 0.1
 
-    def test_custom_callback(self):
-        sched = StepsizeSchedule.custom(lambda k: 1.0 / k**0.75)
-        assert sched.at(16) == pytest.approx(0.125)
-
-    def test_robbins_monro_by_kind(self):
-        assert StepsizeSchedule.diminishing(1.0, 1.0).is_robbins_monro
-        assert not StepsizeSchedule.constant(0.1).is_robbins_monro
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             StepsizeSchedule.constant(0.0)
