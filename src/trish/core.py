@@ -213,6 +213,15 @@ def draw_noise_block(rng: np.random.Generator, variances: Array, dim: int) -> Ar
     return out
 
 
+def hessian_cap(oracle: ProblemOracle, noise: NoiseModel) -> float:
+    """The factor min{1, m_h / L_g} that scales the true Hessian so the
+    estimate's certified bound never exceeds ``m_h``; L_g certifies the
+    true Hessian norm."""
+    if noise.m_h <= 0:
+        raise ConfigurationError("exact-capped/perturbed Hessian estimates require m_h > 0")
+    return min(1.0, noise.m_h / oracle.grad_lipschitz)
+
+
 def sample_hessian(
     oracle: ProblemOracle,
     x: Array,
@@ -222,11 +231,7 @@ def sample_hessian(
     """Hessian estimate whose certified norm bound never exceeds ``m_h``."""
     if noise.hessian_kind == "zero":
         return HessianEstimate.zero(oracle.dim)
-    if noise.m_h <= 0:
-        raise ConfigurationError("exact-capped/perturbed Hessian estimates require m_h > 0")
-
-    # Global scaling by min{1, m_h / L_g}; L_g certifies the true Hessian norm.
-    tau = min(1.0, noise.m_h / oracle.grad_lipschitz)
+    tau = hessian_cap(oracle, noise)
     rows = getattr(oracle, "row_stacked", False)
     if noise.hessian_kind == "exact-capped":
         return HessianEstimate(

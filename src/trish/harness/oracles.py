@@ -46,16 +46,17 @@ def reference_trs(g: Array, H: Array, delta: float) -> tuple[Array, float, float
         return float(np.linalg.norm(ghat / (w + ups)))
 
     # Bisection on the strictly decreasing ||y(u)|| over (lo, hi]; a root
-    # exists whenever the norm just above lo exceeds delta.
+    # exists whenever the norm just above lo exceeds delta.  An iteration
+    # that leaves (a, b) as they are leaves them so forever: stop there.
     probe = lo + 1e-13 * max(1.0, hi)
     if boundary_norm(probe) > delta:
         a, b = probe, hi
         for _ in range(300):
             mid = 0.5 * (a + b)
-            if boundary_norm(mid) > delta:
-                a = mid
-            else:
-                b = mid
+            ab = (mid, b) if boundary_norm(mid) > delta else (a, mid)
+            if ab == (a, b):
+                break
+            a, b = ab
         ups = 0.5 * (a + b)
         candidates.append((-ghat / (w + ups), ups))
 

@@ -15,7 +15,7 @@ import json
 import logging
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,8 +33,9 @@ from ..core import (
     ConfigurationError,
     HessianEstimate,
     NoiseModel,
+    draw_noise_block,
     rng_stream,
-    sample_gradient,
+    rowdot,
     sample_hessian,
     hvp_finite_difference,
 )
@@ -273,16 +274,15 @@ def suite_equivalence(quick: bool = False) -> SuiteReport:
         iterations=iters,
         seed=5,
     )
+    tr_x, sg_x = [], []
     with _quiet_optimizer_warnings():
         tr = run_trish_first_order(problem, x0, cfg,
                                    sampler=problem.minibatch_sampler(10),
-                                   keep_iterates=True)
+                                   on_iterate=lambda k, x: tr_x.append(x.copy()))
         sg = run_sg(problem, x0, StepsizeSchedule.constant(gamma * alpha),
-                    NoiseModel(), iters, seed=5,
-                    sampler=problem.minibatch_sampler(10), keep_iterates=True)
-    diffs = [float(np.max(np.abs(a - b)))
-             for a, b in zip(tr.iterates, sg.iterates)]
-    worst = max(diffs)
+                    NoiseModel(), iters, seed=5, sampler=problem.minibatch_sampler(10),
+                    on_iterate=lambda k, x: sg_x.append(x.copy()))
+    worst = max(float(np.max(np.abs(a - b))) for a, b in zip(tr_x, sg_x))
     tr_g, sg_g = tr.column("g_norm")[1:], sg.column("g_norm")[1:]
     checks = [
         CheckResult(
@@ -313,54 +313,29 @@ def suite_lemmas(quick: bool = False) -> SuiteReport:
     counter = StepContractCounter()
     checks = []
 
-    def second_order_cfg(seed):
-        m_h = problem.grad_lipschitz
-        alpha = 1.0 / (4.0 * 4.0 * (problem.grad_lipschitz + m_h))  # gamma1 = 2
-        return TrishConfig(
-            stepsizes=StepsizeSchedule.constant(alpha),
-            gammas=GammaSchedule.constant(2.0, 1.0),
-            iterations=iters,
-            seed=seed,
-            noise=NoiseModel(kind="bounded", m_g=m_g,
-                             hessian_kind="exact-capped", m_h=m_h),
-            enforce_stepsize_bound=True,
-        )
-
-    def perturbed_cfg(seed):
-        m_h = 5.0
-        alpha = 1.0 / (16.0 * (problem.grad_lipschitz + m_h))
-        return TrishConfig(
-            stepsizes=StepsizeSchedule.constant(alpha),
-            gammas=GammaSchedule.constant(2.0, 1.0),
-            iterations=iters,
-            seed=seed,
-            noise=NoiseModel(kind="bounded", m_g=m_g, hessian_kind="perturbed",
-                             m_h=m_h, perturbation=1.0),
-            enforce_stepsize_bound=True,
-        )
-
-    def exact_cfg(seed):
-        m_h = problem.grad_lipschitz
-        alpha = 1.0 / (16.0 * (problem.grad_lipschitz + m_h))
-        return TrishConfig(
-            stepsizes=StepsizeSchedule.constant(alpha),
-            gammas=GammaSchedule.constant(2.0, 1.0),
-            iterations=max(50, iters // 4),
-            seed=seed,
-            solver=SolverSpec(kind="exact"),
-            noise=NoiseModel(kind="bounded", m_g=m_g,
-                             hessian_kind="exact-capped", m_h=m_h),
-            enforce_stepsize_bound=True,
-        )
+    # alpha = 1 / (4 gamma1^2 (L_g + m_h)) with gamma1 = 2
+    L_g, m_pert = problem.grad_lipschitz, 5.0
+    base = TrishConfig(
+        stepsizes=StepsizeSchedule.constant(1.0 / (16.0 * (L_g + L_g))),
+        gammas=GammaSchedule.constant(2.0, 1.0),
+        iterations=iters,
+        noise=NoiseModel(kind="bounded", m_g=m_g, hessian_kind="exact-capped", m_h=L_g),
+        enforce_stepsize_bound=True,
+    )
+    perturbed = replace(
+        base, stepsizes=StepsizeSchedule.constant(1.0 / (16.0 * (L_g + m_pert))),
+        noise=replace(base.noise, hessian_kind="perturbed", m_h=m_pert, perturbation=1.0))
+    exact = replace(base, iterations=max(50, iters // 4), solver=SolverSpec(kind="exact"))
 
     taylor_checked = taylor_bad = 0
     cost_ok = True
     for seed in range(3):
         runs = [
-            (run_trish(problem, x0, second_order_cfg(seed)), "steihaug"),
-            (run_trish(problem, x0, perturbed_cfg(100 + seed)), "steihaug"),
-            (run_trish(problem, x0, exact_cfg(200 + seed)), "exact"),
-            (run_trish_first_order(problem, x0, second_order_cfg(300 + seed)), "first-order"),
+            (run_trish(problem, x0, replace(base, seed=seed)), "steihaug"),
+            (run_trish(problem, x0, replace(perturbed, seed=100 + seed)), "steihaug"),
+            (run_trish(problem, x0, replace(exact, seed=200 + seed)), "exact"),
+            (run_trish_first_order(problem, x0, replace(base, seed=300 + seed)),
+             "first-order"),
         ]
         for traj, mode in runs:
             counter.update(traj)
@@ -697,6 +672,7 @@ def suite_complexity(quick: bool = False) -> SuiteReport:
         traj = None
         horizon = 3000
         for _ in range(4):  # fixed-budget runs, escalating until upsilon drops
+            inside = []  # problem.in_ball at each iterate
             cfg = TrishConfig(
                 stepsizes=StepsizeSchedule.constant(alpha),
                 gammas=GammaSchedule.constant(gamma1, gamma2),
@@ -707,7 +683,8 @@ def suite_complexity(quick: bool = False) -> SuiteReport:
                                  m_h=problem.grad_lipschitz),
             )
             with _quiet_optimizer_warnings():
-                traj = run_trish(problem, x0, cfg, keep_iterates=True)
+                traj = run_trish(problem, x0, cfg,
+                                 on_iterate=lambda k, x: inside.append(problem.in_ball(x)))
             dropped = np.flatnonzero(traj.column("upsilon")[1:] <= sqrt_eps)
             if dropped.size:
                 break
@@ -728,7 +705,7 @@ def suite_complexity(quick: bool = False) -> SuiteReport:
         decreases = f_values[:stop] - f_values[1 : stop + 1]
         min_dec = float(np.min(decreases)) if stop > 0 else np.inf
         deltas, g_norms = counted.delta, counted.g_norm
-        in_ball = all(problem.in_ball(x) for x in traj.iterates[: stop + 2])
+        in_ball = all(inside[: stop + 2])
         stats.update({
             "counted_iterations": stop,
             "min_decrease": min_dec,
@@ -819,13 +796,11 @@ def suite_oracles(quick: bool = False) -> SuiteReport:
         ("geometric", NoiseModel(kind="geometric", m_g=1.0, zeta=0.5), 3, 0.7, 0.25),
     ]
     for label, noise, k, alpha_k, target in cases:
-        stream = rng_stream(991, 0)
-        diffs = np.empty((n_draws, small.dim))
-        sq_g = np.empty(n_draws)
-        for i in range(n_draws):
-            g = sample_gradient(small, x, noise, k, alpha_k, stream)
-            diffs[i] = g - true_g
-            sq_g[i] = float(g @ g)
+        # n_draws successive sample_gradient draws on one stream, in one block
+        variances = np.full(n_draws, noise.gradient_variance(k, alpha_k))
+        g = true_g + draw_noise_block(rng_stream(991, 0), variances, small.dim)
+        sq_g = rowdot(g, g)
+        diffs = np.subtract(g, true_g, out=g)  # g is not read again
         mean_norm = float(np.linalg.norm(diffs.mean(axis=0)))
         unbias_tol = 3.0 * np.sqrt(target / n_draws)
         sq = np.sum(diffs**2, axis=1)

@@ -9,6 +9,12 @@ Hessian-vector product; diagnostic evaluations (true f and gradient
 each iteration, model re-evaluation in the solver) are excluded.
 ``run_trish`` is the reference; ``run_trish_lanes`` reproduces it bit
 for bit on the configurations it supports.
+
+Every runner takes ``on_iterate(k, x)``, called with the iterate at
+k = 0 and after every recorded iteration, including the last row of a
+run the divergence guard stops (for lanes, ``x`` is the (S, n) stack
+and a stopped lane keeps its last iterate).  The hook gets the runner's
+own array, which a later iteration may overwrite: copy what you keep.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .core import (
     ProblemOracle,
     Sampler,
     draw_noise_block,
+    hessian_cap,
     oracle_sampler,
     rng_stream,
     row_norms,
@@ -116,7 +123,6 @@ class Trajectory:
     final_x: Array
     config: TrishConfig | None = None
     aborted: str | None = None
-    iterates: list[Array] | None = None  # populated when keep_iterates is set
 
     def column(self, name: str) -> np.ndarray:
         return self.records[name]
@@ -228,14 +234,15 @@ def _draw_fn(oracle: ProblemOracle, noise: NoiseModel, sampler: Sampler | None,
 
 
 def _run(oracle, x0, algorithm, seed, stepsizes, iterations, noise, sampler,
-         keep_iterates, step, config=None) -> Trajectory:
+         on_iterate, step, config=None) -> Trajectory:
     """The loop every scalar run shares; ``step`` is the algorithm.
 
     ``step(x, k, alpha, true_g, draw)`` samples at x through
     ``draw(x, k, alpha, true_g)`` and returns ``(x_new, cost, fields)``:
     the next iterate, the cost units the step consumed and the values of
     ``STEP_FIELDS``.  The loop records f and the true gradient at every
-    iterate and stops when the divergence guard trips.
+    iterate, shows it to ``on_iterate`` and stops when the divergence
+    guard trips.
     """
     if iterations < 0:
         raise ConfigurationError("iterations must be >= 0")
@@ -248,7 +255,8 @@ def _run(oracle, x0, algorithm, seed, stepsizes, iterations, noise, sampler,
 
     t0 = time.perf_counter_ns()
     store[0], f0, true_g = _initial_record(oracle, x, t0)
-    iterates = [x.copy()] if keep_iterates else None
+    if on_iterate is not None:
+        on_iterate(0, x)
     rows, cost, aborted = iterations + 1, 0, None
 
     for k in range(1, iterations + 1):
@@ -258,14 +266,14 @@ def _run(oracle, x0, algorithm, seed, stepsizes, iterations, noise, sampler,
         true_g = oracle.grad(x)
         store[k] = (k, f, float(np.linalg.norm(true_g)), cost,
                     time.perf_counter_ns() - t0) + fields
-        if iterates is not None:
-            iterates.append(x.copy())
+        if on_iterate is not None:
+            on_iterate(k, x)
         if _diverged(f, f0):
             rows, aborted = k + 1, _abort_reason(k, f)
             break
 
     return Trajectory(algorithm, seed, store[:rows].view(np.recarray), x, config=config,
-                      aborted=aborted, iterates=iterates)
+                      aborted=aborted)
 
 
 def run_trish(
@@ -274,7 +282,7 @@ def run_trish(
     config: TrishConfig,
     sampler: Sampler | None = None,
     algorithm: str = "trish",
-    keep_iterates: bool = False,
+    on_iterate=None,
 ) -> Trajectory:
     """Run TRish for the configured number of iterations.
 
@@ -301,7 +309,7 @@ def run_trish(
             float((true_g - g) @ s.s))
 
     return _run(oracle, x0, algorithm, config.seed, config.stepsizes, config.iterations,
-                config.noise, sampler, keep_iterates, step, config=config)
+                config.noise, sampler, on_iterate, step, config=config)
 
 
 def run_trish_first_order(
@@ -309,13 +317,13 @@ def run_trish_first_order(
     x0: Array,
     config: TrishConfig,
     sampler: Sampler | None = None,
-    keep_iterates: bool = False,
+    on_iterate=None,
 ) -> Trajectory:
     """TRish with the Hessian estimate pinned to zero (cost: 1 unit/iteration)."""
     config = replace(config, noise=replace(
         config.noise, hessian_kind="zero", m_h=0.0, perturbation=0.0))
     return run_trish(oracle, x0, config, sampler=sampler, algorithm="trish1",
-                     keep_iterates=keep_iterates)
+                     on_iterate=on_iterate)
 
 
 def _sg_step(x, k, alpha, true_g, draw):
@@ -335,7 +343,7 @@ def run_sg(
     iterations: int,
     seed: int,
     sampler: Sampler | None = None,
-    keep_iterates: bool = False,
+    on_iterate=None,
 ) -> Trajectory:
     """Stochastic-gradient baseline x_{k+1} = x_k - alpha_k g_k.
 
@@ -346,15 +354,16 @@ def run_sg(
     """
     noise = replace(noise, hessian_kind="zero", m_h=0.0, perturbation=0.0)
     return _run(oracle, x0, "sg", seed, stepsizes, iterations, noise, sampler,
-                keep_iterates, _sg_step)
+                on_iterate, _sg_step)
 
 
 # ---------------------------------------------------------------------------
 # lockstep lanes
 
 LANE_CHUNK = 64  # iterations of gradient noise drawn per lane at once
+SCHEDULE_COLUMNS = ("alpha", "gamma1", "gamma2", "hess_bound")  # the same in every lane
 LANE_COLUMNS = tuple(name for name in TRACE_DTYPE.names
-                     if name not in ("k", "upsilon", "wall_ns"))
+                     if name not in ("k", "upsilon", "wall_ns") + SCHEDULE_COLUMNS)
 
 
 @dataclass
@@ -364,7 +373,10 @@ class LaneRun:
     ``columns[name]`` is a (K+1, S) array of the ``TRACE_DTYPE`` field
     ``name`` for every lane (``k``, ``upsilon`` and ``wall_ns`` are not kept).
     Lane i recorded ``rows[i]`` rows; the rows after a tripped divergence
-    guard are NaN, and ``aborted[i]`` gives the reason.
+    guard are NaN, and ``aborted[i]`` gives the reason.  The
+    ``SCHEDULE_COLUMNS`` are read-only views of one (K+1,) table (NaN in
+    row 0) broadcast over the lanes, so they hold the schedule on a
+    stopped lane's rows too; ``g_norm`` and ``delta`` are NaN there.
     """
 
     columns: dict[str, np.ndarray]
@@ -399,8 +411,8 @@ def run_trish_lanes(
     iteration, as in ``run_trish``, and so are non-finite gradients and
     curvature.
 
-    ``on_iterate(k, X)`` is called with the (S, n) iterates at k = 0 and
-    after every iteration; a stopped lane keeps its last iterate.
+    ``on_iterate(k, X)`` is the runners' iterate hook (see the module
+    docstring).
     """
     seeds = list(seeds)
     if not seeds:
@@ -421,19 +433,18 @@ def run_trish_lanes(
     ks = range(1, K + 1)
     alphas = [config.stepsizes.at(k) for k in ks]
     pairs = [gammas_at(config.gammas, config.stepsizes, k) for k in ks]
-    tau = bound = 0.0  # Hessian cap factor min{1, m_h / L_g} and the estimate's bound
+    tau = bound = 0.0  # Hessian cap factor and the estimate's bound
     if noise.hessian_kind == "exact-capped" and K > 0:
-        if noise.m_h <= 0:
-            raise ConfigurationError("exact-capped/perturbed Hessian estimates require m_h > 0")
-        tau = min(1.0, noise.m_h / oracle.grad_lipschitz)
+        tau = hessian_cap(oracle, noise)
         bound = tau * oracle.grad_lipschitz
     for a, (g1, g2) in zip(alphas, pairs):
         radius(1.0, a, g1, g2)  # validates alpha > 0 and 0 < gamma2 <= gamma1
     violation = next((k for k, a, (g1, g2) in zip(ks, alphas, pairs)
                       if not validate_stepsize(a, g1, g2, oracle.grad_lipschitz, bound)), None)
-    ALPHA = np.array(alphas, dtype=float)
-    GAMMA1 = np.array([p[0] for p in pairs], dtype=float)
-    GAMMA2 = np.array([p[1] for p in pairs], dtype=float)
+    # (K+1,) tables indexed by k, NaN in row 0 as in the trace
+    ALPHA, GAMMA1, GAMMA2, BOUND = (
+        np.array([np.nan, *values], dtype=float)
+        for values in (alphas, [p[0] for p in pairs], [p[1] for p in pairs], [bound] * K))
     VARIANCE = np.array([noise.gradient_variance(k, a) for k, a in zip(ks, alphas)],
                         dtype=float)
 
@@ -476,7 +487,7 @@ def run_trish_lanes(
                                            config.enforce_stepsize_bound)
 
             gn = row_norms(G)
-            delta, case = radius_rows(gn, ALPHA[k - 1], GAMMA1[k - 1], GAMMA2[k - 1])
+            delta, case = radius_rows(gn, ALPHA[k], GAMMA1[k], GAMMA2[k])
             steps, model_dec, cauchy_dec, iters = steihaug_cg_rows(
                 G, gn, delta, hvp, solver.max_iters, solver.tol)
             X_new = X + steps
@@ -514,8 +525,6 @@ def run_trish_lanes(
                     break
     final_x[at] = X
 
-    recorded = np.arange(1, K + 1)[:, None] < rows[None, :]
-    for name, table in (("alpha", ALPHA), ("gamma1", GAMMA1), ("gamma2", GAMMA2)):
-        cols[name][1:] = np.where(recorded, table[:, None], np.nan)
-    cols["hess_bound"][1:] = np.where(recorded, bound, np.nan)
+    for name, table in zip(SCHEDULE_COLUMNS, (ALPHA, GAMMA1, GAMMA2, BOUND)):
+        cols[name] = np.broadcast_to(table[:, None], (K + 1, S))
     return LaneRun(cols, rows, final_x, aborted)

@@ -12,6 +12,7 @@ from trish import (
     sample_gradient,
     sample_hessian,
 )
+from trish.core import draw_noise_block, rowdot
 from trish.problems import QuadraticProblem, RosenbrockProblem, make_quadratic
 
 
@@ -43,6 +44,21 @@ def test_bounded_noise_per_coordinate_std_and_variance():
     sq = np.sum(diffs**2, axis=1)
     se = sq.std(ddof=1) / np.sqrt(n_draws)
     assert abs(sq.mean() - 1.0) <= 3 * se
+
+
+def test_noise_block_equals_successive_sample_gradient_draws():
+    # zero-variance rows in between must consume no random numbers
+    prob = make_quadratic(3, 1.0, 4.0, seed=5)
+    x = np.array([0.3, -0.2, 0.5])
+    noise = NoiseModel(kind="stepwise", m_g=2.0)
+    alphas = [0.5, 0.0, 0.3, 0.0, 0.0, 1.7, 0.2]
+    rng = rng_stream(7, 0)
+    scalar = np.array([sample_gradient(prob, x, noise, k, a, rng)
+                       for k, a in enumerate(alphas, start=1)])
+    variances = np.array([noise.gradient_variance(k, a) for k, a in enumerate(alphas, start=1)])
+    bulk = prob.grad(x) + draw_noise_block(rng_stream(7, 0), variances, prob.dim)
+    assert np.array_equal(bulk, scalar)
+    assert np.array_equal(rowdot(bulk, bulk), [g @ g for g in scalar])
 
 
 def test_geometric_noise_variance_target():

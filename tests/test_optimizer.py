@@ -25,7 +25,7 @@ from trish import (
     sample_hessian,
     trish_step,
 )
-from trish.optimizer import TRACE_DTYPE
+from trish.optimizer import SCHEDULE_COLUMNS, TRACE_DTYPE
 from trish.problems import QuadraticProblem, RosenbrockProblem, make_logistic, make_quadratic
 
 
@@ -118,6 +118,23 @@ class TestRunTrish:
         traj = run_trish(prob, np.array([1.0, 1.0]), cfg)
         assert traj.aborted is not None
         assert len(traj.records) < 301
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_on_iterate_sees_every_row_of_a_diverged_run(self):
+        prob = QuadraticProblem(np.diag([-4.0, -2.0]), np.array([1.0, 1.0]))
+        cfg = TrishConfig(
+            stepsizes=StepsizeSchedule.constant(1e6),
+            gammas=GammaSchedule.constant(1e6, 1e6),
+            iterations=300,
+            noise=NoiseModel(kind="none", hessian_kind="exact-capped", m_h=4.0),
+        )
+        seen = []
+        traj = run_trish(prob, np.array([1.0, 1.0]), cfg,
+                         on_iterate=lambda k, x: seen.append((k, x.copy())))
+        assert traj.aborted is not None
+        assert [k for k, _ in seen] == list(range(len(traj.records)))
+        assert np.array_equal(seen[-1][1], traj.final_x)
 
 
 class TestExactDecompositionReuse:
@@ -223,14 +240,14 @@ class TestCollapseToSG:
             iterations=iters,
             seed=8,
         )
-        tr = run_trish_first_order(prob, np.zeros(4), cfg,
-                                   sampler=prob.minibatch_sampler(8),
-                                   keep_iterates=True)
-        sg = run_sg(prob, np.zeros(4), StepsizeSchedule.constant(gamma * alpha),
-                    NoiseModel(), iters, seed=8,
-                    sampler=prob.minibatch_sampler(8), keep_iterates=True)
+        tr_x, sg_x = [], []
+        run_trish_first_order(prob, np.zeros(4), cfg, sampler=prob.minibatch_sampler(8),
+                              on_iterate=lambda k, x: tr_x.append(x.copy()))
+        run_sg(prob, np.zeros(4), StepsizeSchedule.constant(gamma * alpha),
+               NoiseModel(), iters, seed=8, sampler=prob.minibatch_sampler(8),
+               on_iterate=lambda k, x: sg_x.append(x.copy()))
         worst = max(float(np.max(np.abs(a - b)))
-                    for a, b in zip(tr.iterates, sg.iterates))
+                    for a, b in zip(tr_x, sg_x))
         assert worst <= 1e-12
 
 
@@ -294,9 +311,9 @@ class TestGradientOncePerIteration:
 
 # --- lockstep lanes against the scalar reference ---------------------------
 
-EXACT_COLUMNS = ("f", "grad_norm_true", "g_norm", "delta", "case", "step_norm",
-                 "cg_iters", "cost_units", "alpha", "gamma1", "gamma2", "hess_bound",
-                 "noise_step_dot")
+EXACT_COLUMNS = ("f", "grad_norm_true", "g_norm", "delta", "case", "model_dec",
+                 "cauchy_dec", "step_norm", "cg_iters", "cost_units", "alpha", "gamma1",
+                 "gamma2", "hess_bound", "noise_step_dot")
 FAULTS = (ConfigurationError, EvaluationError, NumericalError)
 
 
@@ -321,9 +338,6 @@ def assert_lanes_match_scalar(problem, x0, config, seeds):
         for name in EXACT_COLUMNS:
             assert np.array_equal(lanes.column(name)[:rows, i], traj.column(name),
                                   equal_nan=True), name
-        for name in ("model_dec", "cauchy_dec"):
-            np.testing.assert_allclose(lanes.column(name)[:rows, i], traj.column(name),
-                                       rtol=1e-12, atol=0.0, err_msg=name)
         assert np.all(np.isnan(lanes.column("f")[rows:, i]))
     return lanes
 
@@ -406,8 +420,21 @@ class TestLanes:
                                 on_iterate=lambda k, X: seen.append((k, X.copy())))
         assert [k for k, _ in seen] == list(range(6))
         assert np.array_equal(seen[-1][1], lanes.final_x)
-        traj = run_trish(prob, np.zeros(3), replace(config, seed=1), keep_iterates=True)
-        assert all(np.array_equal(X[1], x) for (_, X), x in zip(seen, traj.iterates))
+        iterates = []
+        run_trish(prob, np.zeros(3), replace(config, seed=1),
+                  on_iterate=lambda k, x: iterates.append(x.copy()))
+        assert all(np.array_equal(X[1], x) for (_, X), x in zip(seen, iterates))
+
+    def test_schedule_columns_are_one_table_for_all_lanes(self):
+        config = self.config(0.01, hessian="exact-capped")
+        lanes = run_trish_lanes(make_quadratic(3, 1.0, 2.0, seed=1), np.zeros(3), config,
+                                range(4))
+        for name in SCHEDULE_COLUMNS:
+            column = lanes.column(name)
+            assert column.shape == (61, 4)
+            assert column.strides[1] == 0
+            assert not column.flags.writeable
+            assert np.all(np.isnan(column[0]))
 
     def test_enforced_precondition_raises_at_its_iteration(self):
         prob = make_quadratic(3, 1.0, 2.0, seed=1)
