@@ -164,9 +164,11 @@ class HessianEstimate:
 
     def dense(self, dim: int) -> Array:
         """Materialize the operator (small dims only) as a C-ordered matrix
-        whose column j is ``apply(e_j)``: one product on the stacked
-        identity rows when the operator is ``row_stacked``, else one
-        product per column."""
+        whose column j is ``apply(e_j)``: no product for the zero
+        operator, one product on the stacked identity rows when the
+        operator is ``row_stacked``, else one product per column."""
+        if self.is_zero:
+            return np.zeros((dim, dim))
         eye = np.eye(dim)
         if self.row_stacked:
             # C order, as the column loop gives: gemv sums in another

@@ -121,25 +121,24 @@ def taylor_violations(traj: Trajectory, grad_lipschitz: float) -> tuple[int, int
     return int(np.count_nonzero(steps)), int(np.count_nonzero(f > rhs + TAYLOR_TOL))
 
 
-def cost_accounting_ok(
-    traj: Trajectory, mode: str, cg_cap: int = 3, dim: int | None = None
-) -> bool:
-    """Per-iteration cost increments match the solver's product budget.
-
-    first-order and SG runs cost exactly one unit per iteration;
-    Steihaug runs cost 1 + (CG products) <= 1 + cap; exact-solver runs
-    cost 1 + dim for the dense materialization.
+def cost_accounting_ok(traj: Trajectory) -> bool:
+    """Whether every iteration cost one unit for its stochastic gradient
+    plus the Hessian products its step may consume, read off the run's
+    own trace and config: none for SG, a zero sampled gradient or a zero
+    estimate (``hess_bound == 0``); ``final_x.size`` for an exact solve
+    (the dense materialization); 1 to the CG cap
+    ``config.solver.max_iters`` for Steihaug.
     """
-    inc = np.diff(traj.column("cost_units"))
-    if mode == "first-order":
-        ok = inc == 1
-    elif mode == "steihaug":
-        ok = (1 <= inc) & (inc <= 1 + cg_cap)
-    elif mode == "exact":
-        ok = inc == 1 + (dim or 0)
+    products = np.diff(traj.column("cost_units")) - 1
+    if traj.algorithm == "sg":
+        return bool(np.all(products == 0))
+    free = (traj.column("g_norm")[1:] == 0.0) | (traj.column("hess_bound")[1:] == 0.0)
+    solver = traj.config.solver
+    if solver.kind == "exact":
+        charged = products == traj.final_x.size
     else:
-        raise ValueError(f"unknown cost mode {mode!r}")
-    return bool(np.all(ok))
+        charged = (1 <= products) & (products <= solver.max_iters)
+    return bool(np.all(np.where(free, products == 0, charged)))
 
 
 def seed_mean_and_se(per_seed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,7 @@ import logging
 import sys
 
 from ..core import ConfigurationError
+from ..optimizer import SolverSpec
 from .config import build_inputs, build_noise, load_config
 from .experiment import run_experiment
 from .grid import GridSpec, baseline_gradient_norm, build_grid, tune
@@ -54,14 +55,10 @@ def _cmd_tune(args) -> int:
     noise = build_noise(doc.get("noise"))
     g = baseline_gradient_norm(problem, noise, doc["baseline"]["iterations"],
                                doc["baseline"]["seed"], x0=x0, sampler=sampler)
-    spec = GridSpec(
-        lambda_exponents=tuple(doc["grid"]["lambda_exponents"]),
-        a_exponents=tuple(doc["grid"]["a_exponents"]),
-        b_exponents=tuple(doc["grid"]["b_exponents"]),
-    )
-    grid = build_grid(g, spec)
+    grid = build_grid(g, GridSpec(**{key: tuple(v) for key, v in doc["grid"].items()}))
     result = tune(problem, doc["algorithm"], grid, doc["seeds"], doc["iterations"],
-                  noise=noise, x0=x0, sampler=sampler)
+                  noise=noise, solver=SolverSpec(**doc.get("solver", {})), x0=x0,
+                  sampler=sampler)
     print(json.dumps({
         "baseline_g": g,
         "best": {"setting": result.best.setting, "mean_loss": result.best.mean_loss},

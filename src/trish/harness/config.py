@@ -270,18 +270,6 @@ def build_x0(problem, doc: dict) -> np.ndarray:
     return default_x0(problem, doc["problem"])
 
 
-def build_stepsizes(spec: dict) -> StepsizeSchedule:
-    if spec["kind"] == "constant":
-        return StepsizeSchedule.constant(spec["alpha"])
-    return StepsizeSchedule.diminishing(spec["a"], spec["b"])
-
-
-def build_gammas(spec: dict) -> GammaSchedule:
-    if spec["kind"] == "constant":
-        return GammaSchedule.constant(spec["gamma1"], spec["gamma2"])
-    return GammaSchedule.merging(spec["gamma1"], spec["eta"])
-
-
 def build_noise(spec: dict | None) -> NoiseModel:
     if spec is None:
         return NoiseModel()
@@ -294,13 +282,6 @@ def build_noise(spec: dict | None) -> NoiseModel:
         m_h=hessian.get("m_h", 0.0),
         perturbation=hessian.get("scale", 0.0),
     )
-
-
-def build_solver(spec: dict | None) -> SolverSpec:
-    if spec is None:
-        return SolverSpec()
-    return SolverSpec(kind=spec["kind"], max_iters=spec.get("max_iters", 3),
-                      tol=spec.get("tol", 1e-10))
 
 
 def build_sampler(problem, doc: dict) -> Sampler | None:
@@ -322,10 +303,10 @@ def build_inputs(doc: dict) -> tuple:
 
 def build_trish_config(doc: dict, seed: int) -> TrishConfig:
     return TrishConfig(
-        stepsizes=build_stepsizes(doc["stepsizes"]),
-        gammas=build_gammas(doc["gammas"]),
+        stepsizes=StepsizeSchedule(**doc["stepsizes"]),
+        gammas=GammaSchedule(**doc["gammas"]),
         iterations=doc["iterations"],
         seed=seed,
-        solver=build_solver(doc.get("solver")),
+        solver=SolverSpec(**doc.get("solver", {})),
         noise=build_noise(doc.get("noise")),
     )

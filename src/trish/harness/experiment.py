@@ -14,7 +14,8 @@ from pathlib import Path
 
 from ..core import ConfigurationError
 from ..optimizer import Trajectory, run_sg, run_trish, run_trish_first_order
-from .config import build_inputs, build_noise, build_stepsizes, build_trish_config
+from ..schedules import StepsizeSchedule
+from .config import build_inputs, build_noise, build_trish_config
 
 CSV_COLUMNS = (
     "k", "f", "grad_norm_true", "g_norm", "delta", "case", "model_dec",
@@ -58,7 +59,7 @@ def run_single(doc: dict, seed: int) -> Trajectory:
 def _run_seed(doc: dict, seed: int, problem, x0, sampler) -> Trajectory:
     algorithm = doc["algorithm"]
     if algorithm == "sg":
-        return run_sg(problem, x0, build_stepsizes(doc["stepsizes"]),
+        return run_sg(problem, x0, StepsizeSchedule(**doc["stepsizes"]),
                       build_noise(doc.get("noise")), doc["iterations"], seed,
                       sampler=sampler)
     cfg = build_trish_config(doc, seed)
@@ -71,8 +72,8 @@ def run_experiment(doc: dict, output_dir: str | None = None) -> list[Path]:
     """Run every configured seed and write one trace CSV per run.
 
     Returns the written paths.  A diverged run still writes its partial
-    trace; the caller can inspect ``Trajectory.aborted`` via the row
-    count falling short of iterations + 1.
+    trace; once every trace is written, ``RuntimeError`` names each
+    diverged seed and its abort reason.
     """
     out = resolve_output_dir(doc, output_dir)
     paths = []

@@ -46,7 +46,6 @@ class GridSpec:
 class HyperGrid:
     trish_settings: tuple[tuple[float, float, float], ...]  # (alpha, gamma1, gamma2)
     sg_stepsizes: tuple[float, ...]
-    baseline_g: float
 
 
 def baseline_gradient_norm(
@@ -90,7 +89,7 @@ def build_grid(G: float, spec: GridSpec) -> HyperGrid:
     lo = min(gamma2s) * 10.0 ** min(spec.lambda_exponents)
     hi = max(gamma1s) * 10.0 ** max(spec.lambda_exponents)
     sg = tuple(float(v) for v in np.geomspace(lo, hi, num=spec.sg_count))
-    return HyperGrid(trish_settings=trish, sg_stepsizes=sg, baseline_g=G)
+    return HyperGrid(trish_settings=trish, sg_stepsizes=sg)
 
 
 @dataclass(frozen=True)
@@ -102,8 +101,11 @@ class TuneEntry:
 
 @dataclass(frozen=True)
 class TuneResult:
-    best: TuneEntry
-    leaderboard: tuple[TuneEntry, ...]
+    leaderboard: tuple[TuneEntry, ...]  # best first
+
+    @property
+    def best(self) -> TuneEntry:
+        return self.leaderboard[0]
 
 
 def tune(
@@ -167,4 +169,4 @@ def tune(
 
     if not np.isfinite(entries[0].mean_loss):
         raise NumericalError("every grid setting diverged")
-    return TuneResult(best=entries[0], leaderboard=tuple(entries))
+    return TuneResult(tuple(entries))

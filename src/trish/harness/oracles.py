@@ -80,9 +80,9 @@ def reference_trs(g: Array, H: Array, delta: float) -> tuple[Array, float, float
     return Q @ best_y, model(best_y), best_ups
 
 
-def random_trs_instance(rng: np.random.Generator, max_dim: int = 10) -> tuple[Array, Array, float]:
-    """Random dense instance with a mixed definite/indefinite spectrum."""
-    n = int(rng.integers(2, max_dim + 1))
+def random_trs_instance(rng: np.random.Generator) -> tuple[Array, Array, float]:
+    """Random dense instance of dimension 2-10 with a mixed definite/indefinite spectrum."""
+    n = int(rng.integers(2, 11))
     eigs = rng.uniform(-3.0, 3.0, size=n)
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     q = q * np.sign(np.diag(r))
@@ -93,13 +93,13 @@ def random_trs_instance(rng: np.random.Generator, max_dim: int = 10) -> tuple[Ar
     return g, H, delta
 
 
-def hard_case_instance(rng: np.random.Generator, max_dim: int = 10) -> tuple[Array, Array, float]:
-    """Instance with g exactly orthogonal to the minimal eigenspace.
+def hard_case_instance(rng: np.random.Generator) -> tuple[Array, Array, float]:
+    """Instance of dimension 2-10 with g exactly orthogonal to the minimal eigenspace.
 
     The radius is inflated past the pseudo-inverse solution norm so the
     boundary fill along the minimal eigenvector is genuinely required.
     """
-    n = int(rng.integers(2, max_dim + 1))
+    n = int(rng.integers(2, 11))
     eigs = np.sort(rng.uniform(-3.0, 3.0, size=n))
     eigs[0] = -abs(eigs[0]) - 0.5  # ensure a strictly negative, simple minimum
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))

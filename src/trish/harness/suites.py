@@ -73,12 +73,17 @@ class CheckResult:
     stats: dict = field(default_factory=dict)
 
 
+# What a suite returns: its checks and the step-contract counter that
+# pooled its recorded steps (None when it records none).
+SuiteOutcome = tuple[list[CheckResult], StepContractCounter | None]
+
+
 @dataclass
 class SuiteReport:
     suite: str
     checks: list[CheckResult]
-    elapsed_s: float = 0.0
-    contract_counter: StepContractCounter | None = None
+    elapsed_s: float
+    contract_counter: StepContractCounter | None
 
     @property
     def passed(self) -> bool:
@@ -186,19 +191,12 @@ def _envelope_checks(
     ]
 
 
-def _timed(suite: str, checks: list[CheckResult], t0: float,
-           counter: StepContractCounter | None = None) -> SuiteReport:
-    return SuiteReport(suite, checks, elapsed_s=time.perf_counter() - t0,
-                       contract_counter=counter)
-
-
 # ---------------------------------------------------------------------------
 # radius
 
 
-def suite_radius(quick: bool = False) -> SuiteReport:
+def suite_radius(quick: bool = False) -> SuiteOutcome:
     """Three-case table, breakpoint agreement, steplength continuity."""
-    t0 = time.perf_counter()
     checks = []
 
     table = [
@@ -254,16 +252,15 @@ def suite_radius(quick: bool = False) -> SuiteReport:
         sub_ok = sub_ok and abs(np.linalg.norm(step.s) - d) <= 1e-12 * max(1.0, d)
     checks.append(CheckResult("H=0 solver steplength equals the radius", sub_ok, {}))
 
-    return _timed("radius", checks, t0)
+    return checks, None
 
 
 # ---------------------------------------------------------------------------
 # equivalence (collapse to SG)
 
 
-def suite_equivalence(quick: bool = False) -> SuiteReport:
+def suite_equivalence(quick: bool = False) -> SuiteOutcome:
     """TRish(H=0, gamma1=gamma2) with a shared gradient stream is SG."""
-    t0 = time.perf_counter()
     problem = make_logistic(200, 5, l2=0.1, seed=11)
     gamma, alpha, iters = 2.0, 0.05, 100
     x0 = np.zeros(problem.dim)
@@ -296,16 +293,15 @@ def suite_equivalence(quick: bool = False) -> SuiteReport:
             {},
         ),
     ]
-    return _timed("equivalence", checks, t0)
+    return checks, None
 
 
 # ---------------------------------------------------------------------------
 # lemmas (per-step contracts)
 
 
-def suite_lemmas(quick: bool = False) -> SuiteReport:
+def suite_lemmas(quick: bool = False) -> SuiteOutcome:
     """Per-step Taylor bound, Cauchy contracts, steplength and cost rules."""
-    t0 = time.perf_counter()
     iters = 150 if quick else 600
     problem = make_quadratic(10, 1.0, 10.0, seed=55)
     m_g = 1.0
@@ -331,18 +327,17 @@ def suite_lemmas(quick: bool = False) -> SuiteReport:
     cost_ok = True
     for seed in range(3):
         runs = [
-            (run_trish(problem, x0, replace(base, seed=seed)), "steihaug"),
-            (run_trish(problem, x0, replace(perturbed, seed=100 + seed)), "steihaug"),
-            (run_trish(problem, x0, replace(exact, seed=200 + seed)), "exact"),
-            (run_trish_first_order(problem, x0, replace(base, seed=300 + seed)),
-             "first-order"),
+            run_trish(problem, x0, replace(base, seed=seed)),
+            run_trish(problem, x0, replace(perturbed, seed=100 + seed)),
+            run_trish(problem, x0, replace(exact, seed=200 + seed)),
+            run_trish_first_order(problem, x0, replace(base, seed=300 + seed)),
         ]
-        for traj, mode in runs:
+        for traj in runs:
             counter.update(traj)
             n, bad = taylor_violations(traj, problem.grad_lipschitz)
             taylor_checked += n
             taylor_bad += bad
-            cost_ok = cost_ok and cost_accounting_ok(traj, mode, dim=problem.dim)
+            cost_ok = cost_ok and cost_accounting_ok(traj)
 
     checks.append(CheckResult(
         "Taylor upper bound holds every step (quadratic, certified L_g)",
@@ -368,16 +363,15 @@ def suite_lemmas(quick: bool = False) -> SuiteReport:
         "stepsize precondition evaluator matches worked examples", examples_ok, {},
     ))
 
-    return _timed("lemmas", checks, t0, counter)
+    return checks, counter
 
 
 # ---------------------------------------------------------------------------
 # trs-oracle
 
 
-def suite_trs_oracle(quick: bool = False) -> SuiteReport:
+def suite_trs_oracle(quick: bool = False) -> SuiteOutcome:
     """Exact solver vs brute-force enumeration on random + hard instances."""
-    t0 = time.perf_counter()
     n_random = 150 if quick else 1000
     n_hard = 10 if quick else 50
     rng = np.random.default_rng(424242)
@@ -408,16 +402,15 @@ def suite_trs_oracle(quick: bool = False) -> SuiteReport:
         {"random_instances": n_random, "hard_instances": n_hard,
          "failures": failures, **{f"worst_{k}": v for k, v in worst.items()}},
     )]
-    return _timed("trs-oracle", checks, t0)
+    return checks, None
 
 
 # ---------------------------------------------------------------------------
 # envelope suites
 
 
-def suite_pl_fixed(quick: bool = False) -> SuiteReport:
+def suite_pl_fixed(quick: bool = False) -> SuiteOutcome:
     """Linear-to-neighborhood envelope under bounded noise, fixed parameters."""
-    t0 = time.perf_counter()
     n_seeds, horizon = (30, 400) if quick else (200, 2000)
     problem = make_quadratic(10, 1.0, 10.0, seed=101)
     gamma1, gamma2, m_g = 2.0, 1.0, 1.0
@@ -452,12 +445,11 @@ def suite_pl_fixed(quick: bool = False) -> SuiteReport:
         {"terminal_mean_gap": float(mean[-1]), "theta": theta,
          "terminal_se": float(se[-1])},
     ))
-    return _timed("pl-fixed", checks, t0, counter)
+    return checks, counter
 
 
-def suite_pl_merging(quick: bool = False) -> SuiteReport:
+def suite_pl_merging(quick: bool = False) -> SuiteOutcome:
     """Sublinear envelope with diminishing stepsizes and merging gammas."""
-    t0 = time.perf_counter()
     n_seeds, horizon = (30, 400) if quick else (200, 2000)
     problem = make_quadratic(10, 1.0, 10.0, seed=101)
     gamma1, eta, m_g = 1.0, 1.0, 1.0
@@ -499,12 +491,11 @@ def suite_pl_merging(quick: bool = False) -> SuiteReport:
         {"alpha_1": steps.at(1), "gamma2_1": gamma2_first, "m_h": m_h},
     )]
     checks += _envelope_checks("pl-merging", gaps, envelope, aborted, counter)
-    return _timed("pl-merging", checks, t0, counter)
+    return checks, counter
 
 
-def suite_pl_sublinear(quick: bool = False) -> SuiteReport:
+def suite_pl_sublinear(quick: bool = False) -> SuiteOutcome:
     """Sublinear envelope with fixed gammas and stepsize-proportional noise."""
-    t0 = time.perf_counter()
     n_seeds, horizon = (30, 400) if quick else (200, 2000)
     problem = make_quadratic(10, 1.0, 10.0, seed=101)
     gamma1 = gamma2 = 1.0
@@ -540,12 +531,11 @@ def suite_pl_sublinear(quick: bool = False) -> SuiteReport:
         ratio <= 0.1,
         {"mean_terminal_to_initial_grad_ratio": ratio},
     ))
-    return _timed("pl-sublinear", checks, t0, counter)
+    return checks, counter
 
 
-def suite_geometric(quick: bool = False) -> SuiteReport:
+def suite_geometric(quick: bool = False) -> SuiteOutcome:
     """Linear-rate envelope under geometrically decaying noise."""
-    t0 = time.perf_counter()
     n_seeds, horizon = (30, 200) if quick else (200, 500)
     problem = make_quadratic(10, 1.0, 10.0, seed=101)
     gamma1 = gamma2 = 1.0
@@ -571,12 +561,11 @@ def suite_geometric(quick: bool = False) -> SuiteReport:
         for k in range(horizon + 1)
     ])
     checks = _envelope_checks("geometric", gaps, envelope, aborted, counter)
-    return _timed("geometric", checks, t0, counter)
+    return checks, counter
 
 
-def suite_nonconvex_fixed(quick: bool = False) -> SuiteReport:
+def suite_nonconvex_fixed(quick: bool = False) -> SuiteOutcome:
     """Average-squared-gradient bound on the chained Rosenbrock problem."""
-    t0 = time.perf_counter()
     n_seeds, horizon = (20, 500) if quick else (100, 5000)
     problem = RosenbrockProblem(10, box_halfwidth=2.0)
     gamma1 = gamma2 = 1.0
@@ -625,16 +614,15 @@ def suite_nonconvex_fixed(quick: bool = False) -> SuiteReport:
             counter.total_violations == 0, counter.stats(),
         ),
     ]
-    return _timed("nonconvex-fixed", checks, t0, counter)
+    return checks, counter
 
 
 # ---------------------------------------------------------------------------
 # complexity
 
 
-def suite_complexity(quick: bool = False) -> SuiteReport:
+def suite_complexity(quick: bool = False) -> SuiteOutcome:
     """Deterministic per-iteration decrease and budget in the exact regime."""
-    t0 = time.perf_counter()
     eps_values = (1e-1,) if quick else (1e-1, 1e-2)
     lam1 = lam2 = lam3 = 0.99
     problem = make_quartic_bowl(5, 1.0, 4.0, quartic=1.0, radius=4.0, seed=77)
@@ -725,7 +713,7 @@ def suite_complexity(quick: bool = False) -> SuiteReport:
             "bounds and budget all hold",
             passed, stats))
 
-    return _timed("complexity", checks, t0, counter)
+    return checks, counter
 
 
 # ---------------------------------------------------------------------------
@@ -758,9 +746,8 @@ def _derivative_checks(problem, points, rng) -> tuple[float, float]:
     return worst_grad, worst_hvp
 
 
-def suite_oracles(quick: bool = False) -> SuiteReport:
+def suite_oracles(quick: bool = False) -> SuiteOutcome:
     """Derivative correctness, noise-moment conformity, Hessian-cap checks."""
-    t0 = time.perf_counter()
     n_points = 20 if quick else 100
     n_draws = 20_000 if quick else 100_000
     rng = np.random.default_rng(8675309)
@@ -887,7 +874,7 @@ def suite_oracles(quick: bool = False) -> SuiteReport:
          "certified_pl": logi.pl_constant},
     ))
 
-    return _timed("oracles", checks, t0)
+    return checks, None
 
 
 # ---------------------------------------------------------------------------
@@ -910,8 +897,10 @@ SUITES = {
 
 
 def verify(suite: str, quick: bool = False) -> SuiteReport:
-    """Run a named verification suite and return its report."""
+    """Run a named verification suite, timed, and return its report."""
     if suite not in SUITES:
         raise ConfigurationError(
             f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    return SUITES[suite](quick=quick)
+    t0 = time.perf_counter()
+    checks, counter = SUITES[suite](quick=quick)
+    return SuiteReport(suite, checks, time.perf_counter() - t0, counter)

@@ -185,7 +185,8 @@ def trish_step(
             cg_iterations=0,
             boundary_hit=bool(upsilon > 0.0 or np.linalg.norm(s) >= delta * (1.0 - 1e-12)),
             upsilon=float(upsilon),
-            hessian_products=x.shape[0],  # dense materialization: n products
+            # dense materialization: n products, none for a zero estimate
+            hessian_products=0 if hess.is_zero else x.shape[0],
         )
     return x + step.s, step
 
@@ -281,7 +282,6 @@ def run_trish(
     x0: Array,
     config: TrishConfig,
     sampler: Sampler | None = None,
-    algorithm: str = "trish",
     on_iterate=None,
 ) -> Trajectory:
     """Run TRish for the configured number of iterations.
@@ -308,7 +308,7 @@ def run_trish(
             alpha, gamma1, gamma2, float(np.linalg.norm(s.s)), hess.norm_bound,
             float((true_g - g) @ s.s))
 
-    return _run(oracle, x0, algorithm, config.seed, config.stepsizes, config.iterations,
+    return _run(oracle, x0, "trish", config.seed, config.stepsizes, config.iterations,
                 config.noise, sampler, on_iterate, step, config=config)
 
 
@@ -322,8 +322,8 @@ def run_trish_first_order(
     """TRish with the Hessian estimate pinned to zero (cost: 1 unit/iteration)."""
     config = replace(config, noise=replace(
         config.noise, hessian_kind="zero", m_h=0.0, perturbation=0.0))
-    return run_trish(oracle, x0, config, sampler=sampler, algorithm="trish1",
-                     on_iterate=on_iterate)
+    traj = run_trish(oracle, x0, config, sampler=sampler, on_iterate=on_iterate)
+    return replace(traj, algorithm="trish1")
 
 
 def _sg_step(x, k, alpha, true_g, draw):

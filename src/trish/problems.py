@@ -220,19 +220,17 @@ class LogisticProblem:
         return float(np.mean(self._loss_terms(margins)) + 0.5 * self.l2 * x @ x)
 
 
-def make_logistic(
-    n_samples: int, dim: int, l2: float, seed: int, n_holdout: int | None = None
-) -> LogisticProblem:
+def make_logistic(n_samples: int, dim: int, l2: float, seed: int) -> LogisticProblem:
     """Synthetic separable-with-noise classification data.
 
     Labels come from a random unit normal plus label noise, so the
     problem is realizably noisy; a held-out block of the same
-    distribution backs the validation loss.
+    distribution, max(64, n_samples // 4) samples, backs the validation
+    loss.
     """
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
-    if n_holdout is None:
-        n_holdout = max(64, n_samples // 4)
+    n_holdout = max(64, n_samples // 4)
     rng = np.random.default_rng(seed)
     w_true = rng.standard_normal(dim)
     w_true /= np.linalg.norm(w_true)

@@ -90,20 +90,18 @@ def radius_rows(g_norm: Array, alpha, gamma1, gamma2) -> tuple[Array, Array]:
     return delta, case
 
 
-def _apply(hess: HessianEstimate | Array | None, v: Array) -> Array:
-    if hess is None:
-        return np.zeros_like(v)
+def _apply(hess: HessianEstimate | Array, v: Array) -> Array:
     if isinstance(hess, HessianEstimate):
         return hess.apply(v)
     return np.asarray(hess) @ v
 
 
-def model_value(g: Array, hess: HessianEstimate | Array | None, s: Array) -> float:
+def model_value(g: Array, hess: HessianEstimate | Array, s: Array) -> float:
     """Quadratic model g's + 0.5 s'Hs at the step ``s``."""
     return float(g @ s + 0.5 * (s @ _apply(hess, s)))
 
 
-def cauchy_point(g: Array, hess: HessianEstimate | Array | None, delta: float) -> Array:
+def cauchy_point(g: Array, hess: HessianEstimate | Array, delta: float) -> Array:
     """Minimizer of the model along -g within the radius.
 
     Interior whenever ``||g||^3 <= delta * g'Hg`` with positive

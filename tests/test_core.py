@@ -31,15 +31,11 @@ def test_zero_noise_returns_exact_gradient():
 
 def test_bounded_noise_per_coordinate_std_and_variance():
     # total variance M_g = 1 over n = 4 coordinates: std 0.5 per coordinate
-    prob = diag_quadratic([1.0, 1.0, 1.0, 1.0])
-    x = np.zeros(4)
+    # successive sample_gradient draws, in one block
     noise = NoiseModel(kind="bounded", m_g=1.0)
-    rng = rng_stream(1, 0)
     n_draws = 100_000
-    diffs = np.array([
-        sample_gradient(prob, x, noise, 1, 0.1, rng) - prob.grad(x)
-        for _ in range(n_draws)
-    ])
+    diffs = draw_noise_block(rng_stream(1, 0),
+                             np.full(n_draws, noise.gradient_variance(1, 0.1)), 4)
     assert np.allclose(diffs.std(axis=0, ddof=1), 0.5, atol=0.01)
     sq = np.sum(diffs**2, axis=1)
     se = sq.std(ddof=1) / np.sqrt(n_draws)

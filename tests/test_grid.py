@@ -78,8 +78,7 @@ class TestTune:
         # step, so it must win the leaderboard
         prob = make_quadratic(4, 1.0, 1.0, seed=6)
         from trish.harness.grid import HyperGrid
-        grid = HyperGrid(trish_settings=(), sg_stepsizes=(0.3, 1.0, 1.6),
-                         baseline_g=1.0)
+        grid = HyperGrid(trish_settings=(), sg_stepsizes=(0.3, 1.0, 1.6))
         result = tune(prob, "sg", grid, seeds=[0, 1], iterations=15,
                       noise=NoiseModel(), x0=np.ones(4))
         assert result.best.setting["alpha"] == 1.0
@@ -89,8 +88,8 @@ class TestTune:
         prob = make_quadratic(3, 1.0, 3.0, seed=8)
         from trish.harness.grid import HyperGrid
         settings = ((0.1, 2.0, 1.0), (0.05, 2.0, 1.0), (0.1, 4.0, 1.0))
-        g1 = HyperGrid(trish_settings=settings, sg_stepsizes=(), baseline_g=1.0)
-        g2 = HyperGrid(trish_settings=settings[::-1], sg_stepsizes=(), baseline_g=1.0)
+        g1 = HyperGrid(trish_settings=settings, sg_stepsizes=())
+        g2 = HyperGrid(trish_settings=settings[::-1], sg_stepsizes=())
         kwargs = dict(seeds=[0, 1], iterations=25,
                       noise=NoiseModel(kind="bounded", m_g=0.2))
         r1 = tune(prob, "trish1", g1, **kwargs)

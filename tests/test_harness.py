@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from trish import (
     GammaSchedule,
     NoiseModel,
+    SolverSpec,
     StepsizeSchedule,
     TrishConfig,
     make_quadratic,
@@ -17,8 +19,9 @@ from trish import (
 from trish.core import ConfigurationError
 from trish.harness.checks import StepContractCounter, cost_accounting_ok, taylor_violations
 from trish.harness.cli import main
-from trish.harness.config import load_config, validate_config
+from trish.harness.config import build_inputs, build_noise, load_config, validate_config
 from trish.harness.experiment import CSV_COLUMNS, run_experiment, run_single, write_trace_csv
+from trish.harness.grid import GridSpec, baseline_gradient_norm, build_grid, tune
 from trish.problems import QuadraticProblem
 
 
@@ -279,6 +282,28 @@ class TestCLI:
         assert len(result["leaderboard"]) == 2
         assert "alpha" in result["best"]["setting"]
 
+    def test_tune_honours_solver(self, tmp_path, capsys):
+        doc = base_config(
+            iterations=15,
+            seeds=[0, 1],
+            solver={"kind": "exact"},
+            grid={"lambda_exponents": [-2.0, -1.0], "a_exponents": [1.0],
+                  "b_exponents": [1.0]},
+            baseline={"iterations": 20, "seed": 0},
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["tune", "--config", str(cfg)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        problem, x0, sampler = build_inputs(doc)
+        noise = build_noise(doc["noise"])
+        g = baseline_gradient_norm(problem, noise, 20, 0, x0=x0, sampler=sampler)
+        expected = tune(problem, "trish", build_grid(g, GridSpec((-2.0, -1.0), (1.0,), (1.0,))),
+                        [0, 1], 15, noise=noise, solver=SolverSpec(kind="exact"), x0=x0,
+                        sampler=sampler)
+        assert printed["leaderboard"] == [{"setting": e.setting, "mean_loss": e.mean_loss}
+                                          for e in expected.leaderboard]
+
 
 def test_verify_unknown_suite_is_config_error():
     from trish.harness.suites import verify
@@ -361,11 +386,24 @@ class TestColumnReaders:
 
     def test_cost_accounting(self):
         prob, trish, trish1, sg = self.runs()
-        assert cost_accounting_ok(trish, "steihaug")
-        assert cost_accounting_ok(trish1, "first-order")
-        assert cost_accounting_ok(sg, "first-order")
-        assert not cost_accounting_ok(trish1, "exact", dim=prob.dim)
-        sg.column("cost_units")[12:] += 1  # one iteration costs two units
-        assert not cost_accounting_ok(sg, "first-order")
-        with pytest.raises(ValueError):
-            cost_accounting_ok(sg, "second-order")
+        exact = run_trish(prob, np.ones(4), replace(trish.config, solver=SolverSpec(kind="exact")))
+        for traj in (trish, trish1, sg, exact):
+            assert cost_accounting_ok(traj)
+            cost = traj.column("cost_units")
+            for change in (-1, 4):  # iteration 12 charged one unit less, then four more
+                cost[12:] += change
+                assert not cost_accounting_ok(traj), (traj.algorithm, change)
+                cost[12:] -= change
+
+    def test_cost_accounting_reads_the_cg_cap(self):
+        prob = make_quadratic(10, 1.0, 10.0, seed=2)
+        cfg = TrishConfig(StepsizeSchedule.constant(0.5), GammaSchedule.constant(2.0, 1.0),
+                          30, seed=1, noise=NoiseModel(kind="bounded", m_g=1.0,
+                                                       hessian_kind="exact-capped", m_h=10.0))
+        wide = run_trish(prob, np.ones(10), replace(cfg, solver=SolverSpec(max_iters=5)))
+        assert np.max(np.diff(wide.column("cost_units"))) == 6  # steps reach the cap of 5
+        assert cost_accounting_ok(wide)
+        narrow = run_trish(prob, np.ones(10), replace(cfg, solver=SolverSpec(max_iters=1)))
+        assert cost_accounting_ok(narrow)
+        narrow.column("cost_units")[12:] += 2  # iteration 12 costs 4 units: 3 products
+        assert not cost_accounting_ok(narrow)

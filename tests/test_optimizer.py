@@ -270,6 +270,15 @@ class TestFirstOrder:
             assert rec.step_norm == pytest.approx(alpha, rel=1e-12)
         assert traj.records[-1].cost_units == 40
 
+    def test_exact_solver_costs_one_unit_per_iteration(self):
+        # the zero estimate costs no Hessian products under either solver
+        prob = make_quadratic(5, 1.0, 4.0, seed=6)
+        cfg = TrishConfig(StepsizeSchedule.constant(0.01), GammaSchedule.constant(2.0, 1.0),
+                          20, seed=1, solver=SolverSpec(kind="exact"),
+                          noise=NoiseModel(kind="bounded", m_g=0.5))
+        traj = run_trish_first_order(prob, np.ones(5), cfg)
+        assert np.array_equal(traj.column("cost_units"), np.arange(21))
+
     def test_deterministic_given_seed(self):
         prob = make_quadratic(4, 1.0, 4.0, seed=6)
         cfg = TrishConfig(StepsizeSchedule.constant(0.01),
