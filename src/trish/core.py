@@ -147,20 +147,24 @@ class NoiseModel:
 class HessianEstimate:
     """Symmetric linear operator with a certified operator-norm bound.
 
-    ``is_zero`` flags the exactly-zero operator so solvers can skip
-    products entirely (first-order mode costs no Hessian products).
     ``row_stacked`` marks an ``apply`` that also maps an (m, n) stack of
     vectors row by row, bit-identical to m separate calls.
     """
 
     apply: Callable[[Array], Array]
     norm_bound: float
-    is_zero: bool = False
     row_stacked: bool = False
+
+    @property
+    def is_zero(self) -> bool:
+        """A certified norm bound of 0 makes this the zero operator, so
+        solvers skip its products (first-order runs cost no Hessian
+        products)."""
+        return self.norm_bound == 0.0
 
     @staticmethod
     def zero(dim: int) -> "HessianEstimate":
-        return HessianEstimate(apply=lambda v: np.zeros(dim), norm_bound=0.0, is_zero=True)
+        return HessianEstimate(apply=lambda v: np.zeros(dim), norm_bound=0.0)
 
     def dense(self, dim: int) -> Array:
         """Materialize the operator (small dims only) as a C-ordered matrix

@@ -124,14 +124,12 @@ def taylor_violations(traj: Trajectory, grad_lipschitz: float) -> tuple[int, int
 def cost_accounting_ok(traj: Trajectory) -> bool:
     """Whether every iteration cost one unit for its stochastic gradient
     plus the Hessian products its step may consume, read off the run's
-    own trace and config: none for SG, a zero sampled gradient or a zero
-    estimate (``hess_bound == 0``); ``final_x.size`` for an exact solve
-    (the dense materialization); 1 to the CG cap
-    ``config.solver.max_iters`` for Steihaug.
+    own trace and config: none for a zero sampled gradient or a zero
+    estimate (``hess_bound == 0``, which every SG step records);
+    ``final_x.size`` for an exact solve (the dense materialization); 1
+    to the CG cap ``config.solver.max_iters`` for Steihaug.
     """
     products = np.diff(traj.column("cost_units")) - 1
-    if traj.algorithm == "sg":
-        return bool(np.all(products == 0))
     free = (traj.column("g_norm")[1:] == 0.0) | (traj.column("hess_bound")[1:] == 0.0)
     solver = traj.config.solver
     if solver.kind == "exact":

@@ -10,6 +10,12 @@ each iteration, model re-evaluation in the solver) are excluded.
 ``run_trish`` is the reference; ``run_trish_lanes`` reproduces it bit
 for bit on the configurations it supports.
 
+Each scalar run returns a ``Trajectory`` carrying the ``TrishConfig`` it
+ran (for SG, the config SG equals).  First-order TRish and SG use no
+curvature whatever the estimate's source (see ``run_trish_first_order``
+and ``run_sg``); a zero estimate is one whose certified ``norm_bound``
+is 0.
+
 Every runner takes ``on_iterate(k, x)``, called with the iterate at
 k = 0 and after every recorded iteration, including the last row of a
 run the divergence guard stops (for lanes, ``x`` is the (S, n) stack
@@ -106,22 +112,24 @@ TRACE_DTYPE = np.dtype([(name, np.float64) for name in (
     "alpha", "gamma1", "gamma2", "step_norm", "hess_bound", "noise_step_dot",
 )])
 STEP_FIELDS = TRACE_DTYPE.names[5:]
-SG_FIELDS = ("g_norm", "alpha", "step_norm")  # the step fields an SG step records
+# the step fields an SG step records; its hess_bound is 0, the zero estimate
+SG_FIELDS = ("g_norm", "alpha", "step_norm", "hess_bound")
 
 
 @dataclass
 class Trajectory:
-    """One run's trace.
+    """One run's trace and the config it ran.
 
     ``records`` is a record array of ``TRACE_DTYPE`` rows, read by row
     (``records[k].f``) or by column (``records.f``, ``column("f")``).
+    ``config`` holds the seed, schedules, solver and noise model the run
+    used (for SG, the ``TrishConfig`` it equals; see ``run_sg``).
     """
 
     algorithm: str
-    seed: int
+    config: TrishConfig
     records: np.recarray
     final_x: Array
-    config: TrishConfig | None = None
     aborted: str | None = None
 
     def column(self, name: str) -> np.ndarray:
@@ -142,8 +150,7 @@ class Trajectory:
             return np.zeros(n, dtype=bool)
         rows = np.arange(n) > 0
         if name == "upsilon":
-            exact = self.config is not None and self.config.solver.kind == "exact"
-            rows &= exact & (self.records.g_norm != 0.0)
+            rows &= (self.config.solver.kind == "exact") & (self.records.g_norm != 0.0)
         return rows
 
 
@@ -172,7 +179,7 @@ def trish_step(
         return x.copy(), TRStep(zero, 0.0, RadiusCase.CASE1, 0.0, 0.0, 0, False)
     delta, case = radius(g_norm, alpha, gamma1, gamma2)
     if solver.kind == "steihaug":
-        step = steihaug_cg(g, hess, delta, solver.max_iters, solver.tol, case)
+        step = steihaug_cg(g, hess, delta, solver.max_iters, solver.tol, case, g_norm=g_norm)
     else:
         dense = hess.dense(x.shape[0])
         s, upsilon = exact_trs(g, dense, delta, solver.tol, memo=memo)
@@ -234,10 +241,11 @@ def _draw_fn(oracle: ProblemOracle, noise: NoiseModel, sampler: Sampler | None,
     return lambda x, k, alpha, true_g: sampler(x, k, alpha, grad_rng, hess_rng)
 
 
-def _run(oracle, x0, algorithm, seed, stepsizes, iterations, noise, sampler,
-         on_iterate, step, config=None) -> Trajectory:
+def _run(oracle, x0, algorithm, config, sampler, on_iterate, step) -> Trajectory:
     """The loop every scalar run shares; ``step`` is the algorithm.
 
+    ``config`` gives the seed, the stepsizes, the iteration count and
+    the noise model, and goes into the trajectory.
     ``step(x, k, alpha, true_g, draw)`` samples at x through
     ``draw(x, k, alpha, true_g)`` and returns ``(x_new, cost, fields)``:
     the next iterate, the cost units the step consumed and the values of
@@ -245,12 +253,11 @@ def _run(oracle, x0, algorithm, seed, stepsizes, iterations, noise, sampler,
     iterate, shows it to ``on_iterate`` and stops when the divergence
     guard trips.
     """
-    if iterations < 0:
-        raise ConfigurationError("iterations must be >= 0")
+    iterations, seed = config.iterations, config.seed
     x = np.asarray(x0, dtype=float).copy()
     if not np.all(np.isfinite(x)):
         raise ConfigurationError("initial point must be finite")
-    draw = _draw_fn(oracle, noise, sampler,
+    draw = _draw_fn(oracle, config.noise, sampler,
                     rng_stream(seed, GRADIENT_STREAM), rng_stream(seed, HESSIAN_STREAM))
     store = np.full(iterations + 1, np.nan, dtype=TRACE_DTYPE)
 
@@ -261,7 +268,7 @@ def _run(oracle, x0, algorithm, seed, stepsizes, iterations, noise, sampler,
     rows, cost, aborted = iterations + 1, 0, None
 
     for k in range(1, iterations + 1):
-        x, units, fields = step(x, k, stepsizes.at(k), true_g, draw)
+        x, units, fields = step(x, k, config.stepsizes.at(k), true_g, draw)
         cost += units
         f = oracle.value(x)
         true_g = oracle.grad(x)
@@ -273,8 +280,7 @@ def _run(oracle, x0, algorithm, seed, stepsizes, iterations, noise, sampler,
             rows, aborted = k + 1, _abort_reason(k, f)
             break
 
-    return Trajectory(algorithm, seed, store[:rows].view(np.recarray), x, config=config,
-                      aborted=aborted)
+    return Trajectory(algorithm, config, store[:rows].view(np.recarray), x, aborted)
 
 
 def run_trish(
@@ -308,8 +314,12 @@ def run_trish(
             alpha, gamma1, gamma2, float(np.linalg.norm(s.s)), hess.norm_bound,
             float((true_g - g) @ s.s))
 
-    return _run(oracle, x0, "trish", config.seed, config.stepsizes, config.iterations,
-                config.noise, sampler, on_iterate, step, config=config)
+    return _run(oracle, x0, "trish", config, sampler, on_iterate, step)
+
+
+def _zero_hessian(noise: NoiseModel) -> NoiseModel:
+    """``noise`` with its Hessian estimate pinned to the zero operator."""
+    return replace(noise, hessian_kind="zero", m_h=0.0, perturbation=0.0)
 
 
 def run_trish_first_order(
@@ -319,20 +329,33 @@ def run_trish_first_order(
     sampler: Sampler | None = None,
     on_iterate=None,
 ) -> Trajectory:
-    """TRish with the Hessian estimate pinned to zero (cost: 1 unit/iteration)."""
-    config = replace(config, noise=replace(
-        config.noise, hessian_kind="zero", m_h=0.0, perturbation=0.0))
-    traj = run_trish(oracle, x0, config, sampler=sampler, on_iterate=on_iterate)
+    """TRish with the Hessian estimate pinned to zero (cost: 1 unit/iteration).
+
+    The estimate is zero whatever its source: the noise model's Hessian
+    kind becomes ``zero``, and a caller's sampler is called as given
+    (so it draws what it always draws) but its estimate is replaced by
+    ``HessianEstimate.zero``.
+    """
+    config = replace(config, noise=_zero_hessian(config.noise))
+    first_order = None
+    if sampler is not None:
+        zero = HessianEstimate.zero(oracle.dim)
+
+        def first_order(x, k, alpha_k, grad_rng, hess_rng):
+            return sampler(x, k, alpha_k, grad_rng, hess_rng)[0], zero
+
+    traj = run_trish(oracle, x0, config, sampler=first_order, on_iterate=on_iterate)
     return replace(traj, algorithm="trish1")
 
 
 def _sg_step(x, k, alpha, true_g, draw):
-    """SG's step rule: x - alpha g at one cost unit, no trust-region fields."""
+    """SG's step rule: x - alpha g at one cost unit, no trust-region
+    fields; it reads no Hessian estimate, so its ``hess_bound`` is 0."""
     g, _ = draw(x, k, alpha, true_g)
     g_norm = float(np.linalg.norm(g))
     nan = np.nan
     return x - alpha * g, 1, (g_norm, nan, nan, nan, nan, nan, nan,
-                              alpha, nan, nan, alpha * g_norm, nan, nan)
+                              alpha, nan, nan, alpha * g_norm, 0.0, nan)
 
 
 def run_sg(
@@ -350,11 +373,14 @@ def run_sg(
     The TRish loop with the SG step rule: the same trace schema with
     only ``SG_FIELDS`` among the step fields, one cost unit per
     iteration, and gradient samples from the same named stream a TRish
-    run with the same seed would use.
+    run with the same seed would use.  The trajectory's config is the
+    ``TrishConfig`` SG equals: these stepsizes, gammas (1, 1), and the
+    noise model with a zero Hessian.  ``sampler`` is called as given;
+    the SG step never reads its Hessian estimate.
     """
-    noise = replace(noise, hessian_kind="zero", m_h=0.0, perturbation=0.0)
-    return _run(oracle, x0, "sg", seed, stepsizes, iterations, noise, sampler,
-                on_iterate, _sg_step)
+    config = TrishConfig(stepsizes, GammaSchedule.constant(1.0, 1.0), iterations, seed,
+                         noise=_zero_hessian(noise))
+    return _run(oracle, x0, "sg", config, sampler, on_iterate, _sg_step)
 
 
 # ---------------------------------------------------------------------------

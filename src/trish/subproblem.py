@@ -153,6 +153,7 @@ def steihaug_cg(
     max_iters: int = 3,
     residual_tol: float = 1e-10,
     case: RadiusCase | None = None,
+    g_norm: float | None = None,
 ) -> TRStep:
     """Truncated CG on the subproblem, exiting at the boundary on
     negative curvature or radius crossing.
@@ -161,14 +162,16 @@ def steihaug_cg(
     returned step always attains at least Cauchy decrease; subsequent
     iterations only improve the model.  The iteration cap bounds the
     per-step cost (one Hessian product per iteration; none at all for a
-    zero Hessian estimate).
+    zero Hessian estimate).  ``g_norm`` is ``||g||`` when the caller
+    already holds it; it does not change the result.
     """
     if max_iters < 1:
         raise ConfigurationError("max_iters must be >= 1")
     if delta <= 0.0:
         raise ConfigurationError("delta must be positive")
     g = np.asarray(g, dtype=float)
-    g_norm = float(np.linalg.norm(g))
+    if g_norm is None:
+        g_norm = float(np.linalg.norm(g))
     if g_norm == 0.0:
         zero = np.zeros_like(g)
         return TRStep(zero, delta, case, 0.0, 0.0, 0, False)
@@ -344,7 +347,9 @@ def exact_trs(
     ``g + (H + u I) s = 0``, ``H + u I`` positive semidefinite and
     ``u * (delta - ||s||) = 0`` to within ``tol``.  With a ``memo`` the
     eigendecomposition of an unchanged ``hess`` is reused; the result is
-    the same bit for bit.
+    the same bit for bit.  The symmetry check runs on each matrix the
+    memo does not hold: a memo hit is bit-equal to a matrix that passed
+    it.
 
     Dense path, intended for small dimensions (n <= ~500).
     """
@@ -352,19 +357,19 @@ def exact_trs(
     g = np.asarray(g, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] != g.shape[0]:
         raise ConfigurationError(f"H must be square and match g, got {H.shape} vs {g.shape}")
-    asym = float(np.max(np.abs(H - H.T))) if H.size else 0.0
-    h_scale = float(np.max(np.abs(H))) if H.size else 0.0
-    if asym > 1e-12 * max(1.0, h_scale):
-        raise ConfigurationError(f"H is not symmetric (max asymmetry {asym:.3e})")
     if delta <= 0.0:
         raise ConfigurationError("delta must be positive")
 
-    if memo is None:
-        w, Q = np.linalg.eigh(H)
-    else:
-        if memo.eig is None or not np.array_equal(H, memo.matrix):
-            memo.matrix, memo.eig = H.copy(), np.linalg.eigh(H)
+    if memo is not None and memo.eig is not None and np.array_equal(H, memo.matrix):
         w, Q = memo.eig
+    else:
+        asym = float(np.max(np.abs(H - H.T))) if H.size else 0.0
+        h_scale = float(np.max(np.abs(H))) if H.size else 0.0
+        if asym > 1e-12 * max(1.0, h_scale):
+            raise ConfigurationError(f"H is not symmetric (max asymmetry {asym:.3e})")
+        w, Q = np.linalg.eigh(H)
+        if memo is not None:
+            memo.matrix, memo.eig = H.copy(), (w, Q)
     ghat = Q.T @ g
     lam_min = float(w[0])
     w_scale = max(1.0, float(np.max(np.abs(w))))

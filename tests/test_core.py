@@ -85,6 +85,11 @@ class TestSampleHessian:
         assert est.norm_bound == 0.0
         assert np.array_equal(est.apply(np.array([3.0, -2.0])), np.zeros(2))
 
+    def test_zero_is_a_zero_norm_bound(self):
+        assert HessianEstimate(lambda v: 0.0 * v, 0.0).is_zero
+        assert not HessianEstimate(lambda v: v, 1.0).is_zero
+        assert HessianEstimate.zero(3).is_zero
+
     def test_exact_capped_no_scaling_needed(self):
         # m_h = 10 >= L_g = 4: tau = 1, operator is the true Hessian
         prob = diag_quadratic([1.0, 4.0])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trish import NoiseModel, make_quadratic
+from trish import NoiseModel, make_logistic, make_quadratic
 from trish.harness.grid import (
     GridSpec,
     baseline_gradient_norm,
@@ -95,3 +95,14 @@ class TestTune:
         r1 = tune(prob, "trish1", g1, **kwargs)
         r2 = tune(prob, "trish1", g2, **kwargs)
         assert [e.setting for e in r1.leaderboard] == [e.setting for e in r2.leaderboard]
+
+    def test_first_order_ignores_a_sampled_hessian(self):
+        prob = make_logistic(200, 5, l2=0.1, seed=11)
+        grid = build_grid(1.0, GridSpec((0.5,), (1.0,), (3.0,)))
+
+        def losses(sampler):
+            result = tune(prob, "trish1", grid, [0, 1], 30, x0=np.zeros(5), sampler=sampler)
+            return [e.losses for e in result.leaderboard]
+
+        assert losses(prob.minibatch_sampler(10, hessian=True)) == losses(
+            prob.minibatch_sampler(10))

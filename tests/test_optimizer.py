@@ -229,6 +229,18 @@ class TestRunSG:
                       NoiseModel(kind="bounded", m_g=0.5), 7, seed=0)
         assert traj.records[-1].cost_units == 7
 
+    def test_trajectory_carries_the_config_sg_equals(self):
+        prob = make_quadratic(3, 1.0, 2.0, seed=4)
+        stepsizes = StepsizeSchedule.constant(0.01)
+        noise = NoiseModel(kind="bounded", m_g=0.5, hessian_kind="exact-capped", m_h=2.0)
+        traj = run_sg(prob, np.zeros(3), stepsizes, noise, 7, seed=9)
+        cfg = traj.config
+        assert (cfg.seed, cfg.iterations, cfg.stepsizes) == (9, 7, stepsizes)
+        assert cfg.gammas == GammaSchedule.constant(1.0, 1.0)
+        assert cfg.noise == replace(noise, hessian_kind="zero", m_h=0.0)
+        assert np.all(traj.column("hess_bound")[1:] == 0.0)
+        assert np.array_equal(traj.recorded("hess_bound"), np.arange(8) > 0)
+
 
 class TestCollapseToSG:
     def test_equivalence_on_logistic_minibatch(self):
@@ -277,6 +289,19 @@ class TestFirstOrder:
                           20, seed=1, solver=SolverSpec(kind="exact"),
                           noise=NoiseModel(kind="bounded", m_g=0.5))
         traj = run_trish_first_order(prob, np.ones(5), cfg)
+        assert np.array_equal(traj.column("cost_units"), np.arange(21))
+
+    def test_sampled_hessian_estimate_is_replaced_by_zero(self):
+        prob = make_logistic(200, 5, l2=0.1, seed=11)
+
+        def sampler(x, k, alpha_k, grad_rng, hess_rng):
+            idx = grad_rng.integers(0, prob.n_samples, size=10)
+            return prob.batch_gradient(x, idx), prob.batch_hessian(x, idx)
+
+        cfg = TrishConfig(StepsizeSchedule.constant(0.05), GammaSchedule.constant(2.0, 1.0),
+                          20, seed=5)
+        traj = run_trish_first_order(prob, np.zeros(5), cfg, sampler=sampler)
+        assert np.all(traj.column("hess_bound")[1:] == 0.0)
         assert np.array_equal(traj.column("cost_units"), np.arange(21))
 
     def test_deterministic_given_seed(self):
