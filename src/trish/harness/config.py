@@ -287,10 +287,13 @@ def build_noise(spec: dict | None) -> NoiseModel:
 def build_sampler(problem, doc: dict) -> Sampler | None:
     """Mini-batch sampler for logistic configs with ``batch_size``; else None.
 
-    Only ``trish`` gets the same-batch Hessian estimate.  That is a speed
-    choice, not what makes ``trish1`` first-order (``run_trish_first_order``
-    replaces any sampled estimate by the zero one, and SG never reads
-    it): a mini-batch draw without the estimate skips building it.
+    Only ``trish`` gets the same-batch Hessian estimate, capped at
+    ``noise.hessian.m_h`` when given; it replaces the noise model's
+    Hessian whatever ``noise.hessian.kind`` says.  Giving it to no other
+    algorithm is a speed choice, not what makes ``trish1`` first-order
+    (``run_trish_first_order`` replaces any sampled estimate by the zero
+    one, and SG never reads it): a mini-batch draw without the estimate
+    skips building it.
     """
     if "batch_size" not in doc:
         return None

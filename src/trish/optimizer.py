@@ -123,7 +123,11 @@ class Trajectory:
     ``records`` is a record array of ``TRACE_DTYPE`` rows, read by row
     (``records[k].f``) or by column (``records.f``, ``column("f")``).
     ``config`` holds the seed, schedules, solver and noise model the run
-    used (for SG, the ``TrishConfig`` it equals; see ``run_sg``).
+    used (for SG, the ``TrishConfig`` it equals; see ``run_sg``).  A
+    caller's sampler replaces the noise model's draws: second-order
+    TRish then steps with the sampler's Hessian estimate whatever
+    ``config.noise.hessian_kind`` says, and the ``hess_bound`` column
+    records the estimate's bound.
     """
 
     algorithm: str
@@ -179,7 +183,7 @@ def trish_step(
         return x.copy(), TRStep(zero, 0.0, RadiusCase.CASE1, 0.0, 0.0, 0, False)
     delta, case = radius(g_norm, alpha, gamma1, gamma2)
     if solver.kind == "steihaug":
-        step = steihaug_cg(g, hess, delta, solver.max_iters, solver.tol, case, g_norm=g_norm)
+        step = steihaug_cg(g, hess, delta, solver.max_iters, solver.tol, case)
     else:
         dense = hess.dense(x.shape[0])
         s, upsilon = exact_trs(g, dense, delta, solver.tol, memo=memo)

@@ -153,7 +153,6 @@ def steihaug_cg(
     max_iters: int = 3,
     residual_tol: float = 1e-10,
     case: RadiusCase | None = None,
-    g_norm: float | None = None,
 ) -> TRStep:
     """Truncated CG on the subproblem, exiting at the boundary on
     negative curvature or radius crossing.
@@ -162,16 +161,14 @@ def steihaug_cg(
     returned step always attains at least Cauchy decrease; subsequent
     iterations only improve the model.  The iteration cap bounds the
     per-step cost (one Hessian product per iteration; none at all for a
-    zero Hessian estimate).  ``g_norm`` is ``||g||`` when the caller
-    already holds it; it does not change the result.
+    zero Hessian estimate).
     """
     if max_iters < 1:
         raise ConfigurationError("max_iters must be >= 1")
     if delta <= 0.0:
         raise ConfigurationError("delta must be positive")
     g = np.asarray(g, dtype=float)
-    if g_norm is None:
-        g_norm = float(np.linalg.norm(g))
+    g_norm = float(np.linalg.norm(g))
     if g_norm == 0.0:
         zero = np.zeros_like(g)
         return TRStep(zero, delta, case, 0.0, 0.0, 0, False)

@@ -112,16 +112,6 @@ class TestSteihaugCG:
         assert np.allclose(step.s, [-1.2, -1.6])
         assert step.hessian_products == 0 and not calls
 
-    def test_given_g_norm_changes_nothing(self):
-        rng = np.random.default_rng(3)
-        A = rng.standard_normal((6, 6))
-        hess, g = op(A + A.T), rng.standard_normal(6)
-        plain = steihaug_cg(g, hess, 0.7, max_iters=4)
-        given = steihaug_cg(g, hess, 0.7, max_iters=4, g_norm=float(np.linalg.norm(g)))
-        assert given.s.tobytes() == plain.s.tobytes()
-        assert (given.model_decrease, given.cauchy_decrease) == (
-            plain.model_decrease, plain.cauchy_decrease)
-
     def test_interior_newton_point(self):
         step = steihaug_cg(np.array([3.0, 4.0]), op(np.eye(2)), 10.0)
         assert np.allclose(step.s, [-3.0, -4.0], atol=1e-12)  # -inv(H) g
