@@ -11,6 +11,7 @@ check trajectories against.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -29,13 +30,24 @@ SIGMOID_CURVATURE_LIPSCHITZ = np.sqrt(3.0) / 18.0
 
 
 def _sigmoid(t: Array) -> Array:
-    # overflow-free on both tails
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
+    return _sigmoid_given(t, np.exp(-np.abs(t)))
+
+
+def _sigmoid_given(t: Array, e: Array) -> Array:
+    # sigma(t) from e = exp(-|t|): overflow-free on both tails, and bit for
+    # bit 1/(1+exp(-t)) where t >= 0 and exp(t)/(1+exp(t)) where t < 0
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+
+
+def _curvature(t: Array) -> Array:
+    sig = _sigmoid(t)
+    return sig * (1.0 - sig)
+
+
+def _mean_loss(m: Array, e: Array) -> float:
+    # log(1 + exp(-m)) from e = exp(-|m|): each term is within 1 ulp of
+    # np.logaddexp(0, -m), and m = 0 gives log 2 exactly
+    return np.mean(np.log1p(e) + np.maximum(-m, 0.0))
 
 
 class QuadraticProblem:
@@ -151,40 +163,53 @@ class LogisticProblem:
         self.f_min = None
         self.holdout_X = None if holdout_features is None else np.asarray(holdout_features, float)
         self.holdout_y = None if holdout_labels is None else np.asarray(holdout_labels, float)
+        self._memo: tuple = (None, None, None)  # (key, m, e) of the last _margins call
 
-    @staticmethod
-    def _loss_terms(margins: Array) -> Array:
-        return np.logaddexp(0.0, -margins)
+    def _margins(self, x: Array) -> tuple[Array, Array]:
+        """Margins m = y * (X @ x) and e = exp(-|m|), the one pass over the data.
+
+        The loop asks for f and then grad f at each iterate, so a one-entry
+        memo keyed on x's dtype, shape and bytes lets the second call reuse
+        the first one's pass.  A hit returns what a miss would compute.
+        """
+        key = (x.dtype.char, x.shape, x.tobytes())
+        memo = self._memo
+        if memo[0] != key:
+            m = self.y * (self.X @ x)
+            memo = self._memo = (key, m, np.exp(-np.abs(m)))
+        return memo[1], memo[2]
 
     def value(self, x: Array) -> float:
-        margins = self.y * (self.X @ x)
-        return float(np.mean(self._loss_terms(margins)) + 0.5 * self.l2 * x @ x)
+        m, e = self._margins(x)
+        return float(_mean_loss(m, e) + 0.5 * self.l2 * x @ x)
 
     def grad(self, x: Array) -> Array:
-        return self._batch_grad(x, self.X, self.y)
+        m, e = self._margins(x)
+        return self._batch_grad(x, self.X, self.y, _sigmoid_given(-m, e))
 
     def hvp(self, x: Array, v: Array) -> Array:
-        return self._batch_hvp(x, v, self.X)
+        return self._batch_hvp(_curvature(self.X @ x), v, self.X)
 
-    def _batch_grad(self, x: Array, X: Array, y: Array) -> Array:
-        weights = -y * _sigmoid(-y * (X @ x))
-        return X.T @ weights / X.shape[0] + self.l2 * x
+    def _batch_grad(self, x: Array, X: Array, y: Array, sig: Array) -> Array:
+        # sig = sigma(-y * (X @ x)) on the rows X
+        return X.T @ (-y * sig) / X.shape[0] + self.l2 * x
 
-    def _batch_hvp(self, x: Array, v: Array, X: Array) -> Array:
-        sig = _sigmoid(X @ x)
-        curv = sig * (1.0 - sig)
+    def _batch_hvp(self, curv: Array, v: Array, X: Array) -> Array:
+        # curv = sigma'(X @ x) on the rows X
         return X.T @ (curv * (X @ v)) / X.shape[0] + self.l2 * v
 
     def batch_gradient(self, x: Array, idx: Array) -> Array:
-        return self._batch_grad(x, self.X[idx], self.y[idx])
+        X_b, y_b = self.X[idx], self.y[idx]
+        return self._batch_grad(x, X_b, y_b, _sigmoid(-y_b * (X_b @ x)))
 
     def batch_hessian(self, x: Array, idx: Array, m_h: float | None = None) -> HessianEstimate:
         """Same-batch Hessian estimate, optionally capped at ``m_h``."""
         X_b = self.X[idx]
+        curv = _curvature(X_b @ x)
         bound = self.grad_lipschitz  # global bound covers every sub-batch
         tau = 1.0 if m_h is None else min(1.0, m_h / bound)
         return HessianEstimate(
-            apply=lambda v: tau * self._batch_hvp(x, v, X_b),
+            apply=lambda v: tau * self._batch_hvp(curv, v, X_b),
             norm_bound=tau * bound,
         )
 
@@ -216,8 +241,8 @@ class LogisticProblem:
     def validation_loss(self, x: Array) -> float:
         if self.holdout_X is None:
             return self.value(x)
-        margins = self.holdout_y * (self.holdout_X @ x)
-        return float(np.mean(self._loss_terms(margins)) + 0.5 * self.l2 * x @ x)
+        m = self.holdout_y * (self.holdout_X @ x)
+        return float(_mean_loss(m, np.exp(-np.abs(m))) + 0.5 * self.l2 * x @ x)
 
 
 def make_logistic(n_samples: int, dim: int, l2: float, seed: int) -> LogisticProblem:
@@ -382,10 +407,24 @@ def load_logistic_csv(path: str, l2: float = 0.0) -> LogisticProblem:
 
 
 def _read_numeric_csv(path: str) -> list[list[float]]:
+    """Rows of finite numbers; blank lines are skipped."""
     try:
         with open(path, newline="") as fh:
-            return [[float(cell) for cell in row] for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            return [_finite_row(path, reader.line_num, row) for row in reader if row]
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigurationError(f"non-numeric cell in {path}: {exc}") from exc
+
+
+def _finite_row(path: str, line: int, row: list[str]) -> list[float]:
+    values = []
+    for col, cell in enumerate(row, start=1):
+        try:
+            value = float(cell)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ConfigurationError(
+                f"{path}: row {line}, column {col}: {cell!r} is not a finite number")
+        values.append(value)
+    return values

@@ -1,18 +1,26 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trish import (
     ConfigurationError,
     EvaluationError,
+    GammaSchedule,
+    StepsizeSchedule,
+    TrishConfig,
     hvp_finite_difference,
     load_logistic_csv,
     load_quadratic_csv,
     make_logistic,
     make_quadratic,
     make_quartic_bowl,
+    run_trish,
 )
 from trish.core import rng_stream
-from trish.problems import QuadraticProblem, RosenbrockProblem
+from trish.problems import LogisticProblem, QuadraticProblem, RosenbrockProblem, _sigmoid
 
 
 class TestQuadratic:
@@ -92,6 +100,133 @@ class TestLogistic:
         with pytest.raises(ConfigurationError):
             from trish.problems import LogisticProblem
             LogisticProblem(np.ones((3, 2)), np.array([0.0, 1.0, -1.0]))
+
+
+# The logistic kernels these replaced, kept as references: the masked
+# sigmoid, the logaddexp loss, and the curvature recomputed per product.
+def masked_sigmoid(t):
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return out
+
+
+def reference_loss(prob, x, X, y):
+    return float(np.mean(np.logaddexp(0.0, -y * (X @ x))) + 0.5 * prob.l2 * x @ x)
+
+
+def reference_grad(prob, x, X, y):
+    weights = -y * masked_sigmoid(-y * (X @ x))
+    return X.T @ weights / X.shape[0] + prob.l2 * x
+
+
+def reference_hvp(prob, x, v, X):
+    sig = masked_sigmoid(X @ x)
+    curv = sig * (1.0 - sig)
+    return X.T @ (curv * (X @ v)) / X.shape[0] + prob.l2 * v
+
+
+LOGI = make_logistic(60, 5, l2=0.1, seed=31)
+
+
+def fresh_logistic():
+    """A copy of ``LOGI`` whose margin memo is empty."""
+    return LogisticProblem(LOGI.X, LOGI.y, LOGI.l2, LOGI.holdout_X, LOGI.holdout_y)
+
+
+class TestLogisticKernels:
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=50))
+    def test_sigmoid_bit_identical_to_masked_form(self, values):
+        t = np.array(values + [0.0, -0.0, 745.5, -745.5, 1e308, -1e308])
+        assert _sigmoid(t).tobytes() == masked_sigmoid(t).tobytes()
+
+    # x scales from signed zeros to margins far beyond +-745, where exp underflows
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0.0, -0.0, 1e-8, 0.1, 1.0, 30.0, 1e3, 1e5]),
+           st.integers(0, 2**32 - 1))
+    def test_kernels_match_references(self, scale, seed):
+        prob = fresh_logistic()
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal(prob.dim)
+        v = rng.standard_normal(prob.dim)
+        idx = rng.integers(0, prob.n_samples, size=10)
+        X_b, y_b = prob.X[idx], prob.y[idx]
+
+        value = prob.value(x)
+        expected = reference_loss(prob, x, prob.X, prob.y)
+        assert abs(value - expected) <= 1e-15 * abs(expected)
+        assert prob.grad(x).tobytes() == reference_grad(prob, x, prob.X, prob.y).tobytes()
+        assert prob.hvp(x, v).tobytes() == reference_hvp(prob, x, v, prob.X).tobytes()
+        assert (prob.batch_gradient(x, idx).tobytes()
+                == reference_grad(prob, x, X_b, y_b).tobytes())
+        apply = prob.batch_hessian(x, idx).apply
+        for w in (v, -2.0 * v, v):
+            assert apply(w).tobytes() == reference_hvp(prob, x, w, X_b).tobytes()
+        held = reference_loss(prob, x, prob.holdout_X, prob.holdout_y)
+        assert abs(prob.validation_loss(x) - held) <= 1e-15 * abs(held)
+
+    def test_value_at_zero_is_exact(self):
+        x = np.zeros(LOGI.dim)
+        assert fresh_logistic().value(x) == reference_loss(LOGI, x, LOGI.X, LOGI.y)
+        assert fresh_logistic().value(x) == float(np.mean(np.full(LOGI.n_samples, np.log(2.0))))
+
+
+class TestMarginMemo:
+    """value and grad share a one-entry margin memo; every call must
+    return what a problem with an empty memo returns."""
+
+    @staticmethod
+    def assert_fresh(prob, x):
+        assert prob.value(x) == fresh_logistic().value(x)
+        assert prob.grad(x).tobytes() == fresh_logistic().grad(x).tobytes()
+
+    def test_grad_before_value(self):
+        prob = fresh_logistic()
+        x = np.linspace(-1.0, 1.0, prob.dim)
+        g = prob.grad(x)
+        assert g.tobytes() == fresh_logistic().grad(x).tobytes()
+        assert prob.value(x) == fresh_logistic().value(x)
+
+    def test_x_mutated_in_place_between_calls(self):
+        prob = fresh_logistic()
+        x = np.linspace(-1.0, 1.0, prob.dim)
+        prob.value(x)
+        x[2] += 0.5
+        assert prob.grad(x).tobytes() == fresh_logistic().grad(x).tobytes()
+        assert prob.value(x) == fresh_logistic().value(x)
+
+    def test_two_alternating_points(self):
+        prob = fresh_logistic()
+        a, b = np.linspace(-1.0, 1.0, prob.dim), np.linspace(2.0, -3.0, prob.dim)
+        for x in (a, b, a, b):
+            self.assert_fresh(prob, x)
+        prob.value(a)
+        assert prob.grad(b).tobytes() == fresh_logistic().grad(b).tobytes()
+
+    def test_signed_zero_keys(self):
+        prob = fresh_logistic()
+        zeros, negative_zeros = np.zeros(prob.dim), np.full(prob.dim, -0.0)
+        prob.value(zeros)
+        self.assert_fresh(prob, negative_zeros)
+        self.assert_fresh(prob, zeros)
+
+    def test_runs_identical_without_memo_hits(self):
+        """A run whose value and grad go to two separate problems never
+        hits the memo; its trace must equal the shared-memo run's."""
+        config = TrishConfig(StepsizeSchedule.constant(0.5), GammaSchedule.constant(2.0, 1.0),
+                             iterations=40, seed=4)
+        split = SimpleNamespace(dim=LOGI.dim, grad_lipschitz=LOGI.grad_lipschitz,
+                                value=fresh_logistic().value, grad=fresh_logistic().grad)
+        runs = [run_trish(oracle, np.zeros(LOGI.dim), config,
+                          sampler=LOGI.minibatch_sampler(10, hessian=True))
+                for oracle in (fresh_logistic(), split)]
+        shared, separate = (run.records for run in runs)
+        for name in shared.dtype.names:
+            if name != "wall_ns":
+                assert shared[name].tobytes() == separate[name].tobytes(), name
+        assert runs[0].final_x.tobytes() == runs[1].final_x.tobytes()
 
 
 def test_minibatch_sampler_rejects_non_finite_gradient():
@@ -201,6 +336,18 @@ class TestCSVImport:
         path.write_text("1.0,2.0\n3.0,4.0\n")
         with pytest.raises(ConfigurationError):
             load_quadratic_csv(str(path))
+
+    @pytest.mark.parametrize("load, text, where", [
+        (load_logistic_csv, "0.5,1.0,1\n\n-0.5,nan,-1\n", "row 3, column 2"),
+        (load_logistic_csv, "0.5,1.0,1\n-0.5,0.2,-inf\n", "row 2, column 3"),
+        (load_quadratic_csv, "2.0,0.0,1.0\n0.0,inf,-1.0\n", "row 2, column 2"),
+        (load_quadratic_csv, "2.0,x,1.0\n0.0,3.0,-1.0\n", "row 1, column 2"),
+    ])
+    def test_rejects_cell_that_is_not_a_finite_number(self, tmp_path, load, text, where):
+        path = tmp_path / "cells.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=rf"cells\.csv: {where}: "):
+            load(str(path))
 
     def test_logistic_round_trip(self, tmp_path):
         path = tmp_path / "logi.csv"
