@@ -46,6 +46,7 @@ from .optimizer import (
     TrishConfig,
     run_sg,
     run_trish,
+    run_lanes,
     run_trish_first_order,
     run_trish_lanes,
     trish_step,
@@ -61,6 +62,7 @@ from .bounds import (
 )
 from .problems import (
     LogisticProblem,
+    MiniBatchSampler,
     QuadraticProblem,
     QuarticBowlProblem,
     RosenbrockProblem,

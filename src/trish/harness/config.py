@@ -16,6 +16,7 @@ import numpy as np
 from ..core import ConfigurationError, NoiseModel, Sampler
 from ..optimizer import SolverSpec, TrishConfig
 from ..problems import (
+    MiniBatchSampler,
     RosenbrockProblem,
     load_logistic_csv,
     load_quadratic_csv,
@@ -301,7 +302,7 @@ def build_sampler(problem, doc: dict) -> Sampler | None:
     noise = doc.get("noise", {})
     hessian = noise.get("hessian", {}) if isinstance(noise, dict) else {}
     m_h = hessian.get("m_h")
-    return problem.minibatch_sampler(doc["batch_size"], hessian=use_hessian, m_h=m_h)
+    return MiniBatchSampler(problem, doc["batch_size"], hessian=use_hessian, m_h=m_h)
 
 
 def build_inputs(doc: dict) -> tuple:

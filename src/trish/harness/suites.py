@@ -48,6 +48,7 @@ from ..optimizer import (
     run_trish_lanes,
 )
 from ..problems import (
+    MiniBatchSampler,
     RosenbrockProblem,
     make_logistic,
     make_quadratic,
@@ -274,10 +275,10 @@ def suite_equivalence(quick: bool = False) -> SuiteOutcome:
     tr_x, sg_x = [], []
     with _quiet_optimizer_warnings():
         tr = run_trish_first_order(problem, x0, cfg,
-                                   sampler=problem.minibatch_sampler(10),
+                                   sampler=MiniBatchSampler(problem, 10),
                                    on_iterate=lambda k, x: tr_x.append(x.copy()))
         sg = run_sg(problem, x0, StepsizeSchedule.constant(gamma * alpha),
-                    NoiseModel(), iters, seed=5, sampler=problem.minibatch_sampler(10),
+                    NoiseModel(), iters, seed=5, sampler=MiniBatchSampler(problem, 10),
                     on_iterate=lambda k, x: sg_x.append(x.copy()))
     worst = max(float(np.max(np.abs(a - b))) for a, b in zip(tr_x, sg_x))
     tr_g, sg_g = tr.column("g_norm")[1:], sg.column("g_norm")[1:]

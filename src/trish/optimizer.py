@@ -1,5 +1,5 @@
 """The TRish loop (second- and first-order, and the SG baseline as its
-degenerate step rule) and a lockstep runner for many TRish lanes at once.
+degenerate step rule) and a lockstep runner for many such runs at once.
 
 Runs are deterministic given a seed: gradient noise and Hessian
 perturbations consume separate named streams, so an SG run and a
@@ -7,8 +7,8 @@ first-order TRish run sharing a seed see identical gradient samples.
 Cost accounting equates one stochastic gradient with one
 Hessian-vector product; diagnostic evaluations (true f and gradient
 each iteration, model re-evaluation in the solver) are excluded.
-``run_trish`` is the reference; ``run_trish_lanes`` reproduces it bit
-for bit on the configurations it supports.
+The scalar runners are the reference; ``run_lanes`` reproduces each of
+them bit for bit on the inputs it supports.
 
 Each scalar run returns a ``Trajectory`` carrying the ``TrishConfig`` it
 ran (for SG, the config SG equals).  First-order TRish and SG use no
@@ -49,6 +49,7 @@ from .core import (
     row_norms,
     rowdot,
 )
+from .problems import MiniBatchSampler
 from .schedules import GammaSchedule, StepsizeSchedule, gammas_at, validate_stepsize
 from .subproblem import (
     EighMemo,
@@ -202,12 +203,10 @@ def trish_step(
     return x + step.s, step
 
 
-def _initial_record(oracle: ProblemOracle, x: Array, t0: int) -> tuple[tuple, float, Array]:
-    """Row 0 of the trace, f(x_0) and the true gradient at x_0."""
-    f0 = oracle.value(x)
-    g0 = oracle.grad(x)
-    row = (0, f0, float(np.linalg.norm(g0)), 0, time.perf_counter_ns() - t0)
-    return row + (np.nan,) * len(STEP_FIELDS), f0, g0
+def _initial_record(oracle: ProblemOracle, x: Array) -> tuple:
+    """f and the true gradient at x_0 (one point or a lane stack), for
+    the trace's row 0, which is not a step."""
+    return oracle.value(x), oracle.grad(x)
 
 
 def _diverged(f: float, f0: float) -> bool:
@@ -266,7 +265,9 @@ def _run(oracle, x0, algorithm, config, sampler, on_iterate, step) -> Trajectory
     store = np.full(iterations + 1, np.nan, dtype=TRACE_DTYPE)
 
     t0 = time.perf_counter_ns()
-    store[0], f0, true_g = _initial_record(oracle, x, t0)
+    f0, true_g = _initial_record(oracle, x)
+    store[0] = (0, f0, float(np.linalg.norm(true_g)), 0,
+                time.perf_counter_ns() - t0) + (np.nan,) * len(STEP_FIELDS)
     if on_iterate is not None:
         on_iterate(0, x)
     rows, cost, aborted = iterations + 1, 0, None
@@ -390,23 +391,24 @@ def run_sg(
 # ---------------------------------------------------------------------------
 # lockstep lanes
 
-LANE_CHUNK = 64  # iterations of gradient noise drawn per lane at once
-SCHEDULE_COLUMNS = ("alpha", "gamma1", "gamma2", "hess_bound")  # the same in every lane
+LANE_CHUNK = 64  # iterations of gradient noise or mini-batch rows drawn per lane at once
+SCHEDULE_COLUMNS = ("alpha", "gamma1", "gamma2", "hess_bound")  # one table per schedule
 LANE_COLUMNS = tuple(name for name in TRACE_DTYPE.names
                      if name not in ("k", "upsilon", "wall_ns") + SCHEDULE_COLUMNS)
 
 
 @dataclass
 class LaneRun:
-    """S lockstep TRish runs of one config ("lanes", one per seed) traced by column.
+    """S lockstep runs ("lanes", one per config) traced by column.
 
     ``columns[name]`` is a (K+1, S) array of the ``TRACE_DTYPE`` field
     ``name`` for every lane (``k``, ``upsilon`` and ``wall_ns`` are not kept).
     Lane i recorded ``rows[i]`` rows; the rows after a tripped divergence
     guard are NaN, and ``aborted[i]`` gives the reason.  The
-    ``SCHEDULE_COLUMNS`` are read-only views of one (K+1,) table (NaN in
-    row 0) broadcast over the lanes, so they hold the schedule on a
-    stopped lane's rows too; ``g_norm`` and ``delta`` are NaN there.
+    ``SCHEDULE_COLUMNS`` are read-only and NaN in row 0; when every lane
+    runs the same schedules they are views of one (K+1,) table broadcast
+    over the lanes.  They hold the schedule on a stopped lane's rows too;
+    ``g_norm`` and ``delta`` are NaN there.
     """
 
     columns: dict[str, np.ndarray]
@@ -418,6 +420,28 @@ class LaneRun:
         return self.columns[name]
 
 
+def lanes_unsupported(oracle: ProblemOracle, algorithm: str, solver: SolverSpec,
+                      noise: NoiseModel, sampler: Sampler | None) -> str | None:
+    """Why ``run_lanes`` cannot run these inputs, or None when it can.
+
+    Lanes need an oracle with ``row_stacked`` set and draw from the
+    built-in synthetic noise or a ``MiniBatchSampler``.  TRish lanes also
+    need the Steihaug solver and, without a sampler, a zero or
+    exact-capped noise Hessian (first-order TRish zeroes the Hessian;
+    SG uses no solver or Hessian).
+    """
+    if not getattr(oracle, "row_stacked", False):
+        return f"{type(oracle).__name__} does not take row-stacked points"
+    if sampler is not None and not isinstance(sampler, MiniBatchSampler):
+        return "lanes draw from the synthetic noise model or a MiniBatchSampler"
+    if algorithm == "sg":
+        return None
+    if solver.kind != "steihaug" or (algorithm == "trish" and sampler is None and
+                                     noise.hessian_kind not in ("zero", "exact-capped")):
+        return "lanes run the Steihaug solver with a zero or exact-capped Hessian"
+    return None
+
+
 def run_trish_lanes(
     oracle: ProblemOracle,
     x0: Array,
@@ -425,66 +449,121 @@ def run_trish_lanes(
     seeds: Iterable[int],
     on_iterate=None,
 ) -> LaneRun:
-    """Run ``config`` at every seed in lockstep, one lane per seed, as one (S, n) state.
+    """``run_lanes`` of TRish at ``config``, one lane per seed (``config.seed``
+    is not read)."""
+    return run_lanes(oracle, x0, [replace(config, seed=seed) for seed in seeds],
+                     on_iterate=on_iterate)
 
-    Lane i reproduces ``run_trish(oracle, x0, replace(config, seed=seeds[i]))``
-    bit for bit: f, the iterates, every recorded step diagnostic, the row
-    count and the abort reason; ``config.seed`` is not read.  Each lane
-    draws its gradient noise from its own seed's stream, ``LANE_CHUNK``
-    iterations at a time.
 
-    Supported: oracles with ``row_stacked`` set, the Steihaug solver, and
-    the built-in synthetic noise with a zero or exact-capped Hessian.
-    ``x0`` is one point or one row per lane.  Invalid schedule values and
-    Hessian caps raise before the first step; a stepsize precondition
-    violation is warned about (once per running lane) or raised at its
-    iteration, as in ``run_trish``, and so are non-finite gradients and
-    curvature.
+def run_lanes(
+    oracle: ProblemOracle,
+    x0: Array,
+    configs: Iterable[TrishConfig],
+    algorithm: str = "trish",
+    sampler: Sampler | None = None,
+    on_iterate=None,
+) -> LaneRun:
+    """Run every config in lockstep, one lane per config, as one (S, n) state.
+
+    Lane i reproduces the scalar run of ``algorithm`` at ``configs[i]``
+    with ``sampler`` bit for bit: ``run_trish`` ("trish"),
+    ``run_trish_first_order`` ("trish1") or ``run_sg`` with the config's
+    stepsizes, noise, iterations and seed ("sg").  That covers f, the
+    iterates, every recorded step diagnostic, the row count and the
+    abort reason.  The configs may differ in seed, stepsizes and gammas;
+    they share the iteration count, solver, noise model and stepsize
+    enforcement.  Each lane draws its gradient noise, or its mini-batch
+    rows, from its own seed's gradient stream, ``LANE_CHUNK`` iterations
+    at a time.
+
+    Supported inputs: see ``lanes_unsupported``.  ``x0`` is one point or
+    one row per lane.  Invalid schedule values and Hessian caps raise
+    before the first step; each TRish lane warns about a stepsize
+    precondition violation once, at its own first violating iteration,
+    or raises there, as its scalar run would, and so do non-finite
+    gradients and curvature.
 
     ``on_iterate(k, X)`` is the runners' iterate hook (see the module
     docstring).
     """
-    seeds = list(seeds)
-    if not seeds:
-        raise ConfigurationError("run_trish_lanes needs at least one seed")
-    if not getattr(oracle, "row_stacked", False):
-        raise ConfigurationError(f"{type(oracle).__name__} does not take row-stacked points")
-    K, solver, noise = config.iterations, config.solver, config.noise
-    if solver.kind != "steihaug" or noise.hessian_kind not in ("zero", "exact-capped"):
-        raise ConfigurationError("lanes run the Steihaug solver with a zero or exact-capped Hessian")
-    S, n = len(seeds), oracle.dim
+    configs = list(configs)
+    if not configs:
+        raise ConfigurationError("lanes need at least one config")
+    if algorithm not in ("trish", "trish1", "sg"):
+        raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+    first = configs[0]
+    K, solver, noise, enforce = (first.iterations, first.solver, first.noise,
+                                 first.enforce_stepsize_bound)
+    if any((c.iterations, c.solver, c.noise, c.enforce_stepsize_bound) != (K, solver, noise, enforce)
+           for c in configs):
+        raise ConfigurationError("lanes share the iteration count, solver, noise model "
+                                 "and stepsize enforcement")
+    if algorithm != "trish":
+        noise = _zero_hessian(noise)
+    reason = lanes_unsupported(oracle, algorithm, solver, noise, sampler)
+    if reason is not None:
+        raise ConfigurationError(reason)
+    S, n = len(configs), oracle.dim
     # C order: BLAS reaches bit-identity with the 1-D calls on unit-stride rows only
     X = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (S, n)), order="C")
     if not np.all(np.isfinite(X)):
         raise ConfigurationError("initial point must be finite")
 
-    # The schedules at k = 1..K, from the scalar functions so every value
-    # matches run_trish; configuration errors surface here.
+    # The estimate's bound and, for exact-capped noise, the Hessian cap.
+    hessian = algorithm == "trish" and (
+        sampler.hessian if sampler is not None else noise.hessian_kind == "exact-capped")
+    tau = bound = 0.0
+    if hessian and K > 0:
+        if sampler is None:
+            tau = hessian_cap(oracle, noise)
+            bound = tau * oracle.grad_lipschitz
+        else:
+            bound = sampler.norm_bound
+
+    # (K+1, S) schedule tables indexed by k (NaN in row 0, as in the
+    # trace) and (K+1, S) noise variances, one column per distinct
+    # schedule pair spread over its lanes.  The values come from the
+    # scalar functions, so they match the scalar runs; configuration
+    # errors surface here.
     ks = range(1, K + 1)
-    alphas = [config.stepsizes.at(k) for k in ks]
-    pairs = [gammas_at(config.gammas, config.stepsizes, k) for k in ks]
-    tau = bound = 0.0  # Hessian cap factor and the estimate's bound
-    if noise.hessian_kind == "exact-capped" and K > 0:
-        tau = hessian_cap(oracle, noise)
-        bound = tau * oracle.grad_lipschitz
-    for a, (g1, g2) in zip(alphas, pairs):
-        radius(1.0, a, g1, g2)  # validates alpha > 0 and 0 < gamma2 <= gamma1
-    violation = next((k for k, a, (g1, g2) in zip(ks, alphas, pairs)
-                      if not validate_stepsize(a, g1, g2, oracle.grad_lipschitz, bound)), None)
-    # (K+1,) tables indexed by k, NaN in row 0 as in the trace
-    ALPHA, GAMMA1, GAMMA2, BOUND = (
-        np.array([np.nan, *values], dtype=float)
-        for values in (alphas, [p[0] for p in pairs], [p[1] for p in pairs], [bound] * K))
-    VARIANCE = np.array([noise.gradient_variance(k, a) for k, a in zip(ks, alphas)],
-                        dtype=float)
+    schedules = list(dict.fromkeys((c.stepsizes, c.gammas) for c in configs))
+    tables, first_violation = [], []
+    for stepsizes, gammas in schedules:
+        alphas = [stepsizes.at(k) for k in ks]
+        if algorithm == "sg":  # SG records no gammas and has no precondition
+            pairs, violation = [(np.nan, np.nan)] * K, None
+        else:
+            pairs = [gammas_at(gammas, stepsizes, k) for k in ks]
+            for a, (g1, g2) in zip(alphas, pairs):
+                radius(1.0, a, g1, g2)  # validates alpha > 0 and 0 < gamma2 <= gamma1
+            violation = next((k for k, a, (g1, g2) in zip(ks, alphas, pairs) if not
+                              validate_stepsize(a, g1, g2, oracle.grad_lipschitz, bound)), None)
+        first_violation.append(violation)
+        tables.append([[np.nan, *alphas], [np.nan, *(p[0] for p in pairs)],
+                       [np.nan, *(p[1] for p in pairs)], [np.nan] + [bound] * K,
+                       [np.nan, *(noise.gradient_variance(k, a) for k, a in zip(ks, alphas))]])
+    lane_col = [schedules.index((c.stepsizes, c.gammas)) for c in configs]
+    warn_at: dict[int, list[int]] = {}  # k -> the lanes whose first violation it is
+    for lane, col in enumerate(lane_col):
+        if first_violation[col] is not None:
+            warn_at.setdefault(first_violation[col], []).append(lane)
+    if len(schedules) == 1:
+        ALPHA, GAMMA1, GAMMA2, BOUND, VARIANCE = (
+            np.broadcast_to(np.array(t, dtype=float)[:, None], (K + 1, S)) for t in tables[0])
+    else:
+        ALPHA, GAMMA1, GAMMA2, BOUND, VARIANCE = (
+            np.array(t, dtype=float)[lane_col].T for t in zip(*tables))
+        for table in (ALPHA, GAMMA1, GAMMA2, BOUND):
+            table.flags.writeable = False
 
     cols = {name: np.full((K + 1, S), np.nan) for name in LANE_COLUMNS}
-    F0 = oracle.value(X)
-    TG = oracle.grad(X)
+    F0, TG = _initial_record(oracle, X)
     cols["f"][0] = F0
     cols["grad_norm_true"][0] = row_norms(TG)
     cols["cost_units"][0] = 0.0
-    rngs = [rng_stream(seed, GRADIENT_STREAM) for seed in seeds]
+    rngs = [rng_stream(c.seed, GRADIENT_STREAM) for c in configs]
+    draw = _lane_draw(oracle, sampler, hessian, tau, VARIANCE, rngs, K)
+    step = _sg_lane_step if algorithm == "sg" else _trish_lane_step
     rows = np.full(S, K + 1)
     aborted: list[str | None] = [None] * S
     final_x = X.copy()
@@ -495,45 +574,23 @@ def run_trish_lanes(
     ids = np.arange(S)
     at = slice(None)  # their columns: a slice until the first lane stops
     cost = np.zeros(S, dtype=np.int64)
-    hvp = None
-    if noise.hessian_kind == "exact-capped":
-        def hvp(r, V):
-            return tau * oracle.hvp(X[r], V)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, K + 1):
-            j = (k - 1) % LANE_CHUNK
-            if j == 0:
-                V = VARIANCE[k - 1:k - 1 + LANE_CHUNK]
-                noise_block = np.stack([draw_noise_block(rngs[lane], V, n) for lane in ids])
-
-            if not np.all(np.isfinite(TG)):
-                bad = int(np.argmin(np.isfinite(TG).all(axis=1)))
-                raise EvaluationError(f"non-finite gradient at x = {X[bad]!r}")
-            G = TG + noise_block[:, j] if V[j] > 0.0 else TG
-            if k == violation:
-                for _ in ids:  # every lane still running responds, as its scalar run would
-                    _precondition_violated(k, config.stepsizes.at(k),
-                                           config.enforce_stepsize_bound)
+            G, hvp = draw(k, ids, at, X, TG)
+            for lane in warn_at.get(k, ()):
+                if aborted[lane] is None:  # every lane still running responds
+                    _precondition_violated(k, float(ALPHA[k, lane]), enforce)
 
             gn = row_norms(G)
-            delta, case = radius_rows(gn, ALPHA[k], GAMMA1[k], GAMMA2[k])
-            steps, model_dec, cauchy_dec, iters = steihaug_cg_rows(
-                G, gn, delta, hvp, solver.max_iters, solver.tol)
-            X_new = X + steps
-            still = gn == 0.0
-            if still.any():
-                X_new[still] = X[still]  # the zero step leaves x as it is
-            cost += 1 + iters if hvp is not None else 1
+            X_new, units, fields = step(X, G, gn, TG, hvp, ALPHA[k, at], GAMMA1[k, at],
+                                        GAMMA2[k, at], solver)
+            cost += units
             F = oracle.value(X_new)
             TG_new = oracle.grad(X_new)
 
-            row = {
-                "f": F, "grad_norm_true": row_norms(TG_new), "g_norm": gn,
-                "delta": delta, "case": case, "model_dec": model_dec,
-                "cauchy_dec": cauchy_dec, "cg_iters": iters, "cost_units": cost,
-                "step_norm": row_norms(steps), "noise_step_dot": rowdot(TG - G, steps),
-            }
+            row = {"f": F, "grad_norm_true": row_norms(TG_new), "g_norm": gn,
+                   "cost_units": cost, **fields}
             for name, value in row.items():
                 cols[name][k, at] = value
             X, TG = X_new, TG_new
@@ -548,13 +605,78 @@ def run_trish_lanes(
                     aborted[ids[i]] = _abort_reason(k, float(F[i]))
                     rows[ids[i]] = k + 1
                 keep = ~stop
-                ids, X, TG, F0, cost, noise_block = (
-                    v[keep] for v in (ids, X, TG, F0, cost, noise_block))
+                ids, X, TG, F0, cost = (v[keep] for v in (ids, X, TG, F0, cost))
                 at = ids
                 if ids.size == 0:
                     break
     final_x[at] = X
 
     for name, table in zip(SCHEDULE_COLUMNS, (ALPHA, GAMMA1, GAMMA2, BOUND)):
-        cols[name] = np.broadcast_to(table[:, None], (K + 1, S))
+        cols[name] = table
     return LaneRun(cols, rows, final_x, aborted)
+
+
+def _lane_draw(oracle, sampler, hessian, tau, VARIANCE, rngs, K):
+    """The lanes' per-iteration draw ``(k, ids, at, X, TG) -> (G, hvp)``.
+
+    ``ids`` are the running lanes and ``at`` their columns; ``X`` and
+    ``TG`` hold their iterates and true gradients.  ``G`` holds their
+    gradient estimates and ``hvp(r, V)`` applies the Hessian estimates
+    of the rows ``r`` to the rows of V (None for the zero estimate).
+    Every ``LANE_CHUNK`` iterations each running lane draws the next
+    block of its gradient noise or mini-batch rows from its own stream.
+    """
+    S, n = len(rngs), oracle.dim
+    if sampler is not None:
+        rows = np.zeros((S, LANE_CHUNK, sampler.batch_size), dtype=np.int64)
+
+        def draw(k, ids, at, X, TG):
+            j = (k - 1) % LANE_CHUNK
+            if j == 0:
+                count = min(LANE_CHUNK, K - k + 1)
+                for lane in ids:
+                    rows[lane, :count] = sampler.indices(rngs[lane], count)
+            return sampler.draw_rows(X, rows[at, j], k, hessian)
+
+        return draw
+
+    block = np.zeros((S, LANE_CHUNK, n))
+    drawn = VARIANCE > 0.0  # as sample_gradient: no noise, and no draw, at variance 0
+    every = drawn.all(axis=1).tolist()
+
+    def draw(k, ids, at, X, TG):
+        j = (k - 1) % LANE_CHUNK
+        if j == 0:
+            for lane in ids:
+                variances = VARIANCE[k:k + LANE_CHUNK, lane]
+                block[lane, :variances.size] = draw_noise_block(rngs[lane], variances, n)
+        if not np.all(np.isfinite(TG)):
+            bad = int(np.argmin(np.isfinite(TG).all(axis=1)))
+            raise EvaluationError(f"non-finite gradient at x = {X[bad]!r}")
+        G = TG + block[at, j] if every[k] else np.where(drawn[k, at][:, None],
+                                                         TG + block[at, j], TG)
+        if not hessian:
+            return G, None
+        return G, lambda r, V: tau * oracle.hvp(X[r], V)
+
+    return draw
+
+
+def _trish_lane_step(X, G, gn, TG, hvp, alpha, gamma1, gamma2, solver):
+    """TRish's lane step rule, ``trish_step`` on every row: the next
+    iterates, the cost units and the step fields it records."""
+    delta, case = radius_rows(gn, alpha, gamma1, gamma2)
+    steps, model_dec, cauchy_dec, iters = steihaug_cg_rows(
+        G, gn, delta, hvp, solver.max_iters, solver.tol)
+    X_new = X + steps
+    still = gn == 0.0
+    if still.any():
+        X_new[still] = X[still]  # the zero step leaves x as it is
+    return X_new, 1 + iters if hvp is not None else 1, {
+        "delta": delta, "case": case, "model_dec": model_dec, "cauchy_dec": cauchy_dec,
+        "cg_iters": iters, "step_norm": row_norms(steps), "noise_step_dot": rowdot(TG - G, steps)}
+
+
+def _sg_lane_step(X, G, gn, TG, hvp, alpha, gamma1, gamma2, solver):
+    """SG's lane step rule, x - alpha g on every row, as ``_sg_step``."""
+    return X - alpha[:, None] * G, 1, {"step_norm": alpha * gn}

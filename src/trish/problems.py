@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .core import (
     ConfigurationError,
     EvaluationError,
     HessianEstimate,
-    Sampler,
     matvec,
     rowdot,
 )
@@ -44,10 +44,10 @@ def _curvature(t: Array) -> Array:
     return sig * (1.0 - sig)
 
 
-def _mean_loss(m: Array, e: Array) -> float:
+def _mean_loss(m: Array, e: Array) -> float | Array:
     # log(1 + exp(-m)) from e = exp(-|m|): each term is within 1 ulp of
-    # np.logaddexp(0, -m), and m = 0 gives log 2 exactly
-    return np.mean(np.log1p(e) + np.maximum(-m, 0.0))
+    # np.logaddexp(0, -m), and m = 0 gives log 2 exactly; one mean per row
+    return np.mean(np.log1p(e) + np.maximum(-m, 0.0), axis=-1)
 
 
 class QuadraticProblem:
@@ -134,7 +134,11 @@ class LogisticProblem:
     labels in {-1, +1}.  Certified bounds: L_g <= max_i ||a_i||^2 / 4 + l2,
     L_H <= (sqrt(3)/18) * mean_i ||a_i||^3, and c >= l2 when l2 > 0.
     A held-out block, when provided, defines the validation loss.
+    ``value``, ``grad``, ``hvp`` and ``batch_gradient`` also take (S, dim)
+    row stacks (``batch_gradient`` with one index row per point).
     """
+
+    row_stacked = True
 
     def __init__(
         self,
@@ -168,19 +172,22 @@ class LogisticProblem:
     def _margins(self, x: Array) -> tuple[Array, Array]:
         """Margins m = y * (X @ x) and e = exp(-|m|), the one pass over the data.
 
-        The loop asks for f and then grad f at each iterate, so a one-entry
-        memo keyed on x's dtype, shape and bytes lets the second call reuse
-        the first one's pass.  A hit returns what a miss would compute.
+        The loop asks for f and then grad f at each iterate (or lane
+        stack), so a one-entry memo keyed on x's dtype, shape and bytes
+        lets the second call reuse the first one's pass.  A hit returns
+        what a miss would compute.
         """
         key = (x.dtype.char, x.shape, x.tobytes())
         memo = self._memo
         if memo[0] != key:
-            m = self.y * (self.X @ x)
+            m = self.y * matvec(self.X, x)
             memo = self._memo = (key, m, np.exp(-np.abs(m)))
         return memo[1], memo[2]
 
-    def value(self, x: Array) -> float:
+    def value(self, x: Array) -> float | Array:
         m, e = self._margins(x)
+        if x.ndim == 2:
+            return _mean_loss(m, e) + rowdot(0.5 * self.l2 * x, x)
         return float(_mean_loss(m, e) + 0.5 * self.l2 * x @ x)
 
     def grad(self, x: Array) -> Array:
@@ -188,61 +195,116 @@ class LogisticProblem:
         return self._batch_grad(x, self.X, self.y, _sigmoid_given(-m, e))
 
     def hvp(self, x: Array, v: Array) -> Array:
-        return self._batch_hvp(_curvature(self.X @ x), v, self.X)
+        # one curvature pass serves every row of v (a dense build's identity)
+        return self._batch_hvp(_curvature(matvec(self.X, x)), v, self.X)
+
+    # The rows X below are the data, one (B, dim) mini-batch, or an
+    # (S, B, dim) stack of them with one batch per row of x.
 
     def _batch_grad(self, x: Array, X: Array, y: Array, sig: Array) -> Array:
         # sig = sigma(-y * (X @ x)) on the rows X
-        return X.T @ (-y * sig) / X.shape[0] + self.l2 * x
+        return matvec(np.swapaxes(X, -1, -2), -y * sig) / X.shape[-2] + self.l2 * x
 
     def _batch_hvp(self, curv: Array, v: Array, X: Array) -> Array:
         # curv = sigma'(X @ x) on the rows X
-        return X.T @ (curv * (X @ v)) / X.shape[0] + self.l2 * v
+        return matvec(np.swapaxes(X, -1, -2), curv * matvec(X, v)) / X.shape[-2] + self.l2 * v
 
     def batch_gradient(self, x: Array, idx: Array) -> Array:
         X_b, y_b = self.X[idx], self.y[idx]
-        return self._batch_grad(x, X_b, y_b, _sigmoid(-y_b * (X_b @ x)))
+        return self._batch_grad(x, X_b, y_b, _sigmoid(-y_b * matvec(X_b, x)))
 
     def batch_hessian(self, x: Array, idx: Array, m_h: float | None = None) -> HessianEstimate:
         """Same-batch Hessian estimate, optionally capped at ``m_h``."""
         X_b = self.X[idx]
-        curv = _curvature(X_b @ x)
-        bound = self.grad_lipschitz  # global bound covers every sub-batch
-        tau = 1.0 if m_h is None else min(1.0, m_h / bound)
+        curv = _curvature(matvec(X_b, x))
+        tau = self._batch_cap(m_h)
         return HessianEstimate(
             apply=lambda v: tau * self._batch_hvp(curv, v, X_b),
-            norm_bound=tau * bound,
+            norm_bound=tau * self.grad_lipschitz,  # the global bound covers every sub-batch
         )
 
-    def minibatch_sampler(
-        self, batch_size: int, hessian: bool = False, m_h: float | None = None
-    ) -> Sampler:
-        """Uniform-with-replacement mini-batch sampler.
-
-        One index draw per iteration parameterizes both the gradient
-        estimate and (when enabled) the Hessian estimate, so gradient
-        streams stay aligned across algorithms that share a seed.
-        """
-        if batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-
-        def sample(x, k, alpha_k, grad_rng, hess_rng):
-            idx = grad_rng.integers(0, self.n_samples, size=batch_size)
-            g = self.batch_gradient(x, idx)
-            if not np.all(np.isfinite(g)):
-                raise EvaluationError(f"non-finite mini-batch gradient at k={k}, x = {x!r}")
-            if hessian:
-                est = self.batch_hessian(x, idx, m_h)
-            else:
-                est = HessianEstimate.zero(self.dim)
-            return g, est
-
-        return sample
+    def _batch_cap(self, m_h: float | None) -> float:
+        """The factor min{1, m_h / L_g} that caps a mini-batch Hessian estimate."""
+        return 1.0 if m_h is None else min(1.0, m_h / self.grad_lipschitz)
 
     def validation_loss(self, x: Array) -> float:
         if self.holdout_X is None:
             return self.value(x)
         m = self.holdout_y * (self.holdout_X @ x)
         return float(_mean_loss(m, np.exp(-np.abs(m))) + 0.5 * self.l2 * x @ x)
+
+
+@dataclass(frozen=True)
+class MiniBatchSampler:
+    """Uniform-with-replacement mini-batch sampler of a logistic problem.
+
+    A call is one iteration's ``Sampler`` draw: one index draw of
+    ``batch_size`` rows from the gradient stream parameterizes both the
+    gradient estimate and (with ``hessian``) the same-batch Hessian
+    estimate, capped at ``m_h`` when given, so gradient streams stay
+    aligned across algorithms that share a seed.  ``indices`` and
+    ``draw_rows`` are the same draws for lockstep lanes, many
+    iterations or many points at a time.
+    """
+
+    problem: LogisticProblem
+    batch_size: int
+    hessian: bool = False
+    m_h: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ConfigurationError("batch_size must be >= 1")
+
+    @property
+    def norm_bound(self) -> float:
+        """The certified bound of every Hessian estimate a call returns."""
+        p = self.problem
+        return p._batch_cap(self.m_h) * p.grad_lipschitz if self.hessian else 0.0
+
+    def indices(self, rng: np.random.Generator, count: int | None = None) -> Array:
+        """One iteration's batch rows, or a (count, batch_size) block whose
+        row i is bit for bit the i-th of ``count`` successive draws."""
+        size = self.batch_size if count is None else (count, self.batch_size)
+        return rng.integers(0, self.problem.n_samples, size=size)
+
+    def __call__(self, x, k, alpha_k, grad_rng, hess_rng):
+        idx = self.indices(grad_rng)
+        g = self.problem.batch_gradient(x, idx)
+        _check_finite(g, k, x)
+        if self.hessian:
+            return g, self.problem.batch_hessian(x, idx, self.m_h)
+        return g, HessianEstimate.zero(self.problem.dim)
+
+    def draw_rows(self, X: Array, idx: Array, k: int, hessian: bool):
+        """The draws at the rows of X, row i with the batch rows ``idx[i]``.
+
+        Returns the (S, dim) gradient estimates, row i bit for bit what a
+        call at ``X[i]`` drawing ``idx[i]`` returns, and ``hvp(r, V)``,
+        the products of the Hessian estimates of rows ``r`` with the rows
+        of V, or None when ``hessian`` is false (the zero estimate).
+        """
+        p = self.problem
+        G = p.batch_gradient(X, idx)
+        _check_finite(G, k, X)
+        if not hessian:
+            return G, None
+        X_b = p.X[idx]
+        # from the raw X_b @ x, as batch_hessian computes it: sigma'(m) and
+        # sigma'(-m) can differ in the last bit
+        curv = _curvature(matvec(X_b, X))
+        tau = p._batch_cap(self.m_h)
+        return G, lambda r, V: tau * p._batch_hvp(curv[r], V, X_b[r])
+
+
+def _check_finite(g: Array, k: int, x: Array) -> None:
+    """Raise on a non-finite mini-batch gradient, naming its point (the
+    first such row's, for stacks)."""
+    if np.all(np.isfinite(g)):
+        return
+    bad = int(np.argmin(np.isfinite(g).reshape(-1, g.shape[-1]).all(axis=1)))
+    raise EvaluationError(
+        f"non-finite mini-batch gradient at k={k}, x = {x.reshape(-1, x.shape[-1])[bad]!r}")
 
 
 def make_logistic(n_samples: int, dim: int, l2: float, seed: int) -> LogisticProblem:

@@ -13,7 +13,7 @@ from trish import (
     sample_hessian,
 )
 from trish.core import draw_noise_block, rowdot
-from trish.problems import QuadraticProblem, RosenbrockProblem, make_quadratic
+from trish.problems import QuadraticProblem, RosenbrockProblem, make_logistic, make_quadratic
 
 
 def diag_quadratic(entries):
@@ -130,15 +130,19 @@ def column_loop(est, n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(quadratic=st.booleans(), kind=st.sampled_from(["exact-capped", "perturbed"]),
+@given(family=st.sampled_from(["quadratic", "rosenbrock", "logistic"]),
+       kind=st.sampled_from(["exact-capped", "perturbed"]),
        n=st.integers(2, 24), seed=st.integers(0, 2**32 - 1),
        cap=st.sampled_from([0.5, 1.0, 2.0]))
-def test_row_stacked_dense_matches_column_loop(quadratic, kind, n, seed, cap):
+def test_row_stacked_dense_matches_column_loop(family, kind, n, seed, cap):
     rng = np.random.default_rng(seed)
-    if quadratic:
+    if family == "quadratic":
         prob = make_quadratic(n, 1.0, 10.0, seed=int(rng.integers(1 << 30)))
-    else:
+    elif family == "rosenbrock":
         prob = RosenbrockProblem(n)
+    else:
+        prob = make_logistic(int(rng.integers(1, 400)), n, l2=0.01,
+                             seed=int(rng.integers(1 << 30)))
     x = rng.uniform(-2.0, 2.0, n)
     noise = NoiseModel(kind="none", hessian_kind=kind, m_h=cap * prob.grad_lipschitz,
                        perturbation=0.3 * prob.grad_lipschitz)

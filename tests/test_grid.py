@@ -1,9 +1,23 @@
 import numpy as np
 import pytest
 
-from trish import NoiseModel, make_logistic, make_quadratic
+from trish import (
+    GammaSchedule,
+    MiniBatchSampler,
+    NoiseModel,
+    StepsizeSchedule,
+    TrishConfig,
+    make_logistic,
+    make_quadratic,
+    run_sg,
+    run_trish,
+    run_trish_first_order,
+)
+from trish.harness import grid as grid_module
 from trish.harness.grid import (
+    TUNE_LANES,
     GridSpec,
+    HyperGrid,
     baseline_gradient_norm,
     build_grid,
     tune,
@@ -104,5 +118,78 @@ class TestTune:
             result = tune(prob, "trish1", grid, [0, 1], 30, x0=np.zeros(5), sampler=sampler)
             return [e.losses for e in result.leaderboard]
 
-        assert losses(prob.minibatch_sampler(10, hessian=True)) == losses(
-            prob.minibatch_sampler(10))
+        assert losses(MiniBatchSampler(prob, 10, hessian=True)) == losses(
+            MiniBatchSampler(prob, 10))
+
+
+def scalar_leaderboard(problem, algorithm, grid, seeds, iterations, noise, sampler):
+    """The leaderboard from explicit scalar runs, one per (setting, seed)."""
+    entries = []
+    if algorithm == "sg":
+        settings = [{"alpha": alpha} for alpha in grid.sg_stepsizes]
+    else:
+        settings = [{"alpha": a, "gamma1": g1, "gamma2": g2} for a, g1, g2 in grid.trish_settings]
+    for setting in settings:
+        losses = []
+        for seed in seeds:
+            x0 = np.zeros(problem.dim)
+            if algorithm == "sg":
+                traj = run_sg(problem, x0, StepsizeSchedule.constant(setting["alpha"]), noise,
+                              iterations, seed, sampler=sampler)
+            else:
+                runner = run_trish if algorithm == "trish" else run_trish_first_order
+                config = TrishConfig(StepsizeSchedule.constant(setting["alpha"]),
+                                     GammaSchedule.constant(setting["gamma1"], setting["gamma2"]),
+                                     iterations, seed, noise=noise)
+                traj = runner(problem, x0, config, sampler=sampler)
+            finite = traj.aborted is None and np.all(np.isfinite(traj.final_x))
+            losses.append(float(problem.validation_loss(traj.final_x)) if finite else np.inf)
+        entries.append((setting, float(np.mean(losses)), tuple(losses)))
+    entries.sort(key=lambda e: (e[1], e[0]["alpha"], e[0].get("gamma1", 0.0),
+                                -e[0].get("gamma2", 0.0)))
+    return entries
+
+
+class TestTuneOnLanes:
+    SPEC = GridSpec((-1.0, 0.0, 1.0), (1.0, 3.0), (1.0,))  # 6 settings x 3 seeds: 3 lane runs
+
+    @pytest.mark.parametrize("algorithm", ["trish", "trish1", "sg"])
+    @pytest.mark.parametrize("problem_kind", ["logistic", "quadratic"])
+    def test_leaderboard_equals_scalar_runs(self, algorithm, problem_kind, monkeypatch):
+        if problem_kind == "logistic":
+            problem = make_logistic(150, 4, l2=0.01, seed=7)
+            noise = NoiseModel()
+            sampler = MiniBatchSampler(problem, 8, hessian=algorithm == "trish")
+        else:
+            problem = make_quadratic(5, 1.0, 8.0, seed=3)
+            noise = NoiseModel(kind="bounded", m_g=0.5, hessian_kind="exact-capped", m_h=4.0)
+            sampler = None
+        seeds = [0, 5, 9]
+        grid = build_grid(1.5, self.SPEC)
+        lane_runs = []
+        run_lanes = grid_module.run_lanes
+        monkeypatch.setattr(grid_module, "run_lanes",
+                            lambda *a, **kw: lane_runs.append(len(a[2])) or run_lanes(*a, **kw))
+        result = tune(problem, algorithm, grid, seeds, 30, noise=noise, sampler=sampler)
+        assert lane_runs == [TUNE_LANES, TUNE_LANES, 3 * 6 - 2 * TUNE_LANES]
+        expected = scalar_leaderboard(problem, algorithm, grid, seeds, 30, noise, sampler)
+        assert [(e.setting, e.mean_loss, e.losses) for e in result.leaderboard] == expected
+        # on the quadratic, some first-order and SG lanes stop at the divergence guard
+        diverged = sum(np.isinf(loss) for e in result.leaderboard for loss in e.losses)
+        assert (diverged > 0) == (problem_kind == "quadratic" and algorithm != "trish")
+
+    def test_reversed_logistic_grid_gives_the_same_leaderboard(self):
+        # settings that differ only in gamma2 tie exactly when the radius
+        # rule's case 3 never fires; the tie goes to the larger gamma2
+        problem = make_logistic(200, 5, l2=0.01, seed=0)
+        sampler = MiniBatchSampler(problem, 10, hessian=True)
+        G = baseline_gradient_norm(problem, NoiseModel(), 20, 9, sampler=sampler)
+        grid = build_grid(G, GridSpec((-1.0, 0.0), (1.0,), (1.0, 3.0)))
+        reversed_grid = HyperGrid(grid.trish_settings[::-1], grid.sg_stepsizes)
+        results = [tune(problem, "trish", g, [0, 1], 20, sampler=sampler)
+                   for g in (grid, reversed_grid)]
+        boards = [[(e.setting, e.losses) for e in r.leaderboard] for r in results]
+        assert boards[0] == boards[1]
+        best, runner_up = results[0].leaderboard[:2]
+        assert best.losses == runner_up.losses  # the tie is real
+        assert best.setting["gamma2"] > runner_up.setting["gamma2"]

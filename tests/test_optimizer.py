@@ -12,6 +12,7 @@ from trish import (
     GammaSchedule,
     EighMemo,
     HessianEstimate,
+    MiniBatchSampler,
     NoiseModel,
     NumericalError,
     SolverSpec,
@@ -21,12 +22,20 @@ from trish import (
     run_trish,
     run_trish_first_order,
     rng_stream,
+    run_lanes,
     run_trish_lanes,
     sample_hessian,
     trish_step,
 )
-from trish.optimizer import SCHEDULE_COLUMNS, TRACE_DTYPE
-from trish.problems import QuadraticProblem, RosenbrockProblem, make_logistic, make_quadratic
+from trish.harness.grid import TUNE_LANES, GridSpec, build_grid, tune
+from trish.optimizer import LANE_CHUNK, SCHEDULE_COLUMNS, TRACE_DTYPE
+from trish.problems import (
+    QuadraticProblem,
+    RosenbrockProblem,
+    make_logistic,
+    make_quadratic,
+    make_quartic_bowl,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -253,10 +262,10 @@ class TestCollapseToSG:
             seed=8,
         )
         tr_x, sg_x = [], []
-        run_trish_first_order(prob, np.zeros(4), cfg, sampler=prob.minibatch_sampler(8),
+        run_trish_first_order(prob, np.zeros(4), cfg, sampler=MiniBatchSampler(prob, 8),
                               on_iterate=lambda k, x: tr_x.append(x.copy()))
         run_sg(prob, np.zeros(4), StepsizeSchedule.constant(gamma * alpha),
-               NoiseModel(), iters, seed=8, sampler=prob.minibatch_sampler(8),
+               NoiseModel(), iters, seed=8, sampler=MiniBatchSampler(prob, 8),
                on_iterate=lambda k, x: sg_x.append(x.copy()))
         worst = max(float(np.max(np.abs(a - b)))
                     for a, b in zip(tr_x, sg_x))
@@ -342,6 +351,16 @@ class TestGradientOncePerIteration:
             run_sg(oracle, np.ones(4), StepsizeSchedule.constant(0.01), noise, 25, seed=3)
         assert oracle.grad_calls == 1 + 25  # the initial point plus one per iteration
 
+    def test_lane_tune_one_gradient_per_chunk_and_iterate(self):
+        problem = make_logistic(200, 4, l2=0.01, seed=2)
+        oracle = CountingOracle(problem)
+        grid = build_grid(1.0, GridSpec((-1.0, 0.0), (1.0, 2.0), (1.0, 3.0)))  # 8 settings
+        seeds, iterations = [0, 1], 15
+        tune(oracle, "trish", grid, seeds, iterations,
+             sampler=MiniBatchSampler(problem, 10, hessian=True))
+        assert len(grid.trish_settings) * len(seeds) == 2 * TUNE_LANES  # two lane runs
+        assert oracle.grad_calls == 2 * (1 + iterations)  # row 0 plus one per iterate
+
 
 # --- lockstep lanes against the scalar reference ---------------------------
 
@@ -351,19 +370,28 @@ EXACT_COLUMNS = ("f", "grad_norm_true", "g_norm", "delta", "case", "model_dec",
 FAULTS = (ConfigurationError, EvaluationError, NumericalError)
 
 
-def assert_lanes_match_scalar(problem, x0, config, seeds):
-    """Every lane equals run_trish at its seed, bit for bit."""
+def run_scalar(problem, x0, config, algorithm="trish", sampler=None):
+    """The scalar run a lane of ``run_lanes`` reproduces."""
+    if algorithm == "sg":
+        return run_sg(problem, x0, config.stepsizes, config.noise, config.iterations,
+                      config.seed, sampler=sampler)
+    runner = run_trish if algorithm == "trish" else run_trish_first_order
+    return runner(problem, x0, config, sampler=sampler)
+
+
+def assert_lanes_match_scalar(problem, x0, configs, algorithm="trish", sampler=None):
+    """Every lane equals its scalar run, bit for bit."""
     scalar, errors = [], []
-    for seed in seeds:
+    for config in configs:
         try:
-            scalar.append(run_trish(problem, x0, replace(config, seed=seed)))
+            scalar.append(run_scalar(problem, x0, config, algorithm, sampler))
         except FAULTS as exc:
             errors.append(type(exc))
     if errors:
         with pytest.raises(tuple(errors)):
-            run_trish_lanes(problem, x0, config, seeds)
+            run_lanes(problem, x0, configs, algorithm, sampler)
         return None
-    lanes = run_trish_lanes(problem, x0, config, seeds)
+    lanes = run_lanes(problem, x0, configs, algorithm, sampler)
     for i, traj in enumerate(scalar):
         rows = len(traj.records)
         assert lanes.rows[i] == rows
@@ -377,38 +405,59 @@ def assert_lanes_match_scalar(problem, x0, config, seeds):
 
 
 @st.composite
+def schedules(draw, problem):
+    """A (stepsizes, gammas) pair; "diverging" trips the divergence guard."""
+    alpha = draw(st.sampled_from([0.05, 0.25, 1.0])) / problem.grad_lipschitz
+    gamma1 = draw(st.sampled_from([1.0, 2.0, 8.0]))
+    kind = draw(st.sampled_from(["constant", "diminishing", "merging", "diverging"]))
+    if kind == "constant":
+        return StepsizeSchedule.constant(alpha), GammaSchedule.constant(gamma1, 1.0)
+    if kind == "diverging":
+        return StepsizeSchedule.constant(1e7), GammaSchedule.constant(1.0, 1.0)
+    steps = StepsizeSchedule.diminishing(alpha * 51.0, 50.0)
+    gammas = (GammaSchedule.constant(gamma1, 1.0) if kind == "diminishing"
+              else GammaSchedule.merging(gamma1, eta=1.0))
+    return steps, gammas
+
+
+@st.composite
 def lane_cases(draw):
-    if draw(st.booleans()):
+    family = draw(st.sampled_from(["quadratic", "rosenbrock", "logistic"]))
+    sampler = None
+    if family == "quadratic":
         n = draw(st.integers(2, 12))
         problem = make_quadratic(n, 1.0, draw(st.sampled_from([1.0, 4.0, 10.0])),
                                  seed=draw(st.integers(0, 10_000)))
         x0 = np.ones(n)
-    else:
+    elif family == "rosenbrock":
         n = draw(st.integers(2, 6))
         problem = RosenbrockProblem(n)
         x0 = np.zeros(n)
+    else:
+        n = draw(st.integers(2, 6))
+        problem = make_logistic(draw(st.integers(20, 80)), n, l2=0.01,
+                                seed=draw(st.integers(0, 10_000)))
+        x0 = np.zeros(n)
+        if draw(st.booleans()):
+            sampler = MiniBatchSampler(
+                problem, draw(st.integers(1, 12)), hessian=draw(st.booleans()),
+                m_h=draw(st.sampled_from([None, 0.5 * problem.grad_lipschitz])))
+    algorithm = draw(st.sampled_from(["trish", "trish1", "sg"]))
     hessian = draw(st.sampled_from(["zero", "exact-capped"]))
     m_h = problem.grad_lipschitz * draw(st.sampled_from([0.25, 1.0, 2.0]))
     noise = NoiseModel(kind=draw(st.sampled_from(["none", "bounded", "stepwise", "geometric"])),
                        m_g=draw(st.sampled_from([0.1, 1.0])), zeta=1e-3,
                        hessian_kind=hessian, m_h=m_h if hessian != "zero" else 0.0)
-    alpha = draw(st.sampled_from([0.05, 0.25, 1.0])) / problem.grad_lipschitz
-    gamma1 = draw(st.sampled_from([1.0, 2.0, 8.0]))
-    kind = draw(st.sampled_from(["constant", "diminishing", "merging", "diverging"]))
-    if kind == "constant":
-        steps, gammas = StepsizeSchedule.constant(alpha), GammaSchedule.constant(gamma1, 1.0)
-    elif kind == "diverging":  # every lane trips the divergence guard
-        steps, gammas = StepsizeSchedule.constant(1e7), GammaSchedule.constant(1.0, 1.0)
-    else:
-        steps = StepsizeSchedule.diminishing(alpha * 51.0, 50.0)
-        gammas = (GammaSchedule.constant(gamma1, 1.0) if kind == "diminishing"
-                  else GammaSchedule.merging(gamma1, eta=1.0))
     iterations = draw(st.integers(0, 130))  # zeta = 1e-3 underflows to 0 after ~108 steps
     seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True))
-    return problem, x0, TrishConfig(steps, gammas, iterations, noise=noise), seeds
+    shared = draw(schedules(problem))
+    per_lane = draw(st.booleans())
+    configs = [TrishConfig(*(draw(schedules(problem)) if per_lane else shared), iterations,
+                           seed, noise=noise) for seed in seeds]
+    return problem, x0, configs, algorithm, sampler
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(lane_cases())
 def test_lanes_bit_identical_to_scalar(case):
     assert_lanes_match_scalar(*case)
@@ -426,7 +475,8 @@ class TestLanes:
         # k = 42, seed 1 at the last iteration (so its row count is full)
         config = TrishConfig(StepsizeSchedule.constant(0.006), GammaSchedule.constant(1.0, 1.0),
                              60, noise=NoiseModel(kind="bounded", m_g=300.0))
-        lanes = assert_lanes_match_scalar(RosenbrockProblem(4), np.zeros(4), config, range(8))
+        lanes = assert_lanes_match_scalar(RosenbrockProblem(4), np.zeros(4),
+                                          [replace(config, seed=seed) for seed in range(8)])
         assert list(lanes.rows) == [61, 61, 61, 61, 61, 61, 43, 61]
         assert [r is not None for r in lanes.aborted] == [i in (1, 6) for i in range(8)]
 
@@ -488,6 +538,67 @@ class TestLanes:
                             replace(base, **change), [0, 1])
 
     def test_oracle_without_row_stacks_rejected(self):
-        prob = make_logistic(50, 3, l2=0.1, seed=2)
+        prob = make_quartic_bowl(3, 1.0, 2.0, quartic=1.0, radius=5.0, seed=2)
         with pytest.raises(ConfigurationError, match="row-stacked"):
             run_trish_lanes(prob, np.zeros(3), self.config(0.01), [0])
+
+    @pytest.mark.parametrize("change", [
+        {"iterations": 59},
+        {"solver": SolverSpec(max_iters=5)},
+        {"noise": NoiseModel(kind="bounded", m_g=2.0)},
+        {"enforce_stepsize_bound": True},
+    ])
+    def test_lanes_share_all_but_seed_and_schedules(self, change):
+        base = self.config(0.01)
+        with pytest.raises(ConfigurationError, match="share"):
+            run_lanes(make_quadratic(3, 1.0, 2.0, seed=1), np.zeros(3),
+                      [base, replace(base, **change)])
+
+    @pytest.mark.parametrize("algorithm, hessian", [
+        ("trish", False), ("trish", True), ("trish1", True), ("sg", False)])
+    def test_lane_diverging_mid_chunk_on_logistic_minibatches(self, algorithm, hessian):
+        # lane 1 stops inside the first LANE_CHUNK block of draws; the others
+        # draw their next block without it and match their scalar runs
+        prob = make_logistic(60, 4, l2=0.01, seed=3)
+        # a tiny cap keeps the curvature from holding the huge step back
+        sampler = MiniBatchSampler(prob, 5, hessian=hessian, m_h=1e-9)
+        configs = [TrishConfig(StepsizeSchedule.constant(alpha), GammaSchedule.constant(4.0, 1.0),
+                               LANE_CHUNK + 30, seed=seed)
+                   for alpha, seed in ((0.1, 0), (1e3, 1), (0.5, 2))]
+        lanes = assert_lanes_match_scalar(prob, np.zeros(4), configs, algorithm, sampler)
+        assert 1 < lanes.rows[1] < LANE_CHUNK
+        assert [r is None for r in lanes.aborted] == [True, False, True]
+
+    def test_per_lane_settings_warn_like_their_scalar_runs(self, caplog):
+        # the first and last lanes violate the precondition, the middle one never
+        prob = make_quadratic(3, 1.0, 2.0, seed=1)
+        configs = [TrishConfig(StepsizeSchedule.diminishing(a, 0.5),
+                               GammaSchedule.constant(2.0, 1.0), 12, seed=seed,
+                               noise=NoiseModel(kind="bounded", m_g=1.0))
+                   for a, seed in ((1.0, 4), (0.005, 9), (0.3, 11))]
+        with caplog.at_level(logging.WARNING, logger="trish.optimizer"):
+            for config in configs:
+                run_trish(prob, np.zeros(3), config)
+            scalar = [r.getMessage() for r in caplog.records]
+            caplog.clear()
+            run_lanes(prob, np.zeros(3), configs)
+            lanes = [r.getMessage() for r in caplog.records]
+        assert len(scalar) == 2
+        assert lanes == scalar
+
+    def test_per_lane_schedule_columns(self):
+        prob = make_quadratic(3, 1.0, 2.0, seed=1)
+        configs = [replace(self.config(alpha), seed=seed)
+                   for alpha, seed in ((0.01, 0), (0.02, 1), (0.01, 2))]
+        lanes = run_lanes(prob, np.zeros(3), configs)
+        assert list(lanes.column("alpha")[1]) == [0.01, 0.02, 0.01]
+        assert not lanes.column("alpha").flags.writeable
+
+
+def test_index_block_equals_successive_draws():
+    sampler = MiniBatchSampler(make_logistic(500, 3, l2=0.0, seed=1), 7)
+    block, successive = rng_stream(5, 0), rng_stream(5, 0)
+    rows = sampler.indices(block, LANE_CHUNK)
+    assert rows.shape == (LANE_CHUNK, 7)
+    assert np.array_equal(rows, [sampler.indices(successive) for _ in range(LANE_CHUNK)])
+    assert block.integers(1 << 30) == successive.integers(1 << 30)  # streams stay aligned

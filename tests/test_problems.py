@@ -20,7 +20,7 @@ from trish import (
     run_trish,
 )
 from trish.core import rng_stream
-from trish.problems import LogisticProblem, QuadraticProblem, RosenbrockProblem, _sigmoid
+from trish.problems import LogisticProblem, MiniBatchSampler, QuadraticProblem, RosenbrockProblem, _sigmoid
 
 
 class TestQuadratic:
@@ -220,7 +220,7 @@ class TestMarginMemo:
         split = SimpleNamespace(dim=LOGI.dim, grad_lipschitz=LOGI.grad_lipschitz,
                                 value=fresh_logistic().value, grad=fresh_logistic().grad)
         runs = [run_trish(oracle, np.zeros(LOGI.dim), config,
-                          sampler=LOGI.minibatch_sampler(10, hessian=True))
+                          sampler=MiniBatchSampler(LOGI, 10, hessian=True))
                 for oracle in (fresh_logistic(), split)]
         shared, separate = (run.records for run in runs)
         for name in shared.dtype.names:
@@ -229,16 +229,43 @@ class TestMarginMemo:
         assert runs[0].final_x.tobytes() == runs[1].final_x.tobytes()
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 9), batch=st.integers(1, 30),
+       scale=st.sampled_from([0.0, 1e-3, 1.0, 50.0]), m_h=st.sampled_from([None, 0.3]))
+def test_minibatch_draw_rows_match_calls(seed, lanes, batch, scale, m_h):
+    """Row i of a stacked draw is what a call at X[i] drawing idx[i] returns."""
+    rng = np.random.default_rng(seed)
+    prob = make_logistic(int(rng.integers(1, 300)), 6, l2=0.01, seed=seed % 1000)
+    sampler = MiniBatchSampler(prob, batch, hessian=True, m_h=m_h)
+    X = scale * rng.standard_normal((lanes, prob.dim))
+    V = rng.standard_normal((lanes, prob.dim))
+    streams = [rng_stream(seed + i, 0) for i in range(lanes)]
+    idx = np.stack([sampler.indices(stream) for stream in streams])
+    G, hvp = sampler.draw_rows(X, idx, 3, hessian=True)
+    rows = np.arange(lanes)[::-1]  # a subset order of rows, as Steihaug passes them
+    products = hvp(rows, V[rows])
+    for i in range(lanes):
+        g, est = sampler(X[i], 3, 0.1, rng_stream(seed + i, 0), None)
+        assert g.tobytes() == G[i].tobytes()
+        assert est.apply(V[i]).tobytes() == products[lanes - 1 - i].tobytes()
+        assert est.norm_bound == sampler.norm_bound
+    assert sampler.draw_rows(X, idx, 3, hessian=False)[1] is None
+
+
 def test_minibatch_sampler_rejects_non_finite_gradient():
     prob = make_logistic(40, 3, l2=0.1, seed=5)
-    sample = prob.minibatch_sampler(4)
+    sample = MiniBatchSampler(prob, 4)
     with pytest.raises(EvaluationError, match="k=7"):
         sample(np.array([np.inf, 0.0, 0.0]), 7, 0.1, rng_stream(0, 0), rng_stream(0, 1))
+    X = np.array([[0.0, 0.0, 0.0], [0.0, np.inf, 0.0]])
+    with pytest.raises(EvaluationError, match=r"k=7, x = array\(\[ 0., inf,  0.\]\)"):
+        sample.draw_rows(X, np.zeros((2, 4), dtype=np.int64), 7, hessian=False)
 
 
 @pytest.mark.parametrize("make", [
     lambda: make_quadratic(7, 1.0, 10.0, seed=8),
     lambda: RosenbrockProblem(6),
+    lambda: make_logistic(300, 7, l2=0.05, seed=8),
 ])
 def test_row_stacked_evaluation_matches_rows(make):
     prob = make()
