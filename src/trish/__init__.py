@@ -48,7 +48,6 @@ from .optimizer import (
     run_trish,
     run_lanes,
     run_trish_first_order,
-    run_trish_lanes,
     trish_step,
 )
 from .bounds import (

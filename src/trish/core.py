@@ -68,6 +68,12 @@ def row_norms(X: Array) -> Array:
     return np.sqrt(rowdot(X, X))
 
 
+def libm_pow(x: Array, p: float) -> Array:
+    """Elementwise Python float ``**`` (libm pow); numpy's vectorized pow
+    can differ by an ulp."""
+    return (x.astype(object) ** p).astype(float)
+
+
 @runtime_checkable
 class ProblemOracle(Protocol):
     """Smooth objective with certified constants.
@@ -75,10 +81,15 @@ class ProblemOracle(Protocol):
     Required: ``dim``, ``value``, ``grad``, ``hvp`` and the gradient
     Lipschitz constant ``grad_lipschitz``.  ``hess_lipschitz``,
     ``f_min`` (infimum of f) and ``pl_constant`` are ``None`` whenever
-    no certified value exists; they are never fabricated.  Oracles whose
-    ``row_stacked`` attribute is true also evaluate an (S, n) stack of
-    points row by row, bit-identical to S separate calls; the lockstep
-    lane runner requires it.
+    no certified value exists; they are never fabricated.
+
+    Row stacks are part of the contract: ``value`` and ``grad`` also
+    take an (S, n) stack of points, and ``hvp`` an (m, n) stack of
+    vectors at one point or at the matching row of an (m, n) stack of
+    points.  Row i of each result is bit-identical to the call on row i
+    alone.  The lockstep lane runner evaluates its lanes this way, and
+    ``HessianEstimate.dense`` builds an oracle's Hessian from one
+    product on the stacked identity rows.
     """
 
     dim: int
@@ -238,12 +249,11 @@ def sample_hessian(
     if noise.hessian_kind == "zero":
         return HessianEstimate.zero(oracle.dim)
     tau = hessian_cap(oracle, noise)
-    rows = getattr(oracle, "row_stacked", False)
     if noise.hessian_kind == "exact-capped":
         return HessianEstimate(
             apply=lambda v: tau * oracle.hvp(x, v),
             norm_bound=tau * oracle.grad_lipschitz,
-            row_stacked=rows,
+            row_stacked=True,
         )
 
     # perturbed: one symmetric perturbation per estimate, fixed across applies
@@ -254,13 +264,20 @@ def sample_hessian(
         pert = (noise.perturbation / sym_norm) * sym
     else:
         pert = np.zeros((oracle.dim, oracle.dim))
-    raw_bound = tau * oracle.grad_lipschitz + noise.perturbation
-    recap = min(1.0, noise.m_h / raw_bound)
+    recap, bound = perturbed_cap(oracle, noise)
     return HessianEstimate(
         apply=lambda v: recap * (tau * oracle.hvp(x, v) + matvec(pert, v)),
-        norm_bound=recap * raw_bound,
-        row_stacked=rows,
+        norm_bound=bound,
+        row_stacked=True,
     )
+
+
+def perturbed_cap(oracle: ProblemOracle, noise: NoiseModel) -> tuple[float, float]:
+    """The factor min{1, m_h / (tau L_g + perturbation)} that re-caps a
+    perturbed estimate, and the certified bound of the re-capped estimate."""
+    raw_bound = hessian_cap(oracle, noise) * oracle.grad_lipschitz + noise.perturbation
+    recap = min(1.0, noise.m_h / raw_bound)
+    return recap, recap * raw_bound
 
 
 def hvp_finite_difference(
@@ -274,17 +291,12 @@ def hvp_finite_difference(
     return (oracle.grad(x + h * v) - oracle.grad(x - h * v)) / (2.0 * h)
 
 
-# Sampler signature used by the optimizer loops: one call per iteration maps
-# (x_k, k, alpha_k) plus the two RNG streams to a (g_k, H_k) pair.
-Sampler = Callable[[Array, int, float, np.random.Generator, np.random.Generator],
-                   tuple[Array, HessianEstimate]]
+def oracle_sampler(oracle: ProblemOracle, noise: NoiseModel):
+    """Per-iteration draw from a smooth oracle plus a synthetic noise model.
 
-
-def oracle_sampler(oracle: ProblemOracle, noise: NoiseModel) -> Sampler:
-    """Sampler backed by a smooth oracle plus a synthetic noise model.
-
-    The returned sampler also takes ``grad=``, the true gradient at ``x``
-    when the caller already holds it.
+    ``sample(x_k, k, alpha_k, grad_rng, hess_rng)`` returns the pair
+    (g_k, H_k) from the two RNG streams; it also takes ``grad=``, the
+    true gradient at ``x`` when the caller already holds it.
     """
 
     def sample(x, k, alpha_k, grad_rng, hess_rng, grad=None):

@@ -13,7 +13,7 @@ import json
 import jsonschema
 import numpy as np
 
-from ..core import ConfigurationError, NoiseModel, Sampler
+from ..core import ConfigurationError, NoiseModel
 from ..optimizer import SolverSpec, TrishConfig
 from ..problems import (
     MiniBatchSampler,
@@ -285,24 +285,18 @@ def build_noise(spec: dict | None) -> NoiseModel:
     )
 
 
-def build_sampler(problem, doc: dict) -> Sampler | None:
+def build_sampler(problem, doc: dict) -> MiniBatchSampler | None:
     """Mini-batch sampler for logistic configs with ``batch_size``; else None.
 
-    Only ``trish`` gets the same-batch Hessian estimate, capped at
-    ``noise.hessian.m_h`` when given; it replaces the noise model's
-    Hessian whatever ``noise.hessian.kind`` says.  Giving it to no other
-    algorithm is a speed choice, not what makes ``trish1`` first-order
-    (``run_trish_first_order`` replaces any sampled estimate by the zero
-    one, and SG never reads it): a mini-batch draw without the estimate
-    skips building it.
+    Its same-batch Hessian estimate is capped at ``noise.hessian.m_h``
+    when given; for ``trish`` it replaces the noise model's Hessian
+    whatever ``noise.hessian.kind`` says, and ``trish1`` and ``sg`` turn
+    it off (see ``run_trish_first_order`` and ``run_sg``).
     """
     if "batch_size" not in doc:
         return None
-    use_hessian = doc["algorithm"] == "trish"
-    noise = doc.get("noise", {})
-    hessian = noise.get("hessian", {}) if isinstance(noise, dict) else {}
-    m_h = hessian.get("m_h")
-    return MiniBatchSampler(problem, doc["batch_size"], hessian=use_hessian, m_h=m_h)
+    m_h = doc.get("noise", {}).get("hessian", {}).get("m_h")
+    return MiniBatchSampler(problem, doc["batch_size"], hessian=True, m_h=m_h)
 
 
 def build_inputs(doc: dict) -> tuple:

@@ -15,16 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import ConfigurationError, NoiseModel, NumericalError, Sampler
-from ..optimizer import (
-    SolverSpec,
-    TrishConfig,
-    lanes_unsupported,
-    run_lanes,
-    run_sg,
-    run_trish,
-    run_trish_first_order,
-)
+from ..core import ConfigurationError, NoiseModel, NumericalError
+from ..optimizer import SolverSpec, TrishConfig, run_lanes, run_sg
+from ..problems import MiniBatchSampler
 from ..schedules import GammaSchedule, StepsizeSchedule
 
 logger = logging.getLogger(__name__)
@@ -69,7 +62,7 @@ def baseline_gradient_norm(
     iterations: int,
     seed: int,
     x0: np.ndarray | None = None,
-    sampler: Sampler | None = None,
+    sampler: MiniBatchSampler | None = None,
 ) -> float:
     """Mean sampled-gradient norm along an SG run at stepsize 0.1."""
     if iterations < 1:
@@ -132,19 +125,13 @@ def tune(
     noise: NoiseModel | None = None,
     solver: SolverSpec | None = None,
     x0: np.ndarray | None = None,
-    sampler: Sampler | None = None,
+    sampler: MiniBatchSampler | None = None,
 ) -> TuneResult:
     """Rank every grid setting by mean final validation loss.
 
-    Each (setting, seed) pair is one run.  Where the lane runner takes
-    the inputs (see ``lanes_unsupported``: a row-stacked problem, draws
-    from the synthetic noise model or a ``MiniBatchSampler``, and for
-    TRish the Steihaug solver with a zero or exact-capped noise
-    Hessian), the runs go as lockstep lanes, ``TUNE_LANES`` at a time,
-    each bit for bit its scalar run; the exact solver, perturbed
-    Hessians, problems without row stacks (the quartic bowl) and other
-    samplers run one scalar run at a time.  The result is the same
-    either way.
+    Each (setting, seed) pair is one run, and the runs go as lockstep
+    lanes (``run_lanes``), ``TUNE_LANES`` at a time, each bit for bit
+    its scalar run.
 
     Diverged runs score +inf; ties break toward the smaller stepsize,
     then the smaller gamma1, then the larger gamma2, so the result does
@@ -173,14 +160,10 @@ def tune(
         noise=noise,
     ) for setting in settings for seed in seeds]
 
-    if lanes_unsupported(problem, algorithm, solver, noise, sampler) is None:
-        ends = []
-        for start in range(0, len(configs), TUNE_LANES):
-            lanes = run_lanes(problem, x0, configs[start:start + TUNE_LANES], algorithm, sampler)
-            ends += zip(lanes.aborted, lanes.final_x)
-    else:
-        runs = (_scalar_run(problem, x0, algorithm, cfg, sampler) for cfg in configs)
-        ends = [(traj.aborted, traj.final_x) for traj in runs]
+    ends = []
+    for start in range(0, len(configs), TUNE_LANES):
+        lanes = run_lanes(problem, x0, configs[start:start + TUNE_LANES], algorithm, sampler)
+        ends += zip(lanes.aborted, lanes.final_x)
 
     def final_loss(aborted, x) -> float:
         if aborted is not None or not np.all(np.isfinite(x)):
@@ -198,11 +181,3 @@ def tune(
     if not np.isfinite(entries[0].mean_loss):
         raise NumericalError("every grid setting diverged")
     return TuneResult(tuple(entries))
-
-
-def _scalar_run(problem, x0, algorithm, config, sampler):
-    if algorithm == "sg":
-        return run_sg(problem, x0, config.stepsizes, config.noise, config.iterations,
-                      config.seed, sampler=sampler)
-    runner = run_trish if algorithm == "trish" else run_trish_first_order
-    return runner(problem, x0, config, sampler=sampler)

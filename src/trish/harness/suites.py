@@ -42,10 +42,10 @@ from ..core import (
 from ..optimizer import (
     SolverSpec,
     TrishConfig,
+    run_lanes,
     run_sg,
     run_trish,
     run_trish_first_order,
-    run_trish_lanes,
 )
 from ..problems import (
     MiniBatchSampler,
@@ -147,7 +147,8 @@ def _gap_matrix(problem, x0, config, seeds, on_iterate=None):
     The seeds run ``config`` as lockstep lanes; a seed's gaps past its
     last recorded row are +inf.  Also returns the lane run itself.
     """
-    run = run_trish_lanes(problem, x0, config, seeds, on_iterate=on_iterate)
+    run = run_lanes(problem, x0, [replace(config, seed=seed) for seed in seeds],
+                    on_iterate=on_iterate)
     counter = StepContractCounter()
     counter.update(run)
     aborted = sum(reason is not None for reason in run.aborted)

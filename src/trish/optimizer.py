@@ -8,13 +8,13 @@ Cost accounting equates one stochastic gradient with one
 Hessian-vector product; diagnostic evaluations (true f and gradient
 each iteration, model re-evaluation in the solver) are excluded.
 The scalar runners are the reference; ``run_lanes`` reproduces each of
-them bit for bit on the inputs it supports.
+them bit for bit.
 
 Each scalar run returns a ``Trajectory`` carrying the ``TrishConfig`` it
 ran (for SG, the config SG equals).  First-order TRish and SG use no
-curvature whatever the estimate's source (see ``run_trish_first_order``
-and ``run_sg``); a zero estimate is one whose certified ``norm_bound``
-is 0.
+curvature whatever the estimate's source: they zero the noise model's
+Hessian and turn a ``MiniBatchSampler``'s estimate off.  A zero estimate
+is one whose certified ``norm_bound`` is 0.
 
 Every runner takes ``on_iterate(k, x)``, called with the iterate at
 k = 0 and after every recorded iteration, including the last row of a
@@ -41,13 +41,14 @@ from .core import (
     HessianEstimate,
     NoiseModel,
     ProblemOracle,
-    Sampler,
     draw_noise_block,
     hessian_cap,
     oracle_sampler,
+    perturbed_cap,
     rng_stream,
     row_norms,
     rowdot,
+    sample_hessian,
 )
 from .problems import MiniBatchSampler
 from .schedules import GammaSchedule, StepsizeSchedule, gammas_at, validate_stepsize
@@ -125,7 +126,7 @@ class Trajectory:
     (``records[k].f``) or by column (``records.f``, ``column("f")``).
     ``config`` holds the seed, schedules, solver and noise model the run
     used (for SG, the ``TrishConfig`` it equals; see ``run_sg``).  A
-    caller's sampler replaces the noise model's draws: second-order
+    ``MiniBatchSampler`` replaces the noise model's draws: second-order
     TRish then steps with the sampler's Hessian estimate whatever
     ``config.noise.hessian_kind`` says, and the ``hess_bound`` column
     records the estimate's bound.
@@ -203,6 +204,17 @@ def trish_step(
     return x + step.s, step
 
 
+def _trish_fields(g: Array, g_norm: float, true_g: Array, s: TRStep, alpha: float,
+                  gamma1: float, gamma2: float, hess_bound: float) -> tuple:
+    """The ``STEP_FIELDS`` a TRish step records: the sampled gradient and
+    its norm, the step ``trish_step`` returned, the schedules and the
+    estimate's bound."""
+    return (g_norm, s.delta, s.case, s.model_decrease, s.cauchy_decrease,
+            s.cg_iterations, np.nan if s.upsilon is None else s.upsilon,
+            alpha, gamma1, gamma2, float(np.linalg.norm(s.s)), hess_bound,
+            float((true_g - g) @ s.s))
+
+
 def _initial_record(oracle: ProblemOracle, x: Array) -> tuple:
     """f and the true gradient at x_0 (one point or a lane stack), for
     the trace's row 0, which is not a step."""
@@ -230,13 +242,13 @@ def _precondition_violated(k: int, alpha: float, enforce: bool, warned: bool = F
     return True
 
 
-def _draw_fn(oracle: ProblemOracle, noise: NoiseModel, sampler: Sampler | None,
+def _draw_fn(oracle: ProblemOracle, noise: NoiseModel, sampler: MiniBatchSampler | None,
              grad_rng: np.random.Generator, hess_rng: np.random.Generator):
     """Per-iteration draw ``(x, k, alpha, true_g) -> (g, H)`` from the run's streams.
 
     A synthetic-noise sampler built here is handed the true gradient the
     loop already holds for its diagnostics, so f's gradient is evaluated
-    once per iteration; a caller's sampler is called as given.
+    once per iteration; a mini-batch sampler draws its batch rows.
     """
     if sampler is None:
         sample = oracle_sampler(oracle, noise)
@@ -292,7 +304,7 @@ def run_trish(
     oracle: ProblemOracle,
     x0: Array,
     config: TrishConfig,
-    sampler: Sampler | None = None,
+    sampler: MiniBatchSampler | None = None,
     on_iterate=None,
 ) -> Trajectory:
     """Run TRish for the configured number of iterations.
@@ -313,11 +325,8 @@ def run_trish(
         g_norm = float(np.linalg.norm(g))
         x_new, s = trish_step(x, g, hess, alpha, gamma1, gamma2, config.solver,
                               g_norm=g_norm, memo=memo)
-        return x_new, 1 + s.hessian_products, (
-            g_norm, s.delta, s.case, s.model_decrease, s.cauchy_decrease,
-            s.cg_iterations, np.nan if s.upsilon is None else s.upsilon,
-            alpha, gamma1, gamma2, float(np.linalg.norm(s.s)), hess.norm_bound,
-            float((true_g - g) @ s.s))
+        return x_new, 1 + s.hessian_products, _trish_fields(
+            g, g_norm, true_g, s, alpha, gamma1, gamma2, hess.norm_bound)
 
     return _run(oracle, x0, "trish", config, sampler, on_iterate, step)
 
@@ -331,26 +340,24 @@ def run_trish_first_order(
     oracle: ProblemOracle,
     x0: Array,
     config: TrishConfig,
-    sampler: Sampler | None = None,
+    sampler: MiniBatchSampler | None = None,
     on_iterate=None,
 ) -> Trajectory:
     """TRish with the Hessian estimate pinned to zero (cost: 1 unit/iteration).
 
     The estimate is zero whatever its source: the noise model's Hessian
-    kind becomes ``zero``, and a caller's sampler is called as given
-    (so it draws what it always draws) but its estimate is replaced by
-    ``HessianEstimate.zero``.
+    kind becomes ``zero``, and a sampler draws the same batches with its
+    estimate turned off.
     """
     config = replace(config, noise=_zero_hessian(config.noise))
-    first_order = None
-    if sampler is not None:
-        zero = HessianEstimate.zero(oracle.dim)
-
-        def first_order(x, k, alpha_k, grad_rng, hess_rng):
-            return sampler(x, k, alpha_k, grad_rng, hess_rng)[0], zero
-
-    traj = run_trish(oracle, x0, config, sampler=first_order, on_iterate=on_iterate)
+    traj = run_trish(oracle, x0, config, sampler=_without_hessian(sampler),
+                     on_iterate=on_iterate)
     return replace(traj, algorithm="trish1")
+
+
+def _without_hessian(sampler: MiniBatchSampler | None) -> MiniBatchSampler | None:
+    """``sampler`` with its Hessian estimate turned off; its draws stay the same."""
+    return None if sampler is None else replace(sampler, hessian=False)
 
 
 def _sg_step(x, k, alpha, true_g, draw):
@@ -370,7 +377,7 @@ def run_sg(
     noise: NoiseModel,
     iterations: int,
     seed: int,
-    sampler: Sampler | None = None,
+    sampler: MiniBatchSampler | None = None,
     on_iterate=None,
 ) -> Trajectory:
     """Stochastic-gradient baseline x_{k+1} = x_k - alpha_k g_k.
@@ -380,12 +387,12 @@ def run_sg(
     iteration, and gradient samples from the same named stream a TRish
     run with the same seed would use.  The trajectory's config is the
     ``TrishConfig`` SG equals: these stepsizes, gammas (1, 1), and the
-    noise model with a zero Hessian.  ``sampler`` is called as given;
-    the SG step never reads its Hessian estimate.
+    noise model with a zero Hessian.  ``sampler`` draws the same batches
+    with its Hessian estimate turned off.
     """
     config = TrishConfig(stepsizes, GammaSchedule.constant(1.0, 1.0), iterations, seed,
                          noise=_zero_hessian(noise))
-    return _run(oracle, x0, "sg", config, sampler, on_iterate, _sg_step)
+    return _run(oracle, x0, "sg", config, _without_hessian(sampler), on_iterate, _sg_step)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +401,7 @@ def run_sg(
 LANE_CHUNK = 64  # iterations of gradient noise or mini-batch rows drawn per lane at once
 SCHEDULE_COLUMNS = ("alpha", "gamma1", "gamma2", "hess_bound")  # one table per schedule
 LANE_COLUMNS = tuple(name for name in TRACE_DTYPE.names
-                     if name not in ("k", "upsilon", "wall_ns") + SCHEDULE_COLUMNS)
+                     if name not in ("k", "wall_ns") + SCHEDULE_COLUMNS)
 
 
 @dataclass
@@ -402,7 +409,7 @@ class LaneRun:
     """S lockstep runs ("lanes", one per config) traced by column.
 
     ``columns[name]`` is a (K+1, S) array of the ``TRACE_DTYPE`` field
-    ``name`` for every lane (``k``, ``upsilon`` and ``wall_ns`` are not kept).
+    ``name`` for every lane (``k`` and ``wall_ns`` are not kept).
     Lane i recorded ``rows[i]`` rows; the rows after a tripped divergence
     guard are NaN, and ``aborted[i]`` gives the reason.  The
     ``SCHEDULE_COLUMNS`` are read-only and NaN in row 0; when every lane
@@ -420,47 +427,12 @@ class LaneRun:
         return self.columns[name]
 
 
-def lanes_unsupported(oracle: ProblemOracle, algorithm: str, solver: SolverSpec,
-                      noise: NoiseModel, sampler: Sampler | None) -> str | None:
-    """Why ``run_lanes`` cannot run these inputs, or None when it can.
-
-    Lanes need an oracle with ``row_stacked`` set and draw from the
-    built-in synthetic noise or a ``MiniBatchSampler``.  TRish lanes also
-    need the Steihaug solver and, without a sampler, a zero or
-    exact-capped noise Hessian (first-order TRish zeroes the Hessian;
-    SG uses no solver or Hessian).
-    """
-    if not getattr(oracle, "row_stacked", False):
-        return f"{type(oracle).__name__} does not take row-stacked points"
-    if sampler is not None and not isinstance(sampler, MiniBatchSampler):
-        return "lanes draw from the synthetic noise model or a MiniBatchSampler"
-    if algorithm == "sg":
-        return None
-    if solver.kind != "steihaug" or (algorithm == "trish" and sampler is None and
-                                     noise.hessian_kind not in ("zero", "exact-capped")):
-        return "lanes run the Steihaug solver with a zero or exact-capped Hessian"
-    return None
-
-
-def run_trish_lanes(
-    oracle: ProblemOracle,
-    x0: Array,
-    config: TrishConfig,
-    seeds: Iterable[int],
-    on_iterate=None,
-) -> LaneRun:
-    """``run_lanes`` of TRish at ``config``, one lane per seed (``config.seed``
-    is not read)."""
-    return run_lanes(oracle, x0, [replace(config, seed=seed) for seed in seeds],
-                     on_iterate=on_iterate)
-
-
 def run_lanes(
     oracle: ProblemOracle,
     x0: Array,
     configs: Iterable[TrishConfig],
     algorithm: str = "trish",
-    sampler: Sampler | None = None,
+    sampler: MiniBatchSampler | None = None,
     on_iterate=None,
 ) -> LaneRun:
     """Run every config in lockstep, one lane per config, as one (S, n) state.
@@ -472,16 +444,22 @@ def run_lanes(
     iterates, every recorded step diagnostic, the row count and the
     abort reason.  The configs may differ in seed, stepsizes and gammas;
     they share the iteration count, solver, noise model and stepsize
-    enforcement.  Each lane draws its gradient noise, or its mini-batch
-    rows, from its own seed's gradient stream, ``LANE_CHUNK`` iterations
-    at a time.
+    enforcement.
 
-    Supported inputs: see ``lanes_unsupported``.  ``x0`` is one point or
-    one row per lane.  Invalid schedule values and Hessian caps raise
-    before the first step; each TRish lane warns about a stepsize
-    precondition violation once, at its own first violating iteration,
-    or raises there, as its scalar run would, and so do non-finite
-    gradients and curvature.
+    Lanes take every input the scalar runners take.  SG steps, and TRish
+    steps of the Steihaug solver with a zero or exact-capped estimate,
+    are computed for all running lanes at once; each lane draws its
+    gradient noise, or its mini-batch rows, from its own seed's gradient
+    stream, ``LANE_CHUNK`` iterations at a time.  Under the exact solver
+    or a perturbed noise Hessian, each running lane draws as its scalar
+    run does, on its own seed's streams, and steps through
+    ``trish_step`` with its own ``EighMemo``.
+
+    ``x0`` is one point or one row per lane.  Invalid schedule values
+    and Hessian caps raise before the first step; each TRish lane warns
+    about a stepsize precondition violation once, at its own first
+    violating iteration, or raises there, as its scalar run would, and
+    so do non-finite gradients and curvature.
 
     ``on_iterate(k, X)`` is the runners' iterate hook (see the module
     docstring).
@@ -499,26 +477,24 @@ def run_lanes(
         raise ConfigurationError("lanes share the iteration count, solver, noise model "
                                  "and stepsize enforcement")
     if algorithm != "trish":
-        noise = _zero_hessian(noise)
-    reason = lanes_unsupported(oracle, algorithm, solver, noise, sampler)
-    if reason is not None:
-        raise ConfigurationError(reason)
+        noise, sampler = _zero_hessian(noise), _without_hessian(sampler)
     S, n = len(configs), oracle.dim
     # C order: BLAS reaches bit-identity with the 1-D calls on unit-stride rows only
     X = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (S, n)), order="C")
     if not np.all(np.isfinite(X)):
         raise ConfigurationError("initial point must be finite")
 
-    # The estimate's bound and, for exact-capped noise, the Hessian cap.
-    hessian = algorithm == "trish" and (
-        sampler.hessian if sampler is not None else noise.hessian_kind == "exact-capped")
+    # The estimate's bound and, for synthetic noise, the Hessian cap.
+    hessian = sampler.hessian if sampler is not None else noise.hessian_kind != "zero"
     tau = bound = 0.0
     if hessian and K > 0:
-        if sampler is None:
-            tau = hessian_cap(oracle, noise)
-            bound = tau * oracle.grad_lipschitz
-        else:
+        if sampler is not None:
             bound = sampler.norm_bound
+        else:
+            tau = hessian_cap(oracle, noise)
+            bound = (perturbed_cap(oracle, noise)[1] if noise.hessian_kind == "perturbed"
+                     else tau * oracle.grad_lipschitz)
+    per_row = algorithm != "sg" and (solver.kind == "exact" or noise.hessian_kind == "perturbed")
 
     # (K+1, S) schedule tables indexed by k (NaN in row 0, as in the
     # trace) and (K+1, S) noise variances, one column per distinct
@@ -561,9 +537,12 @@ def run_lanes(
     cols["f"][0] = F0
     cols["grad_norm_true"][0] = row_norms(TG)
     cols["cost_units"][0] = 0.0
-    rngs = [rng_stream(c.seed, GRADIENT_STREAM) for c in configs]
-    draw = _lane_draw(oracle, sampler, hessian, tau, VARIANCE, rngs, K)
-    step = _sg_lane_step if algorithm == "sg" else _trish_lane_step
+    if per_row:
+        draw, step = _row_draw(oracle, noise, sampler, configs, ALPHA), _row_lane_step
+    else:
+        rngs = [rng_stream(c.seed, GRADIENT_STREAM) for c in configs]
+        draw = _lane_draw(oracle, sampler, hessian, tau, VARIANCE, rngs, K)
+        step = _sg_lane_step if algorithm == "sg" else _trish_lane_step
     rows = np.full(S, K + 1)
     aborted: list[str | None] = [None] * S
     final_x = X.copy()
@@ -577,13 +556,13 @@ def run_lanes(
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, K + 1):
-            G, hvp = draw(k, ids, at, X, TG)
+            G, hess = draw(k, ids, at, X, TG)
             for lane in warn_at.get(k, ()):
                 if aborted[lane] is None:  # every lane still running responds
                     _precondition_violated(k, float(ALPHA[k, lane]), enforce)
 
             gn = row_norms(G)
-            X_new, units, fields = step(X, G, gn, TG, hvp, ALPHA[k, at], GAMMA1[k, at],
+            X_new, units, fields = step(X, G, gn, TG, hess, ALPHA[k, at], GAMMA1[k, at],
                                         GAMMA2[k, at], solver)
             cost += units
             F = oracle.value(X_new)
@@ -636,7 +615,7 @@ def _lane_draw(oracle, sampler, hessian, tau, VARIANCE, rngs, K):
                 count = min(LANE_CHUNK, K - k + 1)
                 for lane in ids:
                     rows[lane, :count] = sampler.indices(rngs[lane], count)
-            return sampler.draw_rows(X, rows[at, j], k, hessian)
+            return sampler.draw_rows(X, rows[at, j], k)
 
         return draw
 
@@ -662,6 +641,25 @@ def _lane_draw(oracle, sampler, hessian, tau, VARIANCE, rngs, K):
     return draw
 
 
+def _row_draw(oracle, noise, sampler, configs, ALPHA):
+    """The draw ``(k, ids, at, X, TG) -> (G, hess)`` of ``_row_lane_step``:
+    each running lane's scalar draw (``_draw_fn``) on its own seed's
+    streams, so ``hess`` lists each lane's Hessian estimate, with the
+    lane's own ``EighMemo``."""
+    draws = [_draw_fn(oracle, noise, sampler, rng_stream(c.seed, GRADIENT_STREAM),
+                      rng_stream(c.seed, HESSIAN_STREAM)) for c in configs]
+    memos = [EighMemo() for _ in configs]
+
+    def draw(k, ids, at, X, TG):
+        G, hess = np.empty_like(X), []
+        for i, lane in enumerate(ids.tolist()):
+            G[i], est = draws[lane](X[i], k, float(ALPHA[k, lane]), TG[i])
+            hess.append((est, memos[lane]))
+        return G, hess
+
+    return draw
+
+
 def _trish_lane_step(X, G, gn, TG, hvp, alpha, gamma1, gamma2, solver):
     """TRish's lane step rule, ``trish_step`` on every row: the next
     iterates, the cost units and the step fields it records."""
@@ -675,6 +673,22 @@ def _trish_lane_step(X, G, gn, TG, hvp, alpha, gamma1, gamma2, solver):
     return X_new, 1 + iters if hvp is not None else 1, {
         "delta": delta, "case": case, "model_dec": model_dec, "cauchy_dec": cauchy_dec,
         "cg_iters": iters, "step_norm": row_norms(steps), "noise_step_dot": rowdot(TG - G, steps)}
+
+
+def _row_lane_step(X, G, gn, TG, hess, alpha, gamma1, gamma2, solver):
+    """TRish's step rule as ``run_trish`` takes it, one ``trish_step``
+    per running lane, with each lane's ``(estimate, EighMemo)`` in
+    ``hess``."""
+    X_new = np.empty_like(X)
+    units = np.empty(len(X), dtype=np.int64)
+    values = np.empty((len(X), len(STEP_FIELDS)))
+    for i, (a, g1, g2, g_norm, (est, memo)) in enumerate(
+            zip(alpha.tolist(), gamma1.tolist(), gamma2.tolist(), gn.tolist(), hess)):
+        X_new[i], s = trish_step(X[i], G[i], est, a, g1, g2, solver, g_norm=g_norm, memo=memo)
+        units[i] = 1 + s.hessian_products
+        values[i] = _trish_fields(G[i], g_norm, TG[i], s, a, g1, g2, est.norm_bound)
+    return X_new, units, {name: values[:, j] for j, name in enumerate(STEP_FIELDS)
+                          if name not in SCHEDULE_COLUMNS}
 
 
 def _sg_lane_step(X, G, gn, TG, hvp, alpha, gamma1, gamma2, solver):

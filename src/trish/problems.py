@@ -21,6 +21,7 @@ from .core import (
     ConfigurationError,
     EvaluationError,
     HessianEstimate,
+    libm_pow,
     matvec,
     rowdot,
 )
@@ -59,8 +60,6 @@ class QuadraticProblem:
     Hessian-Lipschitz constant exactly zero.  ``value``, ``grad`` and
     ``hvp`` also take (S, n) row stacks.
     """
-
-    row_stacked = True
 
     def __init__(self, A: Array, b: Array, eigenvalues: Array | None = None):
         A = np.asarray(A, dtype=float)
@@ -137,8 +136,6 @@ class LogisticProblem:
     ``value``, ``grad``, ``hvp`` and ``batch_gradient`` also take (S, dim)
     row stacks (``batch_gradient`` with one index row per point).
     """
-
-    row_stacked = True
 
     def __init__(
         self,
@@ -238,13 +235,14 @@ class LogisticProblem:
 class MiniBatchSampler:
     """Uniform-with-replacement mini-batch sampler of a logistic problem.
 
-    A call is one iteration's ``Sampler`` draw: one index draw of
-    ``batch_size`` rows from the gradient stream parameterizes both the
-    gradient estimate and (with ``hessian``) the same-batch Hessian
-    estimate, capped at ``m_h`` when given, so gradient streams stay
-    aligned across algorithms that share a seed.  ``indices`` and
-    ``draw_rows`` are the same draws for lockstep lanes, many
-    iterations or many points at a time.
+    A call is one iteration's draw ``(x, k, alpha_k, grad_rng,
+    hess_rng) -> (g, H)``: one index draw of ``batch_size`` rows from
+    the gradient stream parameterizes both the gradient estimate and
+    (with ``hessian``) the same-batch Hessian estimate, capped at
+    ``m_h`` when given, so gradient streams stay aligned across
+    algorithms that share a seed.  ``indices`` and ``draw_rows`` are
+    the same draws for lockstep lanes, many iterations or many points
+    at a time.
     """
 
     problem: LogisticProblem
@@ -276,18 +274,18 @@ class MiniBatchSampler:
             return g, self.problem.batch_hessian(x, idx, self.m_h)
         return g, HessianEstimate.zero(self.problem.dim)
 
-    def draw_rows(self, X: Array, idx: Array, k: int, hessian: bool):
+    def draw_rows(self, X: Array, idx: Array, k: int):
         """The draws at the rows of X, row i with the batch rows ``idx[i]``.
 
         Returns the (S, dim) gradient estimates, row i bit for bit what a
         call at ``X[i]`` drawing ``idx[i]`` returns, and ``hvp(r, V)``,
         the products of the Hessian estimates of rows ``r`` with the rows
-        of V, or None when ``hessian`` is false (the zero estimate).
+        of V, or None without ``hessian`` (the zero estimate).
         """
         p = self.problem
         G = p.batch_gradient(X, idx)
         _check_finite(G, k, X)
-        if not hessian:
+        if not self.hessian:
             return G, None
         X_b = p.X[idx]
         # from the raw X_b @ x, as batch_hessian computes it: sigma'(m) and
@@ -344,8 +342,6 @@ class RosenbrockProblem:
     the box.  ``value``, ``grad`` and ``hvp`` also take (S, n) row stacks.
     """
 
-    row_stacked = True
-
     def __init__(self, n: int, box_halfwidth: float = 2.0):
         if n < 2:
             raise ConfigurationError("chained Rosenbrock needs n >= 2")
@@ -393,6 +389,7 @@ class QuarticBowlProblem:
     positive definite; the unique minimizer is x_star with f_min = 0 and
     PL constant lambda_min(A) (global).  L_g and L_H are certified on
     the ball ||z|| <= radius: L_g = lambda_max + 3 q R^2, L_H = 6 q R.
+    ``value``, ``grad`` and ``hvp`` also take (S, n) row stacks.
     """
 
     def __init__(self, A: Array, x_star: Array, quartic: float = 1.0, radius: float = 5.0):
@@ -416,17 +413,27 @@ class QuarticBowlProblem:
     def in_ball(self, x: Array) -> bool:
         return bool(np.linalg.norm(x - self.x_star) <= self.radius)
 
-    def value(self, x: Array) -> float:
+    def value(self, x: Array) -> float | Array:
         z = x - self.x_star
+        if x.ndim == 2:
+            return (rowdot(0.5 * z, matvec(self.A, z))
+                    + 0.25 * self.quartic * libm_pow(rowdot(z, z), 2))
         zz = float(z @ z)
         return float(0.5 * z @ (self.A @ z) + 0.25 * self.quartic * zz**2)
 
     def grad(self, x: Array) -> Array:
         z = x - self.x_star
+        if x.ndim == 2:
+            return matvec(self.A, z) + (self.quartic * rowdot(z, z))[:, None] * z
         return self.A @ z + self.quartic * float(z @ z) * z
 
     def hvp(self, x: Array, v: Array) -> Array:
         z = x - self.x_star
+        if v.ndim == 2:
+            # z is one point or one per row of v
+            zz, zv = rowdot(z, z), rowdot(z, v)
+            return matvec(self.A, v) + self.quartic * (
+                zz[..., None] * v + (2.0 * zv)[:, None] * z)
         return self.A @ v + self.quartic * (float(z @ z) * v + 2.0 * float(z @ v) * z)
 
     def validation_loss(self, x: Array) -> float:

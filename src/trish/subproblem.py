@@ -21,6 +21,7 @@ from .core import (
     HessianEstimate,
     NumericalError,
     ZeroGradientError,
+    libm_pow,
     rowdot,
 )
 
@@ -229,11 +230,6 @@ def steihaug_cg(
     return TRStep(s, delta, case, model_dec, cauchy_dec, iters, boundary, hessian_products=products)
 
 
-def _libm_pow(x: Array, p: float) -> Array:
-    # Python's float ** (libm pow); numpy's vectorized pow can differ by an ulp
-    return (x.astype(object) ** p).astype(float)
-
-
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def steihaug_cg_rows(
     G: Array,
@@ -307,8 +303,8 @@ def steihaug_cg_rows(
 
     # Reference decrease at the Cauchy point from the first product.
     gHg = rowdot(g, Hg)
-    gn2 = _libm_pow(gn, 2)
-    interior = (gHg > 0.0) & (_libm_pow(gn, 3) <= dl * gHg)
+    gn2 = libm_pow(gn, 2)
+    interior = (gHg > 0.0) & (libm_pow(gn, 3) <= dl * gHg)
     t = np.where(interior, -gn2 / gHg, -dl / gn)
     cauchy_dec[live] = -(t * gn2 + 0.5 * t * t * gHg)
     model_dec[live] = -(rowdot(g, s) + 0.5 * rowdot(s, hvp(live, s)))

@@ -13,7 +13,13 @@ from trish import (
     sample_hessian,
 )
 from trish.core import draw_noise_block, rowdot
-from trish.problems import QuadraticProblem, RosenbrockProblem, make_logistic, make_quadratic
+from trish.problems import (
+    QuadraticProblem,
+    RosenbrockProblem,
+    make_logistic,
+    make_quadratic,
+    make_quartic_bowl,
+)
 
 
 def diag_quadratic(entries):
@@ -130,7 +136,7 @@ def column_loop(est, n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(family=st.sampled_from(["quadratic", "rosenbrock", "logistic"]),
+@given(family=st.sampled_from(["quadratic", "rosenbrock", "logistic", "quartic"]),
        kind=st.sampled_from(["exact-capped", "perturbed"]),
        n=st.integers(2, 24), seed=st.integers(0, 2**32 - 1),
        cap=st.sampled_from([0.5, 1.0, 2.0]))
@@ -140,6 +146,9 @@ def test_row_stacked_dense_matches_column_loop(family, kind, n, seed, cap):
         prob = make_quadratic(n, 1.0, 10.0, seed=int(rng.integers(1 << 30)))
     elif family == "rosenbrock":
         prob = RosenbrockProblem(n)
+    elif family == "quartic":
+        prob = make_quartic_bowl(n, 1.0, 4.0, quartic=1.0, radius=4.0,
+                                 seed=int(rng.integers(1 << 30)))
     else:
         prob = make_logistic(int(rng.integers(1, 400)), n, l2=0.01,
                              seed=int(rng.integers(1 << 30)))
@@ -176,24 +185,6 @@ class TestDenseMaterialization:
         noise = NoiseModel(kind="none", hessian_kind="exact-capped", m_h=2.0)
         sample_hessian(prob, np.ones(7), noise, rng_stream(0, 1)).dense(7)
         assert calls == [(7, 7)]
-
-    def test_oracle_without_row_stacks_keeps_column_loop(self):
-        class Plain:
-            """A quadratic oracle that takes one vector at a time."""
-
-            def __init__(self, prob):
-                self.prob, self.dim, self.grad_lipschitz = prob, prob.dim, prob.grad_lipschitz
-
-            def hvp(self, x, v):
-                assert v.ndim == 1
-                return self.prob.hvp(x, v)
-
-        prob = make_quadratic(5, 1.0, 5.0, seed=8)
-        noise = NoiseModel(kind="none", hessian_kind="perturbed", m_h=4.0, perturbation=1.0)
-        est = sample_hessian(Plain(prob), np.ones(5), noise, rng_stream(2, 1))
-        assert not est.row_stacked
-        row = sample_hessian(prob, np.ones(5), noise, rng_stream(2, 1))
-        assert est.dense(5).tobytes() == row.dense(5).tobytes()
 
 
 class TestHvpFiniteDifference:

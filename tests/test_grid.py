@@ -7,8 +7,10 @@ from trish import (
     NoiseModel,
     StepsizeSchedule,
     TrishConfig,
+    SolverSpec,
     make_logistic,
     make_quadratic,
+    make_quartic_bowl,
     run_sg,
     run_trish,
     run_trish_first_order,
@@ -122,7 +124,7 @@ class TestTune:
             MiniBatchSampler(prob, 10))
 
 
-def scalar_leaderboard(problem, algorithm, grid, seeds, iterations, noise, sampler):
+def scalar_leaderboard(problem, algorithm, grid, seeds, iterations, noise, solver, sampler):
     """The leaderboard from explicit scalar runs, one per (setting, seed)."""
     entries = []
     if algorithm == "sg":
@@ -140,7 +142,7 @@ def scalar_leaderboard(problem, algorithm, grid, seeds, iterations, noise, sampl
                 runner = run_trish if algorithm == "trish" else run_trish_first_order
                 config = TrishConfig(StepsizeSchedule.constant(setting["alpha"]),
                                      GammaSchedule.constant(setting["gamma1"], setting["gamma2"]),
-                                     iterations, seed, noise=noise)
+                                     iterations, seed, solver=solver, noise=noise)
                 traj = runner(problem, x0, config, sampler=sampler)
             finite = traj.aborted is None and np.all(np.isfinite(traj.final_x))
             losses.append(float(problem.validation_loss(traj.final_x)) if finite else np.inf)
@@ -153,30 +155,43 @@ def scalar_leaderboard(problem, algorithm, grid, seeds, iterations, noise, sampl
 class TestTuneOnLanes:
     SPEC = GridSpec((-1.0, 0.0, 1.0), (1.0, 3.0), (1.0,))  # 6 settings x 3 seeds: 3 lane runs
 
-    @pytest.mark.parametrize("algorithm", ["trish", "trish1", "sg"])
-    @pytest.mark.parametrize("problem_kind", ["logistic", "quadratic"])
+    @pytest.mark.parametrize("problem_kind, algorithm", [
+        (kind, algorithm) for kind in ("logistic", "quadratic")
+        for algorithm in ("trish", "trish1", "sg")] + [
+        ("quartic_exact", "trish"), ("quadratic_perturbed", "trish")])
     def test_leaderboard_equals_scalar_runs(self, algorithm, problem_kind, monkeypatch):
+        solver, sampler = SolverSpec(), None
         if problem_kind == "logistic":
             problem = make_logistic(150, 4, l2=0.01, seed=7)
             noise = NoiseModel()
-            sampler = MiniBatchSampler(problem, 8, hessian=algorithm == "trish")
+            sampler = MiniBatchSampler(problem, 8, hessian=True)
+        elif problem_kind == "quartic_exact":
+            problem = make_quartic_bowl(5, 1.0, 4.0, quartic=1.0, radius=4.0, seed=3)
+            noise = NoiseModel(kind="bounded", m_g=0.5, hessian_kind="exact-capped", m_h=4.0)
+            solver = SolverSpec(kind="exact")
         else:
             problem = make_quadratic(5, 1.0, 8.0, seed=3)
             noise = NoiseModel(kind="bounded", m_g=0.5, hessian_kind="exact-capped", m_h=4.0)
-            sampler = None
+            if problem_kind == "quadratic_perturbed":
+                noise = NoiseModel(kind="bounded", m_g=0.5, hessian_kind="perturbed", m_h=4.0,
+                                   perturbation=1.0)
         seeds = [0, 5, 9]
         grid = build_grid(1.5, self.SPEC)
         lane_runs = []
         run_lanes = grid_module.run_lanes
         monkeypatch.setattr(grid_module, "run_lanes",
                             lambda *a, **kw: lane_runs.append(len(a[2])) or run_lanes(*a, **kw))
-        result = tune(problem, algorithm, grid, seeds, 30, noise=noise, sampler=sampler)
+        result = tune(problem, algorithm, grid, seeds, 30, noise=noise, solver=solver,
+                      sampler=sampler)
         assert lane_runs == [TUNE_LANES, TUNE_LANES, 3 * 6 - 2 * TUNE_LANES]
-        expected = scalar_leaderboard(problem, algorithm, grid, seeds, 30, noise, sampler)
+        expected = scalar_leaderboard(problem, algorithm, grid, seeds, 30, noise, solver,
+                                      sampler)
         assert [(e.setting, e.mean_loss, e.losses) for e in result.leaderboard] == expected
-        # on the quadratic, some first-order and SG lanes stop at the divergence guard
+        # on the quadratic, some first-order and SG lanes stop at the divergence
+        # guard, and so do some lanes of the exact and perturbed runs
         diverged = sum(np.isinf(loss) for e in result.leaderboard for loss in e.losses)
-        assert (diverged > 0) == (problem_kind == "quadratic" and algorithm != "trish")
+        assert (diverged > 0) == (problem_kind != "logistic" and
+                                  (problem_kind, algorithm) != ("quadratic", "trish"))
 
     def test_reversed_logistic_grid_gives_the_same_leaderboard(self):
         # settings that differ only in gamma2 tie exactly when the radius

@@ -11,10 +11,10 @@ from trish import (
     StepsizeSchedule,
     TrishConfig,
     make_quadratic,
+    run_lanes,
     run_sg,
     run_trish,
     run_trish_first_order,
-    run_trish_lanes,
 )
 from trish.core import ConfigurationError
 from trish.harness.checks import StepContractCounter, cost_accounting_ok, taylor_violations
@@ -318,7 +318,7 @@ class TestStepContractCounter:
                           30, noise=NoiseModel(kind="bounded", m_g=1.0,
                                                hessian_kind="exact-capped", m_h=4.0))
         if lanes:
-            return run_trish_lanes(prob, np.ones(4), cfg, range(3))
+            return run_lanes(prob, np.ones(4), [replace(cfg, seed=seed) for seed in range(3)])
         return run_trish(prob, np.ones(4), cfg)
 
     def test_clean_run_has_no_violations(self):

@@ -23,7 +23,6 @@ from trish import (
     run_trish_first_order,
     rng_stream,
     run_lanes,
-    run_trish_lanes,
     sample_hessian,
     trish_step,
 )
@@ -302,16 +301,14 @@ class TestFirstOrder:
 
     def test_sampled_hessian_estimate_is_replaced_by_zero(self):
         prob = make_logistic(200, 5, l2=0.1, seed=11)
-
-        def sampler(x, k, alpha_k, grad_rng, hess_rng):
-            idx = grad_rng.integers(0, prob.n_samples, size=10)
-            return prob.batch_gradient(x, idx), prob.batch_hessian(x, idx)
-
         cfg = TrishConfig(StepsizeSchedule.constant(0.05), GammaSchedule.constant(2.0, 1.0),
                           20, seed=5)
-        traj = run_trish_first_order(prob, np.zeros(5), cfg, sampler=sampler)
+        traj = run_trish_first_order(prob, np.zeros(5), cfg,
+                                     sampler=MiniBatchSampler(prob, 10, hessian=True))
         assert np.all(traj.column("hess_bound")[1:] == 0.0)
         assert np.array_equal(traj.column("cost_units"), np.arange(21))
+        without = run_trish_first_order(prob, np.zeros(5), cfg, sampler=MiniBatchSampler(prob, 10))
+        assert np.array_equal(traj.final_x, without.final_x)  # the same batches
 
     def test_deterministic_given_seed(self):
         prob = make_quadratic(4, 1.0, 4.0, seed=6)
@@ -365,8 +362,8 @@ class TestGradientOncePerIteration:
 # --- lockstep lanes against the scalar reference ---------------------------
 
 EXACT_COLUMNS = ("f", "grad_norm_true", "g_norm", "delta", "case", "model_dec",
-                 "cauchy_dec", "step_norm", "cg_iters", "cost_units", "alpha", "gamma1",
-                 "gamma2", "hess_bound", "noise_step_dot")
+                 "cauchy_dec", "step_norm", "cg_iters", "upsilon", "cost_units", "alpha",
+                 "gamma1", "gamma2", "hess_bound", "noise_step_dot")
 FAULTS = (ConfigurationError, EvaluationError, NumericalError)
 
 
@@ -422,7 +419,7 @@ def schedules(draw, problem):
 
 @st.composite
 def lane_cases(draw):
-    family = draw(st.sampled_from(["quadratic", "rosenbrock", "logistic"]))
+    family = draw(st.sampled_from(["quadratic", "rosenbrock", "quartic", "logistic"]))
     sampler = None
     if family == "quadratic":
         n = draw(st.integers(2, 12))
@@ -432,7 +429,14 @@ def lane_cases(draw):
     elif family == "rosenbrock":
         n = draw(st.integers(2, 6))
         problem = RosenbrockProblem(n)
-        x0 = np.zeros(n)
+        # (0.5, 1, ...) starts where the Hessian is indefinite, which the
+        # exact solver meets through its multiplier
+        x0 = draw(st.sampled_from([np.zeros(n), np.r_[0.5, np.ones(n - 1)]]))
+    elif family == "quartic":
+        n = draw(st.integers(2, 8))
+        problem = make_quartic_bowl(n, 1.0, 4.0, quartic=1.0, radius=4.0,
+                                    seed=draw(st.integers(0, 10_000)))
+        x0 = problem.x_star + 1.0
     else:
         n = draw(st.integers(2, 6))
         problem = make_logistic(draw(st.integers(20, 80)), n, l2=0.01,
@@ -443,17 +447,20 @@ def lane_cases(draw):
                 problem, draw(st.integers(1, 12)), hessian=draw(st.booleans()),
                 m_h=draw(st.sampled_from([None, 0.5 * problem.grad_lipschitz])))
     algorithm = draw(st.sampled_from(["trish", "trish1", "sg"]))
-    hessian = draw(st.sampled_from(["zero", "exact-capped"]))
+    solver = SolverSpec(kind=draw(st.sampled_from(["steihaug", "exact"])))
+    hessian = draw(st.sampled_from(["zero", "exact-capped", "perturbed"]))
     m_h = problem.grad_lipschitz * draw(st.sampled_from([0.25, 1.0, 2.0]))
     noise = NoiseModel(kind=draw(st.sampled_from(["none", "bounded", "stepwise", "geometric"])),
                        m_g=draw(st.sampled_from([0.1, 1.0])), zeta=1e-3,
-                       hessian_kind=hessian, m_h=m_h if hessian != "zero" else 0.0)
-    iterations = draw(st.integers(0, 130))  # zeta = 1e-3 underflows to 0 after ~108 steps
+                       hessian_kind=hessian, m_h=m_h if hessian != "zero" else 0.0,
+                       perturbation=0.5 * problem.grad_lipschitz)
+    # zeta = 1e-3 underflows to 0 after ~108 steps; exact solves cost more
+    iterations = draw(st.integers(0, 130 if solver.kind == "steihaug" else 70))
     seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True))
     shared = draw(schedules(problem))
     per_lane = draw(st.booleans())
     configs = [TrishConfig(*(draw(schedules(problem)) if per_lane else shared), iterations,
-                           seed, noise=noise) for seed in seeds]
+                           seed, solver=solver, noise=noise) for seed in seeds]
     return problem, x0, configs, algorithm, sampler
 
 
@@ -491,7 +498,7 @@ class TestLanes:
                 run_trish(prob, np.zeros(3), replace(config, seed=seed))
             scalar = [r.getMessage() for r in caplog.records]
             caplog.clear()
-            run_trish_lanes(prob, np.zeros(3), config, seeds)
+            run_lanes(prob, np.zeros(3), [replace(config, seed=seed) for seed in seeds])
             lanes = [r.getMessage() for r in caplog.records]
         assert len(scalar) == len(seeds)
         assert lanes == scalar
@@ -500,8 +507,8 @@ class TestLanes:
         prob = make_quadratic(3, 1.0, 2.0, seed=1)
         config = self.config(0.01, iterations=5)
         seen = []
-        lanes = run_trish_lanes(prob, np.zeros(3), config, range(3),
-                                on_iterate=lambda k, X: seen.append((k, X.copy())))
+        lanes = run_lanes(prob, np.zeros(3), [replace(config, seed=seed) for seed in range(3)],
+                          on_iterate=lambda k, X: seen.append((k, X.copy())))
         assert [k for k, _ in seen] == list(range(6))
         assert np.array_equal(seen[-1][1], lanes.final_x)
         iterates = []
@@ -511,8 +518,8 @@ class TestLanes:
 
     def test_schedule_columns_are_one_table_for_all_lanes(self):
         config = self.config(0.01, hessian="exact-capped")
-        lanes = run_trish_lanes(make_quadratic(3, 1.0, 2.0, seed=1), np.zeros(3), config,
-                                range(4))
+        lanes = run_lanes(make_quadratic(3, 1.0, 2.0, seed=1), np.zeros(3),
+                          [replace(config, seed=seed) for seed in range(4)])
         for name in SCHEDULE_COLUMNS:
             column = lanes.column(name)
             assert column.shape == (61, 4)
@@ -525,22 +532,7 @@ class TestLanes:
         cfg = TrishConfig(StepsizeSchedule.constant(1.0), GammaSchedule.constant(2.0, 1.0),
                           10, enforce_stepsize_bound=True)
         with pytest.raises(ConfigurationError, match="k=1"):
-            run_trish_lanes(prob, np.zeros(3), cfg, [0])
-
-    @pytest.mark.parametrize("change", [
-        {"solver": SolverSpec(kind="exact")},
-        {"noise": NoiseModel(hessian_kind="perturbed", m_h=1.0, perturbation=0.1)},
-    ])
-    def test_unsupported_or_mixed_configs_rejected(self, change):
-        base = self.config(0.01, hessian="exact-capped")
-        with pytest.raises(ConfigurationError):
-            run_trish_lanes(make_quadratic(3, 1.0, 2.0, seed=1), np.zeros(3),
-                            replace(base, **change), [0, 1])
-
-    def test_oracle_without_row_stacks_rejected(self):
-        prob = make_quartic_bowl(3, 1.0, 2.0, quartic=1.0, radius=5.0, seed=2)
-        with pytest.raises(ConfigurationError, match="row-stacked"):
-            run_trish_lanes(prob, np.zeros(3), self.config(0.01), [0])
+            run_lanes(prob, np.zeros(3), [cfg])
 
     @pytest.mark.parametrize("change", [
         {"iterations": 59},

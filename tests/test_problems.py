@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,15 @@ from trish import (
     run_trish,
 )
 from trish.core import rng_stream
-from trish.problems import LogisticProblem, MiniBatchSampler, QuadraticProblem, RosenbrockProblem, _sigmoid
+from trish.problems import (
+    LogisticProblem,
+    MiniBatchSampler,
+    QuadraticProblem,
+    QuarticBowlProblem,
+    RosenbrockProblem,
+    _sigmoid,
+    make_quartic_bowl,
+)
 
 
 class TestQuadratic:
@@ -241,7 +250,7 @@ def test_minibatch_draw_rows_match_calls(seed, lanes, batch, scale, m_h):
     V = rng.standard_normal((lanes, prob.dim))
     streams = [rng_stream(seed + i, 0) for i in range(lanes)]
     idx = np.stack([sampler.indices(stream) for stream in streams])
-    G, hvp = sampler.draw_rows(X, idx, 3, hessian=True)
+    G, hvp = sampler.draw_rows(X, idx, 3)
     rows = np.arange(lanes)[::-1]  # a subset order of rows, as Steihaug passes them
     products = hvp(rows, V[rows])
     for i in range(lanes):
@@ -249,7 +258,7 @@ def test_minibatch_draw_rows_match_calls(seed, lanes, batch, scale, m_h):
         assert g.tobytes() == G[i].tobytes()
         assert est.apply(V[i]).tobytes() == products[lanes - 1 - i].tobytes()
         assert est.norm_bound == sampler.norm_bound
-    assert sampler.draw_rows(X, idx, 3, hessian=False)[1] is None
+    assert replace(sampler, hessian=False).draw_rows(X, idx, 3)[1] is None
 
 
 def test_minibatch_sampler_rejects_non_finite_gradient():
@@ -259,13 +268,14 @@ def test_minibatch_sampler_rejects_non_finite_gradient():
         sample(np.array([np.inf, 0.0, 0.0]), 7, 0.1, rng_stream(0, 0), rng_stream(0, 1))
     X = np.array([[0.0, 0.0, 0.0], [0.0, np.inf, 0.0]])
     with pytest.raises(EvaluationError, match=r"k=7, x = array\(\[ 0., inf,  0.\]\)"):
-        sample.draw_rows(X, np.zeros((2, 4), dtype=np.int64), 7, hessian=False)
+        sample.draw_rows(X, np.zeros((2, 4), dtype=np.int64), 7)
 
 
 @pytest.mark.parametrize("make", [
     lambda: make_quadratic(7, 1.0, 10.0, seed=8),
     lambda: RosenbrockProblem(6),
     lambda: make_logistic(300, 7, l2=0.05, seed=8),
+    lambda: make_quartic_bowl(7, 1.0, 4.0, quartic=1.0, radius=4.0, seed=8),
 ])
 def test_row_stacked_evaluation_matches_rows(make):
     prob = make()
@@ -273,11 +283,20 @@ def test_row_stacked_evaluation_matches_rows(make):
     X = rng.uniform(-1.5, 1.5, (9, prob.dim))
     V = rng.standard_normal((9, prob.dim))
     values, grads, hvps = prob.value(X), prob.grad(X), prob.hvp(X, V)
-    assert prob.row_stacked
+    at_one_point = prob.hvp(X[0], V)
     for i in range(9):
         assert values[i] == prob.value(X[i])
         assert np.array_equal(grads[i], prob.grad(X[i]))
         assert np.array_equal(hvps[i], prob.hvp(X[i], V[i]))
+        assert np.array_equal(at_one_point[i], prob.hvp(X[0], V[i]))
+
+
+def test_stacked_quartic_value_squares_like_the_scalar_one():
+    # here numpy's vectorized square of ||z||^2 and Python's float ** 2
+    # (libm pow) differ in the last bit, and so would the two values
+    prob = QuarticBowlProblem(np.eye(1), np.zeros(1))
+    X = np.array([[1.125763049464739]])
+    assert prob.value(X)[0] == prob.value(X[0])
 
 
 class TestRosenbrock:
