@@ -15,7 +15,7 @@ import sys
 
 from ..core import ConfigurationError
 from ..optimizer import SolverSpec
-from .config import build_inputs, build_noise, load_config
+from .config import build_inputs, load_config
 from .experiment import run_experiment
 from .grid import GridSpec, baseline_gradient_norm, build_grid, tune
 from .suites import SUITES, verify
@@ -40,9 +40,8 @@ def _cmd_run(args) -> int:
 def _cmd_baseline_g(args) -> int:
     doc = load_config(args.config)
     baseline = doc.get("baseline", {"iterations": doc["iterations"], "seed": doc["seeds"][0]})
-    problem, x0, sampler = build_inputs(doc)
-    g = baseline_gradient_norm(problem, build_noise(doc.get("noise")), baseline["iterations"],
-                               baseline["seed"], x0=x0, sampler=sampler)
+    problem, x0, noise = build_inputs(doc)
+    g = baseline_gradient_norm(problem, noise, baseline["iterations"], baseline["seed"], x0=x0)
     print(repr(g))
     return EXIT_OK
 
@@ -51,14 +50,12 @@ def _cmd_tune(args) -> int:
     doc = load_config(args.config)
     if "grid" not in doc or "baseline" not in doc:
         raise ConfigurationError("tune configs require 'grid' and 'baseline' sections")
-    problem, x0, sampler = build_inputs(doc)
-    noise = build_noise(doc.get("noise"))
+    problem, x0, noise = build_inputs(doc)
     g = baseline_gradient_norm(problem, noise, doc["baseline"]["iterations"],
-                               doc["baseline"]["seed"], x0=x0, sampler=sampler)
+                               doc["baseline"]["seed"], x0=x0)
     grid = build_grid(g, GridSpec(**{key: tuple(v) for key, v in doc["grid"].items()}))
     result = tune(problem, doc["algorithm"], grid, doc["seeds"], doc["iterations"],
-                  noise=noise, solver=SolverSpec(**doc.get("solver", {})), x0=x0,
-                  sampler=sampler)
+                  noise=noise, solver=SolverSpec(**doc.get("solver", {})), x0=x0)
     print(json.dumps({
         "baseline_g": g,
         "best": {"setting": result.best.setting, "mean_loss": result.best.mean_loss},

@@ -14,7 +14,6 @@ import jsonschema
 import numpy as np
 
 from ..core import ConfigurationError, NoiseModel
-from ..optimizer import SolverSpec, TrishConfig
 from ..problems import (
     MiniBatchSampler,
     RosenbrockProblem,
@@ -24,7 +23,6 @@ from ..problems import (
     make_quadratic,
     make_quartic_bowl,
 )
-from ..schedules import GammaSchedule, StepsizeSchedule
 
 _NOISE_SCHEMA = {
     "type": "object",
@@ -216,9 +214,25 @@ def validate_config(doc: dict) -> dict:
         raise ConfigurationError(f"invalid config: {exc.message}") from exc
     if doc["algorithm"] in ("trish", "trish1") and "gammas" not in doc:
         raise ConfigurationError("trish/trish1 configs require 'gammas'")
-    if "batch_size" in doc and doc["problem"]["kind"] not in ("logistic", "logistic_csv"):
-        raise ConfigurationError("batch_size only applies to logistic problems")
+    if "batch_size" in doc:
+        if doc["problem"]["kind"] not in ("logistic", "logistic_csv"):
+            raise ConfigurationError("batch_size only applies to logistic problems")
+        _check_minibatch_noise(doc.get("noise", {}))
     return doc
+
+
+def _check_minibatch_noise(noise: dict) -> None:
+    """A ``batch_size`` doc's sampler draws both estimates from its batch
+    rows, so its ``noise`` section may only cap the batch Hessian."""
+    fields = {f"noise.{key}": value for key, value in noise.items() if key != "hessian"}
+    fields.update({f"noise.hessian.{key}": v for key, v in noise.get("hessian", {}).items()})
+    allowed = {"noise.kind": "none", "noise.hessian.kind": "exact-capped"}
+    for name, value in fields.items():
+        if name != "noise.hessian.m_h" and allowed.get(name) != value:
+            hint = "; use algorithm 'trish1' for steps without curvature" if value == "zero" else ""
+            raise ConfigurationError(
+                f"{name} = {value!r} does not apply with batch_size: the mini-batch sampler draws "
+                f"both estimates, and noise may only cap its Hessian (noise.hessian.m_h){hint}")
 
 
 def load_config(path: str) -> dict:
@@ -289,9 +303,7 @@ def build_sampler(problem, doc: dict) -> MiniBatchSampler | None:
     """Mini-batch sampler for logistic configs with ``batch_size``; else None.
 
     Its same-batch Hessian estimate is capped at ``noise.hessian.m_h``
-    when given; for ``trish`` it replaces the noise model's Hessian
-    whatever ``noise.hessian.kind`` says, and ``trish1`` and ``sg`` turn
-    it off (see ``run_trish_first_order`` and ``run_sg``).
+    when given; ``trish1`` and ``sg`` turn it off (``_zero_hessian``).
     """
     if "batch_size" not in doc:
         return None
@@ -300,17 +312,9 @@ def build_sampler(problem, doc: dict) -> MiniBatchSampler | None:
 
 
 def build_inputs(doc: dict) -> tuple:
-    """The problem, x0 and sampler every seed of ``doc`` shares."""
+    """The problem, x0 and estimate source every seed of ``doc`` shares:
+    its mini-batch sampler (``batch_size``), else its noise model."""
     problem = build_problem(doc["problem"])
-    return problem, build_x0(problem, doc), build_sampler(problem, doc)
-
-
-def build_trish_config(doc: dict, seed: int) -> TrishConfig:
-    return TrishConfig(
-        stepsizes=StepsizeSchedule(**doc["stepsizes"]),
-        gammas=GammaSchedule(**doc["gammas"]),
-        iterations=doc["iterations"],
-        seed=seed,
-        solver=SolverSpec(**doc.get("solver", {})),
-        noise=build_noise(doc.get("noise")),
-    )
+    sampler = build_sampler(problem, doc)
+    noise = build_noise(doc.get("noise")) if sampler is None else sampler
+    return problem, build_x0(problem, doc), noise

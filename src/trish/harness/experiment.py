@@ -13,9 +13,10 @@ import os
 from pathlib import Path
 
 from ..core import ConfigurationError
-from ..optimizer import Trajectory, run_sg, run_trish, run_trish_first_order
-from ..schedules import StepsizeSchedule
-from .config import build_inputs, build_noise, build_trish_config
+from ..optimizer import (SolverSpec, Trajectory, TrishConfig, run_sg, run_trish,
+                         run_trish_first_order)
+from ..schedules import GammaSchedule, StepsizeSchedule
+from .config import build_inputs
 
 CSV_COLUMNS = (
     "k", "f", "grad_norm_true", "g_norm", "delta", "case", "model_dec",
@@ -56,16 +57,15 @@ def run_single(doc: dict, seed: int) -> Trajectory:
     return _run_seed(doc, seed, *build_inputs(doc))
 
 
-def _run_seed(doc: dict, seed: int, problem, x0, sampler) -> Trajectory:
-    algorithm = doc["algorithm"]
+def _run_seed(doc: dict, seed: int, problem, x0, noise) -> Trajectory:
+    """One seed of ``doc``, drawing from the source ``noise`` (see ``build_inputs``)."""
+    algorithm, stepsizes = doc["algorithm"], StepsizeSchedule(**doc["stepsizes"])
     if algorithm == "sg":
-        return run_sg(problem, x0, StepsizeSchedule(**doc["stepsizes"]),
-                      build_noise(doc.get("noise")), doc["iterations"], seed,
-                      sampler=sampler)
-    cfg = build_trish_config(doc, seed)
-    if algorithm == "trish1":
-        return run_trish_first_order(problem, x0, cfg, sampler=sampler)
-    return run_trish(problem, x0, cfg, sampler=sampler)
+        return run_sg(problem, x0, stepsizes, noise, doc["iterations"], seed)
+    config = TrishConfig(stepsizes, GammaSchedule(**doc["gammas"]), doc["iterations"], seed,
+                         solver=SolverSpec(**doc.get("solver", {})), noise=noise)
+    runner = run_trish_first_order if algorithm == "trish1" else run_trish
+    return runner(problem, x0, config)
 
 
 def run_experiment(doc: dict, output_dir: str | None = None) -> list[Path]:

@@ -56,21 +56,32 @@ class HyperGrid:
     sg_stepsizes: tuple[float, ...]
 
 
+def _source(noise, sampler):
+    """The runs' one estimate source: ``noise`` (the noise-free model
+    when None), or ``sampler`` in place of a None or noise-free ``noise``."""
+    if sampler is None:
+        return NoiseModel() if noise is None else noise
+    if noise not in (None, NoiseModel()):
+        raise ConfigurationError(f"give one estimate source, not a sampler and {noise!r}")
+    return sampler
+
+
 def baseline_gradient_norm(
     problem,
-    noise: NoiseModel,
+    noise: NoiseModel | MiniBatchSampler,
     iterations: int,
     seed: int,
     x0: np.ndarray | None = None,
     sampler: MiniBatchSampler | None = None,
 ) -> float:
-    """Mean sampled-gradient norm along an SG run at stepsize 0.1."""
+    """Mean sampled-gradient norm along an SG run at stepsize 0.1,
+    drawing from ``noise`` or ``sampler`` (see ``_source``)."""
     if iterations < 1:
         raise ConfigurationError("baseline run needs at least one iteration")
     if x0 is None:
         x0 = np.zeros(problem.dim)
     traj = run_sg(problem, x0, StepsizeSchedule.constant(BASELINE_STEPSIZE),
-                  noise, iterations, seed, sampler=sampler)
+                  _source(noise, sampler), iterations, seed)
     norms = traj.column("g_norm")[1:]
     if traj.aborted is not None:
         raise NumericalError(
@@ -122,7 +133,7 @@ def tune(
     grid: HyperGrid,
     seeds: list[int],
     iterations: int,
-    noise: NoiseModel | None = None,
+    noise: NoiseModel | MiniBatchSampler | None = None,
     solver: SolverSpec | None = None,
     x0: np.ndarray | None = None,
     sampler: MiniBatchSampler | None = None,
@@ -131,7 +142,7 @@ def tune(
 
     Each (setting, seed) pair is one run, and the runs go as lockstep
     lanes (``run_lanes``), ``TUNE_LANES`` at a time, each bit for bit
-    its scalar run.
+    its scalar run, drawing from ``noise`` or ``sampler`` (see ``_source``).
 
     Diverged runs score +inf; ties break toward the smaller stepsize,
     then the smaller gamma1, then the larger gamma2, so the result does
@@ -139,8 +150,7 @@ def tune(
     """
     if algorithm not in ("trish", "trish1", "sg"):
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
-    if noise is None:
-        noise = NoiseModel()
+    noise = _source(noise, sampler)
     if solver is None:
         solver = SolverSpec()
     if x0 is None:
@@ -162,7 +172,7 @@ def tune(
 
     ends = []
     for start in range(0, len(configs), TUNE_LANES):
-        lanes = run_lanes(problem, x0, configs[start:start + TUNE_LANES], algorithm, sampler)
+        lanes = run_lanes(problem, x0, configs[start:start + TUNE_LANES], algorithm)
         ends += zip(lanes.aborted, lanes.final_x)
 
     def final_loss(aborted, x) -> float:

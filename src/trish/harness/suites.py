@@ -267,20 +267,15 @@ def suite_equivalence(quick: bool = False) -> SuiteOutcome:
     gamma, alpha, iters = 2.0, 0.05, 100
     x0 = np.zeros(problem.dim)
 
-    cfg = TrishConfig(
-        stepsizes=StepsizeSchedule.constant(alpha),
-        gammas=GammaSchedule.constant(gamma, gamma),
-        iterations=iters,
-        seed=5,
-    )
+    sampler = MiniBatchSampler(problem, 10)
+    cfg = TrishConfig(StepsizeSchedule.constant(alpha), GammaSchedule.constant(gamma, gamma),
+                      iters, seed=5, noise=sampler)
     tr_x, sg_x = [], []
     with _quiet_optimizer_warnings():
         tr = run_trish_first_order(problem, x0, cfg,
-                                   sampler=MiniBatchSampler(problem, 10),
                                    on_iterate=lambda k, x: tr_x.append(x.copy()))
-        sg = run_sg(problem, x0, StepsizeSchedule.constant(gamma * alpha),
-                    NoiseModel(), iters, seed=5, sampler=MiniBatchSampler(problem, 10),
-                    on_iterate=lambda k, x: sg_x.append(x.copy()))
+        sg = run_sg(problem, x0, StepsizeSchedule.constant(gamma * alpha), sampler, iters,
+                    seed=5, on_iterate=lambda k, x: sg_x.append(x.copy()))
     worst = max(float(np.max(np.abs(a - b))) for a, b in zip(tr_x, sg_x))
     tr_g, sg_g = tr.column("g_norm")[1:], sg.column("g_norm")[1:]
     checks = [

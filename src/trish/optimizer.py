@@ -10,11 +10,10 @@ each iteration, model re-evaluation in the solver) are excluded.
 The scalar runners are the reference; ``run_lanes`` reproduces each of
 them bit for bit.
 
-Each scalar run returns a ``Trajectory`` carrying the ``TrishConfig`` it
-ran (for SG, the config SG equals).  First-order TRish and SG use no
-curvature whatever the estimate's source: they zero the noise model's
-Hessian and turn a ``MiniBatchSampler``'s estimate off.  A zero estimate
-is one whose certified ``norm_bound`` is 0.
+A run draws every estimate from one source, ``TrishConfig.noise`` (a
+``NoiseModel`` on the oracle or a ``MiniBatchSampler``), which its
+``Trajectory.config`` carries.  First-order TRish and SG turn its Hessian
+estimate off (``_zero_hessian``); a zero estimate has ``norm_bound`` 0.
 
 Every runner takes ``on_iterate(k, x)``, called with the iterate at
 k = 0 and after every recorded iteration, including the last row of a
@@ -90,13 +89,16 @@ class TrishConfig:
     iterations: int
     seed: int = 0
     solver: SolverSpec = field(default_factory=SolverSpec)
-    noise: NoiseModel = field(default_factory=NoiseModel)
+    noise: NoiseModel | MiniBatchSampler = field(default_factory=NoiseModel)
     # advisory by default; verification suites turn this on to fail fast
     enforce_stepsize_bound: bool = False
 
     def __post_init__(self) -> None:
         if self.iterations < 0:
             raise ConfigurationError("iterations must be >= 0")
+        if not isinstance(self.noise, (NoiseModel, MiniBatchSampler)):
+            raise ConfigurationError(f"noise must be a NoiseModel or a MiniBatchSampler, "
+                                     f"got {type(self.noise).__name__}")
 
 
 # One trace row.  Row 0 is the initial point.  For row k >= 1 the step
@@ -124,12 +126,10 @@ class Trajectory:
 
     ``records`` is a record array of ``TRACE_DTYPE`` rows, read by row
     (``records[k].f``) or by column (``records.f``, ``column("f")``).
-    ``config`` holds the seed, schedules, solver and noise model the run
-    used (for SG, the ``TrishConfig`` it equals; see ``run_sg``).  A
-    ``MiniBatchSampler`` replaces the noise model's draws: second-order
-    TRish then steps with the sampler's Hessian estimate whatever
-    ``config.noise.hessian_kind`` says, and the ``hess_bound`` column
-    records the estimate's bound.
+    ``config`` holds the seed, schedules, solver and estimate source
+    (``noise``) the run used (for SG, the ``TrishConfig`` it equals; see
+    ``run_sg``); the ``hess_bound`` column records the bound of each
+    estimate it stepped with.
     """
 
     algorithm: str
@@ -242,25 +242,24 @@ def _precondition_violated(k: int, alpha: float, enforce: bool, warned: bool = F
     return True
 
 
-def _draw_fn(oracle: ProblemOracle, noise: NoiseModel, sampler: MiniBatchSampler | None,
+def _draw_fn(oracle: ProblemOracle, source: NoiseModel | MiniBatchSampler,
              grad_rng: np.random.Generator, hess_rng: np.random.Generator):
-    """Per-iteration draw ``(x, k, alpha, true_g) -> (g, H)`` from the run's streams.
+    """The scalar loop's draw ``(x, k, alpha, true_g) -> (g, H)`` from the run's streams.
 
-    A synthetic-noise sampler built here is handed the true gradient the
-    loop already holds for its diagnostics, so f's gradient is evaluated
-    once per iteration; a mini-batch sampler draws its batch rows.
+    A noise model's draw is handed the true gradient the loop holds for
+    its diagnostics, so f's gradient is evaluated once per iteration.
     """
-    if sampler is None:
-        sample = oracle_sampler(oracle, noise)
-        return lambda x, k, alpha, true_g: sample(x, k, alpha, grad_rng, hess_rng, grad=true_g)
-    return lambda x, k, alpha, true_g: sampler(x, k, alpha, grad_rng, hess_rng)
+    if isinstance(source, MiniBatchSampler):
+        return lambda x, k, alpha, true_g: source(x, k, alpha, grad_rng, hess_rng)
+    sample = oracle_sampler(oracle, source)
+    return lambda x, k, alpha, true_g: sample(x, k, alpha, grad_rng, hess_rng, grad=true_g)
 
 
-def _run(oracle, x0, algorithm, config, sampler, on_iterate, step) -> Trajectory:
+def _run(oracle, x0, algorithm, config, on_iterate, step) -> Trajectory:
     """The loop every scalar run shares; ``step`` is the algorithm.
 
     ``config`` gives the seed, the stepsizes, the iteration count and
-    the noise model, and goes into the trajectory.
+    the estimate source, and goes into the trajectory.
     ``step(x, k, alpha, true_g, draw)`` samples at x through
     ``draw(x, k, alpha, true_g)`` and returns ``(x_new, cost, fields)``:
     the next iterate, the cost units the step consumed and the values of
@@ -272,7 +271,7 @@ def _run(oracle, x0, algorithm, config, sampler, on_iterate, step) -> Trajectory
     x = np.asarray(x0, dtype=float).copy()
     if not np.all(np.isfinite(x)):
         raise ConfigurationError("initial point must be finite")
-    draw = _draw_fn(oracle, config.noise, sampler,
+    draw = _draw_fn(oracle, config.noise,
                     rng_stream(seed, GRADIENT_STREAM), rng_stream(seed, HESSIAN_STREAM))
     store = np.full(iterations + 1, np.nan, dtype=TRACE_DTYPE)
 
@@ -304,14 +303,13 @@ def run_trish(
     oracle: ProblemOracle,
     x0: Array,
     config: TrishConfig,
-    sampler: MiniBatchSampler | None = None,
     on_iterate=None,
 ) -> Trajectory:
     """Run TRish for the configured number of iterations.
 
     The trace has ``iterations + 1`` rows (row 0 is the initial point)
     unless the divergence guard aborts the run early.  Deterministic
-    given ``config.seed``.
+    given ``config.seed``; estimates come from ``config.noise``.
     """
     warned = False
     memo = EighMemo() if config.solver.kind == "exact" else None
@@ -328,36 +326,27 @@ def run_trish(
         return x_new, 1 + s.hessian_products, _trish_fields(
             g, g_norm, true_g, s, alpha, gamma1, gamma2, hess.norm_bound)
 
-    return _run(oracle, x0, "trish", config, sampler, on_iterate, step)
+    return _run(oracle, x0, "trish", config, on_iterate, step)
 
 
-def _zero_hessian(noise: NoiseModel) -> NoiseModel:
-    """``noise`` with its Hessian estimate pinned to the zero operator."""
-    return replace(noise, hessian_kind="zero", m_h=0.0, perturbation=0.0)
+def _zero_hessian(source):
+    """``source`` with its Hessian estimate turned off: a noise model's is
+    the zero operator, and a sampler draws the same batches without one."""
+    if isinstance(source, MiniBatchSampler):
+        return replace(source, hessian=False)
+    return replace(source, hessian_kind="zero", m_h=0.0, perturbation=0.0)
 
 
 def run_trish_first_order(
     oracle: ProblemOracle,
     x0: Array,
     config: TrishConfig,
-    sampler: MiniBatchSampler | None = None,
     on_iterate=None,
 ) -> Trajectory:
-    """TRish with the Hessian estimate pinned to zero (cost: 1 unit/iteration).
-
-    The estimate is zero whatever its source: the noise model's Hessian
-    kind becomes ``zero``, and a sampler draws the same batches with its
-    estimate turned off.
-    """
+    """TRish with the Hessian estimate pinned to zero (cost: 1 unit/iteration):
+    the run's config is ``config`` with ``_zero_hessian`` applied to its source."""
     config = replace(config, noise=_zero_hessian(config.noise))
-    traj = run_trish(oracle, x0, config, sampler=_without_hessian(sampler),
-                     on_iterate=on_iterate)
-    return replace(traj, algorithm="trish1")
-
-
-def _without_hessian(sampler: MiniBatchSampler | None) -> MiniBatchSampler | None:
-    """``sampler`` with its Hessian estimate turned off; its draws stay the same."""
-    return None if sampler is None else replace(sampler, hessian=False)
+    return replace(run_trish(oracle, x0, config, on_iterate), algorithm="trish1")
 
 
 def _sg_step(x, k, alpha, true_g, draw):
@@ -374,10 +363,9 @@ def run_sg(
     oracle: ProblemOracle,
     x0: Array,
     stepsizes: StepsizeSchedule,
-    noise: NoiseModel,
+    noise: NoiseModel | MiniBatchSampler,
     iterations: int,
     seed: int,
-    sampler: MiniBatchSampler | None = None,
     on_iterate=None,
 ) -> Trajectory:
     """Stochastic-gradient baseline x_{k+1} = x_k - alpha_k g_k.
@@ -387,12 +375,11 @@ def run_sg(
     iteration, and gradient samples from the same named stream a TRish
     run with the same seed would use.  The trajectory's config is the
     ``TrishConfig`` SG equals: these stepsizes, gammas (1, 1), and the
-    noise model with a zero Hessian.  ``sampler`` draws the same batches
-    with its Hessian estimate turned off.
+    estimate source ``noise`` with its Hessian estimate turned off.
     """
     config = TrishConfig(stepsizes, GammaSchedule.constant(1.0, 1.0), iterations, seed,
                          noise=_zero_hessian(noise))
-    return _run(oracle, x0, "sg", config, _without_hessian(sampler), on_iterate, _sg_step)
+    return _run(oracle, x0, "sg", config, on_iterate, _sg_step)
 
 
 # ---------------------------------------------------------------------------
@@ -432,37 +419,25 @@ def run_lanes(
     x0: Array,
     configs: Iterable[TrishConfig],
     algorithm: str = "trish",
-    sampler: MiniBatchSampler | None = None,
     on_iterate=None,
 ) -> LaneRun:
     """Run every config in lockstep, one lane per config, as one (S, n) state.
 
     Lane i reproduces the scalar run of ``algorithm`` at ``configs[i]``
-    with ``sampler`` bit for bit: ``run_trish`` ("trish"),
-    ``run_trish_first_order`` ("trish1") or ``run_sg`` with the config's
-    stepsizes, noise, iterations and seed ("sg").  That covers f, the
-    iterates, every recorded step diagnostic, the row count and the
-    abort reason.  The configs may differ in seed, stepsizes and gammas;
-    they share the iteration count, solver, noise model and stepsize
-    enforcement.
+    bit for bit (``run_trish``, ``run_trish_first_order`` or ``run_sg``
+    with the config's stepsizes, noise, iterations and seed): f, the
+    iterates, every recorded step diagnostic, the row count, the abort
+    reason, and each stepsize-precondition warning or error, at the
+    lane's own first violating iteration.  Invalid schedules and Hessian
+    caps raise before the first step.  The configs may differ in seed,
+    stepsizes and gammas and share the rest.
 
-    Lanes take every input the scalar runners take.  SG steps, and TRish
-    steps of the Steihaug solver with a zero or exact-capped estimate,
-    are computed for all running lanes at once; each lane draws its
-    gradient noise, or its mini-batch rows, from its own seed's gradient
-    stream, ``LANE_CHUNK`` iterations at a time.  Under the exact solver
-    or a perturbed noise Hessian, each running lane draws as its scalar
-    run does, on its own seed's streams, and steps through
-    ``trish_step`` with its own ``EighMemo``.
-
-    ``x0`` is one point or one row per lane.  Invalid schedule values
-    and Hessian caps raise before the first step; each TRish lane warns
-    about a stepsize precondition violation once, at its own first
-    violating iteration, or raises there, as its scalar run would, and
-    so do non-finite gradients and curvature.
-
-    ``on_iterate(k, X)`` is the runners' iterate hook (see the module
-    docstring).
+    SG steps, and Steihaug steps with a zero or exact-capped estimate,
+    are computed for all running lanes at once.  Under the exact solver
+    or a perturbed noise Hessian each lane builds its estimate as its
+    scalar run does and steps through ``trish_step`` with its own
+    ``EighMemo``.  ``x0`` is one point or one row per lane;
+    ``on_iterate(k, X)`` is the runners' hook (see the module docstring).
     """
     configs = list(configs)
     if not configs:
@@ -470,39 +445,44 @@ def run_lanes(
     if algorithm not in ("trish", "trish1", "sg"):
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
     first = configs[0]
-    K, solver, noise, enforce = (first.iterations, first.solver, first.noise,
-                                 first.enforce_stepsize_bound)
-    if any((c.iterations, c.solver, c.noise, c.enforce_stepsize_bound) != (K, solver, noise, enforce)
-           for c in configs):
-        raise ConfigurationError("lanes share the iteration count, solver, noise model "
-                                 "and stepsize enforcement")
+    shared = K, solver, source, enforce = (first.iterations, first.solver, first.noise,
+                                           first.enforce_stepsize_bound)
+    if any((c.iterations, c.solver, c.noise, c.enforce_stepsize_bound) != shared for c in configs):
+        raise ConfigurationError("lanes share the iteration count, solver, estimate source "
+                                 "(noise) and stepsize enforcement")
     if algorithm != "trish":
-        noise, sampler = _zero_hessian(noise), _without_hessian(sampler)
+        source = _zero_hessian(source)
+    sampled = isinstance(source, MiniBatchSampler)
     S, n = len(configs), oracle.dim
     # C order: BLAS reaches bit-identity with the 1-D calls on unit-stride rows only
     X = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (S, n)), order="C")
     if not np.all(np.isfinite(X)):
         raise ConfigurationError("initial point must be finite")
 
-    # The estimate's bound and, for synthetic noise, the Hessian cap.
-    hessian = sampler.hessian if sampler is not None else noise.hessian_kind != "zero"
+    # The estimate's certified bound and, for synthetic noise, the Hessian cap.
     tau = bound = 0.0
-    if hessian and K > 0:
-        if sampler is not None:
-            bound = sampler.norm_bound
-        else:
-            tau = hessian_cap(oracle, noise)
-            bound = (perturbed_cap(oracle, noise)[1] if noise.hessian_kind == "perturbed"
+    if K > 0:
+        if sampled:
+            bound = source.norm_bound
+        elif source.hessian_kind != "zero":
+            tau = hessian_cap(oracle, source)
+            bound = (perturbed_cap(oracle, source)[1] if source.hessian_kind == "perturbed"
                      else tau * oracle.grad_lipschitz)
-    per_row = algorithm != "sg" and (solver.kind == "exact" or noise.hessian_kind == "perturbed")
+    per_row = algorithm != "sg" and (
+        solver.kind == "exact" or (not sampled and source.hessian_kind == "perturbed"))
 
     # (K+1, S) schedule tables indexed by k (NaN in row 0, as in the
-    # trace) and (K+1, S) noise variances, one column per distinct
-    # schedule pair spread over its lanes.  The values come from the
-    # scalar functions, so they match the scalar runs; configuration
-    # errors surface here.
+    # trace), one column per distinct schedule pair spread over its lanes,
+    # from the scalar functions; configuration errors surface here.
     ks = range(1, K + 1)
     schedules = list(dict.fromkeys((c.stepsizes, c.gammas) for c in configs))
+    lane_col = [schedules.index((c.stepsizes, c.gammas)) for c in configs]
+
+    def spread(rows):  # one (K+1,) row per pair; a broadcast view if one pair
+        if len(schedules) == 1:
+            return np.broadcast_to(np.array(rows[0], dtype=float)[:, None], (K + 1, S))
+        return np.array(rows, dtype=float)[lane_col].T
+
     tables, first_violation = [], []
     for stepsizes, gammas in schedules:
         alphas = [stepsizes.at(k) for k in ks]
@@ -515,34 +495,27 @@ def run_lanes(
             violation = next((k for k, a, (g1, g2) in zip(ks, alphas, pairs) if not
                               validate_stepsize(a, g1, g2, oracle.grad_lipschitz, bound)), None)
         first_violation.append(violation)
-        tables.append([[np.nan, *alphas], [np.nan, *(p[0] for p in pairs)],
-                       [np.nan, *(p[1] for p in pairs)], [np.nan] + [bound] * K,
-                       [np.nan, *(noise.gradient_variance(k, a) for k, a in zip(ks, alphas))]])
-    lane_col = [schedules.index((c.stepsizes, c.gammas)) for c in configs]
+        tables.append(([np.nan, *alphas], [np.nan, *(p[0] for p in pairs)],
+                       [np.nan, *(p[1] for p in pairs)], [np.nan] + [bound] * K))
     warn_at: dict[int, list[int]] = {}  # k -> the lanes whose first violation it is
     for lane, col in enumerate(lane_col):
         if first_violation[col] is not None:
             warn_at.setdefault(first_violation[col], []).append(lane)
-    if len(schedules) == 1:
-        ALPHA, GAMMA1, GAMMA2, BOUND, VARIANCE = (
-            np.broadcast_to(np.array(t, dtype=float)[:, None], (K + 1, S)) for t in tables[0])
-    else:
-        ALPHA, GAMMA1, GAMMA2, BOUND, VARIANCE = (
-            np.array(t, dtype=float)[lane_col].T for t in zip(*tables))
-        for table in (ALPHA, GAMMA1, GAMMA2, BOUND):
-            table.flags.writeable = False
+    ALPHA, GAMMA1, GAMMA2, BOUND = (spread(rows) for rows in zip(*tables))
+    for table in (ALPHA, GAMMA1, GAMMA2, BOUND):
+        table.flags.writeable = False
+    # a noise model's gradient variance at each k, from each pair's stepsizes
+    VARIANCE = None if sampled else spread(
+        [[np.nan, *map(source.gradient_variance, ks, table[0][1:])] for table in tables])
 
     cols = {name: np.full((K + 1, S), np.nan) for name in LANE_COLUMNS}
     F0, TG = _initial_record(oracle, X)
     cols["f"][0] = F0
     cols["grad_norm_true"][0] = row_norms(TG)
     cols["cost_units"][0] = 0.0
-    if per_row:
-        draw, step = _row_draw(oracle, noise, sampler, configs, ALPHA), _row_lane_step
-    else:
-        rngs = [rng_stream(c.seed, GRADIENT_STREAM) for c in configs]
-        draw = _lane_draw(oracle, sampler, hessian, tau, VARIANCE, rngs, K)
-        step = _sg_lane_step if algorithm == "sg" else _trish_lane_step
+    draw = _lane_draw(oracle, source, configs, K, tau, VARIANCE, per_row)
+    step = (_row_lane_step if per_row else _sg_lane_step if algorithm == "sg"
+            else _trish_lane_step)
     rows = np.full(S, K + 1)
     aborted: list[str | None] = [None] * S
     final_x = X.copy()
@@ -595,67 +568,64 @@ def run_lanes(
     return LaneRun(cols, rows, final_x, aborted)
 
 
-def _lane_draw(oracle, sampler, hessian, tau, VARIANCE, rngs, K):
-    """The lanes' per-iteration draw ``(k, ids, at, X, TG) -> (G, hvp)``.
+def _lane_draw(oracle, source, configs, K, tau, VARIANCE, per_row):
+    """The lanes' draw ``(k, ids, at, X, TG) -> (G, hess)`` for the running
+    lanes ``ids`` (columns ``at``) at iterates X with true gradients TG.
 
-    ``ids`` are the running lanes and ``at`` their columns; ``X`` and
-    ``TG`` hold their iterates and true gradients.  ``G`` holds their
-    gradient estimates and ``hvp(r, V)`` applies the Hessian estimates
-    of the rows ``r`` to the rows of V (None for the zero estimate).
-    Every ``LANE_CHUNK`` iterations each running lane draws the next
-    block of its gradient noise or mini-batch rows from its own stream.
+    Every ``LANE_CHUNK`` iterations each running lane draws its next
+    block of gradient noise or mini-batch rows from its gradient stream.
+    ``hess`` is ``hvp(r, V)``, the estimates of rows r applied to the rows
+    of V (None for the zero estimate), or with ``per_row`` each lane's
+    (estimate, ``EighMemo``), built as its scalar run builds it.
     """
-    S, n = len(rngs), oracle.dim
-    if sampler is not None:
-        rows = np.zeros((S, LANE_CHUNK, sampler.batch_size), dtype=np.int64)
+    S, n = len(configs), oracle.dim
+    rngs = [rng_stream(c.seed, GRADIENT_STREAM) for c in configs]
+    if isinstance(source, MiniBatchSampler):
+        rows = np.zeros((S, LANE_CHUNK, source.batch_size), dtype=np.int64)
+        stacked = replace(source, hessian=False) if per_row else source
 
-        def draw(k, ids, at, X, TG):
+        def gradients(k, ids, at, X, TG):
             j = (k - 1) % LANE_CHUNK
             if j == 0:
                 count = min(LANE_CHUNK, K - k + 1)
                 for lane in ids:
-                    rows[lane, :count] = sampler.indices(rngs[lane], count)
-            return sampler.draw_rows(X, rows[at, j], k)
+                    rows[lane, :count] = source.indices(rngs[lane], count)
+            return stacked.draw_rows(X, rows[at, j], k)
 
-        return draw
+        def estimate(lane, x, k):
+            return source.hessian_at(x, rows[lane, (k - 1) % LANE_CHUNK])
+    else:
+        block = np.zeros((S, LANE_CHUNK, n))
+        drawn = VARIANCE > 0.0  # as sample_gradient: no noise, and no draw, at variance 0
+        every = drawn.all(axis=1).tolist()
+        hessian = source.hessian_kind != "zero"
+        hess_rngs = [rng_stream(c.seed, HESSIAN_STREAM) for c in configs] if per_row else None
 
-    block = np.zeros((S, LANE_CHUNK, n))
-    drawn = VARIANCE > 0.0  # as sample_gradient: no noise, and no draw, at variance 0
-    every = drawn.all(axis=1).tolist()
+        def gradients(k, ids, at, X, TG):
+            j = (k - 1) % LANE_CHUNK
+            if j == 0:
+                for lane in ids:
+                    variances = VARIANCE[k:k + LANE_CHUNK, lane]
+                    block[lane, :variances.size] = draw_noise_block(rngs[lane], variances, n)
+            if not np.all(np.isfinite(TG)):
+                bad = int(np.argmin(np.isfinite(TG).all(axis=1)))
+                raise EvaluationError(f"non-finite gradient at x = {X[bad]!r}")
+            G = TG + block[at, j] if every[k] else np.where(drawn[k, at][:, None],
+                                                             TG + block[at, j], TG)
+            if not hessian:
+                return G, None
+            return G, lambda r, V: tau * oracle.hvp(X[r], V)
 
-    def draw(k, ids, at, X, TG):
-        j = (k - 1) % LANE_CHUNK
-        if j == 0:
-            for lane in ids:
-                variances = VARIANCE[k:k + LANE_CHUNK, lane]
-                block[lane, :variances.size] = draw_noise_block(rngs[lane], variances, n)
-        if not np.all(np.isfinite(TG)):
-            bad = int(np.argmin(np.isfinite(TG).all(axis=1)))
-            raise EvaluationError(f"non-finite gradient at x = {X[bad]!r}")
-        G = TG + block[at, j] if every[k] else np.where(drawn[k, at][:, None],
-                                                         TG + block[at, j], TG)
-        if not hessian:
-            return G, None
-        return G, lambda r, V: tau * oracle.hvp(X[r], V)
+        def estimate(lane, x, k):
+            return sample_hessian(oracle, x, source, hess_rngs[lane])
 
-    return draw
-
-
-def _row_draw(oracle, noise, sampler, configs, ALPHA):
-    """The draw ``(k, ids, at, X, TG) -> (G, hess)`` of ``_row_lane_step``:
-    each running lane's scalar draw (``_draw_fn``) on its own seed's
-    streams, so ``hess`` lists each lane's Hessian estimate, with the
-    lane's own ``EighMemo``."""
-    draws = [_draw_fn(oracle, noise, sampler, rng_stream(c.seed, GRADIENT_STREAM),
-                      rng_stream(c.seed, HESSIAN_STREAM)) for c in configs]
+    if not per_row:
+        return gradients
     memos = [EighMemo() for _ in configs]
 
     def draw(k, ids, at, X, TG):
-        G, hess = np.empty_like(X), []
-        for i, lane in enumerate(ids.tolist()):
-            G[i], est = draws[lane](X[i], k, float(ALPHA[k, lane]), TG[i])
-            hess.append((est, memos[lane]))
-        return G, hess
+        G, _ = gradients(k, ids, at, X, TG)
+        return G, [(estimate(lane, X[i], k), memos[lane]) for i, lane in enumerate(ids.tolist())]
 
     return draw
 

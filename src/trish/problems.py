@@ -270,9 +270,13 @@ class MiniBatchSampler:
         idx = self.indices(grad_rng)
         g = self.problem.batch_gradient(x, idx)
         _check_finite(g, k, x)
+        return g, self.hessian_at(x, idx)
+
+    def hessian_at(self, x: Array, idx: Array) -> HessianEstimate:
+        """The Hessian estimate of a draw of the batch rows ``idx`` at x."""
         if self.hessian:
-            return g, self.problem.batch_hessian(x, idx, self.m_h)
-        return g, HessianEstimate.zero(self.problem.dim)
+            return self.problem.batch_hessian(x, idx, self.m_h)
+        return HessianEstimate.zero(self.problem.dim)
 
     def draw_rows(self, X: Array, idx: Array, k: int):
         """The draws at the rows of X, row i with the batch rows ``idx[i]``.

@@ -9,6 +9,7 @@ solver with a KKT-certifying multiplier.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +148,7 @@ def _curvature_error(dHd, delta) -> NumericalError:
         f"non-finite curvature d'Hd = {dHd!r} in Steihaug-CG (delta={delta!r})")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # for an overflowing candidate, see below
 def steihaug_cg(
     g: Array,
     hess: HessianEstimate,
@@ -204,7 +206,9 @@ def steihaug_cg(
             break
         step = rr / dHd
         s_try = s + step * d
-        if float(np.linalg.norm(s_try)) >= delta:
+        # a tiny dHd overflows the candidate (inf, NaN where d is 0): it is
+        # outside; sqrt(s @ s) is np.linalg.norm's arithmetic, bit for bit
+        if not math.sqrt(float(s_try @ s_try)) < delta:
             s = s + _boundary_tau(s, d, delta) * d
             boundary = True
             break
@@ -285,7 +289,7 @@ def steihaug_cg_rows(
             raise _curvature_error(float(dHd[bad]), float(dl[act[bad]]))
         step = rr[act] / dHd
         s_try = s[act] + step[:, None] * da
-        hit = (dHd <= 0.0) | (np.sqrt(rowdot(s_try, s_try)) >= dl[act])
+        hit = (dHd <= 0.0) | ~(np.sqrt(rowdot(s_try, s_try)) < dl[act])  # NaN: outside
         if hit.any():
             h = act[hit]
             s[h] = s[h] + _boundary_tau_rows(s[h], d[h], dl[h])[:, None] * d[h]
@@ -340,9 +344,9 @@ def exact_trs(
     ``g + (H + u I) s = 0``, ``H + u I`` positive semidefinite and
     ``u * (delta - ||s||) = 0`` to within ``tol``.  With a ``memo`` the
     eigendecomposition of an unchanged ``hess`` is reused; the result is
-    the same bit for bit.  The symmetry check runs on each matrix the
-    memo does not hold: a memo hit is bit-equal to a matrix that passed
-    it.
+    the same bit for bit.  The finiteness and symmetry checks run on
+    each matrix the memo does not hold (a memo hit is bit-equal to a
+    matrix that passed them), before any decomposition.
 
     Dense path, intended for small dimensions (n <= ~500).
     """
@@ -356,8 +360,10 @@ def exact_trs(
     if memo is not None and memo.eig is not None and np.array_equal(H, memo.matrix):
         w, Q = memo.eig
     else:
-        asym = float(np.max(np.abs(H - H.T))) if H.size else 0.0
         h_scale = float(np.max(np.abs(H))) if H.size else 0.0
+        if not math.isfinite(h_scale):
+            raise NumericalError(f"non-finite Hessian entry (max |H| = {h_scale!r}) in exact_trs")
+        asym = float(np.max(np.abs(H - H.T))) if H.size else 0.0
         if asym > 1e-12 * max(1.0, h_scale):
             raise ConfigurationError(f"H is not symmetric (max asymmetry {asym:.3e})")
         w, Q = np.linalg.eigh(H)
@@ -369,10 +375,13 @@ def exact_trs(
     min_block = w <= lam_min + 1e-12 * w_scale
     g_norm = float(np.linalg.norm(g))
 
-    # Interior candidate: Newton step when H is positive definite.
+    # Interior candidate: Newton step when H is positive definite.  A
+    # tiny lam_min overflows it to inf, which the radius test rejects.
     if lam_min > 0.0:
-        y = -ghat / w
-        if float(np.linalg.norm(y)) <= delta:
+        with np.errstate(over="ignore"):
+            y = -ghat / w
+            y_norm = math.sqrt(float(y @ y))  # np.linalg.norm(y), bit for bit
+        if y_norm <= delta:
             return Q @ y, 0.0
 
     lo = max(0.0, -lam_min)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from trish import (
+    ConfigurationError,
     GammaSchedule,
     MiniBatchSampler,
     NoiseModel,
@@ -81,6 +82,16 @@ class TestBaselineG:
 
 
 class TestTune:
+    def test_sampler_beside_a_noise_model_is_refused(self):
+        prob = make_logistic(50, 3, l2=0.1, seed=1)
+        grid = build_grid(1.0, GridSpec((-1.0,), (1.0,), (1.0,)))
+        with pytest.raises(ConfigurationError, match="one estimate source"):
+            tune(prob, "trish", grid, [0], 5, noise=NoiseModel(kind="bounded", m_g=1.0),
+                 sampler=MiniBatchSampler(prob, 5))
+        with pytest.raises(ConfigurationError, match="one estimate source"):
+            baseline_gradient_norm(prob, NoiseModel(kind="bounded", m_g=1.0), 5, 0,
+                                   sampler=MiniBatchSampler(prob, 5))
+
     def test_single_setting_grid(self):
         prob = make_quadratic(3, 1.0, 2.0, seed=5)
         grid = build_grid(1.0, GridSpec((-1.0,), (1.0,), (1.0,)))
@@ -124,7 +135,7 @@ class TestTune:
             MiniBatchSampler(prob, 10))
 
 
-def scalar_leaderboard(problem, algorithm, grid, seeds, iterations, noise, solver, sampler):
+def scalar_leaderboard(problem, algorithm, grid, seeds, iterations, noise, solver):
     """The leaderboard from explicit scalar runs, one per (setting, seed)."""
     entries = []
     if algorithm == "sg":
@@ -137,13 +148,13 @@ def scalar_leaderboard(problem, algorithm, grid, seeds, iterations, noise, solve
             x0 = np.zeros(problem.dim)
             if algorithm == "sg":
                 traj = run_sg(problem, x0, StepsizeSchedule.constant(setting["alpha"]), noise,
-                              iterations, seed, sampler=sampler)
+                              iterations, seed)
             else:
                 runner = run_trish if algorithm == "trish" else run_trish_first_order
                 config = TrishConfig(StepsizeSchedule.constant(setting["alpha"]),
                                      GammaSchedule.constant(setting["gamma1"], setting["gamma2"]),
                                      iterations, seed, solver=solver, noise=noise)
-                traj = runner(problem, x0, config, sampler=sampler)
+                traj = runner(problem, x0, config)
             finite = traj.aborted is None and np.all(np.isfinite(traj.final_x))
             losses.append(float(problem.validation_loss(traj.final_x)) if finite else np.inf)
         entries.append((setting, float(np.mean(losses)), tuple(losses)))
@@ -160,11 +171,10 @@ class TestTuneOnLanes:
         for algorithm in ("trish", "trish1", "sg")] + [
         ("quartic_exact", "trish"), ("quadratic_perturbed", "trish")])
     def test_leaderboard_equals_scalar_runs(self, algorithm, problem_kind, monkeypatch):
-        solver, sampler = SolverSpec(), None
+        solver = SolverSpec()
         if problem_kind == "logistic":
             problem = make_logistic(150, 4, l2=0.01, seed=7)
-            noise = NoiseModel()
-            sampler = MiniBatchSampler(problem, 8, hessian=True)
+            noise = MiniBatchSampler(problem, 8, hessian=True)
         elif problem_kind == "quartic_exact":
             problem = make_quartic_bowl(5, 1.0, 4.0, quartic=1.0, radius=4.0, seed=3)
             noise = NoiseModel(kind="bounded", m_g=0.5, hessian_kind="exact-capped", m_h=4.0)
@@ -181,11 +191,9 @@ class TestTuneOnLanes:
         run_lanes = grid_module.run_lanes
         monkeypatch.setattr(grid_module, "run_lanes",
                             lambda *a, **kw: lane_runs.append(len(a[2])) or run_lanes(*a, **kw))
-        result = tune(problem, algorithm, grid, seeds, 30, noise=noise, solver=solver,
-                      sampler=sampler)
+        result = tune(problem, algorithm, grid, seeds, 30, noise=noise, solver=solver)
         assert lane_runs == [TUNE_LANES, TUNE_LANES, 3 * 6 - 2 * TUNE_LANES]
-        expected = scalar_leaderboard(problem, algorithm, grid, seeds, 30, noise, solver,
-                                      sampler)
+        expected = scalar_leaderboard(problem, algorithm, grid, seeds, 30, noise, solver)
         assert [(e.setting, e.mean_loss, e.losses) for e in result.leaderboard] == expected
         # on the quadratic, some first-order and SG lanes stop at the divergence
         # guard, and so do some lanes of the exact and perturbed runs

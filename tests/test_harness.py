@@ -19,10 +19,10 @@ from trish import (
 from trish.core import ConfigurationError
 from trish.harness.checks import StepContractCounter, cost_accounting_ok, taylor_violations
 from trish.harness.cli import main
-from trish.harness.config import build_inputs, build_noise, load_config, validate_config
+from trish.harness.config import build_inputs, load_config, validate_config
 from trish.harness.experiment import CSV_COLUMNS, run_experiment, run_single, write_trace_csv
 from trish.harness.grid import GridSpec, baseline_gradient_norm, build_grid, tune
-from trish.problems import QuadraticProblem
+from trish.problems import MiniBatchSampler, QuadraticProblem
 
 
 def base_config(**overrides):
@@ -117,6 +117,52 @@ class TestConfigValidation:
         path.write_text("{not json")
         with pytest.raises(ConfigurationError):
             load_config(str(path))
+
+
+class TestMiniBatchSource:
+    """A ``batch_size`` doc's sampler is its runs' one estimate source."""
+
+    @staticmethod
+    def doc(algorithm, **noise):
+        doc = {"problem": {"kind": "logistic", "n_samples": 120, "dim": 4, "l2": 0.01, "seed": 5},
+               "algorithm": algorithm, "iterations": 12, "seeds": [0, 3],
+               "stepsizes": {"kind": "constant", "alpha": 0.5},
+               "gammas": {"kind": "constant", "gamma1": 2.0, "gamma2": 1.0}, "batch_size": 6}
+        if noise:
+            doc["noise"] = noise
+        return validate_config(doc)
+
+    @pytest.mark.parametrize("noise, message", [
+        ({"kind": "bounded", "m_g": 3.0, "hessian": {"kind": "zero"}}, "noise.kind = 'bounded'"),
+        ({"kind": "none", "hessian": {"kind": "zero"}}, "noise.hessian.kind = 'zero'.*'trish1'"),
+        ({"kind": "none", "hessian": {"kind": "perturbed", "m_h": 1.0}},
+         "noise.hessian.kind = 'perturbed'"),
+        ({"kind": "none", "hessian": {"kind": "exact-capped", "m_h": 1.0, "scale": 0.5}},
+         "noise.hessian.scale"),
+        ({"kind": "none", "m_g": 1.0}, "noise.m_g"),
+    ])
+    def test_noise_the_sampler_replaces_is_rejected(self, noise, message):
+        with pytest.raises(ConfigurationError, match=message):
+            self.doc("trish", **noise)
+
+    @pytest.mark.parametrize("algorithm", ["trish", "trish1", "sg"])
+    def test_runs_report_the_sampler_they_drew_from(self, algorithm, monkeypatch):
+        import trish.harness.config as config
+        doc = self.doc(algorithm, kind="none", hessian={"kind": "exact-capped", "m_h": 0.2})
+        problem, x0, noise = build_inputs(doc)
+        monkeypatch.setattr(config, "build_problem", lambda spec: problem)  # one problem object
+        assert noise == MiniBatchSampler(problem, 6, hessian=True, m_h=0.2)
+        second_order = algorithm == "trish"
+        trajectories = [run_single(doc, seed) for seed in doc["seeds"]]
+        # lanes on the configs the runs report reproduce the runs
+        lanes = run_lanes(problem, x0, [traj.config for traj in trajectories], algorithm)
+        for i, traj in enumerate(trajectories):
+            assert traj.config.noise == replace(noise, hessian=second_order)
+            assert np.all((traj.column("hess_bound")[1:] > 0.0) == second_order)
+            assert np.array_equal(lanes.final_x[i], traj.final_x)
+            for name in ("f", "g_norm", "hess_bound", "cost_units"):
+                assert np.array_equal(lanes.column(name)[:, i], traj.column(name),
+                                      equal_nan=True), name
 
 
 class TestTraceCSV:
@@ -295,12 +341,10 @@ class TestCLI:
         cfg.write_text(json.dumps(doc))
         assert main(["tune", "--config", str(cfg)]) == 0
         printed = json.loads(capsys.readouterr().out)
-        problem, x0, sampler = build_inputs(doc)
-        noise = build_noise(doc["noise"])
-        g = baseline_gradient_norm(problem, noise, 20, 0, x0=x0, sampler=sampler)
+        problem, x0, noise = build_inputs(doc)
+        g = baseline_gradient_norm(problem, noise, 20, 0, x0=x0)
         expected = tune(problem, "trish", build_grid(g, GridSpec((-2.0, -1.0), (1.0,), (1.0,))),
-                        [0, 1], 15, noise=noise, solver=SolverSpec(kind="exact"), x0=x0,
-                        sampler=sampler)
+                        [0, 1], 15, noise=noise, solver=SolverSpec(kind="exact"), x0=x0)
         assert printed["leaderboard"] == [{"setting": e.setting, "mean_loss": e.mean_loss}
                                           for e in expected.leaderboard]
 

@@ -259,12 +259,13 @@ class TestCollapseToSG:
             gammas=GammaSchedule.constant(gamma, gamma),
             iterations=iters,
             seed=8,
+            noise=MiniBatchSampler(prob, 8),
         )
         tr_x, sg_x = [], []
-        run_trish_first_order(prob, np.zeros(4), cfg, sampler=MiniBatchSampler(prob, 8),
+        run_trish_first_order(prob, np.zeros(4), cfg,
                               on_iterate=lambda k, x: tr_x.append(x.copy()))
         run_sg(prob, np.zeros(4), StepsizeSchedule.constant(gamma * alpha),
-               NoiseModel(), iters, seed=8, sampler=MiniBatchSampler(prob, 8),
+               MiniBatchSampler(prob, 8), iters, seed=8,
                on_iterate=lambda k, x: sg_x.append(x.copy()))
         worst = max(float(np.max(np.abs(a - b)))
                     for a, b in zip(tr_x, sg_x))
@@ -302,13 +303,19 @@ class TestFirstOrder:
     def test_sampled_hessian_estimate_is_replaced_by_zero(self):
         prob = make_logistic(200, 5, l2=0.1, seed=11)
         cfg = TrishConfig(StepsizeSchedule.constant(0.05), GammaSchedule.constant(2.0, 1.0),
-                          20, seed=5)
-        traj = run_trish_first_order(prob, np.zeros(5), cfg,
-                                     sampler=MiniBatchSampler(prob, 10, hessian=True))
+                          20, seed=5, noise=MiniBatchSampler(prob, 10, hessian=True))
+        traj = run_trish_first_order(prob, np.zeros(5), cfg)
         assert np.all(traj.column("hess_bound")[1:] == 0.0)
         assert np.array_equal(traj.column("cost_units"), np.arange(21))
-        without = run_trish_first_order(prob, np.zeros(5), cfg, sampler=MiniBatchSampler(prob, 10))
+        assert traj.config.noise == MiniBatchSampler(prob, 10)  # the source it drew from
+        without = run_trish_first_order(prob, np.zeros(5),
+                                        replace(cfg, noise=MiniBatchSampler(prob, 10)))
         assert np.array_equal(traj.final_x, without.final_x)  # the same batches
+
+    def test_noise_must_be_an_estimate_source(self):
+        with pytest.raises(ConfigurationError, match="NoiseModel or a MiniBatchSampler"):
+            TrishConfig(StepsizeSchedule.constant(0.1), GammaSchedule.constant(2.0, 1.0), 5,
+                        noise="bounded")
 
     def test_deterministic_given_seed(self):
         prob = make_quadratic(4, 1.0, 4.0, seed=6)
@@ -367,28 +374,28 @@ EXACT_COLUMNS = ("f", "grad_norm_true", "g_norm", "delta", "case", "model_dec",
 FAULTS = (ConfigurationError, EvaluationError, NumericalError)
 
 
-def run_scalar(problem, x0, config, algorithm="trish", sampler=None):
+def run_scalar(problem, x0, config, algorithm="trish"):
     """The scalar run a lane of ``run_lanes`` reproduces."""
     if algorithm == "sg":
         return run_sg(problem, x0, config.stepsizes, config.noise, config.iterations,
-                      config.seed, sampler=sampler)
+                      config.seed)
     runner = run_trish if algorithm == "trish" else run_trish_first_order
-    return runner(problem, x0, config, sampler=sampler)
+    return runner(problem, x0, config)
 
 
-def assert_lanes_match_scalar(problem, x0, configs, algorithm="trish", sampler=None):
+def assert_lanes_match_scalar(problem, x0, configs, algorithm="trish"):
     """Every lane equals its scalar run, bit for bit."""
     scalar, errors = [], []
     for config in configs:
         try:
-            scalar.append(run_scalar(problem, x0, config, algorithm, sampler))
+            scalar.append(run_scalar(problem, x0, config, algorithm))
         except FAULTS as exc:
             errors.append(type(exc))
     if errors:
         with pytest.raises(tuple(errors)):
-            run_lanes(problem, x0, configs, algorithm, sampler)
+            run_lanes(problem, x0, configs, algorithm)
         return None
-    lanes = run_lanes(problem, x0, configs, algorithm, sampler)
+    lanes = run_lanes(problem, x0, configs, algorithm)
     for i, traj in enumerate(scalar):
         rows = len(traj.records)
         assert lanes.rows[i] == rows
@@ -460,8 +467,9 @@ def lane_cases(draw):
     shared = draw(schedules(problem))
     per_lane = draw(st.booleans())
     configs = [TrishConfig(*(draw(schedules(problem)) if per_lane else shared), iterations,
-                           seed, solver=solver, noise=noise) for seed in seeds]
-    return problem, x0, configs, algorithm, sampler
+                           seed, solver=solver, noise=noise if sampler is None else sampler)
+               for seed in seeds]
+    return problem, x0, configs, algorithm
 
 
 @settings(max_examples=80, deadline=None)
@@ -555,9 +563,9 @@ class TestLanes:
         # a tiny cap keeps the curvature from holding the huge step back
         sampler = MiniBatchSampler(prob, 5, hessian=hessian, m_h=1e-9)
         configs = [TrishConfig(StepsizeSchedule.constant(alpha), GammaSchedule.constant(4.0, 1.0),
-                               LANE_CHUNK + 30, seed=seed)
+                               LANE_CHUNK + 30, seed=seed, noise=sampler)
                    for alpha, seed in ((0.1, 0), (1e3, 1), (0.5, 2))]
-        lanes = assert_lanes_match_scalar(prob, np.zeros(4), configs, algorithm, sampler)
+        lanes = assert_lanes_match_scalar(prob, np.zeros(4), configs, algorithm)
         assert 1 < lanes.rows[1] < LANE_CHUNK
         assert [r is None for r in lanes.aborted] == [True, False, True]
 

@@ -225,11 +225,10 @@ class TestMarginMemo:
         """A run whose value and grad go to two separate problems never
         hits the memo; its trace must equal the shared-memo run's."""
         config = TrishConfig(StepsizeSchedule.constant(0.5), GammaSchedule.constant(2.0, 1.0),
-                             iterations=40, seed=4)
+                             iterations=40, seed=4, noise=MiniBatchSampler(LOGI, 10, hessian=True))
         split = SimpleNamespace(dim=LOGI.dim, grad_lipschitz=LOGI.grad_lipschitz,
                                 value=fresh_logistic().value, grad=fresh_logistic().grad)
-        runs = [run_trish(oracle, np.zeros(LOGI.dim), config,
-                          sampler=MiniBatchSampler(LOGI, 10, hessian=True))
+        runs = [run_trish(oracle, np.zeros(LOGI.dim), config)
                 for oracle in (fresh_logistic(), split)]
         shared, separate = (run.records for run in runs)
         for name in shared.dtype.names:

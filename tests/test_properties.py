@@ -73,7 +73,7 @@ def test_steihaug_feasible_and_cauchy(instance):
     step = steihaug_cg(g, hess, delta)
     assert np.linalg.norm(step.s) <= delta * (1 + 1e-12)
     assert step.model_decrease >= step.cauchy_decrease - 1e-10
-    g_norm = np.linalg.norm(g)
+    g_norm = float(np.linalg.norm(g))  # a Python float: a tiny bound gives inf quietly
     ref = min(delta, g_norm / bound) if bound > 0 else delta
     assert step.model_decrease >= 0.5 * g_norm * ref - 1e-10
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,28 @@ class TestExactTRS:
         assert ups == pytest.approx(1.0)
         assert abs(abs(s[0]) - 1.0) <= 1e-12 and abs(s[1]) <= 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_raises_at_once(self, bad):
+        H = np.diag([1.0, 2.0, 3.0])
+        H[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"non-finite Hessian entry \(max \|H\| = "):
+                exact_trs(np.ones(3), H, 1.0)
+
+    def test_tiny_positive_eigenvalue_rejects_the_interior_step_quietly(self):
+        # 1 / 1e-320 overflows: the interior candidate is infinite, which
+        # the radius test rejects without a RuntimeWarning
+        H = np.diag([1e-320, 1.0, 2.0])
+        g = np.ones(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s, ups = exact_trs(g, H, 1.0)
+        assert np.linalg.norm(s) == pytest.approx(1.0, rel=1e-12)
+        assert ups > 0.0
+        stationarity, psd, complementarity = kkt_residuals(g, H, 1.0, s, ups)
+        assert stationarity <= 1e-8 and psd >= 0.0 and complementarity <= 1e-12
+
     def test_asymmetric_input_rejected(self):
         H = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ConfigurationError):
@@ -291,16 +315,15 @@ class TestEighMemo:
         assert s.tobytes() == exact_trs(self.g, H, 1.0)[0].tobytes()
 
     def test_nan_matrix_never_reused(self, monkeypatch):
+        # a non-finite matrix raises before eigh, so the memo never holds one
         calls = self.count_eigh(monkeypatch)
         memo = EighMemo()
         H = self.H.copy()
         H[0, 0] = np.nan
         for _ in range(2):
-            try:
+            with pytest.raises(NumericalError, match="non-finite Hessian entry"):
                 exact_trs(self.g, H, 1.0, memo=memo)
-            except (NumericalError, np.linalg.LinAlgError):
-                pass
-        assert len(calls) == 2
+        assert len(calls) == 0 and memo.matrix is None
 
     def test_checks_run_with_a_memo(self):
         memo = EighMemo()
@@ -335,6 +358,23 @@ class TestKKTResiduals:
 
 
 class TestNonFiniteCurvature:
+    @pytest.mark.parametrize("H, g", [
+        # 1 / 1e-320 overflows the CG step to inf, and inf * 0 is NaN
+        (np.diag([1e-320, 1.0]), np.array([1.0, 0.0])),
+        # a finite candidate whose norm overflows
+        (np.array([[5.00750189e-269, -9.83091900e-270], [-9.83091900e-270, 1.93004357e-270]]),
+         np.array([-0.53566937, 0.36159505])),
+    ])
+    def test_overflowing_candidate_crosses_the_boundary_quietly(self, H, g):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step = steihaug_cg(g, op(H), 1.0)
+            rows, *_ = steihaug_cg_rows(g[None], np.linalg.norm(g)[None], np.ones(1),
+                                        lambda r, V: V @ H)
+        assert step.boundary_hit and step.cg_iterations == 1
+        assert np.allclose(step.s, -g / np.linalg.norm(g), rtol=1e-15, atol=0.0)
+        assert rows[0].tobytes() == step.s.tobytes()
+
     def test_nan_hessian_product_raises(self):
         nan_op = HessianEstimate(apply=lambda v: np.full_like(v, np.nan), norm_bound=1.0)
         with pytest.raises(NumericalError, match="curvature"):
