@@ -1,9 +1,16 @@
 """Experiment execution and CSV trace export.
 
-One CSV per (algorithm, seed) with a fixed column set; every float is
-written with round-trip repr, so reruns with the same seed are
-byte-identical except for the wall-clock column.  A field the run did
-not record is an empty cell; a recorded NaN is written ``nan``.
+An experiment's seeds run as one lockstep lane run (``run_lanes``), one
+lane per seed, and each lane is written as the trace of its scalar run
+(``run_single``).  One CSV per (algorithm, seed) with a fixed column
+set; every float is written with round-trip repr, so reruns with the
+same seed are byte-identical except for the wall-clock column
+``wall_ns``, which is the lanes' shared lockstep time: the nanoseconds
+from the start of the lane run to the end of each row.  A field the run
+did not record is an empty cell; a recorded NaN is written ``nan``.  A
+diverged seed still writes its partial trace, but an ``EvaluationError``
+or ``NumericalError`` in any seed ends the whole run before any CSV is
+written, the other seeds' included.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import os
 from pathlib import Path
 
 from ..core import ConfigurationError
-from ..optimizer import (SolverSpec, Trajectory, TrishConfig, run_sg, run_trish,
+from ..optimizer import (SolverSpec, Trajectory, TrishConfig, run_lanes, run_sg, run_trish,
                          run_trish_first_order)
 from ..schedules import GammaSchedule, StepsizeSchedule
 from .config import build_inputs
@@ -52,35 +59,43 @@ def resolve_output_dir(doc: dict, override: str | None = None) -> Path:
     return path
 
 
+def _config(doc: dict, seed: int, noise) -> TrishConfig:
+    """The ``TrishConfig`` of one seed of ``doc``, drawing from the source
+    ``noise`` (see ``build_inputs``); SG's takes no gammas or solver."""
+    stepsizes = StepsizeSchedule(**doc["stepsizes"])
+    if doc["algorithm"] == "sg":
+        return TrishConfig(stepsizes, GammaSchedule.constant(1.0, 1.0), doc["iterations"], seed,
+                           noise=noise)
+    return TrishConfig(stepsizes, GammaSchedule(**doc["gammas"]), doc["iterations"], seed,
+                       solver=SolverSpec(**doc.get("solver", {})), noise=noise)
+
+
 def run_single(doc: dict, seed: int) -> Trajectory:
-    """One run of the configured algorithm at one seed."""
-    return _run_seed(doc, seed, *build_inputs(doc))
-
-
-def _run_seed(doc: dict, seed: int, problem, x0, noise) -> Trajectory:
-    """One seed of ``doc``, drawing from the source ``noise`` (see ``build_inputs``)."""
-    algorithm, stepsizes = doc["algorithm"], StepsizeSchedule(**doc["stepsizes"])
-    if algorithm == "sg":
-        return run_sg(problem, x0, stepsizes, noise, doc["iterations"], seed)
-    config = TrishConfig(stepsizes, GammaSchedule(**doc["gammas"]), doc["iterations"], seed,
-                         solver=SolverSpec(**doc.get("solver", {})), noise=noise)
-    runner = run_trish_first_order if algorithm == "trish1" else run_trish
+    """One scalar run of the configured algorithm at one seed: the
+    reference each lane of ``run_experiment`` reproduces."""
+    problem, x0, noise = build_inputs(doc)
+    config = _config(doc, seed, noise)
+    if doc["algorithm"] == "sg":
+        return run_sg(problem, x0, config.stepsizes, noise, config.iterations, seed)
+    runner = run_trish_first_order if doc["algorithm"] == "trish1" else run_trish
     return runner(problem, x0, config)
 
 
 def run_experiment(doc: dict, output_dir: str | None = None) -> list[Path]:
-    """Run every configured seed and write one trace CSV per run.
+    """Run every configured seed as one lane run and write one trace CSV
+    per seed (see the module docstring).
 
-    Returns the written paths.  A diverged run still writes its partial
-    trace; once every trace is written, ``RuntimeError`` names each
-    diverged seed and its abort reason.
+    Returns the written paths.  Once every trace is written,
+    ``RuntimeError`` names each diverged seed and its abort reason.
     """
     out = resolve_output_dir(doc, output_dir)
+    problem, x0, noise = build_inputs(doc)
+    lanes = run_lanes(problem, x0, [_config(doc, seed, noise) for seed in doc["seeds"]],
+                      doc["algorithm"])
     paths = []
     failures = []
-    inputs = build_inputs(doc)
-    for seed in doc["seeds"]:
-        traj = _run_seed(doc, seed, *inputs)
+    for i, seed in enumerate(doc["seeds"]):
+        traj = lanes.trajectory(i)
         path = out / f"{doc['algorithm']}_seed{seed}.csv"
         write_trace_csv(traj, path)
         paths.append(path)

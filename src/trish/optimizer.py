@@ -8,7 +8,8 @@ Cost accounting equates one stochastic gradient with one
 Hessian-vector product; diagnostic evaluations (true f and gradient
 each iteration, model re-evaluation in the solver) are excluded.
 The scalar runners are the reference; ``run_lanes`` reproduces each of
-them bit for bit.
+them bit for bit, and ``LaneRun.trajectory`` gives a lane as the
+``Trajectory`` its scalar run returns.
 
 A run draws every estimate from one source, ``TrishConfig.noise`` (a
 ``NoiseModel`` on the oracle or a ``MiniBatchSampler``), which its
@@ -42,6 +43,7 @@ from .core import (
     ProblemOracle,
     draw_noise_block,
     hessian_cap,
+    norm,
     oracle_sampler,
     perturbed_cap,
     rng_stream,
@@ -178,7 +180,7 @@ def trish_step(
     Hessian (see ``exact_trs``).  Neither changes the result.
     """
     if g_norm is None:
-        g_norm = float(np.linalg.norm(g))
+        g_norm = norm(g)
     if g_norm == 0.0:
         # radius rule gives delta = 0; the step degenerates to zero
         zero = np.zeros_like(x)
@@ -196,7 +198,7 @@ def trish_step(
             model_decrease=-model_value(g, dense, s),
             cauchy_decrease=-model_value(g, dense, cauchy_point(g, dense, delta)),
             cg_iterations=0,
-            boundary_hit=bool(upsilon > 0.0 or np.linalg.norm(s) >= delta * (1.0 - 1e-12)),
+            boundary_hit=bool(upsilon > 0.0 or norm(s) >= delta * (1.0 - 1e-12)),
             upsilon=float(upsilon),
             # dense materialization: n products, none for a zero estimate
             hessian_products=0 if hess.is_zero else x.shape[0],
@@ -211,7 +213,7 @@ def _trish_fields(g: Array, g_norm: float, true_g: Array, s: TRStep, alpha: floa
     estimate's bound."""
     return (g_norm, s.delta, s.case, s.model_decrease, s.cauchy_decrease,
             s.cg_iterations, np.nan if s.upsilon is None else s.upsilon,
-            alpha, gamma1, gamma2, float(np.linalg.norm(s.s)), hess_bound,
+            alpha, gamma1, gamma2, norm(s.s), hess_bound,
             float((true_g - g) @ s.s))
 
 
@@ -277,7 +279,7 @@ def _run(oracle, x0, algorithm, config, on_iterate, step) -> Trajectory:
 
     t0 = time.perf_counter_ns()
     f0, true_g = _initial_record(oracle, x)
-    store[0] = (0, f0, float(np.linalg.norm(true_g)), 0,
+    store[0] = (0, f0, norm(true_g), 0,
                 time.perf_counter_ns() - t0) + (np.nan,) * len(STEP_FIELDS)
     if on_iterate is not None:
         on_iterate(0, x)
@@ -288,7 +290,7 @@ def _run(oracle, x0, algorithm, config, on_iterate, step) -> Trajectory:
         cost += units
         f = oracle.value(x)
         true_g = oracle.grad(x)
-        store[k] = (k, f, float(np.linalg.norm(true_g)), cost,
+        store[k] = (k, f, norm(true_g), cost,
                     time.perf_counter_ns() - t0) + fields
         if on_iterate is not None:
             on_iterate(k, x)
@@ -320,7 +322,7 @@ def run_trish(
         g, hess = draw(x, k, alpha, true_g)
         if not validate_stepsize(alpha, gamma1, gamma2, oracle.grad_lipschitz, hess.norm_bound):
             warned = _precondition_violated(k, alpha, config.enforce_stepsize_bound, warned)
-        g_norm = float(np.linalg.norm(g))
+        g_norm = norm(g)
         x_new, s = trish_step(x, g, hess, alpha, gamma1, gamma2, config.solver,
                               g_norm=g_norm, memo=memo)
         return x_new, 1 + s.hessian_products, _trish_fields(
@@ -353,7 +355,7 @@ def _sg_step(x, k, alpha, true_g, draw):
     """SG's step rule: x - alpha g at one cost unit, no trust-region
     fields; it reads no Hessian estimate, so its ``hess_bound`` is 0."""
     g, _ = draw(x, k, alpha, true_g)
-    g_norm = float(np.linalg.norm(g))
+    g_norm = norm(g)
     nan = np.nan
     return x - alpha * g, 1, (g_norm, nan, nan, nan, nan, nan, nan,
                               alpha, nan, nan, alpha * g_norm, 0.0, nan)
@@ -377,9 +379,15 @@ def run_sg(
     ``TrishConfig`` SG equals: these stepsizes, gammas (1, 1), and the
     estimate source ``noise`` with its Hessian estimate turned off.
     """
-    config = TrishConfig(stepsizes, GammaSchedule.constant(1.0, 1.0), iterations, seed,
-                         noise=_zero_hessian(noise))
+    config = _sg_config(stepsizes, noise, iterations, seed)
     return _run(oracle, x0, "sg", config, on_iterate, _sg_step)
+
+
+def _sg_config(stepsizes, noise, iterations, seed) -> TrishConfig:
+    """The ``TrishConfig`` an SG run equals: gammas (1, 1) and the estimate
+    source ``noise`` with its Hessian estimate turned off."""
+    return TrishConfig(stepsizes, GammaSchedule.constant(1.0, 1.0), iterations, seed,
+                       noise=_zero_hessian(noise))
 
 
 # ---------------------------------------------------------------------------
@@ -393,18 +401,23 @@ LANE_COLUMNS = tuple(name for name in TRACE_DTYPE.names
 
 @dataclass
 class LaneRun:
-    """S lockstep runs ("lanes", one per config) traced by column.
+    """S lockstep runs ("lanes", one per config) of ``algorithm``, traced by column.
 
     ``columns[name]`` is a (K+1, S) array of the ``TRACE_DTYPE`` field
-    ``name`` for every lane (``k`` and ``wall_ns`` are not kept).
-    Lane i recorded ``rows[i]`` rows; the rows after a tripped divergence
-    guard are NaN, and ``aborted[i]`` gives the reason.  The
-    ``SCHEDULE_COLUMNS`` are read-only and NaN in row 0; when every lane
-    runs the same schedules they are views of one (K+1,) table broadcast
-    over the lanes.  They hold the schedule on a stopped lane's rows too;
-    ``g_norm`` and ``delta`` are NaN there.
+    ``name`` for every lane (``k`` is not kept).  Lane i ran
+    ``configs[i]`` and recorded ``rows[i]`` rows; the rows after a
+    tripped divergence guard are NaN, and ``aborted[i]`` gives the
+    reason.  The ``SCHEDULE_COLUMNS`` are read-only and NaN in row 0;
+    when every lane runs the same schedules they are views of one (K+1,)
+    table broadcast over the lanes.  They hold the schedule on a stopped
+    lane's rows too; ``g_norm`` and ``delta`` are NaN there.
+    ``wall_ns`` is the lockstep time, the nanoseconds from the start of
+    the run to the end of each row: one read-only (K+1,) table broadcast
+    over the lanes, NaN after the last row any lane ran.
     """
 
+    algorithm: str
+    configs: list[TrishConfig]
     columns: dict[str, np.ndarray]
     rows: np.ndarray
     final_x: Array
@@ -412,6 +425,22 @@ class LaneRun:
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
+
+    def trajectory(self, i: int) -> Trajectory:
+        """Lane i as the ``Trajectory`` its scalar run returns, config
+        included; only ``wall_ns`` differs, since it is the lockstep time."""
+        config = self.configs[i]
+        if self.algorithm == "sg":
+            config = _sg_config(config.stepsizes, config.noise, config.iterations, config.seed)
+        elif self.algorithm == "trish1":
+            config = replace(config, noise=_zero_hessian(config.noise))
+        rows = int(self.rows[i])
+        records = np.empty(rows, dtype=TRACE_DTYPE)
+        records["k"] = np.arange(rows)
+        for name in TRACE_DTYPE.names[1:]:
+            records[name] = self.columns[name][:rows, i]
+        return Trajectory(self.algorithm, config, records.view(np.recarray),
+                          self.final_x[i].copy(), self.aborted[i])
 
 
 def run_lanes(
@@ -509,7 +538,10 @@ def run_lanes(
         [[np.nan, *map(source.gradient_variance, ks, table[0][1:])] for table in tables])
 
     cols = {name: np.full((K + 1, S), np.nan) for name in LANE_COLUMNS}
+    wall = np.full(K + 1, np.nan)
+    t0 = time.perf_counter_ns()
     F0, TG = _initial_record(oracle, X)
+    wall[0] = time.perf_counter_ns() - t0
     cols["f"][0] = F0
     cols["grad_norm_true"][0] = row_norms(TG)
     cols["cost_units"][0] = 0.0
@@ -545,6 +577,7 @@ def run_lanes(
                    "cost_units": cost, **fields}
             for name, value in row.items():
                 cols[name][k, at] = value
+            wall[k] = time.perf_counter_ns() - t0
             X, TG = X_new, TG_new
             if on_iterate is not None:
                 final_x[at] = X
@@ -565,7 +598,8 @@ def run_lanes(
 
     for name, table in zip(SCHEDULE_COLUMNS, (ALPHA, GAMMA1, GAMMA2, BOUND)):
         cols[name] = table
-    return LaneRun(cols, rows, final_x, aborted)
+    cols["wall_ns"] = np.broadcast_to(wall[:, None], (K + 1, S))
+    return LaneRun(algorithm, configs, cols, rows, final_x, aborted)
 
 
 def _lane_draw(oracle, source, configs, K, tau, VARIANCE, per_row):

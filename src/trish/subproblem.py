@@ -23,8 +23,12 @@ from .core import (
     NumericalError,
     ZeroGradientError,
     libm_pow,
+    norm,
     rowdot,
 )
+
+
+_EPS = float(np.finfo(float).eps)
 
 
 class RadiusCase(enum.IntEnum):
@@ -109,7 +113,7 @@ def cauchy_point(g: Array, hess: HessianEstimate | Array, delta: float) -> Array
     Interior whenever ``||g||^3 <= delta * g'Hg`` with positive
     curvature along g; otherwise the boundary point ``-(delta/||g||) g``.
     """
-    g_norm = float(np.linalg.norm(g))
+    g_norm = norm(g)
     if g_norm == 0.0:
         raise ZeroGradientError("Cauchy point undefined for g = 0; caller must short-circuit")
     if delta <= 0.0:
@@ -171,7 +175,7 @@ def steihaug_cg(
     if delta <= 0.0:
         raise ConfigurationError("delta must be positive")
     g = np.asarray(g, dtype=float)
-    g_norm = float(np.linalg.norm(g))
+    g_norm = norm(g)
     if g_norm == 0.0:
         zero = np.zeros_like(g)
         return TRStep(zero, delta, case, 0.0, 0.0, 0, False)
@@ -206,9 +210,8 @@ def steihaug_cg(
             break
         step = rr / dHd
         s_try = s + step * d
-        # a tiny dHd overflows the candidate (inf, NaN where d is 0): it is
-        # outside; sqrt(s @ s) is np.linalg.norm's arithmetic, bit for bit
-        if not math.sqrt(float(s_try @ s_try)) < delta:
+        # a tiny dHd overflows the candidate (inf, NaN where d is 0): it is outside
+        if not norm(s_try) < delta:
             s = s + _boundary_tau(s, d, delta) * d
             boundary = True
             break
@@ -247,74 +250,85 @@ def steihaug_cg_rows(
 
     ``hvp(rows, V)`` returns the Hessian products of the subproblems
     listed in ``rows`` with the rows of ``V``; ``None`` is the zero
-    Hessian.  Rows still iterating are tracked by index, so the cap
-    bounds the number of sweeps.  Returns the steps and the per-row
-    model decrease, Cauchy decrease and CG iterations; each row equals
-    the scalar solver's bit for bit (rows with ``g_norm == 0`` get the
-    zero step and zero decreases, as ``trish_step`` gives them).
-    Hessian products consumed equal the iterations unless ``hvp`` is
-    ``None``.
+    Hessian.  Returns the steps and the per-row model decrease, Cauchy
+    decrease and CG iterations; each row equals the scalar solver's bit
+    for bit (rows with ``g_norm == 0`` get the zero step and zero
+    decreases, as ``trish_step`` gives them).  Hessian products
+    consumed equal the iterations unless ``hvp`` is ``None``.
     """
-    steps = np.zeros_like(G)
-    model_dec = np.zeros(G.shape[0])
-    cauchy_dec = np.zeros(G.shape[0])
-    iters = np.zeros(G.shape[0], dtype=np.int64)
-    live = np.flatnonzero(g_norm != 0.0)
-    g, gn, dl = G[live], g_norm[live], delta[live]
-    if hvp is None or live.size == 0:
+    live = g_norm != 0.0
+    if live.all():
+        return _steihaug_live_rows(G, g_norm, delta, np.arange(G.shape[0]), hvp,
+                                   max_iters, residual_tol)
+    # the zero-gradient rows keep zeros; the others are solved as one stack
+    rows = np.flatnonzero(live)
+    out = (np.zeros_like(G), np.zeros(G.shape[0]), np.zeros(G.shape[0]),
+           np.zeros(G.shape[0], dtype=np.int64))
+    if rows.size:
+        solved = _steihaug_live_rows(G[rows], g_norm[rows], delta[rows], rows, hvp,
+                                     max_iters, residual_tol)
+        for full, part in zip(out, solved):
+            full[rows] = part
+    return out
+
+
+def _steihaug_live_rows(g, gn, dl, rows, hvp, max_iters, residual_tol):
+    """``steihaug_cg_rows`` on rows that all have a nonzero gradient.
+
+    Each sweep runs over every row: it takes the product of every row's
+    direction and commits the update of each row still iterating through
+    row masks, so a stopped row's stale values are computed and discarded
+    (its curvature is never checked).  The sweeps end once no row
+    iterates, after at most ``max_iters``.
+    """
+    if hvp is None:
         # Linear model: steepest descent straight to the boundary.
-        steps[live] = -(dl / gn)[:, None] * g
-        model_dec[live] = cauchy_dec[live] = dl * gn
-        iters[live] = 1
-        return steps, model_dec, cauchy_dec, iters
+        dec = dl * gn
+        return -(dl / gn)[:, None] * g, dec, dec, np.ones(gn.size, dtype=np.int64)
 
     s = np.zeros_like(g)
     r = -g
-    d = r.copy()
+    d = r
     rr = rowdot(r, r)
-    it = np.zeros(live.size, dtype=np.int64)
-    act = np.arange(live.size)  # rows still iterating, as positions in live
+    it = np.zeros(gn.size, dtype=np.int64)
+    act = np.ones(gn.size, dtype=bool)  # rows still iterating
     Hg = None
     for sweep in range(max_iters):
-        if act.size == 0:
-            break
-        da = d[act]
-        Hd = hvp(live[act], da)
+        Hd = hvp(rows, d)
         if sweep == 0:
             Hg = -Hd  # d_0 = -g, so this product doubles as H g
-        dHd = rowdot(da, Hd)
-        it[act] += 1
-        if not np.all(np.isfinite(dHd)):
-            bad = int(np.argmin(np.isfinite(dHd)))
-            raise _curvature_error(float(dHd[bad]), float(dl[act[bad]]))
-        step = rr[act] / dHd
-        s_try = s[act] + step[:, None] * da
-        hit = (dHd <= 0.0) | ~(np.sqrt(rowdot(s_try, s_try)) < dl[act])  # NaN: outside
-        if hit.any():
-            h = act[hit]
-            s[h] = s[h] + _boundary_tau_rows(s[h], d[h], dl[h])[:, None] * d[h]
-        inner = ~hit
-        a = act[inner]
-        s[a] = s_try[inner]
-        ra = r[a] - step[inner, None] * Hd[inner]
-        r[a] = ra
-        rr_next = rowdot(ra, ra)
-        more = ~(np.sqrt(rr_next) <= residual_tol * gn[a])
-        a = a[more]
-        d[a] = ra[more] + (rr_next[more] / rr[a])[:, None] * d[a]
-        rr[a] = rr_next[more]
-        act = a
+        dHd = rowdot(d, Hd)
+        it += act
+        bad = act & ~np.isfinite(dHd)
+        if np.count_nonzero(bad):
+            i = int(np.argmax(bad))
+            raise _curvature_error(float(dHd[i]), float(dl[i]))
+        step = (rr / dHd)[:, None]
+        s_try = s + step * d
+        # dHd is finite on the rows still iterating, so there dHd > 0 negates dHd <= 0
+        inner = act & (dHd > 0.0) & (np.sqrt(rowdot(s_try, s_try)) < dl)  # NaN: outside
+        hit = act ^ inner
+        if np.count_nonzero(hit):
+            np.copyto(s, s + _boundary_tau_rows(s, d, dl)[:, None] * d, where=hit[:, None])
+        if not np.count_nonzero(inner):
+            break
+        np.copyto(s, s_try, where=inner[:, None])
+        r = r - step * Hd
+        rr_next = rowdot(r, r)
+        act = inner & ~(np.sqrt(rr_next) <= residual_tol * gn)
+        if not np.count_nonzero(act):
+            break
+        d = r + (rr_next / rr)[:, None] * d
+        rr = rr_next
 
     # Reference decrease at the Cauchy point from the first product.
     gHg = rowdot(g, Hg)
     gn2 = libm_pow(gn, 2)
     interior = (gHg > 0.0) & (libm_pow(gn, 3) <= dl * gHg)
     t = np.where(interior, -gn2 / gHg, -dl / gn)
-    cauchy_dec[live] = -(t * gn2 + 0.5 * t * t * gHg)
-    model_dec[live] = -(rowdot(g, s) + 0.5 * rowdot(s, hvp(live, s)))
-    steps[live] = s
-    iters[live] = it
-    return steps, model_dec, cauchy_dec, iters
+    cauchy_dec = -(t * gn2 + 0.5 * t * t * gHg)
+    model_dec = -(rowdot(g, s) + 0.5 * rowdot(s, hvp(rows, s)))
+    return s, model_dec, cauchy_dec, it
 
 
 @dataclass
@@ -373,14 +387,14 @@ def exact_trs(
     lam_min = float(w[0])
     w_scale = max(1.0, float(np.max(np.abs(w))))
     min_block = w <= lam_min + 1e-12 * w_scale
-    g_norm = float(np.linalg.norm(g))
+    g_norm = norm(g)
 
     # Interior candidate: Newton step when H is positive definite.  A
     # tiny lam_min overflows it to inf, which the radius test rejects.
     if lam_min > 0.0:
         with np.errstate(over="ignore"):
             y = -ghat / w
-            y_norm = math.sqrt(float(y @ y))  # np.linalg.norm(y), bit for bit
+            y_norm = norm(y)
         if y_norm <= delta:
             return Q @ y, 0.0
 
@@ -388,11 +402,11 @@ def exact_trs(
 
     # Hard case: no component of g in the minimal eigenspace and the
     # pseudo-inverse solution at u = -lambda_min already fits inside.
-    if float(np.linalg.norm(ghat[min_block])) <= 1e-12 * g_norm:
+    if norm(ghat[min_block]) <= 1e-12 * g_norm:
         denom = w - lam_min
         y = np.zeros_like(ghat)
         y[~min_block] = -ghat[~min_block] / denom[~min_block]
-        y_norm = float(np.linalg.norm(y))
+        y_norm = norm(y)
         if y_norm <= delta and lam_min <= 0.0:
             ups = -lam_min
             if ups > 0.0:
@@ -410,7 +424,7 @@ def exact_trs(
     ups = 0.5 * (lo_br + hi_br)
     for _ in range(200):
         y = y_of(ups)
-        y_norm = float(np.linalg.norm(y))
+        y_norm = norm(y)
         if abs(y_norm - delta) <= tol * delta:
             return Q @ _onto_sphere(y, delta), ups
         phi = 1.0 / y_norm - 1.0 / delta
@@ -418,13 +432,13 @@ def exact_trs(
             lo_br = ups
         else:
             hi_br = ups
-        if hi_br - lo_br <= 16.0 * np.finfo(float).eps * max(1.0, hi_br):
+        if hi_br - lo_br <= 16.0 * _EPS * max(1.0, hi_br):
             # Near-hard case: the bracket collapsed onto -lambda_min
             # before the norm matched.  Drop the minimal-eigenspace
             # coordinates and fill to the boundary along one of them.
             ups = hi_br
             y = np.where(min_block, 0.0, -ghat / (w + ups))
-            y_norm = float(np.linalg.norm(y))
+            y_norm = norm(y)
             if y_norm <= delta:
                 y[np.argmax(min_block)] += np.sqrt(max(delta**2 - y_norm**2, 0.0))
                 return Q @ _onto_sphere(y, delta), ups
@@ -446,8 +460,8 @@ def _onto_sphere(y: Array, delta: float) -> Array:
     rescale restores exact feasibility and complementarity at an
     O(tol) perturbation of stationarity.
     """
-    norm = float(np.linalg.norm(y))
-    return y if norm == 0.0 else y * (delta / norm)
+    y_norm = norm(y)
+    return y if y_norm == 0.0 else y * (delta / y_norm)
 
 
 def kkt_residuals(

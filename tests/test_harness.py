@@ -22,6 +22,7 @@ from trish.harness.cli import main
 from trish.harness.config import build_inputs, load_config, validate_config
 from trish.harness.experiment import CSV_COLUMNS, run_experiment, run_single, write_trace_csv
 from trish.harness.grid import GridSpec, baseline_gradient_norm, build_grid, tune
+from trish.optimizer import TRACE_DTYPE
 from trish.problems import MiniBatchSampler, QuadraticProblem
 
 
@@ -237,6 +238,42 @@ class TestTraceCSV:
             assert ([strip_wall_ns(line) for line in path.read_text().splitlines()]
                     == [strip_wall_ns(line) for line in single.read_text().splitlines()])
 
+    @pytest.mark.parametrize("algorithm", ["trish", "trish1", "sg"])
+    @pytest.mark.parametrize("solver", ["steihaug", "exact"])
+    @pytest.mark.parametrize("source", ["perturbed", "batch"])
+    def test_lanes_write_the_scalar_runs(self, tmp_path, monkeypatch, algorithm, solver, source):
+        """Each seed's CSV and ``Trajectory`` are its scalar run's but for ``wall_ns``."""
+        if source == "perturbed":
+            doc = base_config(noise={"kind": "bounded", "m_g": 1.0,
+                                     "hessian": {"kind": "perturbed", "m_h": 4.0, "scale": 1.0}})
+        else:
+            doc = base_config(problem={"kind": "logistic", "n_samples": 60, "dim": 4,
+                                       "l2": 0.01, "seed": 5},
+                              batch_size=6, stepsizes={"kind": "constant", "alpha": 0.5},
+                              noise={"kind": "none",
+                                     "hessian": {"kind": "exact-capped", "m_h": 0.2}})
+        doc = validate_config({**doc, "algorithm": algorithm, "iterations": 9,
+                               "seeds": [0, 3, 7], "solver": {"kind": solver}})
+        runs = assert_experiment_is_its_scalar_runs(doc, tmp_path, monkeypatch)
+        assert all(traj.aborted is None for traj in runs)
+
+    def test_one_diverged_seed_is_written_and_named(self, tmp_path, monkeypatch):
+        # seed 6 trips the divergence guard at k = 42 (see the lanes' test);
+        # seeds 0 and 7 run to the end
+        doc = validate_config({
+            "problem": {"kind": "rosenbrock", "n": 4}, "algorithm": "trish", "iterations": 60,
+            "seeds": [0, 6, 7], "stepsizes": {"kind": "constant", "alpha": 0.006},
+            "gammas": {"kind": "constant", "gamma1": 1.0, "gamma2": 1.0},
+            "noise": {"kind": "bounded", "m_g": 300.0}})
+        with pytest.raises(RuntimeError) as raised:
+            assert_experiment_is_its_scalar_runs(doc, tmp_path, monkeypatch)
+        message = str(raised.value)
+        assert message.startswith("runs diverged (partial traces written): seed 6: ")
+        assert "iteration 42" in message and ";" not in message
+        rows = [len((tmp_path / f"trish_seed{seed}.csv").read_text().splitlines()) - 1
+                for seed in doc["seeds"]]
+        assert rows == [61, 43, 61]
+
     @pytest.mark.parametrize("variant", sorted(GOLDEN_CSV))
     def test_golden_csv_cells(self, tmp_path, variant):
         """Every cell but ``wall_ns`` of rows 0-2 of a 2-iteration run is frozen."""
@@ -271,6 +308,48 @@ class TestTraceCSV:
         assert strip_wall_ns(",".join(last.values())) == (
             "7,nan,nan,2.04808999802562e+76,2.0480899980256198e+88,3,nan,"
             "8.38897664002936e+176,1,,14")
+
+
+def assert_experiment_is_its_scalar_runs(doc, tmp_path, monkeypatch):
+    """Run ``run_experiment`` on ``doc`` and check each seed against
+    ``run_single``: the ``Trajectory`` it wrote, config included, and its
+    CSV byte for byte, both but for ``wall_ns``, which must not decrease
+    down the CSV.  Returns the written trajectories; the run's
+    ``RuntimeError`` is raised once all are checked."""
+    import trish.harness.config as config
+    import trish.harness.experiment as experiment
+    problem = config.build_problem(doc["problem"])
+    monkeypatch.setattr(config, "build_problem", lambda spec: problem)  # one problem object
+    written = []
+    write = experiment.write_trace_csv
+    monkeypatch.setattr(experiment, "write_trace_csv",
+                        lambda traj, path: written.append((traj, path)) or write(traj, path))
+    error = None
+    try:
+        run_experiment(doc, output_dir=str(tmp_path))
+    except RuntimeError as exc:
+        error = exc
+    assert len(written) == len(doc["seeds"])
+    wall = CSV_COLUMNS.index("wall_ns")
+    for seed, (traj, path) in zip(doc["seeds"], written):
+        single = run_single(doc, seed)
+        assert (traj.algorithm, traj.config, traj.aborted) == (
+            single.algorithm, single.config, single.aborted)
+        assert np.array_equal(traj.final_x, single.final_x)
+        for name in TRACE_DTYPE.names:
+            if name != "wall_ns":
+                assert np.array_equal(traj.column(name), single.column(name),
+                                      equal_nan=True), name
+        reference = tmp_path / "single.csv"
+        write(single, reference)
+        lines = path.read_text().splitlines()
+        assert ([strip_wall_ns(line) for line in lines]
+                == [strip_wall_ns(line) for line in reference.read_text().splitlines()])
+        times = [int(line.split(",")[wall]) for line in lines[1:]]
+        assert times == sorted(times)
+    if error is not None:
+        raise error
+    return [traj for traj, _ in written]
 
 
 class TestCLI:

@@ -535,6 +535,18 @@ class TestLanes:
             assert not column.flags.writeable
             assert np.all(np.isnan(column[0]))
 
+    def test_wall_ns_is_one_lockstep_column(self):
+        # lane 1 diverges at once; the others run on, so the shared clock does too
+        configs = [TrishConfig(StepsizeSchedule.constant(alpha), GammaSchedule.constant(1.0, 1.0),
+                               30, seed=seed, noise=NoiseModel(kind="bounded", m_g=1.0))
+                   for alpha, seed in ((0.01, 0), (1e7, 1), (0.01, 2))]
+        lanes = run_lanes(make_quadratic(3, 1.0, 2.0, seed=1), np.zeros(3), configs)
+        assert list(lanes.rows) == [31, 2, 31]
+        wall = lanes.column("wall_ns")
+        assert wall.shape == (31, 3) and wall.strides[1] == 0 and not wall.flags.writeable
+        assert np.all(np.diff(wall[:, 0]) >= 0) and np.all(wall >= 0)
+        assert np.array_equal(lanes.trajectory(1).column("wall_ns"), wall[:2, 0])
+
     def test_enforced_precondition_raises_at_its_iteration(self):
         prob = make_quadratic(3, 1.0, 2.0, seed=1)
         cfg = TrishConfig(StepsizeSchedule.constant(1.0), GammaSchedule.constant(2.0, 1.0),

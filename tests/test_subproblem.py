@@ -397,3 +397,34 @@ class TestNonFiniteCurvature:
         with pytest.raises(NumericalError, match="curvature"):
             steihaug_cg_rows(G, np.linalg.norm(G, axis=1), np.array([0.5, 0.5]),
                              lambda rows, V: np.where(rows[:, None] == 1, np.nan, V))
+
+    # Row 0 meets negative curvature and stops at the first sweep; row 1
+    # runs on.  The second sweep's product is NaN on one of them.
+    MATS = (-np.eye(2), np.diag([1.0, 4.0]))
+    G2 = np.array([[1.0, 2.0], [1.0, 1.0]])
+    DELTAS = np.array([0.5, 10.0])
+
+    def stale_nan_solve(self, row):
+        calls = []
+
+        def hvp(rows, V):
+            calls.append(rows)
+            out = np.stack([self.MATS[i] @ v for i, v in zip(rows, V)])
+            if len(calls) == 2:
+                out[list(rows).index(row)] = np.nan
+            return out
+
+        return steihaug_cg_rows(self.G2, np.linalg.norm(self.G2, axis=1), self.DELTAS, hvp)
+
+    def test_row_solver_ignores_a_stopped_rows_stale_product(self):
+        steps, model_dec, cauchy_dec, iters = self.stale_nan_solve(row=0)
+        for i, matrix in enumerate(self.MATS):
+            ref = steihaug_cg(self.G2[i], op(matrix), self.DELTAS[i])
+            assert steps[i].tobytes() == ref.s.tobytes()
+            assert (model_dec[i], cauchy_dec[i], iters[i]) == (
+                ref.model_decrease, ref.cauchy_decrease, ref.cg_iterations)
+        assert list(iters) == [1, 2]
+
+    def test_row_solver_raises_on_an_active_rows_product(self):
+        with pytest.raises(NumericalError, match=r"d'Hd = nan .*delta=10\.0\)"):
+            self.stale_nan_solve(row=1)
