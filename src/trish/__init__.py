@@ -17,7 +17,6 @@ from .core import (
     ProblemOracle,
     ZeroGradientError,
     hvp_finite_difference,
-    oracle_sampler,
     rng_stream,
     sample_gradient,
     sample_hessian,

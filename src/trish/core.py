@@ -217,14 +217,9 @@ def sample_gradient(
     k: int,
     alpha_k: float,
     rng: np.random.Generator,
-    grad: Array | None = None,
 ) -> Array:
-    """Unbiased gradient estimate with the noise model's target variance.
-
-    ``grad`` is the true gradient at ``x`` when the caller already holds
-    it; the oracle is then not called again.
-    """
-    g = np.asarray(oracle.grad(x) if grad is None else grad, dtype=float)
+    """Unbiased gradient estimate with the noise model's target variance."""
+    g = np.asarray(oracle.grad(x), dtype=float)
     if not np.all(np.isfinite(g)):
         raise EvaluationError(f"non-finite gradient at x = {x!r}")
     variance = noise.gradient_variance(k, alpha_k)
@@ -307,19 +302,3 @@ def hvp_finite_difference(
     if h <= 0:
         raise ConfigurationError("finite-difference step h must be positive")
     return (oracle.grad(x + h * v) - oracle.grad(x - h * v)) / (2.0 * h)
-
-
-def oracle_sampler(oracle: ProblemOracle, noise: NoiseModel):
-    """Per-iteration draw from a smooth oracle plus a synthetic noise model.
-
-    ``sample(x_k, k, alpha_k, grad_rng, hess_rng)`` returns the pair
-    (g_k, H_k) from the two RNG streams; it also takes ``grad=``, the
-    true gradient at ``x`` when the caller already holds it.
-    """
-
-    def sample(x, k, alpha_k, grad_rng, hess_rng, grad=None):
-        g = sample_gradient(oracle, x, noise, k, alpha_k, grad_rng, grad=grad)
-        hess = sample_hessian(oracle, x, noise, hess_rng)
-        return g, hess
-
-    return sample

@@ -1,16 +1,16 @@
 """Experiment execution and CSV trace export.
 
 An experiment's seeds run as one lockstep lane run (``run_lanes``), one
-lane per seed, and each lane is written as the trace of its scalar run
-(``run_single``).  One CSV per (algorithm, seed) with a fixed column
-set; every float is written with round-trip repr, so reruns with the
-same seed are byte-identical except for the wall-clock column
-``wall_ns``, which is the lanes' shared lockstep time: the nanoseconds
-from the start of the lane run to the end of each row.  A field the run
-did not record is an empty cell; a recorded NaN is written ``nan``.  A
-diverged seed still writes its partial trace, but an ``EvaluationError``
-or ``NumericalError`` in any seed ends the whole run before any CSV is
-written, the other seeds' included.
+lane per seed, and each lane is written as its ``Trajectory``, the one
+a one-lane run of that seed returns.  One CSV per (algorithm, seed)
+with a fixed column set; every float is written with round-trip repr,
+so reruns with the same seed are byte-identical except for the
+wall-clock column ``wall_ns``, which is the lanes' shared lockstep
+time: the nanoseconds from the start of the lane run to the end of each
+row.  A field the run did not record is an empty cell; a recorded NaN
+is written ``nan``.  A diverged seed still writes its partial trace,
+but an ``EvaluationError`` or ``NumericalError`` in any seed ends the
+whole run before any CSV is written, the other seeds' included.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import os
 from pathlib import Path
 
 from ..core import ConfigurationError
-from ..optimizer import (SolverSpec, Trajectory, TrishConfig, run_lanes, run_sg, run_trish,
-                         run_trish_first_order)
+from ..optimizer import SolverSpec, Trajectory, TrishConfig, run_lanes
 from ..schedules import GammaSchedule, StepsizeSchedule
 from .config import build_inputs
 
@@ -68,17 +67,6 @@ def _config(doc: dict, seed: int, noise) -> TrishConfig:
                            noise=noise)
     return TrishConfig(stepsizes, GammaSchedule(**doc["gammas"]), doc["iterations"], seed,
                        solver=SolverSpec(**doc.get("solver", {})), noise=noise)
-
-
-def run_single(doc: dict, seed: int) -> Trajectory:
-    """One scalar run of the configured algorithm at one seed: the
-    reference each lane of ``run_experiment`` reproduces."""
-    problem, x0, noise = build_inputs(doc)
-    config = _config(doc, seed, noise)
-    if doc["algorithm"] == "sg":
-        return run_sg(problem, x0, config.stepsizes, noise, config.iterations, seed)
-    runner = run_trish_first_order if doc["algorithm"] == "trish1" else run_trish
-    return runner(problem, x0, config)
 
 
 def run_experiment(doc: dict, output_dir: str | None = None) -> list[Path]:

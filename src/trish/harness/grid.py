@@ -142,7 +142,7 @@ def tune(
 
     Each (setting, seed) pair is one run, and the runs go as lockstep
     lanes (``run_lanes``), ``TUNE_LANES`` at a time, each bit for bit
-    its scalar run, drawing from ``noise`` or ``sampler`` (see ``_source``).
+    its one-lane run, drawing from ``noise`` or ``sampler`` (see ``_source``).
 
     Diverged runs score +inf; ties break toward the smaller stepsize,
     then the smaller gamma1, then the larger gamma2, so the result does

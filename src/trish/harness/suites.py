@@ -153,7 +153,7 @@ def _gap_matrix(problem, x0, config, seeds, on_iterate=None):
     counter.update(run)
     aborted = sum(reason is not None for reason in run.aborted)
     # seed-major C order, so the seed-axis mean and SE sum in the same order as
-    # they did over one row per scalar run
+    # over one row per seed's run
     gaps = np.ascontiguousarray(run.column("f").T) - problem.f_min
     gaps[np.arange(config.iterations + 1)[None, :] >= run.rows[:, None]] = np.inf
     return gaps, counter, aborted, run
@@ -320,16 +320,17 @@ def suite_lemmas(quick: bool = False) -> SuiteOutcome:
         noise=replace(base.noise, hessian_kind="perturbed", m_h=m_pert, perturbation=1.0))
     exact = replace(base, iterations=max(50, iters // 4), solver=SolverSpec(kind="exact"))
 
+    # each config's 3 seeds as one lane run, checked seed-major
+    lane_runs = [
+        run_lanes(problem, x0, [replace(config, seed=offset + seed) for seed in range(3)],
+                  algorithm)
+        for config, offset, algorithm in ((base, 0, "trish"), (perturbed, 100, "trish"),
+                                          (exact, 200, "trish"), (base, 300, "trish1"))]
     taylor_checked = taylor_bad = 0
     cost_ok = True
     for seed in range(3):
-        runs = [
-            run_trish(problem, x0, replace(base, seed=seed)),
-            run_trish(problem, x0, replace(perturbed, seed=100 + seed)),
-            run_trish(problem, x0, replace(exact, seed=200 + seed)),
-            run_trish_first_order(problem, x0, replace(base, seed=300 + seed)),
-        ]
-        for traj in runs:
+        for run in lane_runs:
+            traj = run.trajectory(seed)
             counter.update(traj)
             n, bad = taylor_violations(traj, problem.grad_lipschitz)
             taylor_checked += n

@@ -1,5 +1,11 @@
 """The TRish loop (second- and first-order, and the SG baseline as its
-degenerate step rule) and a lockstep runner for many such runs at once.
+degenerate step rule), run in lockstep for many runs at once.
+
+There is one loop, ``run_lanes``: S runs ("lanes") as one (S, n) state.
+``run_trish``, ``run_trish_first_order`` and ``run_sg`` are one-lane
+runs of it, and ``LaneRun.trajectory`` gives any lane as the
+``Trajectory`` its one-lane run returns.  ``trish_step`` is one TRish
+update on one point, the step of lanes that build their own estimates.
 
 Runs are deterministic given a seed: gradient noise and Hessian
 perturbations consume separate named streams, so an SG run and a
@@ -7,9 +13,6 @@ first-order TRish run sharing a seed see identical gradient samples.
 Cost accounting equates one stochastic gradient with one
 Hessian-vector product; diagnostic evaluations (true f and gradient
 each iteration, model re-evaluation in the solver) are excluded.
-The scalar runners are the reference; ``run_lanes`` reproduces each of
-them bit for bit, and ``LaneRun.trajectory`` gives a lane as the
-``Trajectory`` its scalar run returns.
 
 A run draws every estimate from one source, ``TrishConfig.noise`` (a
 ``NoiseModel`` on the oracle or a ``MiniBatchSampler``), which its
@@ -18,9 +21,10 @@ estimate off (``_zero_hessian``); a zero estimate has ``norm_bound`` 0.
 
 Every runner takes ``on_iterate(k, x)``, called with the iterate at
 k = 0 and after every recorded iteration, including the last row of a
-run the divergence guard stops (for lanes, ``x`` is the (S, n) stack
-and a stopped lane keeps its last iterate).  The hook gets the runner's
-own array, which a later iteration may overwrite: copy what you keep.
+run the divergence guard stops (for ``run_lanes``, ``x`` is the (S, n)
+stack and a stopped lane keeps its last iterate).  The hook gets the
+runner's own array, which a later iteration may overwrite: copy what
+you keep.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .core import (
     draw_noise_block,
     hessian_cap,
     norm,
-    oracle_sampler,
     perturbed_cap,
     rng_stream,
     row_norms,
@@ -206,99 +209,27 @@ def trish_step(
     return x + step.s, step
 
 
-def _trish_fields(g: Array, g_norm: float, true_g: Array, s: TRStep, alpha: float,
-                  gamma1: float, gamma2: float, hess_bound: float) -> tuple:
-    """The ``STEP_FIELDS`` a TRish step records: the sampled gradient and
-    its norm, the step ``trish_step`` returned, the schedules and the
-    estimate's bound."""
-    return (g_norm, s.delta, s.case, s.model_decrease, s.cauchy_decrease,
-            s.cg_iterations, np.nan if s.upsilon is None else s.upsilon,
-            alpha, gamma1, gamma2, norm(s.s), hess_bound,
-            float((true_g - g) @ s.s))
-
-
 def _initial_record(oracle: ProblemOracle, x: Array) -> tuple:
-    """f and the true gradient at x_0 (one point or a lane stack), for
-    the trace's row 0, which is not a step."""
+    """f and the true gradient at the lanes' x_0 stack, for the trace's
+    row 0, which is not a step."""
     return oracle.value(x), oracle.grad(x)
 
 
-def _diverged(f: float, f0: float) -> bool:
-    return not np.isfinite(f) or f > f0 + DIVERGENCE_MARGIN
-
-
-def _abort_reason(k: int, f: float) -> str:
-    return f"divergence guard tripped at iteration {k} (f={f!r})"
-
-
-def _precondition_violated(k: int, alpha: float, enforce: bool, warned: bool = False) -> bool:
-    """Respond to ``alpha_k`` failing the stepsize precondition: raise if
-    the bound is enforced, else warn unless the run already has.
-    Returns True, the run's new ``warned`` state."""
+def _precondition_violated(k: int, alpha: float, enforce: bool) -> None:
+    """Respond to ``alpha_k`` failing the stepsize precondition at a run's
+    first violating iteration: raise if the bound is enforced, else warn."""
     if enforce:
         raise ConfigurationError(f"stepsize precondition violated at k={k}: alpha={alpha}")
-    if not warned:
-        logger.warning(
-            "stepsize alpha_%d=%.3g exceeds the guaranteed-decrease bound; "
-            "convergence theory does not apply to this run", k, alpha)
-    return True
+    logger.warning(
+        "stepsize alpha_%d=%.3g exceeds the guaranteed-decrease bound; "
+        "convergence theory does not apply to this run", k, alpha)
 
 
-def _draw_fn(oracle: ProblemOracle, source: NoiseModel | MiniBatchSampler,
-             grad_rng: np.random.Generator, hess_rng: np.random.Generator):
-    """The scalar loop's draw ``(x, k, alpha, true_g) -> (g, H)`` from the run's streams.
-
-    A noise model's draw is handed the true gradient the loop holds for
-    its diagnostics, so f's gradient is evaluated once per iteration.
-    """
-    if isinstance(source, MiniBatchSampler):
-        return lambda x, k, alpha, true_g: source(x, k, alpha, grad_rng, hess_rng)
-    sample = oracle_sampler(oracle, source)
-    return lambda x, k, alpha, true_g: sample(x, k, alpha, grad_rng, hess_rng, grad=true_g)
-
-
-def _run(oracle, x0, algorithm, config, on_iterate, step) -> Trajectory:
-    """The loop every scalar run shares; ``step`` is the algorithm.
-
-    ``config`` gives the seed, the stepsizes, the iteration count and
-    the estimate source, and goes into the trajectory.
-    ``step(x, k, alpha, true_g, draw)`` samples at x through
-    ``draw(x, k, alpha, true_g)`` and returns ``(x_new, cost, fields)``:
-    the next iterate, the cost units the step consumed and the values of
-    ``STEP_FIELDS``.  The loop records f and the true gradient at every
-    iterate, shows it to ``on_iterate`` and stops when the divergence
-    guard trips.
-    """
-    iterations, seed = config.iterations, config.seed
-    x = np.asarray(x0, dtype=float).copy()
-    if not np.all(np.isfinite(x)):
-        raise ConfigurationError("initial point must be finite")
-    draw = _draw_fn(oracle, config.noise,
-                    rng_stream(seed, GRADIENT_STREAM), rng_stream(seed, HESSIAN_STREAM))
-    store = np.full(iterations + 1, np.nan, dtype=TRACE_DTYPE)
-
-    t0 = time.perf_counter_ns()
-    f0, true_g = _initial_record(oracle, x)
-    store[0] = (0, f0, norm(true_g), 0,
-                time.perf_counter_ns() - t0) + (np.nan,) * len(STEP_FIELDS)
-    if on_iterate is not None:
-        on_iterate(0, x)
-    rows, cost, aborted = iterations + 1, 0, None
-
-    for k in range(1, iterations + 1):
-        x, units, fields = step(x, k, config.stepsizes.at(k), true_g, draw)
-        cost += units
-        f = oracle.value(x)
-        true_g = oracle.grad(x)
-        store[k] = (k, f, norm(true_g), cost,
-                    time.perf_counter_ns() - t0) + fields
-        if on_iterate is not None:
-            on_iterate(k, x)
-        if _diverged(f, f0):
-            rows, aborted = k + 1, _abort_reason(k, f)
-            break
-
-    return Trajectory(algorithm, config, store[:rows].view(np.recarray), x, aborted)
+def _first_lane(on_iterate):
+    """The lanes' hook that shows ``on_iterate`` the iterate of lane 0."""
+    if on_iterate is None:
+        return None
+    return lambda k, X: on_iterate(k, X[0])
 
 
 def run_trish(
@@ -311,24 +242,10 @@ def run_trish(
 
     The trace has ``iterations + 1`` rows (row 0 is the initial point)
     unless the divergence guard aborts the run early.  Deterministic
-    given ``config.seed``; estimates come from ``config.noise``.
+    given ``config.seed``; estimates come from ``config.noise``.  A
+    one-lane ``run_lanes`` run.
     """
-    warned = False
-    memo = EighMemo() if config.solver.kind == "exact" else None
-
-    def step(x, k, alpha, true_g, draw):
-        nonlocal warned
-        gamma1, gamma2 = gammas_at(config.gammas, config.stepsizes, k)
-        g, hess = draw(x, k, alpha, true_g)
-        if not validate_stepsize(alpha, gamma1, gamma2, oracle.grad_lipschitz, hess.norm_bound):
-            warned = _precondition_violated(k, alpha, config.enforce_stepsize_bound, warned)
-        g_norm = norm(g)
-        x_new, s = trish_step(x, g, hess, alpha, gamma1, gamma2, config.solver,
-                              g_norm=g_norm, memo=memo)
-        return x_new, 1 + s.hessian_products, _trish_fields(
-            g, g_norm, true_g, s, alpha, gamma1, gamma2, hess.norm_bound)
-
-    return _run(oracle, x0, "trish", config, on_iterate, step)
+    return run_lanes(oracle, x0, [config], "trish", _first_lane(on_iterate)).trajectory(0)
 
 
 def _zero_hessian(source):
@@ -347,18 +264,7 @@ def run_trish_first_order(
 ) -> Trajectory:
     """TRish with the Hessian estimate pinned to zero (cost: 1 unit/iteration):
     the run's config is ``config`` with ``_zero_hessian`` applied to its source."""
-    config = replace(config, noise=_zero_hessian(config.noise))
-    return replace(run_trish(oracle, x0, config, on_iterate), algorithm="trish1")
-
-
-def _sg_step(x, k, alpha, true_g, draw):
-    """SG's step rule: x - alpha g at one cost unit, no trust-region
-    fields; it reads no Hessian estimate, so its ``hess_bound`` is 0."""
-    g, _ = draw(x, k, alpha, true_g)
-    g_norm = norm(g)
-    nan = np.nan
-    return x - alpha * g, 1, (g_norm, nan, nan, nan, nan, nan, nan,
-                              alpha, nan, nan, alpha * g_norm, 0.0, nan)
+    return run_lanes(oracle, x0, [config], "trish1", _first_lane(on_iterate)).trajectory(0)
 
 
 def run_sg(
@@ -380,7 +286,7 @@ def run_sg(
     estimate source ``noise`` with its Hessian estimate turned off.
     """
     config = _sg_config(stepsizes, noise, iterations, seed)
-    return _run(oracle, x0, "sg", config, on_iterate, _sg_step)
+    return run_lanes(oracle, x0, [config], "sg", _first_lane(on_iterate)).trajectory(0)
 
 
 def _sg_config(stepsizes, noise, iterations, seed) -> TrishConfig:
@@ -427,8 +333,8 @@ class LaneRun:
         return self.columns[name]
 
     def trajectory(self, i: int) -> Trajectory:
-        """Lane i as the ``Trajectory`` its scalar run returns, config
-        included; only ``wall_ns`` differs, since it is the lockstep time."""
+        """Lane i as a ``Trajectory``: the one its one-lane run returns,
+        config included, but for ``wall_ns``, which is the lockstep time."""
         config = self.configs[i]
         if self.algorithm == "sg":
             config = _sg_config(config.stepsizes, config.noise, config.iterations, config.seed)
@@ -452,21 +358,25 @@ def run_lanes(
 ) -> LaneRun:
     """Run every config in lockstep, one lane per config, as one (S, n) state.
 
-    Lane i reproduces the scalar run of ``algorithm`` at ``configs[i]``
-    bit for bit (``run_trish``, ``run_trish_first_order`` or ``run_sg``
-    with the config's stepsizes, noise, iterations and seed): f, the
-    iterates, every recorded step diagnostic, the row count, the abort
-    reason, and each stepsize-precondition warning or error, at the
-    lane's own first violating iteration.  Invalid schedules and Hessian
-    caps raise before the first step.  The configs may differ in seed,
-    stepsizes and gammas and share the rest.
+    ``algorithm`` is ``trish``, ``trish1`` (the Hessian estimate turned
+    off) or ``sg``.  Lane i does not depend on the others: bit for bit it
+    is the one-lane run of ``configs[i]`` (``run_trish``,
+    ``run_trish_first_order`` or ``run_sg`` with the config's stepsizes,
+    noise, iterations and seed), in f, the iterates, every recorded
+    step diagnostic, the row count, the abort reason, and the
+    stepsize-precondition warning or error at the lane's own first
+    violating iteration.  Invalid schedules and Hessian caps raise
+    before the first step.  The configs may differ in seed, stepsizes
+    and gammas and share the rest.
 
     SG steps, and Steihaug steps with a zero or exact-capped estimate,
     are computed for all running lanes at once.  Under the exact solver
-    or a perturbed noise Hessian each lane builds its estimate as its
-    scalar run does and steps through ``trish_step`` with its own
-    ``EighMemo``.  ``x0`` is one point or one row per lane;
-    ``on_iterate(k, X)`` is the runners' hook (see the module docstring).
+    or a perturbed noise Hessian each lane builds its own estimate
+    (``sample_hessian`` on its Hessian stream, or ``hessian_at`` on its
+    batch rows) and steps through ``trish_step`` with its own
+    ``EighMemo``.  ``x0`` is one point, shape (n,), or one row per
+    lane, shape (S, n); ``on_iterate(k, X)`` is the runners' hook (see
+    the module docstring).
     """
     configs = list(configs)
     if not configs:
@@ -483,8 +393,11 @@ def run_lanes(
         source = _zero_hessian(source)
     sampled = isinstance(source, MiniBatchSampler)
     S, n = len(configs), oracle.dim
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape not in ((n,), (S, n)):
+        raise ConfigurationError(f"x0 must have shape ({n},) or ({S}, {n}), got {x0.shape}")
     # C order: BLAS reaches bit-identity with the 1-D calls on unit-stride rows only
-    X = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (S, n)), order="C")
+    X = np.array(np.broadcast_to(x0, (S, n)), order="C")
     if not np.all(np.isfinite(X)):
         raise ConfigurationError("initial point must be finite")
 
@@ -502,7 +415,7 @@ def run_lanes(
 
     # (K+1, S) schedule tables indexed by k (NaN in row 0, as in the
     # trace), one column per distinct schedule pair spread over its lanes,
-    # from the scalar functions; configuration errors surface here.
+    # from the per-step schedule functions; configuration errors surface here.
     ks = range(1, K + 1)
     schedules = list(dict.fromkeys((c.stepsizes, c.gammas) for c in configs))
     lane_col = [schedules.index((c.stepsizes, c.gammas)) for c in configs]
@@ -587,7 +500,8 @@ def run_lanes(
             if stop.any():
                 final_x[at] = X
                 for i in np.flatnonzero(stop):
-                    aborted[ids[i]] = _abort_reason(k, float(F[i]))
+                    aborted[ids[i]] = (f"divergence guard tripped at iteration {k} "
+                                       f"(f={float(F[i])!r})")
                     rows[ids[i]] = k + 1
                 keep = ~stop
                 ids, X, TG, F0, cost = (v[keep] for v in (ids, X, TG, F0, cost))
@@ -610,7 +524,7 @@ def _lane_draw(oracle, source, configs, K, tau, VARIANCE, per_row):
     block of gradient noise or mini-batch rows from its gradient stream.
     ``hess`` is ``hvp(r, V)``, the estimates of rows r applied to the rows
     of V (None for the zero estimate), or with ``per_row`` each lane's
-    (estimate, ``EighMemo``), built as its scalar run builds it.
+    (estimate, ``EighMemo``) for ``trish_step``.
     """
     S, n = len(configs), oracle.dim
     rngs = [rng_stream(c.seed, GRADIENT_STREAM) for c in configs]
@@ -679,22 +593,27 @@ def _trish_lane_step(X, G, gn, TG, hvp, alpha, gamma1, gamma2, solver):
         "cg_iters": iters, "step_norm": row_norms(steps), "noise_step_dot": rowdot(TG - G, steps)}
 
 
+ROW_STEP_COLUMNS = ("delta", "case", "model_dec", "cauchy_dec", "cg_iters", "upsilon",
+                    "step_norm", "noise_step_dot")
+
+
 def _row_lane_step(X, G, gn, TG, hess, alpha, gamma1, gamma2, solver):
-    """TRish's step rule as ``run_trish`` takes it, one ``trish_step``
-    per running lane, with each lane's ``(estimate, EighMemo)`` in
-    ``hess``."""
+    """TRish's step rule one lane at a time: one ``trish_step`` per
+    running lane, with each lane's ``(estimate, EighMemo)`` in ``hess``."""
     X_new = np.empty_like(X)
     units = np.empty(len(X), dtype=np.int64)
-    values = np.empty((len(X), len(STEP_FIELDS)))
+    values = np.empty((len(X), len(ROW_STEP_COLUMNS)))
     for i, (a, g1, g2, g_norm, (est, memo)) in enumerate(
             zip(alpha.tolist(), gamma1.tolist(), gamma2.tolist(), gn.tolist(), hess)):
         X_new[i], s = trish_step(X[i], G[i], est, a, g1, g2, solver, g_norm=g_norm, memo=memo)
         units[i] = 1 + s.hessian_products
-        values[i] = _trish_fields(G[i], g_norm, TG[i], s, a, g1, g2, est.norm_bound)
-    return X_new, units, {name: values[:, j] for j, name in enumerate(STEP_FIELDS)
-                          if name not in SCHEDULE_COLUMNS}
+        values[i] = (s.delta, s.case, s.model_decrease, s.cauchy_decrease, s.cg_iterations,
+                     np.nan if s.upsilon is None else s.upsilon, norm(s.s),
+                     float((TG[i] - G[i]) @ s.s))
+    return X_new, units, dict(zip(ROW_STEP_COLUMNS, values.T))
 
 
 def _sg_lane_step(X, G, gn, TG, hvp, alpha, gamma1, gamma2, solver):
-    """SG's lane step rule, x - alpha g on every row, as ``_sg_step``."""
+    """SG's lane step rule, x - alpha g on every row, at one cost unit; it
+    reads no Hessian estimate, so its ``hess_bound`` is 0."""
     return X - alpha[:, None] * G, 1, {"step_norm": alpha * gn}

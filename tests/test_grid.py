@@ -12,9 +12,6 @@ from trish import (
     make_logistic,
     make_quadratic,
     make_quartic_bowl,
-    run_sg,
-    run_trish,
-    run_trish_first_order,
 )
 from trish.harness import grid as grid_module
 from trish.harness.grid import (
@@ -25,6 +22,8 @@ from trish.harness.grid import (
     build_grid,
     tune,
 )
+
+from reference import reference_run
 
 # exponent sets used for the image-classification tuning round
 FASHION_SPEC = GridSpec(
@@ -136,7 +135,7 @@ class TestTune:
 
 
 def scalar_leaderboard(problem, algorithm, grid, seeds, iterations, noise, solver):
-    """The leaderboard from explicit scalar runs, one per (setting, seed)."""
+    """The leaderboard from reference-loop runs, one per (setting, seed)."""
     entries = []
     if algorithm == "sg":
         settings = [{"alpha": alpha} for alpha in grid.sg_stepsizes]
@@ -145,16 +144,11 @@ def scalar_leaderboard(problem, algorithm, grid, seeds, iterations, noise, solve
     for setting in settings:
         losses = []
         for seed in seeds:
-            x0 = np.zeros(problem.dim)
-            if algorithm == "sg":
-                traj = run_sg(problem, x0, StepsizeSchedule.constant(setting["alpha"]), noise,
-                              iterations, seed)
-            else:
-                runner = run_trish if algorithm == "trish" else run_trish_first_order
-                config = TrishConfig(StepsizeSchedule.constant(setting["alpha"]),
-                                     GammaSchedule.constant(setting["gamma1"], setting["gamma2"]),
-                                     iterations, seed, solver=solver, noise=noise)
-                traj = runner(problem, x0, config)
+            gammas = (GammaSchedule.constant(1.0, 1.0) if algorithm == "sg" else
+                      GammaSchedule.constant(setting["gamma1"], setting["gamma2"]))
+            config = TrishConfig(StepsizeSchedule.constant(setting["alpha"]), gammas,
+                                 iterations, seed, solver=solver, noise=noise)
+            traj = reference_run(problem, np.zeros(problem.dim), config, algorithm)
             finite = traj.aborted is None and np.all(np.isfinite(traj.final_x))
             losses.append(float(problem.validation_loss(traj.final_x)) if finite else np.inf)
         entries.append((setting, float(np.mean(losses)), tuple(losses)))

@@ -20,10 +20,12 @@ from trish.core import ConfigurationError
 from trish.harness.checks import StepContractCounter, cost_accounting_ok, taylor_violations
 from trish.harness.cli import main
 from trish.harness.config import build_inputs, load_config, validate_config
-from trish.harness.experiment import CSV_COLUMNS, run_experiment, run_single, write_trace_csv
+from trish.harness.experiment import CSV_COLUMNS, run_experiment, write_trace_csv
 from trish.harness.grid import GridSpec, baseline_gradient_norm, build_grid, tune
 from trish.optimizer import TRACE_DTYPE
 from trish.problems import MiniBatchSampler, QuadraticProblem
+
+from reference import reference_run
 
 
 def base_config(**overrides):
@@ -147,14 +149,12 @@ class TestMiniBatchSource:
             self.doc("trish", **noise)
 
     @pytest.mark.parametrize("algorithm", ["trish", "trish1", "sg"])
-    def test_runs_report_the_sampler_they_drew_from(self, algorithm, monkeypatch):
-        import trish.harness.config as config
+    def test_runs_report_the_sampler_they_drew_from(self, algorithm, tmp_path, monkeypatch):
         doc = self.doc(algorithm, kind="none", hessian={"kind": "exact-capped", "m_h": 0.2})
-        problem, x0, noise = build_inputs(doc)
-        monkeypatch.setattr(config, "build_problem", lambda spec: problem)  # one problem object
+        trajectories = assert_experiment_is_its_scalar_runs(doc, tmp_path, monkeypatch)
+        problem, x0, noise = build_inputs(doc)  # the experiment's problem object
         assert noise == MiniBatchSampler(problem, 6, hessian=True, m_h=0.2)
         second_order = algorithm == "trish"
-        trajectories = [run_single(doc, seed) for seed in doc["seeds"]]
         # lanes on the configs the runs report reproduce the runs
         lanes = run_lanes(problem, x0, [traj.config for traj in trajectories], algorithm)
         for i, traj in enumerate(trajectories):
@@ -209,7 +209,9 @@ class TestTraceCSV:
         """Schema stability: a fixed-seed tiny run reproduces frozen values."""
         doc = base_config(iterations=1, noise={"kind": "none",
                                                "hessian": {"kind": "zero"}})
-        traj = run_single(doc, seed=0)
+        problem, x0, noise = build_inputs(doc)
+        traj = run_trish(problem, x0, TrishConfig(StepsizeSchedule(**doc["stepsizes"]),
+                                                  GammaSchedule(**doc["gammas"]), 1, noise=noise))
         rec = traj.records[1]
         # deterministic zero-noise first-order step on the seeded quadratic:
         # the sampled gradient is exactly the true gradient at the start
@@ -234,7 +236,7 @@ class TestTraceCSV:
         assert len(built) == 1
         for seed, path in zip(doc["seeds"], paths):
             single = tmp_path / f"single{seed}.csv"
-            write_trace_csv(run_single(doc, seed), single)
+            write_trace_csv(reference_of(doc, seed), single)
             assert ([strip_wall_ns(line) for line in path.read_text().splitlines()]
                     == [strip_wall_ns(line) for line in single.read_text().splitlines()])
 
@@ -310,11 +312,25 @@ class TestTraceCSV:
             "8.38897664002936e+176,1,,14")
 
 
+def reference_of(doc, seed):
+    """The reference loop's run of one seed of the experiment ``doc``:
+    the doc's stepsizes and source, and for TRish its gammas and solver."""
+    problem, x0, noise = build_inputs(doc)
+    stepsizes = StepsizeSchedule(**doc["stepsizes"])
+    if doc["algorithm"] == "sg":
+        config = TrishConfig(stepsizes, GammaSchedule.constant(1.0, 1.0), doc["iterations"],
+                             seed, noise=noise)
+    else:
+        config = TrishConfig(stepsizes, GammaSchedule(**doc["gammas"]), doc["iterations"], seed,
+                             solver=SolverSpec(**doc.get("solver", {})), noise=noise)
+    return reference_run(problem, x0, config, doc["algorithm"])
+
+
 def assert_experiment_is_its_scalar_runs(doc, tmp_path, monkeypatch):
     """Run ``run_experiment`` on ``doc`` and check each seed against
-    ``run_single``: the ``Trajectory`` it wrote, config included, and its
-    CSV byte for byte, both but for ``wall_ns``, which must not decrease
-    down the CSV.  Returns the written trajectories; the run's
+    ``reference_of``: the ``Trajectory`` it wrote, config included, and
+    its CSV byte for byte, both but for ``wall_ns``, which must not
+    decrease down the CSV.  Returns the written trajectories; the run's
     ``RuntimeError`` is raised once all are checked."""
     import trish.harness.config as config
     import trish.harness.experiment as experiment
@@ -332,7 +348,7 @@ def assert_experiment_is_its_scalar_runs(doc, tmp_path, monkeypatch):
     assert len(written) == len(doc["seeds"])
     wall = CSV_COLUMNS.index("wall_ns")
     for seed, (traj, path) in zip(doc["seeds"], written):
-        single = run_single(doc, seed)
+        single = reference_of(doc, seed)
         assert (traj.algorithm, traj.config, traj.aborted) == (
             single.algorithm, single.config, single.aborted)
         assert np.array_equal(traj.final_x, single.final_x)

@@ -18,6 +18,7 @@ from trish import (
     SolverSpec,
     StepsizeSchedule,
     TrishConfig,
+    gammas_at,
     run_sg,
     run_trish,
     run_trish_first_order,
@@ -25,6 +26,7 @@ from trish import (
     run_lanes,
     sample_hessian,
     trish_step,
+    validate_stepsize,
 )
 from trish.harness.grid import TUNE_LANES, GridSpec, build_grid, tune
 from trish.optimizer import LANE_CHUNK, SCHEDULE_COLUMNS, TRACE_DTYPE
@@ -35,6 +37,8 @@ from trish.problems import (
     make_quadratic,
     make_quartic_bowl,
 )
+
+from reference import reference_run
 
 
 @pytest.fixture(autouse=True)
@@ -87,6 +91,23 @@ class TestRunTrish:
         assert np.all(np.diff(fs) <= 1e-14)
         # converges toward the direct solve
         assert fs[-1] - prob.f_min <= 1e-2 * (fs[0] - prob.f_min)
+
+    @pytest.mark.parametrize("runner, shape", [
+        ("run_trish", (3,)), ("run_trish", (1, 3)), ("run_trish", (2, 10)),
+        ("run_lanes", (3,)), ("run_lanes", (2, 10)), ("run_lanes", (3, 9)),
+        ("run_lanes", (3, 3, 10))])
+    def test_x0_of_another_shape_is_refused(self, runner, shape):
+        # n = 10, and run_lanes runs 3 lanes: (10,) or (3, 10) are the shapes
+        prob = make_quadratic(10, 1.0, 10.0, seed=1)
+        cfg = TrishConfig(StepsizeSchedule.constant(0.01), GammaSchedule.constant(2.0, 1.0), 5)
+        with pytest.raises(ConfigurationError) as raised:
+            if runner == "run_trish":
+                run_trish(prob, np.ones(shape), cfg)
+            else:
+                run_lanes(prob, np.ones(shape), [replace(cfg, seed=s) for s in range(3)])
+        lanes = 1 if runner == "run_trish" else 3
+        assert str(raised.value) == (
+            f"x0 must have shape (10,) or ({lanes}, 10), got {shape}")
 
     def test_zero_iterations_trajectory(self):
         prob = make_quadratic(3, 1.0, 2.0, seed=1)
@@ -366,16 +387,13 @@ class TestGradientOncePerIteration:
         assert oracle.grad_calls == 2 * (1 + iterations)  # row 0 plus one per iterate
 
 
-# --- lockstep lanes against the scalar reference ---------------------------
+# --- lockstep lanes against the reference loop ----------------------------
 
-EXACT_COLUMNS = ("f", "grad_norm_true", "g_norm", "delta", "case", "model_dec",
-                 "cauchy_dec", "step_norm", "cg_iters", "upsilon", "cost_units", "alpha",
-                 "gamma1", "gamma2", "hess_bound", "noise_step_dot")
 FAULTS = (ConfigurationError, EvaluationError, NumericalError)
 
 
-def run_scalar(problem, x0, config, algorithm="trish"):
-    """The scalar run a lane of ``run_lanes`` reproduces."""
+def run_one_lane(problem, x0, config, algorithm="trish"):
+    """The public runner's run of ``algorithm`` at ``config``."""
     if algorithm == "sg":
         return run_sg(problem, x0, config.stepsizes, config.noise, config.iterations,
                       config.seed)
@@ -383,12 +401,26 @@ def run_scalar(problem, x0, config, algorithm="trish"):
     return runner(problem, x0, config)
 
 
-def assert_lanes_match_scalar(problem, x0, configs, algorithm="trish"):
-    """Every lane equals its scalar run, bit for bit."""
-    scalar, errors = [], []
+def assert_same_run(traj, ref):
+    """Two trajectories agree bit for bit in everything but ``wall_ns``."""
+    assert (traj.algorithm, traj.config, traj.aborted) == (ref.algorithm, ref.config,
+                                                            ref.aborted)
+    assert np.array_equal(traj.final_x, ref.final_x)
+    assert len(traj.records) == len(ref.records)
+    for name in TRACE_DTYPE.names:
+        if name != "wall_ns":
+            assert np.array_equal(traj.column(name), ref.column(name), equal_nan=True), name
+
+
+def assert_lanes_match_scalar(problem, x0, configs, algorithm="trish", alone=None):
+    """Every lane equals the reference loop's run of its config, bit for
+    bit.  So does the public runner's one-lane run of the config of each
+    lane in ``alone`` (default: every lane), so that lane does not depend
+    on its neighbours."""
+    reference, errors = [], []
     for config in configs:
         try:
-            scalar.append(run_scalar(problem, x0, config, algorithm))
+            reference.append(reference_run(problem, x0, config, algorithm))
         except FAULTS as exc:
             errors.append(type(exc))
     if errors:
@@ -396,15 +428,12 @@ def assert_lanes_match_scalar(problem, x0, configs, algorithm="trish"):
             run_lanes(problem, x0, configs, algorithm)
         return None
     lanes = run_lanes(problem, x0, configs, algorithm)
-    for i, traj in enumerate(scalar):
-        rows = len(traj.records)
-        assert lanes.rows[i] == rows
-        assert lanes.aborted[i] == traj.aborted
-        assert np.array_equal(lanes.final_x[i], traj.final_x)
-        for name in EXACT_COLUMNS:
-            assert np.array_equal(lanes.column(name)[:rows, i], traj.column(name),
-                                  equal_nan=True), name
-        assert np.all(np.isnan(lanes.column("f")[rows:, i]))
+    for i, ref in enumerate(reference):
+        assert_same_run(lanes.trajectory(i), ref)
+        assert np.all(np.isnan(lanes.column("f")[lanes.rows[i]:, i]))
+    if len(configs) > 1:  # a lone lane is its one-lane run: it has no neighbours
+        for i in range(len(configs)) if alone is None else alone:
+            assert_same_run(run_one_lane(problem, x0, configs[i], algorithm), reference[i])
     return lanes
 
 
@@ -469,13 +498,32 @@ def lane_cases(draw):
     configs = [TrishConfig(*(draw(schedules(problem)) if per_lane else shared), iterations,
                            seed, solver=solver, noise=noise if sampler is None else sampler)
                for seed in seeds]
-    return problem, x0, configs, algorithm
+    # one lane is also run alone through the public runner: one per example
+    # keeps the gate's cost near one reference run per lane
+    alone = draw(st.integers(0, len(configs) - 1))
+    return problem, x0, configs, algorithm, [alone]
 
 
 @settings(max_examples=80, deadline=None)
 @given(lane_cases())
 def test_lanes_bit_identical_to_scalar(case):
     assert_lanes_match_scalar(*case)
+
+
+def first_violation_warnings(problem, configs):
+    """The advisory warnings a lane run of ``configs`` (zero Hessian
+    estimate) logs: one per lane at its first k where ``validate_stepsize``
+    fails, in order of k, then of lane."""
+    firsts = []
+    for lane, c in enumerate(configs):
+        for k in range(1, c.iterations + 1):
+            alpha = c.stepsizes.at(k)
+            if not validate_stepsize(alpha, *gammas_at(c.gammas, c.stepsizes, k),
+                                     problem.grad_lipschitz, 0.0):
+                firsts.append((k, lane, alpha))
+                break
+    return [f"stepsize alpha_{k}={alpha:.3g} exceeds the guaranteed-decrease bound; "
+            "convergence theory does not apply to this run" for k, _, alpha in sorted(firsts)]
 
 
 class TestLanes:
@@ -495,21 +543,17 @@ class TestLanes:
         assert list(lanes.rows) == [61, 61, 61, 61, 61, 61, 43, 61]
         assert [r is not None for r in lanes.aborted] == [i in (1, 6) for i in range(8)]
 
-    def test_advisory_violation_warns_like_scalar_runs(self, caplog):
+    def test_advisory_violation_warns_once_per_lane(self, caplog):
         prob = make_quadratic(3, 1.0, 2.0, seed=1)
         config = TrishConfig(StepsizeSchedule.diminishing(1.0, 0.5),
                              GammaSchedule.constant(2.0, 1.0), 12,
                              noise=NoiseModel(kind="bounded", m_g=1.0))
-        seeds = [4, 9, 11]
+        configs = [replace(config, seed=seed) for seed in (4, 9, 11)]
         with caplog.at_level(logging.WARNING, logger="trish.optimizer"):
-            for seed in seeds:
-                run_trish(prob, np.zeros(3), replace(config, seed=seed))
-            scalar = [r.getMessage() for r in caplog.records]
-            caplog.clear()
-            run_lanes(prob, np.zeros(3), [replace(config, seed=seed) for seed in seeds])
-            lanes = [r.getMessage() for r in caplog.records]
-        assert len(scalar) == len(seeds)
-        assert lanes == scalar
+            run_lanes(prob, np.zeros(3), configs)
+        expected = first_violation_warnings(prob, configs)
+        assert len(expected) == len(configs)
+        assert [r.getMessage() for r in caplog.records] == expected
 
     def test_on_iterate_sees_every_iterate(self):
         prob = make_quadratic(3, 1.0, 2.0, seed=1)
@@ -519,10 +563,10 @@ class TestLanes:
                           on_iterate=lambda k, X: seen.append((k, X.copy())))
         assert [k for k, _ in seen] == list(range(6))
         assert np.array_equal(seen[-1][1], lanes.final_x)
-        iterates = []
-        run_trish(prob, np.zeros(3), replace(config, seed=1),
-                  on_iterate=lambda k, x: iterates.append(x.copy()))
-        assert all(np.array_equal(X[1], x) for (_, X), x in zip(seen, iterates))
+        # x_k is the end point of the reference run of k iterations
+        for k, X in seen:
+            ref = reference_run(prob, np.zeros(3), replace(config, seed=1, iterations=k))
+            assert np.array_equal(X[1], ref.final_x)
 
     def test_schedule_columns_are_one_table_for_all_lanes(self):
         config = self.config(0.01, hessian="exact-capped")
@@ -581,7 +625,7 @@ class TestLanes:
         assert 1 < lanes.rows[1] < LANE_CHUNK
         assert [r is None for r in lanes.aborted] == [True, False, True]
 
-    def test_per_lane_settings_warn_like_their_scalar_runs(self, caplog):
+    def test_per_lane_settings_warn_at_their_own_first_violation(self, caplog):
         # the first and last lanes violate the precondition, the middle one never
         prob = make_quadratic(3, 1.0, 2.0, seed=1)
         configs = [TrishConfig(StepsizeSchedule.diminishing(a, 0.5),
@@ -589,14 +633,10 @@ class TestLanes:
                                noise=NoiseModel(kind="bounded", m_g=1.0))
                    for a, seed in ((1.0, 4), (0.005, 9), (0.3, 11))]
         with caplog.at_level(logging.WARNING, logger="trish.optimizer"):
-            for config in configs:
-                run_trish(prob, np.zeros(3), config)
-            scalar = [r.getMessage() for r in caplog.records]
-            caplog.clear()
             run_lanes(prob, np.zeros(3), configs)
-            lanes = [r.getMessage() for r in caplog.records]
-        assert len(scalar) == 2
-        assert lanes == scalar
+        expected = first_violation_warnings(prob, configs)
+        assert len(expected) == 2
+        assert [r.getMessage() for r in caplog.records] == expected
 
     def test_per_lane_schedule_columns(self):
         prob = make_quadratic(3, 1.0, 2.0, seed=1)
