@@ -22,7 +22,6 @@ from .core import (
     sample_hessian,
 )
 from .subproblem import (
-    EighMemo,
     RadiusCase,
     TRStep,
     cauchy_point,

@@ -78,9 +78,10 @@ def row_norms(X: Array) -> Array:
 
 
 def libm_pow(x: Array, p: float) -> Array:
-    """Elementwise Python float ``**`` (libm pow); numpy's vectorized pow
-    can differ by an ulp."""
-    return (x.astype(object) ** p).astype(float)
+    """Python float ``**`` (libm pow) over a 1-D array; numpy's vectorized
+    pow can differ by an ulp.  Raises ``OverflowError`` where
+    ``float ** p`` does."""
+    return np.array([v ** p for v in x.tolist()], dtype=float)
 
 
 @runtime_checkable
@@ -99,6 +100,10 @@ class ProblemOracle(Protocol):
     alone.  The lockstep lane runner evaluates its lanes this way, and
     ``HessianEstimate.dense`` builds an oracle's Hessian from one
     product on the stacked identity rows.
+
+    ``hess_lipschitz == 0.0`` certifies a constant Hessian, so ``hvp(x,
+    v)`` must not read x: the lane runner builds and decomposes the
+    exact solver's dense H of such an oracle once per run.
     """
 
     dim: int
@@ -193,12 +198,18 @@ class HessianEstimate:
         operator is ``row_stacked``, else one product per column."""
         if self.is_zero:
             return np.zeros((dim, dim))
-        eye = _identity(dim)
         if self.row_stacked:
-            # C order, as the column loop gives: gemv sums in another
-            # order on an F-ordered matrix
-            return np.ascontiguousarray(self.apply(eye).T)
+            return stacked_dense(self.apply, dim)
+        eye = _identity(dim)
         return np.column_stack([self.apply(eye[:, j]) for j in range(dim)])
+
+
+def stacked_dense(apply: Callable[[Array], Array], dim: int) -> Array:
+    """The C-ordered matrix whose column j is ``apply(e_j)``, from one call
+    of a row-stacked ``apply`` on the identity rows."""
+    # C order, as the column loop gives: gemv sums in another order on an
+    # F-ordered matrix
+    return np.ascontiguousarray(apply(_identity(dim)).T)
 
 
 @functools.lru_cache(maxsize=8)
@@ -270,19 +281,25 @@ def sample_hessian(
         )
 
     # perturbed: one symmetric perturbation per estimate, fixed across applies
-    raw = rng.standard_normal((oracle.dim, oracle.dim))
-    sym = 0.5 * (raw + raw.T)
-    sym_norm = float(np.max(np.abs(np.linalg.eigvalsh(sym)))) if oracle.dim > 0 else 0.0
-    if sym_norm > 0.0 and noise.perturbation > 0.0:
-        pert = (noise.perturbation / sym_norm) * sym
-    else:
-        pert = np.zeros((oracle.dim, oracle.dim))
+    pert = draw_perturbation(rng, oracle.dim, noise.perturbation)
     recap, bound = perturbed_cap(oracle, noise)
     return HessianEstimate(
         apply=lambda v: recap * (tau * oracle.hvp(x, v) + matvec(pert, v)),
         norm_bound=bound,
         row_stacked=True,
     )
+
+
+def draw_perturbation(rng: np.random.Generator, dim: int, scale: float) -> Array:
+    """The symmetric (dim, dim) perturbation of operator norm ``scale`` that
+    one perturbed estimate draws from its Hessian stream (zero when
+    ``scale`` or the draw's norm is 0; the draw is made either way)."""
+    raw = rng.standard_normal((dim, dim))
+    sym = 0.5 * (raw + raw.T)
+    sym_norm = float(np.max(np.abs(np.linalg.eigvalsh(sym)))) if dim > 0 else 0.0
+    if sym_norm > 0.0 and scale > 0.0:
+        return (scale / sym_norm) * sym
+    return np.zeros((dim, dim))
 
 
 def perturbed_cap(oracle: ProblemOracle, noise: NoiseModel) -> tuple[float, float]:

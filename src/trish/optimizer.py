@@ -5,7 +5,7 @@ There is one loop, ``run_lanes``: S runs ("lanes") as one (S, n) state.
 ``run_trish``, ``run_trish_first_order`` and ``run_sg`` are one-lane
 runs of it, and ``LaneRun.trajectory`` gives any lane as the
 ``Trajectory`` its one-lane run returns.  ``trish_step`` is one TRish
-update on one point, the step of lanes that build their own estimates.
+update on one point, the scalar reference the lane step rules match.
 
 Runs are deterministic given a seed: gradient noise and Hessian
 perturbations consume separate named streams, so an SG run and a
@@ -46,22 +46,25 @@ from .core import (
     NoiseModel,
     ProblemOracle,
     draw_noise_block,
+    draw_perturbation,
     hessian_cap,
+    matvec,
     norm,
     perturbed_cap,
     rng_stream,
     row_norms,
     rowdot,
-    sample_hessian,
+    stacked_dense,
 )
 from .problems import MiniBatchSampler
 from .schedules import GammaSchedule, StepsizeSchedule, gammas_at, validate_stepsize
 from .subproblem import (
-    EighMemo,
     RadiusCase,
     TRStep,
     cauchy_point,
+    checked_eigh,
     exact_trs,
+    exact_trs_rows,
     model_value,
     radius,
     radius_rows,
@@ -173,17 +176,13 @@ def trish_step(
     gamma1: float,
     gamma2: float,
     solver: SolverSpec,
-    g_norm: float | None = None,
-    memo: EighMemo | None = None,
 ) -> tuple[Array, TRStep]:
     """One TRish update: radius from ||g||, subproblem solve, x + s.
 
-    ``g_norm`` is ``||g||`` when the caller already holds it; ``memo``
-    lets the exact solver reuse the decomposition of an unchanged dense
-    Hessian (see ``exact_trs``).  Neither changes the result.
+    The scalar reference of the lane step rules, which equal it row by
+    row, bit for bit.
     """
-    if g_norm is None:
-        g_norm = norm(g)
+    g_norm = norm(g)
     if g_norm == 0.0:
         # radius rule gives delta = 0; the step degenerates to zero
         zero = np.zeros_like(x)
@@ -193,7 +192,7 @@ def trish_step(
         step = steihaug_cg(g, hess, delta, solver.max_iters, solver.tol, case)
     else:
         dense = hess.dense(x.shape[0])
-        s, upsilon = exact_trs(g, dense, delta, solver.tol, memo=memo)
+        s, upsilon = exact_trs(g, dense, delta, solver.tol)
         step = TRStep(
             s=s,
             delta=delta,
@@ -369,14 +368,19 @@ def run_lanes(
     before the first step.  The configs may differ in seed, stepsizes
     and gammas and share the rest.
 
-    SG steps, and Steihaug steps with a zero or exact-capped estimate,
-    are computed for all running lanes at once.  Under the exact solver
-    or a perturbed noise Hessian each lane builds its own estimate
-    (``sample_hessian`` on its Hessian stream, or ``hessian_at`` on its
-    batch rows) and steps through ``trish_step`` with its own
-    ``EighMemo``.  ``x0`` is one point, shape (n,), or one row per
-    lane, shape (S, n); ``on_iterate(k, X)`` is the runners' hook (see
-    the module docstring).
+    Each step is computed for all running lanes at once: SG's, and
+    TRish's through ``steihaug_cg_rows`` or ``exact_trs_rows`` with
+    each lane's own estimate (a perturbed one draws each lane's
+    perturbation from that lane's Hessian stream every iteration).  An
+    exact step builds each running lane's dense H at the lane's own
+    point and decomposes them with one stacked ``eigh``; an estimate
+    that cannot change (the zero estimate, or ``exact-capped`` on an
+    oracle with ``hess_lipschitz == 0.0``) is built and decomposed once
+    per run and shared by every lane and step.  ``cost_units`` charges
+    n products per exact step either way.  An error in any lane ends the
+    run.  ``x0`` is one point, shape (n,), or one row per lane, shape
+    (S, n); ``on_iterate(k, X)`` is the runners' hook (see the module
+    docstring).
     """
     configs = list(configs)
     if not configs:
@@ -401,17 +405,17 @@ def run_lanes(
     if not np.all(np.isfinite(X)):
         raise ConfigurationError("initial point must be finite")
 
-    # The estimate's certified bound and, for synthetic noise, the Hessian cap.
-    tau = bound = 0.0
+    # The estimate's certified bound and, for synthetic noise, its caps:
+    # tau scales the true Hessian, recap a perturbed estimate.
+    tau = recap = bound = 0.0
     if K > 0:
         if sampled:
             bound = source.norm_bound
         elif source.hessian_kind != "zero":
             tau = hessian_cap(oracle, source)
-            bound = (perturbed_cap(oracle, source)[1] if source.hessian_kind == "perturbed"
-                     else tau * oracle.grad_lipschitz)
-    per_row = algorithm != "sg" and (
-        solver.kind == "exact" or (not sampled and source.hessian_kind == "perturbed"))
+            recap, bound = (perturbed_cap(oracle, source) if source.hessian_kind == "perturbed"
+                            else (1.0, tau * oracle.grad_lipschitz))
+    exact = algorithm != "sg" and solver.kind == "exact"
 
     # (K+1, S) schedule tables indexed by k (NaN in row 0, as in the
     # trace), one column per distinct schedule pair spread over its lanes,
@@ -458,9 +462,14 @@ def run_lanes(
     cols["f"][0] = F0
     cols["grad_norm_true"][0] = row_norms(TG)
     cols["cost_units"][0] = 0.0
-    draw = _lane_draw(oracle, source, configs, K, tau, VARIANCE, per_row)
-    step = (_row_lane_step if per_row else _sg_lane_step if algorithm == "sg"
-            else _trish_lane_step)
+    draw = _lane_draw(oracle, source, configs, K, (tau, recap), VARIANCE, exact)
+    if exact:
+        # a zero bound is the zero estimate; a zero L_H certifies a constant Hessian
+        constant = bound == 0.0 or (not sampled and source.hessian_kind == "exact-capped"
+                                    and oracle.hess_lipschitz == 0.0)
+        step = _exact_lane_step(constant, 0 if bound == 0.0 else n)
+    else:
+        step = _sg_lane_step if algorithm == "sg" else _trish_lane_step
     rows = np.full(S, K + 1)
     aborted: list[str | None] = [None] * S
     final_x = X.copy()
@@ -516,101 +525,134 @@ def run_lanes(
     return LaneRun(algorithm, configs, cols, rows, final_x, aborted)
 
 
-def _lane_draw(oracle, source, configs, K, tau, VARIANCE, per_row):
+def _lane_draw(oracle, source, configs, K, caps, VARIANCE, exact):
     """The lanes' draw ``(k, ids, at, X, TG) -> (G, hess)`` for the running
     lanes ``ids`` (columns ``at``) at iterates X with true gradients TG.
 
     Every ``LANE_CHUNK`` iterations each running lane draws its next
-    block of gradient noise or mini-batch rows from its gradient stream.
-    ``hess`` is ``hvp(r, V)``, the estimates of rows r applied to the rows
-    of V (None for the zero estimate), or with ``per_row`` each lane's
-    (estimate, ``EighMemo``) for ``trish_step``.
+    block of gradient noise or mini-batch rows from its gradient stream;
+    a perturbed estimate draws each running lane's perturbation from its
+    Hessian stream every iteration, as ``sample_hessian`` does.  ``hess``
+    is None for the zero estimate.  Otherwise it is ``hvp(r, V)``, the
+    estimates of the running rows r applied to the rows of V, or with
+    ``exact`` ``dense(i)``, the estimate of running row i as the matrix
+    ``HessianEstimate.dense`` builds.  ``caps`` is (tau, recap) of
+    ``sample_hessian``.
     """
     S, n = len(configs), oracle.dim
     rngs = [rng_stream(c.seed, GRADIENT_STREAM) for c in configs]
     if isinstance(source, MiniBatchSampler):
         rows = np.zeros((S, LANE_CHUNK, source.batch_size), dtype=np.int64)
-        stacked = replace(source, hessian=False) if per_row else source
+        # the exact step builds its matrices itself: no stacked products
+        stacked = replace(source, hessian=False) if exact else source
 
-        def gradients(k, ids, at, X, TG):
+        def draw(k, ids, at, X, TG):
             j = (k - 1) % LANE_CHUNK
             if j == 0:
                 count = min(LANE_CHUNK, K - k + 1)
                 for lane in ids:
                     rows[lane, :count] = source.indices(rngs[lane], count)
-            return stacked.draw_rows(X, rows[at, j], k)
+            G, hvp = stacked.draw_rows(X, rows[at, j], k)
+            if exact and source.hessian:
+                return G, lambda i: source.hessian_at(X[i], rows[ids[i], j]).dense(n)
+            return G, hvp
 
-        def estimate(lane, x, k):
-            return source.hessian_at(x, rows[lane, (k - 1) % LANE_CHUNK])
-    else:
-        block = np.zeros((S, LANE_CHUNK, n))
-        drawn = VARIANCE > 0.0  # as sample_gradient: no noise, and no draw, at variance 0
-        every = drawn.all(axis=1).tolist()
-        hessian = source.hessian_kind != "zero"
-        hess_rngs = [rng_stream(c.seed, HESSIAN_STREAM) for c in configs] if per_row else None
+        return draw
 
-        def gradients(k, ids, at, X, TG):
-            j = (k - 1) % LANE_CHUNK
-            if j == 0:
-                for lane in ids:
-                    variances = VARIANCE[k:k + LANE_CHUNK, lane]
-                    block[lane, :variances.size] = draw_noise_block(rngs[lane], variances, n)
-            if not np.all(np.isfinite(TG)):
-                bad = int(np.argmin(np.isfinite(TG).all(axis=1)))
-                raise EvaluationError(f"non-finite gradient at x = {X[bad]!r}")
-            G = TG + block[at, j] if every[k] else np.where(drawn[k, at][:, None],
-                                                             TG + block[at, j], TG)
-            if not hessian:
-                return G, None
-            return G, lambda r, V: tau * oracle.hvp(X[r], V)
-
-        def estimate(lane, x, k):
-            return sample_hessian(oracle, x, source, hess_rngs[lane])
-
-    if not per_row:
-        return gradients
-    memos = [EighMemo() for _ in configs]
+    block = np.zeros((S, LANE_CHUNK, n))
+    drawn = VARIANCE > 0.0  # as sample_gradient: no noise, and no draw, at variance 0
+    every = drawn.all(axis=1).tolist()
+    kind = source.hessian_kind
+    tau, recap = caps
+    hess_rngs = ([rng_stream(c.seed, HESSIAN_STREAM) for c in configs]
+                 if kind == "perturbed" else None)
 
     def draw(k, ids, at, X, TG):
-        G, _ = gradients(k, ids, at, X, TG)
-        return G, [(estimate(lane, X[i], k), memos[lane]) for i, lane in enumerate(ids.tolist())]
+        j = (k - 1) % LANE_CHUNK
+        if j == 0:
+            for lane in ids:
+                variances = VARIANCE[k:k + LANE_CHUNK, lane]
+                block[lane, :variances.size] = draw_noise_block(rngs[lane], variances, n)
+        if not np.all(np.isfinite(TG)):
+            bad = int(np.argmin(np.isfinite(TG).all(axis=1)))
+            raise EvaluationError(f"non-finite gradient at x = {X[bad]!r}")
+        G = TG + block[at, j] if every[k] else np.where(drawn[k, at][:, None],
+                                                         TG + block[at, j], TG)
+        if kind == "zero":
+            return G, None
+        if kind == "exact-capped":
+            if exact:
+                return G, lambda i: stacked_dense(lambda E: tau * oracle.hvp(X[i], E), n)
+            return G, lambda r, V: tau * oracle.hvp(X[r], V)
+        P = np.stack([draw_perturbation(hess_rngs[lane], n, source.perturbation)
+                      for lane in ids.tolist()])
+        if exact:
+            return G, lambda i: stacked_dense(
+                lambda E: recap * (tau * oracle.hvp(X[i], E) + matvec(P[i], E)), n)
+        return G, lambda r, V: recap * (tau * oracle.hvp(X[r], V) + matvec(P[r], V))
 
     return draw
 
 
-def _trish_lane_step(X, G, gn, TG, hvp, alpha, gamma1, gamma2, solver):
-    """TRish's lane step rule, ``trish_step`` on every row: the next
-    iterates, the cost units and the step fields it records."""
-    delta, case = radius_rows(gn, alpha, gamma1, gamma2)
-    steps, model_dec, cauchy_dec, iters = steihaug_cg_rows(
-        G, gn, delta, hvp, solver.max_iters, solver.tol)
+def _moved(X, steps, gn):
+    """The iterates after ``steps``; a zero-gradient row's zero step leaves
+    its x as it is."""
     X_new = X + steps
     still = gn == 0.0
     if still.any():
-        X_new[still] = X[still]  # the zero step leaves x as it is
-    return X_new, 1 + iters if hvp is not None else 1, {
+        X_new[still] = X[still]
+    return X_new
+
+
+def _trish_lane_step(X, G, gn, TG, hvp, alpha, gamma1, gamma2, solver):
+    """TRish's Steihaug lane step rule, ``trish_step`` on every row: the
+    next iterates, the cost units and the step fields it records."""
+    delta, case = radius_rows(gn, alpha, gamma1, gamma2)
+    steps, model_dec, cauchy_dec, iters = steihaug_cg_rows(
+        G, gn, delta, hvp, solver.max_iters, solver.tol)
+    return _moved(X, steps, gn), 1 + iters if hvp is not None else 1, {
         "delta": delta, "case": case, "model_dec": model_dec, "cauchy_dec": cauchy_dec,
         "cg_iters": iters, "step_norm": row_norms(steps), "noise_step_dot": rowdot(TG - G, steps)}
 
 
-ROW_STEP_COLUMNS = ("delta", "case", "model_dec", "cauchy_dec", "cg_iters", "upsilon",
-                    "step_norm", "noise_step_dot")
+def _exact_lane_step(constant, products):
+    """TRish's exact-solver lane step rule, ``trish_step`` on every row.
 
+    The rule takes ``dense(i)`` (None: the zero estimate) from the draw.
+    It builds the dense H of each running lane with a nonzero gradient,
+    checks and decomposes them in one ``checked_eigh`` call and solves
+    through ``exact_trs_rows``; a ``constant`` estimate is built and
+    decomposed once, at the first step that needs it, and shared.  A
+    lane with a nonzero gradient costs 1 + ``products`` units.
+    """
+    shared = []  # the (H, eig) of a constant estimate, once built
 
-def _row_lane_step(X, G, gn, TG, hess, alpha, gamma1, gamma2, solver):
-    """TRish's step rule one lane at a time: one ``trish_step`` per
-    running lane, with each lane's ``(estimate, EighMemo)`` in ``hess``."""
-    X_new = np.empty_like(X)
-    units = np.empty(len(X), dtype=np.int64)
-    values = np.empty((len(X), len(ROW_STEP_COLUMNS)))
-    for i, (a, g1, g2, g_norm, (est, memo)) in enumerate(
-            zip(alpha.tolist(), gamma1.tolist(), gamma2.tolist(), gn.tolist(), hess)):
-        X_new[i], s = trish_step(X[i], G[i], est, a, g1, g2, solver, g_norm=g_norm, memo=memo)
-        units[i] = 1 + s.hessian_products
-        values[i] = (s.delta, s.case, s.model_decrease, s.cauchy_decrease, s.cg_iterations,
-                     np.nan if s.upsilon is None else s.upsilon, norm(s.s),
-                     float((TG[i] - G[i]) @ s.s))
-    return X_new, units, dict(zip(ROW_STEP_COLUMNS, values.T))
+    def step(X, G, gn, TG, dense, alpha, gamma1, gamma2, solver):
+        delta, case = radius_rows(gn, alpha, gamma1, gamma2)
+        live = gn != 0.0
+        H = eig = None
+        if shared:
+            H, eig = shared[0]
+        elif live.any():
+            n = X.shape[1]
+            if dense is None:
+                H = np.zeros((n, n))
+            elif constant:
+                H = dense(int(np.argmax(live)))
+            else:
+                H = np.zeros((len(X), n, n))
+                for i in np.flatnonzero(live).tolist():
+                    H[i] = dense(i)
+            eig = checked_eigh(H)
+            if constant:
+                shared.append((H, eig))
+        steps, upsilon, model_dec, cauchy_dec = exact_trs_rows(G, gn, delta, H, eig, solver.tol)
+        return _moved(X, steps, gn), 1 + np.where(live, products, 0), {
+            "delta": delta, "case": case, "model_dec": model_dec, "cauchy_dec": cauchy_dec,
+            "cg_iters": 0.0, "upsilon": upsilon, "step_norm": row_norms(steps),
+            "noise_step_dot": rowdot(TG - G, steps)}
+
+    return step
 
 
 def _sg_lane_step(X, G, gn, TG, hvp, alpha, gamma1, gamma2, solver):

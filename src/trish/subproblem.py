@@ -23,6 +23,7 @@ from .core import (
     NumericalError,
     ZeroGradientError,
     libm_pow,
+    matvec,
     norm,
     rowdot,
 )
@@ -331,22 +332,27 @@ def _steihaug_live_rows(g, gn, dl, rows, hvp, max_iters, residual_tol):
     return s, model_dec, cauchy_dec, it
 
 
-@dataclass
-class EighMemo:
-    """The last matrix one run decomposed, and its ``np.linalg.eigh``.
+def checked_eigh(H: Array) -> tuple[Array, Array]:
+    """``np.linalg.eigh`` of one dense Hessian estimate or of an (S, n, n)
+    stack, in one call.
 
-    ``exact_trs`` reuses ``eig`` while the matrix it is given equals
-    ``matrix`` exactly (``np.array_equal``, so a NaN matrix never does)
-    and decomposes afresh otherwise.  One memo per run: it is not shared.
+    Each matrix must be finite and symmetric to within 1e-12 relative to
+    its largest entry: the first that is not raises ``NumericalError``
+    or ``ConfigurationError``, before any decomposition.
     """
+    h_scale = np.max(np.abs(H), axis=(-2, -1), initial=0.0)
+    asym = np.max(np.abs(H - H.swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    bad = ~np.isfinite(h_scale) | (asym > 1e-12 * np.maximum(1.0, h_scale))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        scale, a = float(np.ravel(h_scale)[i]), float(np.ravel(asym)[i])
+        if not math.isfinite(scale):
+            raise NumericalError(f"non-finite Hessian entry (max |H| = {scale!r}) in exact_trs")
+        raise ConfigurationError(f"H is not symmetric (max asymmetry {a:.3e})")
+    return np.linalg.eigh(H)
 
-    matrix: Array | None = None
-    eig: tuple[Array, Array] | None = None
 
-
-def exact_trs(
-    g: Array, hess: Array, delta: float, tol: float = 1e-10, memo: EighMemo | None = None
-) -> tuple[Array, float]:
+def exact_trs(g: Array, hess: Array, delta: float, tol: float = 1e-10) -> tuple[Array, float]:
     """Globally solve the dense trust-region subproblem.
 
     Eigendecomposition plus a safeguarded Newton iteration on the
@@ -356,11 +362,8 @@ def exact_trs(
 
     Returns the minimizer ``s`` and the multiplier ``u >= 0`` satisfying
     ``g + (H + u I) s = 0``, ``H + u I`` positive semidefinite and
-    ``u * (delta - ||s||) = 0`` to within ``tol``.  With a ``memo`` the
-    eigendecomposition of an unchanged ``hess`` is reused; the result is
-    the same bit for bit.  The finiteness and symmetry checks run on
-    each matrix the memo does not hold (a memo hit is bit-equal to a
-    matrix that passed them), before any decomposition.
+    ``u * (delta - ||s||) = 0`` to within ``tol``.  ``exact_trs_rows``
+    solves many subproblems at once, each bit for bit as here.
 
     Dense path, intended for small dimensions (n <= ~500).
     """
@@ -371,18 +374,7 @@ def exact_trs(
     if delta <= 0.0:
         raise ConfigurationError("delta must be positive")
 
-    if memo is not None and memo.eig is not None and np.array_equal(H, memo.matrix):
-        w, Q = memo.eig
-    else:
-        h_scale = float(np.max(np.abs(H))) if H.size else 0.0
-        if not math.isfinite(h_scale):
-            raise NumericalError(f"non-finite Hessian entry (max |H| = {h_scale!r}) in exact_trs")
-        asym = float(np.max(np.abs(H - H.T))) if H.size else 0.0
-        if asym > 1e-12 * max(1.0, h_scale):
-            raise ConfigurationError(f"H is not symmetric (max asymmetry {asym:.3e})")
-        w, Q = np.linalg.eigh(H)
-        if memo is not None:
-            memo.matrix, memo.eig = H.copy(), (w, Q)
+    w, Q = checked_eigh(H)
     ghat = Q.T @ g
     lam_min = float(w[0])
     w_scale = max(1.0, float(np.max(np.abs(w))))
@@ -403,54 +395,94 @@ def exact_trs(
     # Hard case: no component of g in the minimal eigenspace and the
     # pseudo-inverse solution at u = -lambda_min already fits inside.
     if norm(ghat[min_block]) <= 1e-12 * g_norm:
-        denom = w - lam_min
-        y = np.zeros_like(ghat)
-        y[~min_block] = -ghat[~min_block] / denom[~min_block]
-        y_norm = norm(y)
-        if y_norm <= delta and lam_min <= 0.0:
-            ups = -lam_min
-            if ups > 0.0:
-                # fill to the boundary along a minimal eigenvector
-                y[np.argmax(min_block)] += np.sqrt(max(delta**2 - y_norm**2, 0.0))
-                y = _onto_sphere(y, delta)
-            return Q @ y, ups
+        hard = _hard_case(ghat, w, min_block, delta)
+        if hard is not None:
+            return Q @ hard[0], hard[1]
 
     # Boundary root of the secular equation on (lo, hi].
-    def y_of(ups: float) -> Array:
-        return -ghat / (w + ups)
+    def dphi_sum(u: float) -> float:
+        return float(np.sum(ghat**2 / (w + u) ** 3))
 
     hi = lo + g_norm / delta + 1.0
     lo_br, hi_br = lo, hi
     ups = 0.5 * (lo_br + hi_br)
     for _ in range(200):
-        y = y_of(ups)
+        y = -ghat / (w + ups)
         y_norm = norm(y)
         if abs(y_norm - delta) <= tol * delta:
             return Q @ _onto_sphere(y, delta), ups
-        phi = 1.0 / y_norm - 1.0 / delta
-        if phi < 0.0:
-            lo_br = ups
-        else:
-            hi_br = ups
-        if hi_br - lo_br <= 16.0 * _EPS * max(1.0, hi_br):
-            # Near-hard case: the bracket collapsed onto -lambda_min
-            # before the norm matched.  Drop the minimal-eigenspace
-            # coordinates and fill to the boundary along one of them.
-            ups = hi_br
-            y = np.where(min_block, 0.0, -ghat / (w + ups))
-            y_norm = norm(y)
-            if y_norm <= delta:
-                y[np.argmax(min_block)] += np.sqrt(max(delta**2 - y_norm**2, 0.0))
-                return Q @ _onto_sphere(y, delta), ups
-        dphi = float(np.sum(ghat**2 / (w + ups) ** 3)) / y_norm**3
-        cand = ups - phi / dphi if dphi > 0.0 else np.inf
-        if not lo_br < cand < hi_br:
-            cand = 0.5 * (lo_br + hi_br)
-        ups = cand
-    raise NumericalError(
+        ups, lo_br, hi_br, y_norm, fill = _secular_update(
+            ghat, w, min_block, delta, ups, lo_br, hi_br, y_norm, dphi_sum)
+        if fill is not None:
+            return Q @ fill, ups
+    raise _divergence_error(delta, lo_br, hi_br, y_norm)
+
+
+def _hard_case(ghat: Array, w: Array, min_block: Array, delta: float):
+    """``exact_trs``'s hard case in the eigenbasis: ``(y, u)`` with
+    u = -lambda_min, or None when the pseudo-inverse solution does not
+    fit inside the radius (or H is positive definite)."""
+    lam_min = float(w[0])
+    denom = w - lam_min
+    y = np.zeros_like(ghat)
+    y[~min_block] = -ghat[~min_block] / denom[~min_block]
+    y_norm = norm(y)
+    if y_norm <= delta and lam_min <= 0.0:
+        ups = -lam_min
+        if ups > 0.0:
+            # fill to the boundary along a minimal eigenvector
+            y[np.argmax(min_block)] += np.sqrt(max(delta**2 - y_norm**2, 0.0))
+            y = _onto_sphere(y, delta)
+        return y, ups
+    return None
+
+
+def _secular_update(ghat, w, min_block, delta, ups, lo_br, hi_br, y_norm, dphi_sum):
+    """One safeguarded Newton update of ``exact_trs``'s secular iteration
+    after an unmatched norm ``y_norm`` at ``ups``, in Python floats;
+    ``dphi_sum(u)`` is ``sum(ghat**2 / (w + u)**3)``.
+
+    Returns ``(ups, lo_br, hi_br, y_norm, fill)``: the next iterate's
+    state, with ``fill`` None, or, when the bracket collapsed onto
+    -lambda_min, the near-hard ``fill`` that ends the solve at ``ups``.
+    """
+    if y_norm == 0.0:
+        raise _underflow_error(delta, ups)
+    phi = 1.0 / y_norm - 1.0 / delta
+    if phi < 0.0:
+        lo_br = ups
+    else:
+        hi_br = ups
+    if hi_br - lo_br <= 16.0 * _EPS * max(1.0, hi_br):
+        # Near-hard case: the bracket collapsed onto -lambda_min before
+        # the norm matched.  Drop the minimal-eigenspace coordinates and
+        # fill to the boundary along one of them.
+        ups = hi_br
+        y = np.where(min_block, 0.0, -ghat / (w + ups))
+        y_norm = norm(y)
+        if y_norm <= delta:
+            y[np.argmax(min_block)] += np.sqrt(max(delta**2 - y_norm**2, 0.0))
+            return ups, lo_br, hi_br, y_norm, _onto_sphere(y, delta)
+    cube = y_norm**3
+    if cube == 0.0:
+        raise _underflow_error(delta, ups)
+    dphi = dphi_sum(ups) / cube
+    cand = ups - phi / dphi if dphi > 0.0 else np.inf
+    if not lo_br < cand < hi_br:
+        cand = 0.5 * (lo_br + hi_br)
+    return cand, lo_br, hi_br, y_norm, None
+
+
+def _underflow_error(delta, ups) -> NumericalError:
+    return NumericalError(
+        f"secular equation: ||s|| or its cube underflowed to 0 at u = {ups:.6e} "
+        f"(delta={delta:.3e}); the radius is too small for the gradient's scale")
+
+
+def _divergence_error(delta, lo_br, hi_br, y_norm) -> NumericalError:
+    return NumericalError(
         f"secular equation did not converge in 200 iterations "
-        f"(delta={delta:.3e}, bracket=[{lo_br:.6e}, {hi_br:.6e}], |s|={y_norm:.6e})"
-    )
+        f"(delta={delta:.3e}, bracket=[{lo_br:.6e}, {hi_br:.6e}], |s|={y_norm:.6e})")
 
 
 def _onto_sphere(y: Array, delta: float) -> Array:
@@ -462,6 +494,145 @@ def _onto_sphere(y: Array, delta: float) -> Array:
     """
     y_norm = norm(y)
     return y if y_norm == 0.0 else y * (delta / y_norm)
+
+
+def _onto_sphere_rows(Y: Array, y_norm: Array, delta: Array) -> Array:
+    """``_onto_sphere`` on rows with the given norms, bit for bit (a zero
+    row is multiplied by 1.0, which keeps it as it is)."""
+    return Y * np.where(y_norm == 0.0, 1.0, delta / y_norm)[:, None]
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def exact_trs_rows(
+    G: Array,
+    g_norm: Array,
+    delta: Array,
+    H: Array,
+    eig: tuple[Array, Array],
+    tol: float = 1e-10,
+) -> tuple[Array, Array, Array, Array]:
+    """``exact_trs`` on S independent row-stacked subproblems at once.
+
+    ``H`` is one (n, n) matrix every row shares or an (S, n, n) stack,
+    and ``eig`` its ``checked_eigh``: the matching pair, or stacks.
+    Returns the steps, the multipliers, and the model decrease and
+    Cauchy decrease ``trish_step`` records for an exact step.  Each row
+    takes the branches and iterations its scalar solve takes and equals
+    it bit for bit; an error raises the class ``exact_trs`` raises on
+    a failing row.  Rows with ``g_norm == 0`` get the zero step, zero
+    decreases and a NaN multiplier, as ``trish_step`` records them
+    (their matrices are not read, nor is ``H`` if every row is zero).
+    """
+    live = g_norm != 0.0
+    if live.all():
+        return _exact_live_rows(G, g_norm, delta, H, eig, tol)
+    rows = np.flatnonzero(live)
+    S = G.shape[0]
+    out = (np.zeros_like(G), np.full(S, np.nan), np.zeros(S), np.zeros(S))
+    if rows.size:
+        if H.ndim == 3:
+            H, eig = H[rows], (eig[0][rows], eig[1][rows])
+        solved = _exact_live_rows(G[rows], g_norm[rows], delta[rows], H, eig, tol)
+        for full, part in zip(out, solved):
+            full[rows] = part
+    return out
+
+
+def _exact_live_rows(G, gn, dl, H, eig, tol):
+    """``exact_trs_rows`` on rows that all have a nonzero gradient.
+
+    The O(n) work of each secular sweep (the candidate y(u), its norm
+    and the Newton derivative's sum) is one stacked computation over
+    every row; each row still iterating then takes ``exact_trs``'s
+    update in Python floats, and a row leaves the sweeps at the return
+    its scalar solve reaches.  The rare hard and near-hard cases run
+    ``exact_trs``'s own code on their row.
+    """
+    gn_, dl_ = gn.tolist(), dl.tolist()
+    if any(d <= 0.0 for d in dl_):
+        raise ConfigurationError("delta must be positive")
+    w, Q = eig
+    S, n = G.shape
+    w = w.reshape(-1, n)  # one eigenvalue row per subproblem, or one all share
+    m = len(w)
+    ghat = matvec(Q.swapaxes(-1, -2), G)
+    neg = -ghat
+    # eigh sorts w ascending, so max |w| is at an end and the minimal
+    # block (w <= lam + 1e-12 max(1, max |w|)) is a prefix
+    lam = w[:, 0].tolist()
+    big = [max(abs(a), abs(b)) for a, b in zip(lam, w[:, -1].tolist())]
+    low = w <= np.array([x + 1e-12 * max(1.0, c) for x, c in zip(lam, big)])[:, None]
+    single = (~low[:, 1] if n > 1 else low[:, 0]).tolist()  # the block is w[0] alone
+    lam, single = lam * (S // m), single * (S // m)
+    ghat_rows, w_rows, low_rows = list(ghat), list(w) * (S // m), list(low) * (S // m)
+
+    Y = neg / w  # the interior candidates; each row is overwritten unless it is one
+    y_norm = np.sqrt(rowdot(Y, Y)).tolist()
+    ups = [0.0] * S
+    # the rows the secular sweeps solve, with u and the bracket [lo, hi]
+    act, u, lo, hi = [], [0.0] * S, [0.0] * S, [0.0] * S
+    for i in range(S):
+        if lam[i] > 0.0 and y_norm[i] <= dl_[i]:
+            continue
+        # ||ghat over the minimal block||: for a one-entry block, sqrt(ghat_0^2)
+        g0 = float(ghat[i, 0])
+        block = math.sqrt(g0 * g0) if single[i] else norm(ghat_rows[i][low_rows[i]])
+        if block <= 1e-12 * gn_[i]:
+            hard = _hard_case(ghat_rows[i], w_rows[i], low_rows[i], dl_[i])
+            if hard is not None:
+                Y[i], ups[i] = hard
+                continue
+        lo[i] = max(0.0, -lam[i])
+        hi[i] = lo[i] + gn_[i] / dl_[i] + 1.0
+        u[i] = 0.5 * (lo[i] + hi[i])
+        act.append(i)
+
+    ghat2 = ghat**2
+    U = np.empty((S, 1))
+    for _ in range(200):
+        if not act:
+            break
+        U[:, 0] = u
+        Wu = w + U
+        Yu = neg / Wu
+        norms = np.sqrt(rowdot(Yu, Yu))
+        y_norm = norms.tolist()
+        sums = np.add.reduce(ghat2 / Wu**3, axis=1).tolist()  # np.sum's row sums
+        still, matched = [], []
+        for i in act:
+            d = dl_[i]
+            if abs(y_norm[i] - d) <= tol * d:
+                ups[i] = u[i]
+                matched.append(i)
+                continue
+            # the sweep's sum, unless the near-hard branch moved u
+            u[i], lo[i], hi[i], y_norm[i], fill = _secular_update(
+                ghat_rows[i], w_rows[i], low_rows[i], d, u[i], lo[i], hi[i], y_norm[i],
+                lambda v, i=i, u0=u[i]: (sums[i] if v == u0 else
+                                         float(np.sum(ghat2[i] / (w_rows[i] + v) ** 3))))
+            if fill is None:
+                still.append(i)
+            else:
+                ups[i], Y[i] = u[i], fill
+        if len(matched) == S:
+            Y = _onto_sphere_rows(Yu, norms, dl)
+        elif matched:
+            Y[matched] = _onto_sphere_rows(Yu[matched], norms[matched], dl[matched])
+        act = still
+    if act:
+        i = act[0]
+        raise _divergence_error(dl_[i], lo[i], hi[i], y_norm[i])
+
+    s = matvec(Q, Y)
+    model_dec = -(rowdot(G, s) + 0.5 * rowdot(s, matvec(H, s)))
+    # the Cauchy point t g and its model value, as cauchy_point and
+    # model_value compute them (t in Python floats)
+    gHg = rowdot(G, matvec(H, G)).tolist()
+    t = [-(g**2 / c) if c > 0.0 and g**3 <= d * c else -(d / g)
+         for g, d, c in zip(gn_, dl_, gHg)]
+    c = np.array(t)[:, None] * G
+    cauchy_dec = -(rowdot(G, c) + 0.5 * rowdot(c, matvec(H, c)))
+    return s, np.array(ups), model_dec, cauchy_dec
 
 
 def kkt_residuals(

@@ -10,7 +10,6 @@ from trish import (
     ConfigurationError,
     EvaluationError,
     GammaSchedule,
-    EighMemo,
     HessianEstimate,
     MiniBatchSampler,
     NoiseModel,
@@ -167,7 +166,9 @@ class TestRunTrish:
 
 
 class TestExactDecompositionReuse:
-    """An exact-solver run decomposes its dense Hessian once while it is unchanged."""
+    """An exact-solver lane run decomposes a Hessian estimate that cannot
+    change once per run, and any other once per step in one stacked
+    ``eigh``; its traces equal the reference loop's either way."""
 
     @staticmethod
     def config(hessian, seed):
@@ -186,55 +187,75 @@ class TestExactDecompositionReuse:
 
     @staticmethod
     def runs(hessian, calls):
-        """Two runs in a row, with the decompositions each one made."""
+        """The decompositions each of two one-lane runs in a row made."""
         prob = make_quadratic(12, 1.0, 10.0, seed=21)
-        out = []
+        made = []
         for seed in (3, 4):
             before = len(calls)
-            traj = run_trish(prob, np.ones(12), TestExactDecompositionReuse.config(hessian, seed))
-            out.append((traj, len(calls) - before))
-        return out
+            run_trish(prob, np.ones(12), TestExactDecompositionReuse.config(hessian, seed))
+            made.append(len(calls) - before)
+        return made
+
+    @staticmethod
+    def lane_run(problem, x0, configs, calls):
+        """One lane run of ``configs``, checked lane by lane against the
+        reference loop, and the decompositions the lane run made."""
+        before = len(calls)
+        lanes = run_lanes(problem, x0, configs)
+        made = len(calls) - before
+        for i, config in enumerate(configs):
+            assert_same_run(lanes.trajectory(i), reference_run(problem, x0, config))
+        return made
 
     @pytest.mark.parametrize("hessian,per_run", [("exact-capped", 1), ("perturbed", 30)])
     def test_decompositions_per_run(self, monkeypatch, hessian, per_run):
         calls = self.count_eigh(monkeypatch)
-        assert [n for _, n in self.runs(hessian, calls)] == [per_run, per_run]
+        assert self.runs(hessian, calls) == [per_run, per_run]
 
-    @pytest.mark.parametrize("hessian", ["exact-capped", "perturbed"])
+    @pytest.mark.parametrize("hessian", ["exact-capped", "perturbed", "zero"])
     def test_traces_match_fresh_decompositions(self, monkeypatch, hessian):
-        import trish.optimizer as optimizer
+        # a quadratic certifies a constant Hessian (hess_lipschitz == 0.0);
+        # the reference loop decomposes afresh on every step
+        per_run = {"exact-capped": 1, "perturbed": 30, "zero": 1}[hessian]
         calls = self.count_eigh(monkeypatch)
-        new = self.runs(hessian, calls)
+        configs = [self.config(hessian, seed) for seed in (3, 4, 5)]
+        if hessian == "zero":
+            configs = [replace(c, noise=replace(c.noise, m_h=0.0)) for c in configs]
+        prob = make_quadratic(12, 1.0, 10.0, seed=21)
+        assert self.lane_run(prob, np.ones(12), configs, calls) == per_run
 
-        def column_loop(est, dim):
-            eye = np.eye(dim)
-            return np.column_stack([est.apply(eye[:, j]) for j in range(dim)])
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_logistic_decomposes_once_per_step(self, monkeypatch, sampled):
+        calls = self.count_eigh(monkeypatch)
+        prob = make_logistic(60, 5, l2=0.01, seed=8)
+        configs = [self.config("exact-capped", seed) for seed in (3, 4, 5)]
+        if sampled:
+            configs = [replace(c, noise=MiniBatchSampler(prob, 6, hessian=True)) for c in configs]
+        assert self.lane_run(prob, np.zeros(5), configs, calls) == 30
 
-        exact_trs = optimizer.exact_trs
-        monkeypatch.setattr(HessianEstimate, "dense", column_loop)
-        monkeypatch.setattr(optimizer, "exact_trs",
-                            lambda g, H, delta, tol, memo=None: exact_trs(g, H, delta, tol))
-        old = self.runs(hessian, calls)
-        assert [n for _, n in old] == [30, 30]
-        for (a, _), (b, _) in zip(new, old):
-            assert np.array_equal(a.final_x, b.final_x)
-            for name in TRACE_DTYPE.names:
-                if name != "wall_ns":
-                    assert np.array_equal(a.column(name), b.column(name), equal_nan=True), name
+    def test_constant_hessian_built_and_decomposed_once(self, monkeypatch):
+        # the n products of the dense build are made once; cost_units still
+        # charges them on every exact step
+        prob = CountingOracle(make_quadratic(6, 1.0, 10.0, seed=2))
+        calls = self.count_eigh(monkeypatch)
+        lanes = run_lanes(prob, np.ones(6), [self.config("exact-capped", s) for s in (1, 2)])
+        assert len(calls) == 1 and prob.hvp_calls == 1
+        assert np.array_equal(lanes.column("cost_units")[:, 0], 7.0 * np.arange(31))
 
-    def test_norm_and_memo_arguments_change_nothing(self):
-        prob = make_quadratic(8, 1.0, 10.0, seed=2)
-        noise = NoiseModel(hessian_kind="exact-capped", m_h=10.0)
-        hess = sample_hessian(prob, np.ones(8), noise, rng_stream(0, 1))
-        g = prob.grad(np.ones(8))
-        memo = EighMemo()
-        plain = trish_step(np.ones(8), g, hess, 0.01, 2.0, 1.0, SolverSpec(kind="exact"))
-        for _ in range(2):  # the second call reuses the memo's decomposition
-            x, step = trish_step(np.ones(8), g, hess, 0.01, 2.0, 1.0, SolverSpec(kind="exact"),
-                                 g_norm=float(np.linalg.norm(g)), memo=memo)
-            assert x.tobytes() == plain[0].tobytes()
-            assert step.upsilon == plain[1].upsilon
-            assert step.model_decrease == plain[1].model_decrease
+    @pytest.mark.parametrize("defect,error", [("nan", NumericalError),
+                                              ("asymmetric", ConfigurationError)])
+    def test_defective_hessian_ends_the_run(self, defect, error):
+        # the checks exact_trs makes run on each lane's matrix, before eigh
+        prob = make_quadratic(4, 1.0, 10.0, seed=2)
+        bad = prob.A.copy()
+        bad[0, 1] = np.nan if defect == "nan" else bad[0, 1] + 1e-3
+        prob.hvp = lambda x, v: bad @ v if v.ndim == 1 else (bad @ v[..., None])[..., 0]
+        for hessian in ("exact-capped", "perturbed"):
+            config = self.config(hessian, 3)
+            with pytest.raises(error):
+                reference_run(prob, np.ones(4), config)
+            with pytest.raises(error):
+                run_lanes(prob, np.ones(4), [config, replace(config, seed=4)])
 
 
 class TestRunSG:
@@ -349,11 +370,12 @@ class TestFirstOrder:
 
 
 class CountingOracle:
-    """Wraps a problem and counts gradient evaluations."""
+    """Wraps a problem and counts gradient evaluations and Hessian products."""
 
     def __init__(self, problem):
         self.problem = problem
         self.grad_calls = 0
+        self.hvp_calls = 0
 
     def __getattr__(self, name):
         return getattr(self.problem, name)
@@ -361,6 +383,10 @@ class CountingOracle:
     def grad(self, x):
         self.grad_calls += 1
         return self.problem.grad(x)
+
+    def hvp(self, x, v):
+        self.hvp_calls += 1
+        return self.problem.hvp(x, v)
 
 
 class TestGradientOncePerIteration:

@@ -1,13 +1,17 @@
 """Property-based checks of the solver and schedule invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trish import (
+    ConfigurationError,
     GammaSchedule,
     HessianEstimate,
+    NumericalError,
     StepsizeSchedule,
+    cauchy_point,
     exact_trs,
     gammas_at,
     kkt_residuals,
@@ -15,7 +19,8 @@ from trish import (
     radius,
     steihaug_cg,
 )
-from trish.subproblem import radius_rows, steihaug_cg_rows
+from trish.core import libm_pow, row_norms
+from trish.subproblem import checked_eigh, exact_trs_rows, radius_rows, steihaug_cg_rows
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -154,3 +159,100 @@ def test_row_solver_matches_scalar_solver(n, rows, seed, cap, curved):
 
 def op_of(matrix):
     return HessianEstimate(apply=lambda v: matrix @ v, norm_bound=1.0)
+
+
+def symmetric_with_spectrum(rng, eigs):
+    q, _ = np.linalg.qr(rng.standard_normal((eigs.size, eigs.size)))
+    H = (q * eigs) @ q.T
+    return 0.5 * (H + H.T)
+
+
+def spectrum(rng, n, kind):
+    """Eigenvalues of a definite, indefinite or singular matrix, sometimes
+    with a repeated minimal eigenvalue and sometimes of a large scale."""
+    eigs = rng.uniform(0.1, 3.0, n) if kind == "definite" else rng.uniform(-3.0, 3.0, n)
+    if kind == "singular":
+        eigs[rng.integers(n)] = 0.0
+    if rng.integers(3) == 0:
+        eigs[:rng.integers(1, n + 1)] = eigs.min()
+    return eigs * 10.0 ** rng.integers(0, 4)
+
+
+def exact_row_case(rng, w, Q, g, kind):
+    """A gradient and radius for one row: ``interior`` (a radius past the
+    Newton step), ``hard`` (g orthogonal to the minimal eigenspace),
+    ``near-hard`` (a minute component there, past the hard-case test),
+    ``tiny`` (a radius the secular iteration underflows on), ``zero``
+    (no gradient) or ``boundary`` (any other)."""
+    delta = float(np.exp(rng.uniform(np.log(0.01), np.log(10.0))))
+    if kind == "zero":
+        return 0.0 * g, delta
+    ghat = Q.T @ g
+    block = w <= w[0] + 1e-12 * max(1.0, float(np.max(np.abs(w))))
+    if kind in ("hard", "near-hard"):
+        ghat[block] = 0.0 if kind == "hard" else 10.0 ** -rng.uniform(11.5, 14.0)
+        rest = np.where(block, 0.0, ghat / np.where(block, 1.0, w - w[0]))
+        delta = float(np.linalg.norm(rest)) * rng.uniform(1.0, 2.0) + 1e-3
+    elif kind == "interior" and w[0] > 0.0:
+        delta = float(np.linalg.norm(ghat / w)) * rng.uniform(1.0, 3.0)
+    elif kind == "tiny":
+        delta = 10.0 ** -rng.uniform(150.0, 300.0)
+    return Q @ ghat, delta
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.sampled_from(["definite", "indefinite", "singular"]), st.booleans(),
+       st.lists(st.sampled_from(["boundary", "interior", "hard", "near-hard", "zero", "tiny"]),
+                min_size=1, max_size=3))
+def test_exact_row_solver_matches_scalar_solver(n, rows, seed, kind, shared, cases):
+    # each row must equal exact_trs, with trish_step's model and Cauchy
+    # decreases, bit for bit, or the stack must raise a class a row raises
+    rng = np.random.default_rng(seed)
+    mats = [symmetric_with_spectrum(rng, spectrum(rng, n, kind))
+            for _ in range(1 if shared else rows)]
+    H = mats[0] if shared else np.stack(mats)
+    w, Q = checked_eigh(H)
+    G, delta = np.empty((rows, n)), np.empty(rows)
+    for i in range(rows):
+        wi, Qi = (w, Q) if shared else (w[i], Q[i])
+        G[i], delta[i] = exact_row_case(rng, wi, Qi, rng.standard_normal(n),
+                                        cases[int(rng.integers(len(cases)))])
+    g_norm = row_norms(G)
+    expected, errors = [], []
+    for i in range(rows):
+        Hi = mats[0 if shared else i]
+        if g_norm[i] == 0.0:
+            expected.append((np.zeros(n), np.nan, 0.0, 0.0))
+            continue
+        try:
+            with np.errstate(all="ignore"):
+                s, ups = exact_trs(G[i], Hi, float(delta[i]))
+                cp = cauchy_point(G[i], Hi, float(delta[i]))
+            expected.append((s, ups, -model_value(G[i], Hi, s), -model_value(G[i], Hi, cp)))
+        except (ConfigurationError, NumericalError) as exc:
+            errors.append(type(exc))
+    if errors:
+        with pytest.raises(tuple(errors)):
+            exact_trs_rows(G, g_norm, delta, H, (w, Q))
+        return
+    steps, ups, model_dec, cauchy_dec = exact_trs_rows(G, g_norm, delta, H, (w, Q))
+    for i, (s, u, m, c) in enumerate(expected):
+        assert steps[i].tobytes() == s.tobytes()
+        assert np.array([ups[i], model_dec[i], cauchy_dec[i]]).tobytes() == \
+            np.array([u, m, c]).tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_libm_pow_is_python_float_pow(p):
+    tiny = np.nextafter(0.0, 1.0)
+    values = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308 / 3, 1e-160, -1e-160,
+              1.5, -2.5, np.inf, -np.inf, np.nan, 1e100, -1e100, 5e102, 1.7976931348623157e308]
+    for v in values:
+        try:
+            expected = float.__pow__(v, p)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                libm_pow(np.array([v]), p)
+            continue
+        assert libm_pow(np.array([1.0, v]), p)[1:].tobytes() == np.array([expected]).tobytes()

@@ -5,7 +5,6 @@ import pytest
 
 from trish import (
     ConfigurationError,
-    EighMemo,
     HessianEstimate,
     NumericalError,
     RadiusCase,
@@ -17,7 +16,7 @@ from trish import (
     radius,
     steihaug_cg,
 )
-from trish.subproblem import steihaug_cg_rows
+from trish.subproblem import checked_eigh, exact_trs_rows, steihaug_cg_rows
 
 
 def op(matrix):
@@ -171,6 +170,13 @@ class TestExactTRS:
         assert np.allclose(s, [-0.6, -0.8], atol=1e-10)
         assert ups == pytest.approx(4.0, abs=1e-9)
 
+    @pytest.mark.parametrize("delta", [1e-160, 1e-300])
+    def test_radius_too_small_to_resolve_raises_numerical_error(self, delta):
+        # ||s(u)|| (or its cube) underflows to 0 in the secular iteration;
+        # the solve used to die there with a ZeroDivisionError
+        with pytest.raises(NumericalError, match="underflowed"):
+            exact_trs(np.array([3.0, 4.0]), np.diag([1.0, 2.0]), delta)
+
     def test_hard_case_zero_gradient(self):
         s, ups = exact_trs(np.zeros(2), np.diag([-1.0, 2.0]), 1.0)
         assert ups == pytest.approx(1.0)
@@ -202,6 +208,18 @@ class TestExactTRS:
         H = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ConfigurationError):
             exact_trs(np.array([1.0, 1.0]), H, 1.0)
+
+    def test_checks_reject_bad_radius_matrix_and_shapes(self):
+        g, H = np.array([0.3, -1.0, 0.4]), np.diag([-1.0, 0.5, 2.0])
+        with pytest.raises(ConfigurationError, match="delta must be positive"):
+            exact_trs(g, H, 0.0)
+        with pytest.raises(ConfigurationError, match="delta must be positive"):
+            exact_trs_rows(np.stack([g, g]), np.full(2, np.linalg.norm(g)),
+                           np.array([1.0, 0.0]), H, checked_eigh(H))
+        with pytest.raises(ConfigurationError, match="not symmetric"):
+            exact_trs(g, H + np.triu(np.ones((3, 3)), 1), 1.0)
+        with pytest.raises(ConfigurationError, match="must be square"):
+            exact_trs(g[:2], H, 1.0)
 
     def test_monotone_objective_in_radius(self):
         rng = np.random.default_rng(3)
@@ -277,63 +295,35 @@ class TestExactTRS:
             stat, psd, comp = kkt_residuals(g, H, delta, s, ups)
             assert stat <= 1e-8 and psd >= -1e-8 and comp <= 1e-8
             assert np.linalg.norm(s) <= delta * (1 + 1e-12)
-            # a supplied decomposition gives the same solution bit for bit
-            eig = np.linalg.eigh(H)
-            memo = EighMemo(H.copy(), eig)
-            s_memo, ups_memo = exact_trs(g, H, delta, memo=memo)
-            assert memo.eig is eig
-            assert s_memo.tobytes() == s.tobytes() and ups_memo == ups
+            # the rows solver on a shared decomposition gives the same bits
+            s_rows, ups_rows, _, _ = exact_trs_rows(
+                g[None], np.array([np.linalg.norm(g)]), np.array([delta]), H, checked_eigh(H))
+            assert s_rows[0].tobytes() == s.tobytes() and ups_rows[0] == ups
 
 
-class TestEighMemo:
+class TestCheckedEigh:
     H = np.diag([-1.0, 0.5, 2.0])
-    g = np.array([0.3, -1.0, 0.4])
 
-    @staticmethod
-    def count_eigh(monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda H: calls.append(1) or eigh(H))
-        return calls
+    def test_stack_decomposed_in_one_call_as_single_calls(self):
+        rng = np.random.default_rng(4)
+        stack = np.stack([0.5 * (m + m.T) for m in rng.standard_normal((5, 6, 6))])
+        w, Q = checked_eigh(stack)
+        for i in range(5):
+            wi, Qi = np.linalg.eigh(stack[i])
+            assert w[i].tobytes() == wi.tobytes() and Q[i].tobytes() == Qi.tobytes()
 
-    def test_unchanged_matrix_decomposed_once(self, monkeypatch):
-        calls = self.count_eigh(monkeypatch)
-        memo = EighMemo()
-        results = [exact_trs(self.g, self.H.copy(), delta, memo=memo) for delta in (0.5, 1.0, 4.0)]
-        assert len(calls) == 1
-        assert all(s.tobytes() == exact_trs(self.g, self.H, delta)[0].tobytes()
-                   for (s, _), delta in zip(results, (0.5, 1.0, 4.0)))
-
-    def test_changed_or_mutated_matrix_decomposed_again(self, monkeypatch):
-        calls = self.count_eigh(monkeypatch)
-        memo = EighMemo()
-        H = self.H.copy()
-        exact_trs(self.g, H, 1.0, memo=memo)
-        H[2, 2] = 3.0  # mutated in place after the call
-        s, ups = exact_trs(self.g, H, 1.0, memo=memo)
-        assert len(calls) == 2
-        assert s.tobytes() == exact_trs(self.g, H, 1.0)[0].tobytes()
-
-    def test_nan_matrix_never_reused(self, monkeypatch):
-        # a non-finite matrix raises before eigh, so the memo never holds one
-        calls = self.count_eigh(monkeypatch)
-        memo = EighMemo()
-        H = self.H.copy()
-        H[0, 0] = np.nan
-        for _ in range(2):
-            with pytest.raises(NumericalError, match="non-finite Hessian entry"):
-                exact_trs(self.g, H, 1.0, memo=memo)
-        assert len(calls) == 0 and memo.matrix is None
-
-    def test_checks_run_with_a_memo(self):
-        memo = EighMemo()
-        exact_trs(self.g, self.H, 1.0, memo=memo)
-        with pytest.raises(ConfigurationError):
-            exact_trs(self.g, self.H, 0.0, memo=memo)
-        with pytest.raises(ConfigurationError):
-            exact_trs(self.g, self.H + np.triu(np.ones((3, 3)), 1), 1.0, memo=memo)
-        with pytest.raises(ConfigurationError):
-            exact_trs(self.g[:2], self.H, 1.0, memo=memo)
+    @pytest.mark.parametrize("defect,error,match", [
+        ("nan", NumericalError, r"non-finite Hessian entry \(max \|H\| = nan\)"),
+        ("inf", NumericalError, r"non-finite Hessian entry \(max \|H\| = inf\)"),
+        ("asymmetric", ConfigurationError, "H is not symmetric"),
+    ], ids=["nan", "inf", "asymmetric"])
+    def test_first_defective_matrix_raises_what_exact_trs_raises(self, defect, error, match):
+        bad = self.H.copy()
+        bad[0, 1] = {"nan": np.nan, "inf": np.inf, "asymmetric": 1e-6}[defect]
+        with pytest.raises(error, match=match):
+            exact_trs(np.ones(3), bad, 1.0)
+        with pytest.raises(error, match=match):
+            checked_eigh(np.stack([self.H, bad, self.H]))
 
 
 class TestKKTResiduals:
