@@ -15,21 +15,14 @@ from .core import (
     NoiseModel,
     NumericalError,
     ProblemOracle,
-    ZeroGradientError,
     hvp_finite_difference,
     rng_stream,
-    sample_gradient,
     sample_hessian,
 )
 from .subproblem import (
     RadiusCase,
-    TRStep,
-    cauchy_point,
-    exact_trs,
     kkt_residuals,
-    model_value,
     radius,
-    steihaug_cg,
 )
 from .schedules import (
     GammaSchedule,
@@ -46,7 +39,6 @@ from .optimizer import (
     run_trish,
     run_lanes,
     run_trish_first_order,
-    trish_step,
 )
 from .bounds import (
     complexity_budget,

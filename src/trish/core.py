@@ -39,10 +39,6 @@ class NumericalError(RuntimeError):
     """An iterative numerical routine failed to converge."""
 
 
-class ZeroGradientError(ValueError):
-    """Degenerate zero-gradient input; callers must short-circuit."""
-
-
 def rng_stream(seed: int, purpose: int) -> np.random.Generator:
     """Named, seeded RNG stream for a (run, purpose) pair."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(purpose,)))
@@ -98,8 +94,8 @@ class ProblemOracle(Protocol):
     vectors at one point or at the matching row of an (m, n) stack of
     points.  Row i of each result is bit-identical to the call on row i
     alone.  The lockstep lane runner evaluates its lanes this way, and
-    ``HessianEstimate.dense`` builds an oracle's Hessian from one
-    product on the stacked identity rows.
+    ``stacked_dense`` builds an oracle's Hessian from one product on the
+    stacked identity rows.
 
     ``hess_lipschitz == 0.0`` certifies a constant Hessian, so ``hvp(x,
     v)`` must not read x: the lane runner builds and decomposes the
@@ -170,15 +166,10 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class HessianEstimate:
-    """Symmetric linear operator with a certified operator-norm bound.
-
-    ``row_stacked`` marks an ``apply`` that also maps an (m, n) stack of
-    vectors row by row, bit-identical to m separate calls.
-    """
+    """Symmetric linear operator with a certified operator-norm bound."""
 
     apply: Callable[[Array], Array]
     norm_bound: float
-    row_stacked: bool = False
 
     @property
     def is_zero(self) -> bool:
@@ -194,12 +185,10 @@ class HessianEstimate:
     def dense(self, dim: int) -> Array:
         """Materialize the operator (small dims only) as a C-ordered matrix
         whose column j is ``apply(e_j)``: no product for the zero
-        operator, one product on the stacked identity rows when the
-        operator is ``row_stacked``, else one product per column."""
+        operator, else one product per column (``stacked_dense`` builds
+        the same matrix from one product of a row-stacked ``apply``)."""
         if self.is_zero:
             return np.zeros((dim, dim))
-        if self.row_stacked:
-            return stacked_dense(self.apply, dim)
         eye = _identity(dim)
         return np.column_stack([self.apply(eye[:, j]) for j in range(dim)])
 
@@ -214,38 +203,20 @@ def stacked_dense(apply: Callable[[Array], Array], dim: int) -> Array:
 
 @functools.lru_cache(maxsize=8)
 def _identity(dim: int) -> Array:
-    """The (dim, dim) identity ``HessianEstimate.dense`` applies operators
-    to, built once per dimension and read-only, since every caller shares it."""
+    """The (dim, dim) identity the dense builds apply operators to, built
+    once per dimension and read-only, since every caller shares it."""
     eye = np.eye(dim)
     eye.flags.writeable = False
     return eye
 
 
-def sample_gradient(
-    oracle: ProblemOracle,
-    x: Array,
-    noise: NoiseModel,
-    k: int,
-    alpha_k: float,
-    rng: np.random.Generator,
-) -> Array:
-    """Unbiased gradient estimate with the noise model's target variance."""
-    g = np.asarray(oracle.grad(x), dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise EvaluationError(f"non-finite gradient at x = {x!r}")
-    variance = noise.gradient_variance(k, alpha_k)
-    if variance > 0.0:
-        g = g + rng.normal(0.0, np.sqrt(variance / oracle.dim), size=oracle.dim)
-    return g
-
-
 def draw_noise_block(rng: np.random.Generator, variances: Array, dim: int) -> Array:
-    """The noise ``sample_gradient`` adds over a run of iterations, in one draw.
+    """The additive gradient noise of a run of iterations, in one draw.
 
-    ``variances`` holds the target variance of each iteration.  Row i is
-    bit-identical to the i-th of successive ``sample_gradient`` draws on
-    the same stream; rows whose variance is 0 stay zero and consume no
-    random numbers, as ``sample_gradient`` skips the draw there.
+    ``variances`` holds the target total variance of each iteration.  Row
+    i is bit-identical to the i-th of successive ``rng.normal(0,
+    sqrt(variances[i] / dim), size=dim)`` draws on the same stream; rows
+    whose variance is 0 stay zero and consume no random numbers.
     """
     drawn = variances > 0.0
     out = np.zeros((drawn.size, dim))
@@ -269,7 +240,10 @@ def sample_hessian(
     noise: NoiseModel,
     rng: np.random.Generator,
 ) -> HessianEstimate:
-    """Hessian estimate whose certified norm bound never exceeds ``m_h``."""
+    """Hessian estimate whose certified norm bound never exceeds ``m_h``.
+
+    A nonzero estimate's ``apply`` also maps an (m, n) stack of vectors
+    row by row, as the oracle's ``hvp`` does."""
     if noise.hessian_kind == "zero":
         return HessianEstimate.zero(oracle.dim)
     tau = hessian_cap(oracle, noise)
@@ -277,7 +251,6 @@ def sample_hessian(
         return HessianEstimate(
             apply=lambda v: tau * oracle.hvp(x, v),
             norm_bound=tau * oracle.grad_lipschitz,
-            row_stacked=True,
         )
 
     # perturbed: one symmetric perturbation per estimate, fixed across applies
@@ -286,7 +259,6 @@ def sample_hessian(
     return HessianEstimate(
         apply=lambda v: recap * (tau * oracle.hvp(x, v) + matvec(pert, v)),
         norm_bound=bound,
-        row_stacked=True,
     )
 
 

@@ -31,10 +31,10 @@ from ..bounds import (
 )
 from ..core import (
     ConfigurationError,
-    HessianEstimate,
     NoiseModel,
     draw_noise_block,
     rng_stream,
+    row_norms,
     rowdot,
     sample_hessian,
     hvp_finite_difference,
@@ -55,7 +55,14 @@ from ..problems import (
     make_quartic_bowl,
 )
 from ..schedules import GammaSchedule, StepsizeSchedule, gammas_at, validate_stepsize
-from ..subproblem import exact_trs, kkt_residuals, model_value, radius
+from ..subproblem import (
+    checked_eigh,
+    exact_trs_rows,
+    kkt_residuals,
+    radius,
+    radius_rows,
+    steihaug_cg_rows,
+)
 from .checks import (
     StepContractCounter,
     cost_accounting_ok,
@@ -242,16 +249,12 @@ def suite_radius(quick: bool = False) -> SuiteOutcome:
         {"samples": n_pts, "max_excess": float(np.max(jumps - allowed))},
     ))
 
-    zero_h = HessianEstimate.zero(2)
-    from ..subproblem import steihaug_cg
-
-    sub_ok = True
-    for t in norms[:: max(1, n_pts // 100)]:
-        if t == 0.0:
-            continue
-        d, _ = radius(t, alpha, gamma1, gamma2)
-        step = steihaug_cg(np.array([t, 0.0]), zero_h, d)
-        sub_ok = sub_ok and abs(np.linalg.norm(step.s) - d) <= 1e-12 * max(1.0, d)
+    # one zero-Hessian solve of g = (t, 0) for every hundredth sampled norm t
+    ts = norms[:: max(1, n_pts // 100)]
+    G = np.stack([ts, np.zeros_like(ts)], axis=1)
+    d, _ = radius_rows(ts, alpha, gamma1, gamma2)
+    steps, *_ = steihaug_cg_rows(G, row_norms(G), d, None)
+    sub_ok = bool(np.all(np.abs(row_norms(steps) - d) <= 1e-12 * np.maximum(1.0, d)))
     checks.append(CheckResult("H=0 solver steplength equals the radius", sub_ok, {}))
 
     return checks, None
@@ -382,10 +385,11 @@ def suite_trs_oracle(quick: bool = False) -> SuiteOutcome:
             g, H, delta = random_trs_instance(rng)
         else:
             g, H, delta = hard_case_instance(rng)
-        s, ups = exact_trs(g, H, delta)
-        stat, psd, comp = kkt_residuals(g, H, delta, s, ups)
+        steps, ups, model_dec, _ = exact_trs_rows(
+            g[None], row_norms(g[None]), np.array([delta]), H, checked_eigh(H))
+        s, val = steps[0], -float(model_dec[0])
+        stat, psd, comp = kkt_residuals(g, H, delta, s, float(ups[0]))
         _, ref_val, _ = reference_trs(g, H, delta)
-        val = model_value(g, H, s)
         worst["stationarity"] = max(worst["stationarity"], stat)
         worst["psd"] = max(worst["psd"], -psd)
         worst["complementarity"] = max(worst["complementarity"], comp)
@@ -781,7 +785,7 @@ def suite_oracles(quick: bool = False) -> SuiteOutcome:
         ("geometric", NoiseModel(kind="geometric", m_g=1.0, zeta=0.5), 3, 0.7, 0.25),
     ]
     for label, noise, k, alpha_k, target in cases:
-        # n_draws successive sample_gradient draws on one stream, in one block
+        # n_draws successive gradient draws on one stream, in one block
         variances = np.full(n_draws, noise.gradient_variance(k, alpha_k))
         g = true_g + draw_noise_block(rng_stream(991, 0), variances, small.dim)
         sq_g = rowdot(g, g)

@@ -4,8 +4,11 @@ degenerate step rule), run in lockstep for many runs at once.
 There is one loop, ``run_lanes``: S runs ("lanes") as one (S, n) state.
 ``run_trish``, ``run_trish_first_order`` and ``run_sg`` are one-lane
 runs of it, and ``LaneRun.trajectory`` gives any lane as the
-``Trajectory`` its one-lane run returns.  ``trish_step`` is one TRish
-update on one point, the scalar reference the lane step rules match.
+``Trajectory`` its one-lane run returns.  A TRish step takes the radius
+from each lane's ||g|| and solves every lane's subproblem in one
+row-stacked call of ``steihaug_cg_rows`` or ``exact_trs_rows``; a lane
+with g = 0 stays where it is.  ``tests/reference.py`` writes the same
+iteration out one point at a time, and each lane equals it bit for bit.
 
 Runs are deterministic given a seed: gradient noise and Hessian
 perturbations consume separate named streams, so an SG run and a
@@ -42,14 +45,12 @@ from .core import (
     EvaluationError,
     GRADIENT_STREAM,
     HESSIAN_STREAM,
-    HessianEstimate,
     NoiseModel,
     ProblemOracle,
     draw_noise_block,
     draw_perturbation,
     hessian_cap,
     matvec,
-    norm,
     perturbed_cap,
     rng_stream,
     row_norms,
@@ -58,19 +59,7 @@ from .core import (
 )
 from .problems import MiniBatchSampler
 from .schedules import GammaSchedule, StepsizeSchedule, gammas_at, validate_stepsize
-from .subproblem import (
-    RadiusCase,
-    TRStep,
-    cauchy_point,
-    checked_eigh,
-    exact_trs,
-    exact_trs_rows,
-    model_value,
-    radius,
-    radius_rows,
-    steihaug_cg,
-    steihaug_cg_rows,
-)
+from .subproblem import checked_eigh, exact_trs_rows, radius, radius_rows, steihaug_cg_rows
 
 logger = logging.getLogger(__name__)
 
@@ -166,46 +155,6 @@ class Trajectory:
         if name == "upsilon":
             rows &= (self.config.solver.kind == "exact") & (self.records.g_norm != 0.0)
         return rows
-
-
-def trish_step(
-    x: Array,
-    g: Array,
-    hess: HessianEstimate,
-    alpha: float,
-    gamma1: float,
-    gamma2: float,
-    solver: SolverSpec,
-) -> tuple[Array, TRStep]:
-    """One TRish update: radius from ||g||, subproblem solve, x + s.
-
-    The scalar reference of the lane step rules, which equal it row by
-    row, bit for bit.
-    """
-    g_norm = norm(g)
-    if g_norm == 0.0:
-        # radius rule gives delta = 0; the step degenerates to zero
-        zero = np.zeros_like(x)
-        return x.copy(), TRStep(zero, 0.0, RadiusCase.CASE1, 0.0, 0.0, 0, False)
-    delta, case = radius(g_norm, alpha, gamma1, gamma2)
-    if solver.kind == "steihaug":
-        step = steihaug_cg(g, hess, delta, solver.max_iters, solver.tol, case)
-    else:
-        dense = hess.dense(x.shape[0])
-        s, upsilon = exact_trs(g, dense, delta, solver.tol)
-        step = TRStep(
-            s=s,
-            delta=delta,
-            case=case,
-            model_decrease=-model_value(g, dense, s),
-            cauchy_decrease=-model_value(g, dense, cauchy_point(g, dense, delta)),
-            cg_iterations=0,
-            boundary_hit=bool(upsilon > 0.0 or norm(s) >= delta * (1.0 - 1e-12)),
-            upsilon=float(upsilon),
-            # dense materialization: n products, none for a zero estimate
-            hessian_products=0 if hess.is_zero else x.shape[0],
-        )
-    return x + step.s, step
 
 
 def _initial_record(oracle: ProblemOracle, x: Array) -> tuple:
@@ -560,7 +509,7 @@ def _lane_draw(oracle, source, configs, K, caps, VARIANCE, exact):
         return draw
 
     block = np.zeros((S, LANE_CHUNK, n))
-    drawn = VARIANCE > 0.0  # as sample_gradient: no noise, and no draw, at variance 0
+    drawn = VARIANCE > 0.0  # no noise, and no draw, at variance 0
     every = drawn.all(axis=1).tolist()
     kind = source.hessian_kind
     tau, recap = caps
@@ -605,8 +554,10 @@ def _moved(X, steps, gn):
 
 
 def _trish_lane_step(X, G, gn, TG, hvp, alpha, gamma1, gamma2, solver):
-    """TRish's Steihaug lane step rule, ``trish_step`` on every row: the
-    next iterates, the cost units and the step fields it records."""
+    """TRish's Steihaug lane step rule: the radius from each row's ||g||,
+    one ``steihaug_cg_rows`` solve of every row, and x + s.  Returns the
+    next iterates, the cost units (1 plus the CG iterations, or 1 for
+    the zero estimate) and the step fields it records."""
     delta, case = radius_rows(gn, alpha, gamma1, gamma2)
     steps, model_dec, cauchy_dec, iters = steihaug_cg_rows(
         G, gn, delta, hvp, solver.max_iters, solver.tol)
@@ -616,7 +567,8 @@ def _trish_lane_step(X, G, gn, TG, hvp, alpha, gamma1, gamma2, solver):
 
 
 def _exact_lane_step(constant, products):
-    """TRish's exact-solver lane step rule, ``trish_step`` on every row.
+    """TRish's exact-solver lane step rule: the radius from each row's
+    ||g||, one ``exact_trs_rows`` solve of every row, and x + s.
 
     The rule takes ``dense(i)`` (None: the zero estimate) from the draw.
     It builds the dense H of each running lane with a nonzero gradient,

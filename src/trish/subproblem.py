@@ -3,14 +3,15 @@
 The radius is driven purely by the sampled gradient norm through a
 three-case rule; subproblems are solved either by a capped Steihaug-CG
 iteration (matrix-free, at-least-Cauchy-decrease) or by an exact dense
-solver with a KKT-certifying multiplier.
+solver with a KKT-certifying multiplier.  Both solvers take S
+independent subproblems as row stacks, one per lane of the optimizer
+loop; a single subproblem is a stack of one row.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,9 +20,7 @@ from typing import Callable
 from .core import (
     Array,
     ConfigurationError,
-    HessianEstimate,
     NumericalError,
-    ZeroGradientError,
     libm_pow,
     matvec,
     norm,
@@ -38,29 +37,6 @@ class RadiusCase(enum.IntEnum):
     CASE1 = 1  # ||g|| in [0, 1/gamma1)
     CASE2 = 2  # ||g|| in [1/gamma1, 1/gamma2]
     CASE3 = 3  # ||g|| in (1/gamma2, inf)
-
-
-@dataclass(frozen=True)
-class TRStep:
-    """A computed trust-region step with its diagnostics.
-
-    ``model_decrease`` is -(g's + 0.5 s'Hs) for the returned step;
-    ``cauchy_decrease`` is the same quantity at the Cauchy point, the
-    reference any acceptable step must match or beat.
-    ``hessian_products`` counts only the products consumed by the solver
-    iteration itself (diagnostic re-evaluations are excluded, matching
-    the cost-accounting convention of the optimizer).
-    """
-
-    s: Array
-    delta: float
-    case: RadiusCase | None
-    model_decrease: float
-    cauchy_decrease: float
-    cg_iterations: int
-    boundary_hit: bool
-    upsilon: float | None = None
-    hessian_products: int = 0
 
 
 def radius(g_norm: float, alpha: float, gamma1: float, gamma2: float) -> tuple[float, RadiusCase]:
@@ -97,145 +73,31 @@ def radius_rows(g_norm: Array, alpha, gamma1, gamma2) -> tuple[Array, Array]:
     return delta, case
 
 
-def _apply(hess: HessianEstimate | Array, v: Array) -> Array:
-    if isinstance(hess, HessianEstimate):
-        return hess.apply(v)
-    return np.asarray(hess) @ v
-
-
-def model_value(g: Array, hess: HessianEstimate | Array, s: Array) -> float:
-    """Quadratic model g's + 0.5 s'Hs at the step ``s``."""
-    return float(g @ s + 0.5 * (s @ _apply(hess, s)))
-
-
-def cauchy_point(g: Array, hess: HessianEstimate | Array, delta: float) -> Array:
-    """Minimizer of the model along -g within the radius.
-
-    Interior whenever ``||g||^3 <= delta * g'Hg`` with positive
-    curvature along g; otherwise the boundary point ``-(delta/||g||) g``.
-    """
-    g_norm = norm(g)
-    if g_norm == 0.0:
-        raise ZeroGradientError("Cauchy point undefined for g = 0; caller must short-circuit")
-    if delta <= 0.0:
-        raise ConfigurationError("delta must be positive")
-    gHg = float(g @ _apply(hess, g))
-    if gHg > 0.0 and g_norm**3 <= delta * gHg:
-        return -(g_norm**2 / gHg) * g
-    return -(delta / g_norm) * g
-
-
-def _boundary_tau(s: Array, d: Array, delta: float) -> float:
-    """Positive root of ||s + tau d|| = delta (s strictly inside)."""
-    dd = float(d @ d)
-    sd = float(s @ d)
-    ss = float(s @ s)
-    disc = sd * sd + dd * (delta * delta - ss)
-    root = np.sqrt(max(disc, 0.0))
-    # stable quadratic root: avoid cancellation when sd > 0
-    if sd <= 0.0:
-        return (root - sd) / dd
-    return (delta * delta - ss) / (sd + root)
-
-
 def _boundary_tau_rows(s: Array, d: Array, delta: Array) -> Array:
-    """``_boundary_tau`` row by row, bit for bit."""
+    """Per row, the positive root tau of ||s + tau d|| = delta (s strictly
+    inside), in the stable quadratic form."""
     dd = rowdot(d, d)
     sd = rowdot(s, d)
     ss = rowdot(s, s)
     disc = sd * sd + dd * (delta * delta - ss)
     root = np.sqrt(np.where(disc < 0.0, 0.0, disc))  # max(disc, 0.0), NaN kept
+    # stable quadratic root: avoid cancellation when sd > 0
     return np.where(sd <= 0.0, (root - sd) / dd, (delta * delta - ss) / (sd + root))
+
+
+def _cube(v: float) -> float:
+    """``v ** 3`` in Python floats (libm pow), or NaN where it overflows,
+    which fails the Cauchy test ``||g||^3 <= delta g'Hg``: the Cauchy
+    point of such a gradient is on the boundary."""
+    try:
+        return v**3
+    except OverflowError:
+        return math.nan
 
 
 def _curvature_error(dHd, delta) -> NumericalError:
     return NumericalError(
         f"non-finite curvature d'Hd = {dHd!r} in Steihaug-CG (delta={delta!r})")
-
-
-@np.errstate(over="ignore", invalid="ignore")  # for an overflowing candidate, see below
-def steihaug_cg(
-    g: Array,
-    hess: HessianEstimate,
-    delta: float,
-    max_iters: int = 3,
-    residual_tol: float = 1e-10,
-    case: RadiusCase | None = None,
-) -> TRStep:
-    """Truncated CG on the subproblem, exiting at the boundary on
-    negative curvature or radius crossing.
-
-    The first iterate coincides with the Cauchy point along -g, so the
-    returned step always attains at least Cauchy decrease; subsequent
-    iterations only improve the model.  The iteration cap bounds the
-    per-step cost (one Hessian product per iteration; none at all for a
-    zero Hessian estimate).
-    """
-    if max_iters < 1:
-        raise ConfigurationError("max_iters must be >= 1")
-    if delta <= 0.0:
-        raise ConfigurationError("delta must be positive")
-    g = np.asarray(g, dtype=float)
-    g_norm = norm(g)
-    if g_norm == 0.0:
-        zero = np.zeros_like(g)
-        return TRStep(zero, delta, case, 0.0, 0.0, 0, False)
-
-    if hess.is_zero:
-        # Linear model: steepest descent straight to the boundary.
-        s = -(delta / g_norm) * g
-        dec = delta * g_norm
-        return TRStep(s, delta, case, dec, dec, 1, True, hessian_products=0)
-
-    s = np.zeros_like(g)
-    r = -g
-    d = r.copy()
-    rr = float(r @ r)
-    products = 0
-    iters = 0
-    boundary = False
-    Hg: Array | None = None
-
-    while iters < max_iters:
-        Hd = hess.apply(d)
-        products += 1
-        if iters == 0:
-            Hg = -Hd  # d_0 = -g, so this product doubles as H g
-        dHd = float(d @ Hd)
-        iters += 1
-        if not np.isfinite(dHd):
-            raise _curvature_error(dHd, delta)
-        if dHd <= 0.0:
-            s = s + _boundary_tau(s, d, delta) * d
-            boundary = True
-            break
-        step = rr / dHd
-        s_try = s + step * d
-        # a tiny dHd overflows the candidate (inf, NaN where d is 0): it is outside
-        if not norm(s_try) < delta:
-            s = s + _boundary_tau(s, d, delta) * d
-            boundary = True
-            break
-        s = s_try
-        r = r - step * Hd
-        rr_next = float(r @ r)
-        if np.sqrt(rr_next) <= residual_tol * g_norm:
-            break
-        d = r + (rr_next / rr) * d
-        rr = rr_next
-
-    # Reference decrease at the Cauchy point, reusing the first product:
-    # the Cauchy point is t*g for a scalar t, so its model value only
-    # needs g'Hg.
-    assert Hg is not None
-    gHg = float(g @ Hg)
-    if gHg > 0.0 and g_norm**3 <= delta * gHg:
-        t = -(g_norm**2) / gHg
-    else:
-        t = -delta / g_norm
-    cauchy_dec = -(t * g_norm**2 + 0.5 * t * t * gHg)
-    model_dec = -model_value(g, hess, s)  # diagnostic product, not counted
-    return TRStep(s, delta, case, model_dec, cauchy_dec, iters, boundary, hessian_products=products)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -247,15 +109,28 @@ def steihaug_cg_rows(
     max_iters: int = 3,
     residual_tol: float = 1e-10,
 ) -> tuple[Array, Array, Array, Array]:
-    """``steihaug_cg`` on S independent row-stacked subproblems at once.
+    """Truncated CG on S independent row-stacked subproblems at once,
+    exiting at the boundary on negative curvature or radius crossing.
 
-    ``hvp(rows, V)`` returns the Hessian products of the subproblems
-    listed in ``rows`` with the rows of ``V``; ``None`` is the zero
-    Hessian.  Returns the steps and the per-row model decrease, Cauchy
-    decrease and CG iterations; each row equals the scalar solver's bit
-    for bit (rows with ``g_norm == 0`` get the zero step and zero
-    decreases, as ``trish_step`` gives them).  Hessian products
-    consumed equal the iterations unless ``hvp`` is ``None``.
+    Row i minimizes ``G[i]'s + 0.5 s'H_i s`` over ``||s|| <= delta[i]``
+    (``g_norm`` holds the rows' norms).  The first iterate is the Cauchy
+    point along -g, so every step attains at least Cauchy decrease; later
+    iterations only improve the model.  A row stops after ``max_iters``
+    iterations (the per-step cost bound) or once its residual falls to
+    ``residual_tol * ||g||``.  ``hvp(rows, V)`` returns the Hessian
+    products of the subproblems listed in ``rows`` with the rows of
+    ``V``; ``None`` is the zero Hessian, whose linear model steps
+    straight to the boundary along -g.
+
+    Returns the steps and the per-row model decrease ``-(g's + 0.5
+    s'Hs)``, Cauchy decrease (the same at the Cauchy point) and CG
+    iterations.  Rows with ``g_norm == 0`` get the zero step, zero
+    decreases and no iterations.  Hessian products consumed equal the
+    iterations (none when ``hvp`` is ``None``); the model decrease takes
+    one more, diagnostic product.  A non-finite curvature ``d'Hd`` on a
+    row still iterating raises ``NumericalError``.  Each row is
+    independent of the others: ``tests/reference.py`` holds the
+    one-subproblem solver every row equals bit for bit.
     """
     live = g_norm != 0.0
     if live.all():
@@ -325,7 +200,11 @@ def _steihaug_live_rows(g, gn, dl, rows, hvp, max_iters, residual_tol):
     # Reference decrease at the Cauchy point from the first product.
     gHg = rowdot(g, Hg)
     gn2 = libm_pow(gn, 2)
-    interior = (gHg > 0.0) & (libm_pow(gn, 3) <= dl * gHg)
+    try:
+        cube = libm_pow(gn, 3)
+    except OverflowError:
+        cube = np.array([_cube(v) for v in gn.tolist()])
+    interior = (gHg > 0.0) & (cube <= dl * gHg)
     t = np.where(interior, -gn2 / gHg, -dl / gn)
     cauchy_dec = -(t * gn2 + 0.5 * t * t * gHg)
     model_dec = -(rowdot(g, s) + 0.5 * rowdot(s, hvp(rows, s)))
@@ -347,81 +226,16 @@ def checked_eigh(H: Array) -> tuple[Array, Array]:
         i = int(np.argmax(bad))
         scale, a = float(np.ravel(h_scale)[i]), float(np.ravel(asym)[i])
         if not math.isfinite(scale):
-            raise NumericalError(f"non-finite Hessian entry (max |H| = {scale!r}) in exact_trs")
+            raise NumericalError(f"non-finite Hessian entry (max |H| = {scale!r}) in the exact solver")
         raise ConfigurationError(f"H is not symmetric (max asymmetry {a:.3e})")
     return np.linalg.eigh(H)
 
 
-def exact_trs(g: Array, hess: Array, delta: float, tol: float = 1e-10) -> tuple[Array, float]:
-    """Globally solve the dense trust-region subproblem.
-
-    Eigendecomposition plus a safeguarded Newton iteration on the
-    secular equation ``1/||s(u)|| = 1/delta``; the hard case (gradient
-    orthogonal to the minimal eigenspace) is resolved by adding a
-    null-space component at ``u = -lambda_min`` to reach the boundary.
-
-    Returns the minimizer ``s`` and the multiplier ``u >= 0`` satisfying
-    ``g + (H + u I) s = 0``, ``H + u I`` positive semidefinite and
-    ``u * (delta - ||s||) = 0`` to within ``tol``.  ``exact_trs_rows``
-    solves many subproblems at once, each bit for bit as here.
-
-    Dense path, intended for small dimensions (n <= ~500).
-    """
-    H = np.asarray(hess, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] != g.shape[0]:
-        raise ConfigurationError(f"H must be square and match g, got {H.shape} vs {g.shape}")
-    if delta <= 0.0:
-        raise ConfigurationError("delta must be positive")
-
-    w, Q = checked_eigh(H)
-    ghat = Q.T @ g
-    lam_min = float(w[0])
-    w_scale = max(1.0, float(np.max(np.abs(w))))
-    min_block = w <= lam_min + 1e-12 * w_scale
-    g_norm = norm(g)
-
-    # Interior candidate: Newton step when H is positive definite.  A
-    # tiny lam_min overflows it to inf, which the radius test rejects.
-    if lam_min > 0.0:
-        with np.errstate(over="ignore"):
-            y = -ghat / w
-            y_norm = norm(y)
-        if y_norm <= delta:
-            return Q @ y, 0.0
-
-    lo = max(0.0, -lam_min)
-
-    # Hard case: no component of g in the minimal eigenspace and the
-    # pseudo-inverse solution at u = -lambda_min already fits inside.
-    if norm(ghat[min_block]) <= 1e-12 * g_norm:
-        hard = _hard_case(ghat, w, min_block, delta)
-        if hard is not None:
-            return Q @ hard[0], hard[1]
-
-    # Boundary root of the secular equation on (lo, hi].
-    def dphi_sum(u: float) -> float:
-        return float(np.sum(ghat**2 / (w + u) ** 3))
-
-    hi = lo + g_norm / delta + 1.0
-    lo_br, hi_br = lo, hi
-    ups = 0.5 * (lo_br + hi_br)
-    for _ in range(200):
-        y = -ghat / (w + ups)
-        y_norm = norm(y)
-        if abs(y_norm - delta) <= tol * delta:
-            return Q @ _onto_sphere(y, delta), ups
-        ups, lo_br, hi_br, y_norm, fill = _secular_update(
-            ghat, w, min_block, delta, ups, lo_br, hi_br, y_norm, dphi_sum)
-        if fill is not None:
-            return Q @ fill, ups
-    raise _divergence_error(delta, lo_br, hi_br, y_norm)
-
-
 def _hard_case(ghat: Array, w: Array, min_block: Array, delta: float):
-    """``exact_trs``'s hard case in the eigenbasis: ``(y, u)`` with
-    u = -lambda_min, or None when the pseudo-inverse solution does not
-    fit inside the radius (or H is positive definite)."""
+    """The hard case of one subproblem in H's eigenbasis (g orthogonal to
+    the minimal eigenspace): ``(y, u)`` with u = -lambda_min, or None
+    when the pseudo-inverse solution does not fit inside the radius (or
+    H is positive definite)."""
     lam_min = float(w[0])
     denom = w - lam_min
     y = np.zeros_like(ghat)
@@ -438,7 +252,7 @@ def _hard_case(ghat: Array, w: Array, min_block: Array, delta: float):
 
 
 def _secular_update(ghat, w, min_block, delta, ups, lo_br, hi_br, y_norm, dphi_sum):
-    """One safeguarded Newton update of ``exact_trs``'s secular iteration
+    """One safeguarded Newton update of one subproblem's secular iteration
     after an unmatched norm ``y_norm`` at ``ups``, in Python floats;
     ``dphi_sum(u)`` is ``sum(ghat**2 / (w + u)**3)``.
 
@@ -511,17 +325,32 @@ def exact_trs_rows(
     eig: tuple[Array, Array],
     tol: float = 1e-10,
 ) -> tuple[Array, Array, Array, Array]:
-    """``exact_trs`` on S independent row-stacked subproblems at once.
+    """Globally solve S independent row-stacked dense trust-region
+    subproblems at once.
 
-    ``H`` is one (n, n) matrix every row shares or an (S, n, n) stack,
-    and ``eig`` its ``checked_eigh``: the matching pair, or stacks.
-    Returns the steps, the multipliers, and the model decrease and
-    Cauchy decrease ``trish_step`` records for an exact step.  Each row
-    takes the branches and iterations its scalar solve takes and equals
-    it bit for bit; an error raises the class ``exact_trs`` raises on
-    a failing row.  Rows with ``g_norm == 0`` get the zero step, zero
-    decreases and a NaN multiplier, as ``trish_step`` records them
-    (their matrices are not read, nor is ``H`` if every row is zero).
+    Row i minimizes ``G[i]'s + 0.5 s'H_i s`` over ``||s|| <= delta[i]``
+    (``g_norm`` holds the rows' norms): the Newton step when H_i is
+    positive definite and the step fits, else a safeguarded Newton
+    iteration on the secular equation ``1/||s(u)|| = 1/delta`` in the
+    eigenbasis.  The hard case (gradient orthogonal to the minimal
+    eigenspace) is resolved by adding a null-space component at
+    ``u = -lambda_min`` to reach the boundary.  ``H`` is one (n, n)
+    matrix every row shares or an (S, n, n) stack, and ``eig`` its
+    ``checked_eigh``: the matching pair, or stacks.
+
+    Returns the steps, the multipliers ``u >= 0`` satisfying ``g + (H +
+    u I) s = 0``, ``H + u I`` positive semidefinite and ``u * (delta -
+    ||s||) = 0`` to within ``tol``, the model decrease ``-(g's + 0.5
+    s'Hs)`` and the Cauchy decrease (the same at the Cauchy point along
+    -g).  Rows with ``g_norm == 0`` get the zero step, zero decreases and
+    a NaN multiplier (their matrices are not read, nor is ``H`` if every
+    row is zero).  A nonpositive radius raises ``ConfigurationError``; a
+    radius so small that ``||s(u)||`` or its cube underflows to 0, or a
+    secular iteration that does not converge, raises ``NumericalError``.
+    Each row is independent of the others: ``tests/reference.py`` holds
+    the one-subproblem solver every row equals bit for bit.
+
+    Dense path, intended for small dimensions (n <= ~500).
     """
     live = g_norm != 0.0
     if live.all():
@@ -543,10 +372,10 @@ def _exact_live_rows(G, gn, dl, H, eig, tol):
 
     The O(n) work of each secular sweep (the candidate y(u), its norm
     and the Newton derivative's sum) is one stacked computation over
-    every row; each row still iterating then takes ``exact_trs``'s
-    update in Python floats, and a row leaves the sweeps at the return
-    its scalar solve reaches.  The rare hard and near-hard cases run
-    ``exact_trs``'s own code on their row.
+    every row; each row still iterating then takes its own update
+    (``_secular_update``) in Python floats, and leaves the sweeps once
+    its norm matches the radius or the near-hard fill ends its solve.
+    The rare hard case runs ``_hard_case`` on its row alone.
     """
     gn_, dl_ = gn.tolist(), dl.tolist()
     if any(d <= 0.0 for d in dl_):
@@ -625,10 +454,9 @@ def _exact_live_rows(G, gn, dl, H, eig, tol):
 
     s = matvec(Q, Y)
     model_dec = -(rowdot(G, s) + 0.5 * rowdot(s, matvec(H, s)))
-    # the Cauchy point t g and its model value, as cauchy_point and
-    # model_value compute them (t in Python floats)
+    # the Cauchy point t g (t in Python floats) and its model value
     gHg = rowdot(G, matvec(H, G)).tolist()
-    t = [-(g**2 / c) if c > 0.0 and g**3 <= d * c else -(d / g)
+    t = [-(g**2 / c) if c > 0.0 and _cube(g) <= d * c else -(d / g)
          for g, d, c in zip(gn_, dl_, gHg)]
     c = np.array(t)[:, None] * G
     cauchy_dec = -(rowdot(G, c) + 0.5 * rowdot(c, matvec(H, c)))

@@ -9,10 +9,9 @@ from trish import (
     NoiseModel,
     hvp_finite_difference,
     rng_stream,
-    sample_gradient,
     sample_hessian,
 )
-from trish.core import draw_noise_block, rowdot
+from trish.core import draw_noise_block, rowdot, stacked_dense
 from trish.problems import (
     QuadraticProblem,
     RosenbrockProblem,
@@ -20,6 +19,8 @@ from trish.problems import (
     make_quadratic,
     make_quartic_bowl,
 )
+
+from reference import sample_gradient
 
 
 def diag_quadratic(entries):
@@ -156,11 +157,11 @@ def test_row_stacked_dense_matches_column_loop(family, kind, n, seed, cap):
     noise = NoiseModel(kind="none", hessian_kind=kind, m_h=cap * prob.grad_lipschitz,
                        perturbation=0.3 * prob.grad_lipschitz)
     est = sample_hessian(prob, x, noise, rng_stream(seed, 1))
-    assert est.row_stacked
-    dense = est.dense(n)
+    dense = stacked_dense(est.apply, n)
     expected = column_loop(est, n)
     assert dense.flags.c_contiguous
     assert dense.shape == expected.shape and dense.tobytes() == expected.tobytes()
+    assert est.dense(n).tobytes() == expected.tobytes()
 
 
 class TestDenseMaterialization:
@@ -183,7 +184,7 @@ class TestDenseMaterialization:
         hvp = prob.hvp
         prob.hvp = lambda x, v: calls.append(v.shape) or hvp(x, v)
         noise = NoiseModel(kind="none", hessian_kind="exact-capped", m_h=2.0)
-        sample_hessian(prob, np.ones(7), noise, rng_stream(0, 1)).dense(7)
+        stacked_dense(sample_hessian(prob, np.ones(7), noise, rng_stream(0, 1)).apply, 7)
         assert calls == [(7, 7)]
 
 

@@ -10,7 +10,6 @@ from trish import (
     ConfigurationError,
     EvaluationError,
     GammaSchedule,
-    HessianEstimate,
     MiniBatchSampler,
     NoiseModel,
     NumericalError,
@@ -23,8 +22,6 @@ from trish import (
     run_trish_first_order,
     rng_stream,
     run_lanes,
-    sample_hessian,
-    trish_step,
     validate_stepsize,
 )
 from trish.harness.grid import TUNE_LANES, GridSpec, build_grid, tune
@@ -47,30 +44,32 @@ def quiet_advisory(caplog):
     logging.getLogger("trish.optimizer").setLevel(logging.NOTSET)
 
 
-def solver():
-    return SolverSpec()
-
-
 class TestTrishStep:
+    """One noiseless first-order step of f = 0.5 ||x||^2 from x_0, whose
+    gradient is x_0 itself."""
+
+    @staticmethod
+    def step(x0, gamma1):
+        config = TrishConfig(StepsizeSchedule.constant(0.1),
+                             GammaSchedule.constant(gamma1, 1.0), iterations=1)
+        prob = QuadraticProblem(np.eye(2), np.zeros(2))
+        return run_trish(prob, np.array(x0), config)
+
     def test_zero_gradient_stays_put(self):
-        x = np.array([1.0, 2.0])
-        x_new, step = trish_step(x, np.zeros(2), HessianEstimate.zero(2),
-                                 0.1, 1.0, 1.0, solver())
-        assert np.array_equal(x_new, x)
-        assert step.delta == 0.0 and np.array_equal(step.s, np.zeros(2))
+        traj = self.step([0.0, 0.0], 1.0)
+        assert np.array_equal(traj.final_x, np.zeros(2))
+        assert traj.records.delta[1] == 0.0 and traj.records.step_norm[1] == 0.0
 
     def test_breakpoint_step_is_normalized(self):
         # ||g|| = 1 sits on the closed middle interval: delta = alpha
-        x_new, step = trish_step(np.zeros(2), np.array([1.0, 0.0]),
-                                 HessianEstimate.zero(2), 0.1, 1.0, 1.0, solver())
-        assert np.allclose(x_new, [-0.1, 0.0], atol=1e-15)
-        assert step.case == 2
+        traj = self.step([1.0, 0.0], 1.0)
+        assert np.allclose(traj.final_x, [0.9, 0.0], atol=1e-15)
+        assert traj.records.case[1] == 2 and traj.records.delta[1] == 0.1
 
     def test_small_gradient_case1(self):
-        x_new, step = trish_step(np.zeros(2), np.array([0.05, 0.0]),
-                                 HessianEstimate.zero(2), 0.1, 10.0, 1.0, solver())
-        assert np.allclose(x_new, [-0.05, 0.0], atol=1e-15)
-        assert step.case == 1
+        traj = self.step([0.05, 0.0], 10.0)
+        assert np.allclose(traj.final_x, [0.0, 0.0], atol=1e-15)
+        assert traj.records.case[1] == 1
 
 
 class TestRunTrish:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trish import (
@@ -11,16 +11,14 @@ from trish import (
     HessianEstimate,
     NumericalError,
     StepsizeSchedule,
-    cauchy_point,
-    exact_trs,
     gammas_at,
     kkt_residuals,
-    model_value,
     radius,
-    steihaug_cg,
 )
 from trish.core import libm_pow, row_norms
 from trish.subproblem import checked_eigh, exact_trs_rows, radius_rows, steihaug_cg_rows
+
+from reference import cauchy_point, exact_trs, model_value, solve_row, steihaug_cg
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -74,20 +72,19 @@ def trs_instances(draw):
 def test_steihaug_feasible_and_cauchy(instance):
     g, H, delta = instance
     bound = float(np.max(np.abs(np.linalg.eigvalsh(H))))
-    hess = HessianEstimate(apply=lambda v: H @ v, norm_bound=bound)
-    step = steihaug_cg(g, hess, delta)
-    assert np.linalg.norm(step.s) <= delta * (1 + 1e-12)
-    assert step.model_decrease >= step.cauchy_decrease - 1e-10
+    s, model_dec, cauchy_dec, _ = solve_row(g, H, delta)
+    assert np.linalg.norm(s) <= delta * (1 + 1e-12)
+    assert model_dec >= cauchy_dec - 1e-10
     g_norm = float(np.linalg.norm(g))  # a Python float: a tiny bound gives inf quietly
     ref = min(delta, g_norm / bound) if bound > 0 else delta
-    assert step.model_decrease >= 0.5 * g_norm * ref - 1e-10
+    assert model_dec >= 0.5 * g_norm * ref - 1e-10
 
 
 @settings(max_examples=60, deadline=None)
 @given(trs_instances())
 def test_exact_trs_kkt_certificate(instance):
     g, H, delta = instance
-    s, ups = exact_trs(g, H, delta)
+    s, ups, _, _ = solve_row(g, H, delta, exact=True)
     stat, psd, comp = kkt_residuals(g, H, delta, s, ups)
     assert np.linalg.norm(s) <= delta * (1 + 1e-12)
     assert ups >= 0.0
@@ -100,8 +97,8 @@ def test_exact_trs_kkt_certificate(instance):
 @given(trs_instances(), st.floats(0.1, 10.0, **finite))
 def test_exact_trs_scale_equivariance(instance, c):
     g, H, delta = instance
-    s1, u1 = exact_trs(g, H, delta)
-    s2, u2 = exact_trs(c * g, c * H, delta)
+    s1, u1, _, _ = solve_row(g, H, delta, exact=True)
+    s2, u2, _, _ = solve_row(c * g, c * H, delta, exact=True)
     scale = max(1.0, np.linalg.norm(s1))
     assert np.linalg.norm(s1 - s2) <= 1e-6 * scale
     assert abs(u2 - c * u1) <= 1e-6 * max(1.0, abs(c * u1))
@@ -111,10 +108,7 @@ def test_exact_trs_scale_equivariance(instance, c):
 @given(trs_instances())
 def test_exact_trs_monotone_in_radius(instance):
     g, H, _ = instance
-    values = []
-    for delta in (0.2, 0.4, 0.8, 1.6):
-        s, _ = exact_trs(g, H, delta)
-        values.append(model_value(g, H, s))
+    values = [-solve_row(g, H, delta, exact=True)[2] for delta in (0.2, 0.4, 0.8, 1.6)]
     assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
 
@@ -133,20 +127,22 @@ def test_merging_gap_identity(gamma1, eta, a, b, k):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 40), st.integers(0, 2**32 - 1),
-       st.sampled_from([1, 2, 3, 5]), st.booleans())
-def test_row_solver_matches_scalar_solver(n, rows, seed, cap, curved):
+       st.sampled_from([1, 2, 3, 5]), st.booleans(), st.sampled_from([0.1, 10.0]))
+@example(5, 20, 0, 5, True, 10.0)  # later CG iterations cross the boundary with s'd > 0
+def test_row_solver_matches_scalar_solver(n, rows, seed, cap, curved, alpha):
     # indefinite matrices exercise the negative-curvature exit; a zero row
-    # exercises the zero-gradient short cut
+    # exercises the zero-gradient short cut; at alpha = 0.1 the first CG
+    # step nearly always leaves the radius, at alpha = 10 later ones do
     rng = np.random.default_rng(seed)
     mats = [0.5 * (m + m.T) for m in rng.standard_normal((rows, n, n))]
     G = rng.standard_normal((rows, n))
     G[rng.integers(rows)] *= float(rng.integers(2))
     g_norm = np.array([float(np.linalg.norm(g)) for g in G])
-    delta, case = radius_rows(g_norm, 0.1, 4.0, 0.5)
+    delta, case = radius_rows(g_norm, alpha, 4.0, 0.5)
     hvp = (lambda r, V: np.stack([mats[i] @ v for i, v in zip(r, V)])) if curved else None
     steps, model_dec, cauchy_dec, iters = steihaug_cg_rows(G, g_norm, delta, hvp, cap)
     for i in range(rows):
-        assert (delta[i], case[i]) == radius(g_norm[i], 0.1, 4.0, 0.5)
+        assert (delta[i], case[i]) == radius(g_norm[i], alpha, 4.0, 0.5)
         if g_norm[i] == 0.0:
             assert not steps[i].any() and iters[i] == 0
             continue
@@ -205,9 +201,13 @@ def exact_row_case(rng, w, Q, g, kind):
        st.sampled_from(["definite", "indefinite", "singular"]), st.booleans(),
        st.lists(st.sampled_from(["boundary", "interior", "hard", "near-hard", "zero", "tiny"]),
                 min_size=1, max_size=3))
+# near-hard rows whose secular bracket collapses onto -lambda_min
+@example(6, 20, 1, "indefinite", True, ["near-hard"])
+@example(6, 20, 0, "singular", False, ["near-hard"])
 def test_exact_row_solver_matches_scalar_solver(n, rows, seed, kind, shared, cases):
-    # each row must equal exact_trs, with trish_step's model and Cauchy
-    # decreases, bit for bit, or the stack must raise a class a row raises
+    # each row must equal the reference exact_trs, with the model and
+    # Cauchy decreases of its trish_step, bit for bit, or the stack must
+    # raise a class a row raises
     rng = np.random.default_rng(seed)
     mats = [symmetric_with_spectrum(rng, spectrum(rng, n, kind))
             for _ in range(1 if shared else rows)]

@@ -8,21 +8,22 @@ from trish import (
     HessianEstimate,
     NumericalError,
     RadiusCase,
-    ZeroGradientError,
-    cauchy_point,
-    exact_trs,
     kkt_residuals,
-    model_value,
     radius,
-    steihaug_cg,
 )
 from trish.subproblem import checked_eigh, exact_trs_rows, steihaug_cg_rows
+
+from reference import exact_trs, model_value, solve_row, steihaug_cg
 
 
 def op(matrix):
     matrix = np.asarray(matrix, float)
     return HessianEstimate(apply=lambda v: matrix @ v,
                            norm_bound=float(np.max(np.abs(np.linalg.eigvalsh(matrix)))))
+
+
+def exact_row(g, H, delta, **options):
+    return solve_row(g, H, delta, exact=True, **options)
 
 
 class TestRadius:
@@ -57,89 +58,109 @@ class TestModelValue:
         assert model_value(g, HessianEstimate.zero(2), np.array([-2.0, 0.0])) == pytest.approx(-2.0)
 
 
-def grid_cauchy_oracle(g, hess, delta, n_grid=200_001):
+def grid_cauchy_oracle(g, H, delta, n_grid=200_001):
     """Independent oracle: dense 1-D minimization of the model along -g."""
     g_norm = np.linalg.norm(g)
     ts = np.linspace(0.0, delta, n_grid)
-    gHg = float(g @ hess.apply(g))
+    gHg = float(g @ H @ g)
     values = -ts * g_norm + 0.5 * ts**2 * gHg / g_norm**2
     t_best = ts[np.argmin(values)]
     return -(t_best / g_norm) * g, float(np.min(values))
 
 
 class TestCauchyPoint:
+    """The Cauchy decrease both rows solvers report: the model decrease at
+    the minimizer of the model along -g within the radius."""
+
     def test_interior_case_against_grid_oracle(self):
+        # the Cauchy point is (-1, 0), an interior point of decrease 0.5
         g = np.array([1.0, 0.0])
-        cp = cauchy_point(g, op(np.eye(2)), 10.0)
-        assert np.allclose(cp, [-1.0, 0.0], atol=1e-12)
-        oracle_point, oracle_val = grid_cauchy_oracle(g, op(np.eye(2)), 10.0)
-        assert model_value(g, op(np.eye(2)), cp) <= oracle_val + 1e-9
-        assert np.linalg.norm(cp - oracle_point) <= 10.0 / 200_000 + 1e-12
+        _, oracle_val = grid_cauchy_oracle(g, np.eye(2), 10.0)
+        for cauchy_dec in (solve_row(g, np.eye(2), 10.0)[2], exact_row(g, np.eye(2), 10.0)[-1]):
+            assert cauchy_dec == pytest.approx(0.5, abs=1e-12)
+            assert -cauchy_dec <= oracle_val + 1e-9
 
     def test_no_curvature_hits_boundary(self):
-        cp = cauchy_point(np.array([1.0, 0.0]), HessianEstimate.zero(2), 2.0)
-        assert np.allclose(cp, [-2.0, 0.0])
+        # the Cauchy point (-2, 0) decreases the linear model by 2
+        _, _, cauchy_dec, _ = solve_row(np.array([1.0, 0.0]), None, 2.0)
+        assert cauchy_dec == pytest.approx(2.0)
+        assert exact_row(np.array([1.0, 0.0]), np.zeros((2, 2)), 2.0)[-1] == pytest.approx(2.0)
 
     def test_negative_curvature_hits_boundary(self):
-        cp = cauchy_point(np.array([1.0, 0.0]), op(np.diag([-1.0, 1.0])), 1.0)
-        assert np.allclose(cp, [-1.0, 0.0])
+        # the Cauchy point (-1, 0): 1 - 0.5
+        H = np.diag([-1.0, 1.0])
+        assert solve_row(np.array([1.0, 0.0]), H, 1.0)[2] == pytest.approx(1.5)
+        assert exact_row(np.array([1.0, 0.0]), H, 1.0)[-1] == pytest.approx(1.5)
 
-    def test_zero_gradient_signals(self):
-        with pytest.raises(ZeroGradientError):
-            cauchy_point(np.zeros(2), op(np.eye(2)), 1.0)
+    def test_overflowing_cube_hits_boundary(self):
+        # ||g||^3 overflows a float for ||g|| above about 5.6e102: the test
+        # ||g||^3 <= delta g'Hg then fails, and the Cauchy point is -g/||g||
+        g = 1e103 * np.ones(3)
+        g_norm = np.linalg.norm(g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            steihaug = solve_row(g, np.eye(3), 1.0)
+            exact = exact_row(g, np.eye(3), 1.0)
+            ref = steihaug_cg(g, op(np.eye(3)), 1.0)
+        for s, cauchy_dec in ((steihaug[0], steihaug[2]), (exact[0], exact[-1])):
+            assert np.all(np.isfinite(s)) and np.linalg.norm(s) <= 1.0 + 1e-12
+            assert cauchy_dec == pytest.approx(g_norm - 0.5, rel=1e-15)
+        assert steihaug[0].tobytes() == ref.s.tobytes() and steihaug[2] == ref.cauchy_decrease
 
 
-def boundary_scan_oracle(g, hess, delta, n_grid=100_000):
+def boundary_scan_oracle(g, H, delta, n_grid=100_000):
     """Independent oracle: dense scan of the model over the 2-D boundary."""
     phis = np.linspace(0.0, 2 * np.pi, n_grid, endpoint=False)
     best = np.inf
     for phi in phis:
         s = delta * np.array([np.cos(phi), np.sin(phi)])
-        best = min(best, model_value(g, hess, s))
+        best = min(best, model_value(g, H, s))
     return best
 
 
 class TestSteihaugCG:
     def test_linear_model_steepest_descent_to_boundary(self):
-        step = steihaug_cg(np.array([1.0, 0.0]), HessianEstimate.zero(2), 2.0,
-                           max_iters=3, residual_tol=1e-10)
-        assert np.allclose(step.s, [-2.0, 0.0])
-        assert step.boundary_hit and step.cg_iterations == 1
+        s, _, _, iters = solve_row(np.array([1.0, 0.0]), None, 2.0,
+                                   max_iters=3, residual_tol=1e-10)
+        assert np.allclose(s, [-2.0, 0.0])
+        assert np.linalg.norm(s) == 2.0 and iters == 1
 
     def test_zero_norm_bound_takes_the_linear_model_step(self):
-        calls = []
-        hess = HessianEstimate(lambda v: calls.append(1) or 0.0 * v, 0.0)
-        step = steihaug_cg(np.array([3.0, 4.0]), hess, 2.0)
-        assert np.allclose(step.s, [-1.2, -1.6])
-        assert step.hessian_products == 0 and not calls
+        # the zero estimate is no hvp at all: no product can be taken
+        s, model_dec, cauchy_dec, iters = solve_row(np.array([3.0, 4.0]), None, 2.0)
+        assert np.allclose(s, [-1.2, -1.6])
+        assert model_dec == cauchy_dec == 10.0 and iters == 1
 
     def test_interior_newton_point(self):
-        step = steihaug_cg(np.array([3.0, 4.0]), op(np.eye(2)), 10.0)
-        assert np.allclose(step.s, [-3.0, -4.0], atol=1e-12)  # -inv(H) g
-        assert not step.boundary_hit
+        s, *_ = solve_row(np.array([3.0, 4.0]), np.eye(2), 10.0)
+        assert np.allclose(s, [-3.0, -4.0], atol=1e-12)  # -inv(H) g
+        assert np.linalg.norm(s) < 10.0
 
     def test_negative_curvature_exit_matches_boundary_oracle(self):
         g = np.array([1.0, 0.0])
-        hess = op(np.diag([-1.0, 1.0]))
-        step = steihaug_cg(g, hess, 1.0)
-        assert np.allclose(step.s, [-1.0, 0.0])
-        assert step.boundary_hit
-        oracle_min = boundary_scan_oracle(g, hess, 1.0)
-        assert model_value(g, hess, step.s) <= oracle_min + 1e-8
+        H = np.diag([-1.0, 1.0])
+        s, model_dec, _, _ = solve_row(g, H, 1.0)
+        assert np.allclose(s, [-1.0, 0.0])
+        assert np.linalg.norm(s) == pytest.approx(1.0, rel=1e-15)
+        oracle_min = boundary_scan_oracle(g, H, 1.0)
+        assert -model_dec <= oracle_min + 1e-8
 
     def test_zero_gradient_returns_zero_step(self):
-        step = steihaug_cg(np.zeros(3), op(np.eye(3)), 1.0)
-        assert np.array_equal(step.s, np.zeros(3))
-        assert step.model_decrease == 0.0
+        s, model_dec, _, iters = solve_row(np.zeros(3), np.eye(3), 1.0)
+        assert np.array_equal(s, np.zeros(3))
+        assert model_dec == 0.0 and iters == 0
 
     def test_iteration_cap_respected(self):
+        # one product per CG iteration, and one more for the model decrease
         rng = np.random.default_rng(0)
         A = rng.standard_normal((8, 8))
-        hess = op(A @ A.T + np.eye(8))
+        H = A @ A.T + np.eye(8)
         g = rng.standard_normal(8)
-        step = steihaug_cg(g, hess, 100.0, max_iters=3)
-        assert step.cg_iterations <= 3
-        assert step.hessian_products <= 3
+        calls = []
+        hvp = lambda rows, V: calls.append(1) or V @ H  # noqa: E731
+        *_, iters = solve_row(g, hvp, 100.0, max_iters=3)
+        assert iters <= 3
+        assert len(calls) <= 3 + 1
 
     def test_cauchy_contract_on_random_instances(self):
         rng = np.random.default_rng(7)
@@ -147,26 +168,26 @@ class TestSteihaugCG:
             n = int(rng.integers(2, 8))
             eigs = rng.uniform(-2.0, 3.0, n)
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            hess = op((q * eigs) @ q.T)
+            H = (q * eigs) @ q.T
             g = rng.standard_normal(n)
             delta = float(rng.uniform(0.05, 2.0))
-            step = steihaug_cg(g, hess, delta)
-            assert np.linalg.norm(step.s) <= delta * (1 + 1e-12)
-            assert step.model_decrease >= step.cauchy_decrease - 1e-10
-            bound = 0.5 * np.linalg.norm(g) * min(
-                delta, np.linalg.norm(g) / hess.norm_bound)
-            assert step.model_decrease >= bound - 1e-10
+            s, model_dec, cauchy_dec, _ = solve_row(g, H, delta)
+            assert np.linalg.norm(s) <= delta * (1 + 1e-12)
+            assert model_dec >= cauchy_dec - 1e-10
+            norm_bound = np.max(np.abs(np.linalg.eigvalsh(H)))
+            bound = 0.5 * np.linalg.norm(g) * min(delta, np.linalg.norm(g) / norm_bound)
+            assert model_dec >= bound - 1e-10
 
 
 class TestExactTRS:
     def test_interior_newton_step(self):
-        s, ups = exact_trs(np.array([3.0, 4.0]), np.eye(2), 10.0)
+        s, ups, _, _ = exact_row(np.array([3.0, 4.0]), np.eye(2), 10.0)
         assert np.allclose(s, [-3.0, -4.0], atol=1e-12)
         assert ups == 0.0
 
     def test_boundary_isotropic_multiplier(self):
         # isotropic H: ups = ||g||/delta - 1
-        s, ups = exact_trs(np.array([3.0, 4.0]), np.eye(2), 1.0)
+        s, ups, _, _ = exact_row(np.array([3.0, 4.0]), np.eye(2), 1.0)
         assert np.allclose(s, [-0.6, -0.8], atol=1e-10)
         assert ups == pytest.approx(4.0, abs=1e-9)
 
@@ -175,12 +196,19 @@ class TestExactTRS:
         # ||s(u)|| (or its cube) underflows to 0 in the secular iteration;
         # the solve used to die there with a ZeroDivisionError
         with pytest.raises(NumericalError, match="underflowed"):
-            exact_trs(np.array([3.0, 4.0]), np.diag([1.0, 2.0]), delta)
+            exact_row(np.array([3.0, 4.0]), np.diag([1.0, 2.0]), delta)
 
     def test_hard_case_zero_gradient(self):
-        s, ups = exact_trs(np.zeros(2), np.diag([-1.0, 2.0]), 1.0)
+        # g = 0 takes no solve: the zero step, zero decreases, a NaN multiplier
+        H = np.diag([-1.0, 2.0])
+        s, ups, model_dec, cauchy_dec = exact_row(np.zeros(2), H, 1.0)
+        assert not s.any() and np.isnan(ups) and model_dec == cauchy_dec == 0.0
+        # g orthogonal to the minimal eigenvector: the pseudo-inverse step
+        # (0, -1/3) filled to the boundary along e_1, at u = -lambda_min
+        s, ups, _, _ = exact_row(np.array([0.0, 1.0]), H, 1.0)
         assert ups == pytest.approx(1.0)
-        assert abs(abs(s[0]) - 1.0) <= 1e-12 and abs(s[1]) <= 1e-12
+        assert abs(abs(s[0]) - np.sqrt(8.0 / 9.0)) <= 1e-12
+        assert abs(s[1] + 1.0 / 3.0) <= 1e-12
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_raises_at_once(self, bad):
@@ -189,7 +217,7 @@ class TestExactTRS:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=r"non-finite Hessian entry \(max \|H\| = "):
-                exact_trs(np.ones(3), H, 1.0)
+                exact_row(np.ones(3), H, 1.0)
 
     def test_tiny_positive_eigenvalue_rejects_the_interior_step_quietly(self):
         # 1 / 1e-320 overflows: the interior candidate is infinite, which
@@ -198,7 +226,7 @@ class TestExactTRS:
         g = np.ones(3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s, ups = exact_trs(g, H, 1.0)
+            s, ups, _, _ = exact_row(g, H, 1.0)
         assert np.linalg.norm(s) == pytest.approx(1.0, rel=1e-12)
         assert ups > 0.0
         stationarity, psd, complementarity = kkt_residuals(g, H, 1.0, s, ups)
@@ -207,37 +235,33 @@ class TestExactTRS:
     def test_asymmetric_input_rejected(self):
         H = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ConfigurationError):
-            exact_trs(np.array([1.0, 1.0]), H, 1.0)
+            exact_row(np.array([1.0, 1.0]), H, 1.0)
 
     def test_checks_reject_bad_radius_matrix_and_shapes(self):
+        # the (n, n) shape of H comes from the lane step that builds it
         g, H = np.array([0.3, -1.0, 0.4]), np.diag([-1.0, 0.5, 2.0])
         with pytest.raises(ConfigurationError, match="delta must be positive"):
-            exact_trs(g, H, 0.0)
+            exact_row(g, H, 0.0)
         with pytest.raises(ConfigurationError, match="delta must be positive"):
             exact_trs_rows(np.stack([g, g]), np.full(2, np.linalg.norm(g)),
                            np.array([1.0, 0.0]), H, checked_eigh(H))
         with pytest.raises(ConfigurationError, match="not symmetric"):
-            exact_trs(g, H + np.triu(np.ones((3, 3)), 1), 1.0)
-        with pytest.raises(ConfigurationError, match="must be square"):
-            exact_trs(g[:2], H, 1.0)
+            exact_row(g, H + np.triu(np.ones((3, 3)), 1), 1.0)
 
     def test_monotone_objective_in_radius(self):
         rng = np.random.default_rng(3)
         H = np.diag([-1.0, 0.5, 2.0])
         g = rng.standard_normal(3)
-        values = []
-        for delta in (0.25, 0.5, 1.0, 2.0, 4.0):
-            s, _ = exact_trs(g, H, delta)
-            values.append(model_value(g, H, s))
+        values = [-exact_row(g, H, delta)[2] for delta in (0.25, 0.5, 1.0, 2.0, 4.0)]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(4)
         H = np.diag([-1.0, 1.5, 3.0])
         g = rng.standard_normal(3)
-        s1, u1 = exact_trs(g, H, 0.7)
+        s1, u1, _, _ = exact_row(g, H, 0.7)
         c = 5.0
-        s2, u2 = exact_trs(c * g, c * H, 0.7)
+        s2, u2, _, _ = exact_row(c * g, c * H, 0.7)
         assert np.allclose(s1, s2, atol=1e-9)
         assert u2 == pytest.approx(c * u1, rel=1e-8, abs=1e-9)
 
@@ -258,7 +282,7 @@ class TestExactTRS:
             y = np.zeros(n)
             y[1:] = -ghat[1:] / (eigs[1:] - eigs[0])
             delta = float(np.linalg.norm(y) * rng.uniform(1.1, 2.5) + 0.05)
-            s, ups = exact_trs(g, H, delta)
+            s, ups, _, _ = exact_row(g, H, delta)
             stat, psd, comp = kkt_residuals(g, H, delta, s, ups)
             assert stat <= 1e-8 and psd >= -1e-8 and comp <= 1e-8
             assert np.linalg.norm(s) <= delta * (1 + 1e-12)
@@ -291,14 +315,13 @@ class TestExactTRS:
             y = np.zeros(n)
             y[m:] = -ghat[m:] / (eigs[m:] - eigs[0])
             delta = float(np.linalg.norm(y) * rng.uniform(1.1, 2.5) + 0.05)
-            s, ups = exact_trs(g, H, delta)
+            s, ups, _, _ = exact_row(g, H, delta)
             stat, psd, comp = kkt_residuals(g, H, delta, s, ups)
             assert stat <= 1e-8 and psd >= -1e-8 and comp <= 1e-8
             assert np.linalg.norm(s) <= delta * (1 + 1e-12)
-            # the rows solver on a shared decomposition gives the same bits
-            s_rows, ups_rows, _, _ = exact_trs_rows(
-                g[None], np.array([np.linalg.norm(g)]), np.array([delta]), H, checked_eigh(H))
-            assert s_rows[0].tobytes() == s.tobytes() and ups_rows[0] == ups
+            # the one-point reference solver gives the same bits
+            s_ref, ups_ref = exact_trs(g, H, delta)
+            assert s.tobytes() == s_ref.tobytes() and ups == ups_ref
 
 
 class TestCheckedEigh:
@@ -321,7 +344,7 @@ class TestCheckedEigh:
         bad = self.H.copy()
         bad[0, 1] = {"nan": np.nan, "inf": np.inf, "asymmetric": 1e-6}[defect]
         with pytest.raises(error, match=match):
-            exact_trs(np.ones(3), bad, 1.0)
+            exact_row(np.ones(3), bad, 1.0)
         with pytest.raises(error, match=match):
             checked_eigh(np.stack([self.H, bad, self.H]))
 
@@ -358,28 +381,26 @@ class TestNonFiniteCurvature:
     def test_overflowing_candidate_crosses_the_boundary_quietly(self, H, g):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            step = steihaug_cg(g, op(H), 1.0)
-            rows, *_ = steihaug_cg_rows(g[None], np.linalg.norm(g)[None], np.ones(1),
-                                        lambda r, V: V @ H)
-        assert step.boundary_hit and step.cg_iterations == 1
-        assert np.allclose(step.s, -g / np.linalg.norm(g), rtol=1e-15, atol=0.0)
-        assert rows[0].tobytes() == step.s.tobytes()
+            s, _, _, iters = solve_row(g, H, 1.0)
+            ref = steihaug_cg(g, op(H), 1.0)
+        assert np.linalg.norm(s) == pytest.approx(1.0, rel=1e-15) and iters == 1
+        assert np.allclose(s, -g / np.linalg.norm(g), rtol=1e-15, atol=0.0)
+        assert ref.boundary_hit and s.tobytes() == ref.s.tobytes()
 
     def test_nan_hessian_product_raises(self):
-        nan_op = HessianEstimate(apply=lambda v: np.full_like(v, np.nan), norm_bound=1.0)
         with pytest.raises(NumericalError, match="curvature"):
-            steihaug_cg(np.array([1.0, 2.0]), nan_op, 0.5)
+            solve_row(np.array([1.0, 2.0]), lambda rows, V: np.full_like(V, np.nan), 0.5)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_inf_hessian_product_raises_on_later_iteration(self):
         calls = []
 
-        def apply(v):
+        def hvp(rows, V):
             calls.append(1)
-            return np.array([1.0, 2.0, 3.0]) * v if len(calls) == 1 else np.full_like(v, np.inf)
+            return np.array([1.0, 2.0, 3.0]) * V if len(calls) == 1 else np.full_like(V, np.inf)
 
         with pytest.raises(NumericalError):
-            steihaug_cg(np.array([1.0, 2.0, 0.5]), HessianEstimate(apply, 3.0), 10.0)
+            solve_row(np.array([1.0, 2.0, 0.5]), hvp, 10.0)
         assert len(calls) == 2
 
     def test_row_solver_raises_too(self):
