@@ -200,10 +200,7 @@ def _steihaug_live_rows(g, gn, dl, rows, hvp, max_iters, residual_tol):
     # Reference decrease at the Cauchy point from the first product.
     gHg = rowdot(g, Hg)
     gn2 = libm_pow(gn, 2)
-    try:
-        cube = libm_pow(gn, 3)
-    except OverflowError:
-        cube = np.array([_cube(v) for v in gn.tolist()])
+    cube = np.array([_cube(v) for v in gn.tolist()])
     interior = (gHg > 0.0) & (cube <= dl * gHg)
     t = np.where(interior, -gn2 / gHg, -dl / gn)
     cauchy_dec = -(t * gn2 + 0.5 * t * t * gHg)

@@ -35,7 +35,7 @@ from trish import (
     rng_stream,
     sample_hessian,
 )
-from trish.core import GRADIENT_STREAM, HESSIAN_STREAM, matvec, norm, row_norms, stacked_dense
+from trish.core import GRADIENT_STREAM, HESSIAN_STREAM, matvec, norm, row_norms
 from trish.optimizer import DIVERGENCE_MARGIN, TRACE_DTYPE, Trajectory
 from trish.subproblem import checked_eigh, exact_trs_rows, steihaug_cg_rows
 
@@ -293,12 +293,10 @@ def _onto_sphere(y, delta):
     return y if y_norm == 0.0 else y * (delta / y_norm)
 
 
-def trish_step(x, g, hess, alpha, gamma1, gamma2, solver, stacked=False):
+def trish_step(x, g, hess, alpha, gamma1, gamma2, solver):
     """One TRish update: radius from ||g||, subproblem solve, x + s.
 
-    The exact solver builds H column by column with ``hess.dense``, or,
-    with ``stacked``, from one product on the identity rows
-    (``stacked_dense``), as the lanes build a noise model's estimate.
+    The exact solver builds H column by column with ``hess.dense``.
     """
     g_norm = norm(g)
     if g_norm == 0.0:
@@ -310,7 +308,7 @@ def trish_step(x, g, hess, alpha, gamma1, gamma2, solver, stacked=False):
         step = steihaug_cg(g, hess, delta, solver.max_iters, solver.tol, case)
     else:
         n = x.shape[0]
-        dense = stacked_dense(hess.apply, n) if stacked and not hess.is_zero else hess.dense(n)
+        dense = hess.dense(n)
         s, upsilon = exact_trs(g, dense, delta, solver.tol)
         step = TRStep(
             s=s,
@@ -402,8 +400,7 @@ def reference_run(problem, x0, config, algorithm="trish"):
                    "hess_bound": 0.0}
         else:
             gamma1, gamma2 = gammas_at(config.gammas, config.stepsizes, k)
-            x_new, s = trish_step(x, g, hess, alpha, gamma1, gamma2, config.solver,
-                                  stacked=not sampled)
+            x_new, s = trish_step(x, g, hess, alpha, gamma1, gamma2, config.solver)
             cost += 1 + s.hessian_products
             row = {"g_norm": g_norm, "delta": s.delta, "case": s.case,
                    "model_dec": s.model_decrease, "cauchy_dec": s.cauchy_decrease,

@@ -7,8 +7,10 @@ from trish import (
     ConfigurationError,
     HessianEstimate,
     NoiseModel,
+    StepsizeSchedule,
     hvp_finite_difference,
     rng_stream,
+    run_sg,
     sample_hessian,
 )
 from trish.core import draw_noise_block, rowdot, stacked_dense
@@ -29,11 +31,13 @@ def diag_quadratic(entries):
 
 
 def test_zero_noise_returns_exact_gradient():
+    # without noise the loop steps along the true gradient: x1 = x0 - alpha grad(x0)
     prob = diag_quadratic([1.0, 4.0])
     x = np.array([0.7, -1.3])
-    g = sample_gradient(prob, x, NoiseModel(kind="none"), k=1, alpha_k=0.1,
-                        rng=rng_stream(0, 0))
-    assert np.array_equal(g, prob.grad(x))
+    traj = run_sg(prob, x, StepsizeSchedule.constant(0.1), NoiseModel(kind="none"), 1, 0)
+    g = prob.grad(x)
+    assert traj.column("g_norm")[1] == np.linalg.norm(g)
+    assert traj.column("f")[1] == prob.value(x - 0.1 * g)
 
 
 def test_bounded_noise_per_coordinate_std_and_variance():

@@ -244,7 +244,7 @@ class TestExactDecompositionReuse:
     @pytest.mark.parametrize("defect,error", [("nan", NumericalError),
                                               ("asymmetric", ConfigurationError)])
     def test_defective_hessian_ends_the_run(self, defect, error):
-        # the checks exact_trs makes run on each lane's matrix, before eigh
+        # checked_eigh's checks run on each lane's matrix, before eigh
         prob = make_quadratic(4, 1.0, 10.0, seed=2)
         bad = prob.A.copy()
         bad[0, 1] = np.nan if defect == "nan" else bad[0, 1] + 1e-3

@@ -160,7 +160,7 @@ class TestSteihaugCG:
         hvp = lambda rows, V: calls.append(1) or V @ H  # noqa: E731
         *_, iters = solve_row(g, hvp, 100.0, max_iters=3)
         assert iters <= 3
-        assert len(calls) <= 3 + 1
+        assert len(calls) == iters + 1
 
     def test_cauchy_contract_on_random_instances(self):
         rng = np.random.default_rng(7)
