@@ -24,11 +24,12 @@ logger = logging.getLogger(__name__)
 
 BASELINE_STEPSIZE = 0.1
 # Lanes per lockstep run of ``tune``.  At N = 2000 data rows the full-data
-# f and grad f of S lanes make (S, N) float temporaries, 128 KB each at
-# S = 8; beyond 8 lanes they outgrow a core's L2 share.  The tune runs of
-# the tune-logistic benchmark (inputs 5, 9 and 12, CPU time, best of 5,
+# f of S lanes makes (S, N) float temporaries, 128 KB each at S = 8;
+# beyond 8 lanes they outgrow a core's L2 share.  The tune runs of the
+# tune-logistic benchmark (inputs 5, 9 and 12, CPU time, best of 5,
 # 2-vCPU Xeon) ran 1.5-1.9x as fast as scalar runs at 4 lanes,
-# 1.8-2.5x at 8, 1.7-2.2x at 16 and 1.6-2.1x at 32.
+# 1.8-2.5x at 8, 1.7-2.2x at 16 and 1.6-2.1x at 32, measured with the
+# lanes evaluating the full-data grad f as well.
 TUNE_LANES = 8
 
 
@@ -143,6 +144,9 @@ def tune(
     Each (setting, seed) pair is one run, and the runs go as lockstep
     lanes (``run_lanes``), ``TUNE_LANES`` at a time, each bit for bit
     its one-lane run, drawing from ``noise`` or ``sampler`` (see ``_source``).
+    Only each lane's final iterate and abort reason are read, so the
+    lanes run with ``true_grad=False``: under a sampler they skip the
+    diagnostic full-data gradient.
 
     Diverged runs score +inf; ties break toward the smaller stepsize,
     then the smaller gamma1, then the larger gamma2, so the result does
@@ -172,7 +176,8 @@ def tune(
 
     ends = []
     for start in range(0, len(configs), TUNE_LANES):
-        lanes = run_lanes(problem, x0, configs[start:start + TUNE_LANES], algorithm)
+        lanes = run_lanes(problem, x0, configs[start:start + TUNE_LANES], algorithm,
+                          true_grad=False)
         ends += zip(lanes.aborted, lanes.final_x)
 
     def final_loss(aborted, x) -> float:

@@ -113,6 +113,8 @@ TRACE_DTYPE = np.dtype([(name, np.float64) for name in (
     "alpha", "gamma1", "gamma2", "step_norm", "hess_bound", "noise_step_dot",
 )])
 STEP_FIELDS = TRACE_DTYPE.names[5:]
+# the fields read from the true gradient; a sampler run may skip it (``run_lanes``)
+TRUE_GRAD_FIELDS = ("grad_norm_true", "noise_step_dot")
 # the step fields an SG step records; its hess_bound is 0, the zero estimate
 SG_FIELDS = ("g_norm", "alpha", "step_norm", "hess_bound")
 
@@ -126,7 +128,9 @@ class Trajectory:
     ``config`` holds the seed, schedules, solver and estimate source
     (``noise``) the run used (for SG, the ``TrishConfig`` it equals; see
     ``run_sg``); the ``hess_bound`` column records the bound of each
-    estimate it stepped with.
+    estimate it stepped with.  ``true_grad`` is False when the run
+    skipped the true gradient, so its ``TRUE_GRAD_FIELDS`` are NaN and
+    not recorded.
     """
 
     algorithm: str
@@ -134,6 +138,7 @@ class Trajectory:
     records: np.recarray
     final_x: Array
     aborted: str | None = None
+    true_grad: bool = True
 
     def column(self, name: str) -> np.ndarray:
         return self.records[name]
@@ -143,10 +148,13 @@ class Trajectory:
 
         Decided by the recording rules, not by NaN, since a recorded
         value may itself be NaN on a diverging run: step fields are not
-        recorded on row 0, SG steps record only ``SG_FIELDS``, and
-        ``upsilon`` comes only from exact solves (nonzero g).
+        recorded on row 0, SG steps record only ``SG_FIELDS``,
+        ``upsilon`` comes only from exact solves (nonzero g), and a run
+        without the true gradient records no ``TRUE_GRAD_FIELDS``.
         """
         n = len(self.records)
+        if not self.true_grad and name in TRUE_GRAD_FIELDS:
+            return np.zeros(n, dtype=bool)
         if name not in STEP_FIELDS:
             return np.ones(n, dtype=bool)
         if self.algorithm == "sg" and name not in SG_FIELDS:
@@ -157,10 +165,10 @@ class Trajectory:
         return rows
 
 
-def _initial_record(oracle: ProblemOracle, x: Array) -> tuple:
-    """f and the true gradient at the lanes' x_0 stack, for the trace's
-    row 0, which is not a step."""
-    return oracle.value(x), oracle.grad(x)
+def _initial_record(oracle: ProblemOracle, x: Array, true_grad: bool) -> tuple:
+    """f and the true gradient (None without ``true_grad``) at the lanes'
+    x_0 stack, for the trace's row 0, which is not a step."""
+    return oracle.value(x), oracle.grad(x) if true_grad else None
 
 
 def _precondition_violated(k: int, alpha: float, enforce: bool) -> None:
@@ -267,7 +275,8 @@ class LaneRun:
     lane's rows too; ``g_norm`` and ``delta`` are NaN there.
     ``wall_ns`` is the lockstep time, the nanoseconds from the start of
     the run to the end of each row: one read-only (K+1,) table broadcast
-    over the lanes, NaN after the last row any lane ran.
+    over the lanes, NaN after the last row any lane ran.  ``true_grad``
+    is False when the run skipped the true gradient (see ``run_lanes``).
     """
 
     algorithm: str
@@ -276,6 +285,7 @@ class LaneRun:
     rows: np.ndarray
     final_x: Array
     aborted: list[str | None]
+    true_grad: bool
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
@@ -294,7 +304,7 @@ class LaneRun:
         for name in TRACE_DTYPE.names[1:]:
             records[name] = self.columns[name][:rows, i]
         return Trajectory(self.algorithm, config, records.view(np.recarray),
-                          self.final_x[i].copy(), self.aborted[i])
+                          self.final_x[i].copy(), self.aborted[i], self.true_grad)
 
 
 def run_lanes(
@@ -303,6 +313,8 @@ def run_lanes(
     configs: Iterable[TrishConfig],
     algorithm: str = "trish",
     on_iterate=None,
+    *,
+    true_grad: bool = True,
 ) -> LaneRun:
     """Run every config in lockstep, one lane per config, as one (S, n) state.
 
@@ -330,6 +342,16 @@ def run_lanes(
     run.  ``x0`` is one point, shape (n,), or one row per lane, shape
     (S, n); ``on_iterate(k, X)`` is the runners' hook (see the module
     docstring).
+
+    The true gradient of f at every iterate fills the ``grad_norm_true``
+    and ``noise_step_dot`` columns.  Under a ``MiniBatchSampler`` source
+    nothing else reads it, and ``true_grad=False`` skips it: the run
+    makes no ``oracle.grad`` call, those two columns hold NaN on every
+    row (``LaneRun.true_grad`` is False, so ``Trajectory.recorded`` says
+    they are not recorded), and every other column, the iterates, the
+    row counts and the abort reasons are bit for bit the default run's.
+    Under a ``NoiseModel`` source the estimates are formed from the true
+    gradient (g = grad f + noise), and ``true_grad`` changes nothing.
     """
     configs = list(configs)
     if not configs:
@@ -345,6 +367,7 @@ def run_lanes(
     if algorithm != "trish":
         source = _zero_hessian(source)
     sampled = isinstance(source, MiniBatchSampler)
+    true_grad = true_grad or not sampled
     S, n = len(configs), oracle.dim
     x0 = np.asarray(x0, dtype=float)
     if x0.shape not in ((n,), (S, n)):
@@ -406,10 +429,11 @@ def run_lanes(
     cols = {name: np.full((K + 1, S), np.nan) for name in LANE_COLUMNS}
     wall = np.full(K + 1, np.nan)
     t0 = time.perf_counter_ns()
-    F0, TG = _initial_record(oracle, X)
+    F0, TG = _initial_record(oracle, X, true_grad)
     wall[0] = time.perf_counter_ns() - t0
     cols["f"][0] = F0
-    cols["grad_norm_true"][0] = row_norms(TG)
+    if true_grad:
+        cols["grad_norm_true"][0] = row_norms(TG)
     cols["cost_units"][0] = 0.0
     draw = _lane_draw(oracle, source, configs, K, (tau, recap), VARIANCE, exact)
     if exact:
@@ -442,14 +466,14 @@ def run_lanes(
                                         GAMMA2[k, at], solver)
             cost += units
             F = oracle.value(X_new)
-            TG_new = oracle.grad(X_new)
-
-            row = {"f": F, "grad_norm_true": row_norms(TG_new), "g_norm": gn,
-                   "cost_units": cost, **fields}
+            row = {"f": F, "g_norm": gn, "cost_units": cost, **fields}
+            if true_grad:
+                TG = oracle.grad(X_new)
+                row["grad_norm_true"] = row_norms(TG)
             for name, value in row.items():
                 cols[name][k, at] = value
             wall[k] = time.perf_counter_ns() - t0
-            X, TG = X_new, TG_new
+            X = X_new
             if on_iterate is not None:
                 final_x[at] = X
                 on_iterate(k, final_x)
@@ -462,7 +486,9 @@ def run_lanes(
                                        f"(f={float(F[i])!r})")
                     rows[ids[i]] = k + 1
                 keep = ~stop
-                ids, X, TG, F0, cost = (v[keep] for v in (ids, X, TG, F0, cost))
+                ids, X, F0, cost = (v[keep] for v in (ids, X, F0, cost))
+                if true_grad:
+                    TG = TG[keep]
                 at = ids
                 if ids.size == 0:
                     break
@@ -471,12 +497,13 @@ def run_lanes(
     for name, table in zip(SCHEDULE_COLUMNS, (ALPHA, GAMMA1, GAMMA2, BOUND)):
         cols[name] = table
     cols["wall_ns"] = np.broadcast_to(wall[:, None], (K + 1, S))
-    return LaneRun(algorithm, configs, cols, rows, final_x, aborted)
+    return LaneRun(algorithm, configs, cols, rows, final_x, aborted, true_grad)
 
 
 def _lane_draw(oracle, source, configs, K, caps, VARIANCE, exact):
     """The lanes' draw ``(k, ids, at, X, TG) -> (G, hess)`` for the running
-    lanes ``ids`` (columns ``at``) at iterates X with true gradients TG.
+    lanes ``ids`` (columns ``at``) at iterates X with true gradients TG
+    (which a sampler does not read).
 
     Every ``LANE_CHUNK`` iterations each running lane draws its next
     block of gradient noise or mini-batch rows from its gradient stream;
@@ -553,6 +580,12 @@ def _moved(X, steps, gn):
     return X_new
 
 
+def _noise_step_dot(TG, G, steps):
+    """(grad f - g)'s per row, or NaN when the run skipped the true gradient
+    (TG is None)."""
+    return np.nan if TG is None else rowdot(TG - G, steps)
+
+
 def _trish_lane_step(X, G, gn, TG, hvp, alpha, gamma1, gamma2, solver):
     """TRish's Steihaug lane step rule: the radius from each row's ||g||,
     one ``steihaug_cg_rows`` solve of every row, and x + s.  Returns the
@@ -563,7 +596,8 @@ def _trish_lane_step(X, G, gn, TG, hvp, alpha, gamma1, gamma2, solver):
         G, gn, delta, hvp, solver.max_iters, solver.tol)
     return _moved(X, steps, gn), 1 + iters if hvp is not None else 1, {
         "delta": delta, "case": case, "model_dec": model_dec, "cauchy_dec": cauchy_dec,
-        "cg_iters": iters, "step_norm": row_norms(steps), "noise_step_dot": rowdot(TG - G, steps)}
+        "cg_iters": iters, "step_norm": row_norms(steps),
+        "noise_step_dot": _noise_step_dot(TG, G, steps)}
 
 
 def _exact_lane_step(constant, products):
@@ -602,7 +636,7 @@ def _exact_lane_step(constant, products):
         return _moved(X, steps, gn), 1 + np.where(live, products, 0), {
             "delta": delta, "case": case, "model_dec": model_dec, "cauchy_dec": cauchy_dec,
             "cg_iters": 0.0, "upsilon": upsilon, "step_norm": row_norms(steps),
-            "noise_step_dot": rowdot(TG - G, steps)}
+            "noise_step_dot": _noise_step_dot(TG, G, steps)}
 
     return step
 

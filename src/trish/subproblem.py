@@ -95,6 +95,17 @@ def _cube(v: float) -> float:
         return math.nan
 
 
+def _check_gradient_norms(g_norm: Array) -> None:
+    """Raise ``NumericalError`` on a non-finite ||g||: a NaN gradient, or
+    one whose norm overflows.  Such a row is live (it is not 0), and no
+    solve of it is meaningful."""
+    finite = np.isfinite(g_norm)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NumericalError(f"non-finite gradient norm ||g|| = {float(g_norm[i])!r} "
+                             f"in row {i} of the subproblems")
+
+
 def _curvature_error(dHd, delta) -> NumericalError:
     return NumericalError(
         f"non-finite curvature d'Hd = {dHd!r} in Steihaug-CG (delta={delta!r})")
@@ -127,11 +138,13 @@ def steihaug_cg_rows(
     iterations.  Rows with ``g_norm == 0`` get the zero step, zero
     decreases and no iterations.  Hessian products consumed equal the
     iterations (none when ``hvp`` is ``None``); the model decrease takes
-    one more, diagnostic product.  A non-finite curvature ``d'Hd`` on a
-    row still iterating raises ``NumericalError``.  Each row is
+    one more, diagnostic product.  A non-finite ``g_norm`` raises
+    ``NumericalError`` before any product, and so does a non-finite
+    curvature ``d'Hd`` on a row still iterating.  Each row is
     independent of the others: ``tests/reference.py`` holds the
     one-subproblem solver every row equals bit for bit.
     """
+    _check_gradient_norms(g_norm)
     live = g_norm != 0.0
     if live.all():
         return _steihaug_live_rows(G, g_norm, delta, np.arange(G.shape[0]), hvp,
@@ -342,13 +355,15 @@ def exact_trs_rows(
     -g).  Rows with ``g_norm == 0`` get the zero step, zero decreases and
     a NaN multiplier (their matrices are not read, nor is ``H`` if every
     row is zero).  A nonpositive radius raises ``ConfigurationError``; a
-    radius so small that ``||s(u)||`` or its cube underflows to 0, or a
-    secular iteration that does not converge, raises ``NumericalError``.
+    non-finite ``g_norm``, a radius so small that ``||s(u)||`` or its
+    cube underflows to 0, or a secular iteration that does not converge,
+    raises ``NumericalError``.
     Each row is independent of the others: ``tests/reference.py`` holds
     the one-subproblem solver every row equals bit for bit.
 
     Dense path, intended for small dimensions (n <= ~500).
     """
+    _check_gradient_norms(g_norm)
     live = g_norm != 0.0
     if live.all():
         return _exact_live_rows(G, g_norm, delta, H, eig, tol)

@@ -133,6 +133,8 @@ def steihaug_cg(g, hess, delta, max_iters=3, residual_tol=1e-10, case=None):
     g_norm = norm(g)
     if g_norm == 0.0:
         return TRStep(np.zeros_like(g), delta, case, 0.0, 0.0, 0, False)
+    if not math.isfinite(g_norm):
+        raise NumericalError(f"non-finite gradient norm ||g|| = {g_norm!r}")
 
     if hess.is_zero:
         # Linear model: steepest descent straight to the boundary.
@@ -207,11 +209,13 @@ def exact_trs(g, hess, delta, tol=1e-10):
         raise ConfigurationError("delta must be positive")
 
     w, Q = checked_eigh(H)
+    g_norm = norm(g)
+    if not math.isfinite(g_norm):
+        raise NumericalError(f"non-finite gradient norm ||g|| = {g_norm!r}")
     ghat = Q.T @ g
     lam_min = float(w[0])
     w_scale = max(1.0, float(np.max(np.abs(w))))
     min_block = w <= lam_min + 1e-12 * w_scale
-    g_norm = norm(g)
 
     # Interior candidate: Newton step when H is positive definite.  A
     # tiny lam_min overflows it to inf, which the radius test rejects.

@@ -25,8 +25,10 @@ from trish import (
     validate_stepsize,
 )
 from trish.harness.grid import TUNE_LANES, GridSpec, build_grid, tune
-from trish.optimizer import LANE_CHUNK, SCHEDULE_COLUMNS, TRACE_DTYPE
+from trish.harness.experiment import write_trace_csv
+from trish.optimizer import LANE_CHUNK, SCHEDULE_COLUMNS, TRACE_DTYPE, TRUE_GRAD_FIELDS
 from trish.problems import (
+    LogisticProblem,
     QuadraticProblem,
     RosenbrockProblem,
     make_logistic,
@@ -401,15 +403,18 @@ class TestGradientOncePerIteration:
             run_sg(oracle, np.ones(4), StepsizeSchedule.constant(0.01), noise, 25, seed=3)
         assert oracle.grad_calls == 1 + 25  # the initial point plus one per iteration
 
-    def test_lane_tune_one_gradient_per_chunk_and_iterate(self):
+    def test_lane_tune_makes_no_full_gradient_call(self):
+        # tune reads no column of the true gradient: a sampler's lanes skip
+        # it, and a noise model's draws take it once per iterate
         problem = make_logistic(200, 4, l2=0.01, seed=2)
-        oracle = CountingOracle(problem)
         grid = build_grid(1.0, GridSpec((-1.0, 0.0), (1.0, 2.0), (1.0, 3.0)))  # 8 settings
         seeds, iterations = [0, 1], 15
-        tune(oracle, "trish", grid, seeds, iterations,
-             sampler=MiniBatchSampler(problem, 10, hessian=True))
         assert len(grid.trish_settings) * len(seeds) == 2 * TUNE_LANES  # two lane runs
-        assert oracle.grad_calls == 2 * (1 + iterations)  # row 0 plus one per iterate
+        for source, calls in ((MiniBatchSampler(problem, 10, hessian=True), 0),
+                              (NoiseModel(kind="bounded", m_g=1.0), 2 * (1 + iterations))):
+            oracle = CountingOracle(problem)
+            tune(oracle, "trish", grid, seeds, iterations, noise=source)
+            assert oracle.grad_calls == calls  # row 0 plus one per iterate, per lane run
 
 
 # --- lockstep lanes against the reference loop ----------------------------
@@ -670,6 +675,79 @@ class TestLanes:
         lanes = run_lanes(prob, np.zeros(3), configs)
         assert list(lanes.column("alpha")[1]) == [0.01, 0.02, 0.01]
         assert not lanes.column("alpha").flags.writeable
+
+
+class TestSkippedTrueGradient:
+    """``run_lanes(..., true_grad=False)`` skips the full-data gradient of
+    a sampler run and changes nothing but its two columns."""
+
+    @pytest.mark.parametrize("algorithm, hessian, solver", [
+        ("trish", False, "steihaug"), ("trish", True, "steihaug"), ("trish", False, "exact"),
+        ("trish", True, "exact"), ("trish1", True, "steihaug"), ("sg", False, "steihaug")])
+    def test_sampler_lanes_skip_only_the_true_gradient(self, monkeypatch, algorithm, hessian,
+                                                       solver):
+        # lane 1 diverges mid-run, inside the first LANE_CHUNK block of draws
+        prob = make_logistic(60, 4, l2=0.01, seed=3)
+        sampler = MiniBatchSampler(prob, 5, hessian=hessian, m_h=1e-9)
+        configs = [TrishConfig(StepsizeSchedule.constant(alpha), GammaSchedule.constant(4.0, 1.0),
+                               LANE_CHUNK + 30, seed=seed, solver=SolverSpec(kind=solver),
+                               noise=sampler)
+                   for alpha, seed in ((0.1, 0), (1e3, 1), (0.5, 2))]
+        full = run_lanes(prob, np.zeros(4), configs, algorithm)
+        calls, grad = [], LogisticProblem.grad
+        monkeypatch.setattr(LogisticProblem, "grad",
+                            lambda self, x: calls.append(x) or grad(self, x))
+        lanes = run_lanes(prob, np.zeros(4), configs, algorithm, true_grad=False)
+        assert calls == []
+        assert [r is None for r in lanes.aborted] == [True, False, True]
+        assert 1 < lanes.rows[1] < LANE_CHUNK
+        assert (lanes.aborted, lanes.rows.tolist()) == (full.aborted, full.rows.tolist())
+        assert lanes.final_x.tobytes() == full.final_x.tobytes()
+        for name in TRACE_DTYPE.names[1:]:
+            if name in TRUE_GRAD_FIELDS:
+                assert np.all(np.isnan(lanes.column(name))), name
+            elif name != "wall_ns":
+                assert lanes.column(name).tobytes() == full.column(name).tobytes(), name
+        assert (full.true_grad, lanes.true_grad) == (True, False)
+        for i in range(len(configs)):
+            traj, ref = lanes.trajectory(i), full.trajectory(i)
+            assert not traj.true_grad
+            for name in TRACE_DTYPE.names:
+                expected = np.zeros(len(ref.records), bool) if name in TRUE_GRAD_FIELDS else (
+                    ref.recorded(name))
+                assert np.array_equal(traj.recorded(name), expected), name
+
+    def test_csv_leaves_the_skipped_columns_empty(self, tmp_path):
+        prob = make_logistic(60, 4, l2=0.01, seed=3)
+        config = TrishConfig(StepsizeSchedule.constant(0.1), GammaSchedule.constant(4.0, 1.0),
+                             5, noise=MiniBatchSampler(prob, 5, hessian=True))
+        tables = []
+        for true_grad in (True, False):
+            path = tmp_path / f"{true_grad}.csv"
+            write_trace_csv(run_lanes(prob, np.zeros(4), [config],
+                                      true_grad=true_grad).trajectory(0), path)
+            tables.append([line.split(",") for line in path.read_text().splitlines()])
+        full, skipped = tables
+        column = full[0].index("grad_norm_true")
+        assert [row[column] for row in skipped[1:]] == [""] * 6
+        assert all(cell not in ("", "nan") for cell in (row[column] for row in full[1:]))
+        wall = full[0].index("wall_ns")
+        for a, b in zip(full, skipped):
+            assert [v for j, v in enumerate(a) if j not in (column, wall)] == [
+                v for j, v in enumerate(b) if j not in (column, wall)]
+
+    def test_noise_model_lanes_ignore_the_flag(self):
+        # the estimates are grad f + noise; seeds 1 and 6 diverge (see TestLanes)
+        config = TrishConfig(StepsizeSchedule.constant(0.006), GammaSchedule.constant(1.0, 1.0),
+                             60, noise=NoiseModel(kind="bounded", m_g=300.0))
+        configs = [replace(config, seed=seed) for seed in range(8)]
+        full, lanes = (run_lanes(RosenbrockProblem(4), np.zeros(4), configs, true_grad=flag)
+                       for flag in (True, False))
+        assert lanes.true_grad and lanes.rows.tolist() == full.rows.tolist()
+        assert lanes.aborted == full.aborted and lanes.final_x.tobytes() == full.final_x.tobytes()
+        for name in TRACE_DTYPE.names[1:]:
+            if name != "wall_ns":
+                assert lanes.column(name).tobytes() == full.column(name).tobytes(), name
 
 
 def test_index_block_equals_successive_draws():

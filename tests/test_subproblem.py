@@ -11,6 +11,7 @@ from trish import (
     kkt_residuals,
     radius,
 )
+from trish.core import matvec
 from trish.subproblem import checked_eigh, exact_trs_rows, steihaug_cg_rows
 
 from reference import exact_trs, model_value, solve_row, steihaug_cg
@@ -402,6 +403,23 @@ class TestNonFiniteCurvature:
         with pytest.raises(NumericalError):
             solve_row(np.array([1.0, 2.0, 0.5]), hvp, 10.0)
         assert len(calls) == 2
+
+    # ||g|| overflows to inf (the norm is taken outside the solvers)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_overflowing_gradient_norm_raises_before_any_product(self, exact):
+        g, H = np.array([1e160, 0.0]), 1e-300 * np.eye(2)
+        calls = []
+
+        def hvp(rows, V):
+            calls.append(rows)
+            return matvec(H, V)
+
+        with pytest.raises(NumericalError, match=r"gradient norm \|\|g\|\| = inf in row 0"):
+            solve_row(g, H if exact else hvp, 1.0, exact=exact)
+        assert calls == []
+        with pytest.raises(NumericalError, match="gradient norm"):
+            exact_trs(g, H, 1.0) if exact else steihaug_cg(g, op(H), 1.0)
 
     def test_row_solver_raises_too(self):
         G = np.array([[1.0, 2.0], [0.5, -1.0]])
