@@ -41,12 +41,7 @@ def _sigmoid_given(t: Array, e: Array) -> Array:
 
 
 def _curvature(t: Array) -> Array:
-    return _curvature_given(t, np.exp(-np.abs(t)))
-
-
-def _curvature_given(t: Array, e: Array) -> Array:
-    # sigma'(t) from e = exp(-|t|)
-    sig = _sigmoid_given(t, e)
+    sig = _sigmoid(t)
     return sig * (1.0 - sig)
 
 
@@ -175,10 +170,9 @@ class LogisticProblem:
         """Margins m = y * (X @ x) and e = exp(-|m|), the one pass over the data.
 
         The loop asks for f and then grad f at each iterate (or lane
-        stack), and a solver for Hessian products there, so a one-entry
-        memo keyed on x's dtype, shape and bytes lets the later calls
-        reuse the first one's pass.  A hit returns what a miss would
-        compute.
+        stack), so a one-entry memo keyed on x's dtype, shape and bytes
+        lets the second call reuse the first one's pass.  A hit returns
+        what a miss would compute.
         """
         key = (x.dtype.char, x.shape, x.tobytes())
         memo = self._memo
@@ -198,11 +192,8 @@ class LogisticProblem:
         return self._batch_grad(x, self.X, self.y, _sigmoid_given(-m, e))
 
     def hvp(self, x: Array, v: Array) -> Array:
-        # one curvature pass serves every row of v (a dense build's identity).
-        # With y = +-1, y * m is X @ x exactly and exp(-|m|) its e, so this
-        # is _curvature(X @ x) bit for bit, from the memoized margins.
-        m, e = self._margins(x)
-        return self._batch_hvp(_curvature_given(self.y * m, e), v, self.X)
+        # one curvature pass serves every row of v (a dense build's identity)
+        return self._batch_hvp(_curvature(matvec(self.X, x)), v, self.X)
 
     # The rows X below are the data, one (B, dim) mini-batch, or an
     # (S, B, dim) stack of them with one batch per row of x.

@@ -95,15 +95,23 @@ def _cube(v: float) -> float:
         return math.nan
 
 
-def _check_gradient_norms(g_norm: Array) -> None:
-    """Raise ``NumericalError`` on a non-finite ||g||: a NaN gradient, or
-    one whose norm overflows.  Such a row is live (it is not 0), and no
-    solve of it is meaningful."""
-    finite = np.isfinite(g_norm)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise NumericalError(f"non-finite gradient norm ||g|| = {float(g_norm[i])!r} "
-                             f"in row {i} of the subproblems")
+def _all_rows_live(g_norm: Array) -> bool:
+    """Whether no row has ``g_norm == 0``, raising ``NumericalError`` on
+    a non-finite ||g||: a NaN gradient, or one whose norm overflows.
+    Such a row is live (it is not 0), and no solve of it is meaningful.
+
+    Both tests run on the norms as Python floats, which at lane counts
+    costs a fraction of one NumPy call.  A sum of norms is finite only
+    if every norm is; a finite sum that overflows falls through to the
+    row test, which passes it."""
+    norms = g_norm.tolist()
+    if not math.isfinite(sum(norms)):
+        finite = np.isfinite(g_norm)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise NumericalError(f"non-finite gradient norm ||g|| = {norms[i]!r} "
+                                 f"in row {i} of the subproblems")
+    return 0.0 not in norms
 
 
 def _curvature_error(dHd, delta) -> NumericalError:
@@ -144,13 +152,11 @@ def steihaug_cg_rows(
     independent of the others: ``tests/reference.py`` holds the
     one-subproblem solver every row equals bit for bit.
     """
-    _check_gradient_norms(g_norm)
-    live = g_norm != 0.0
-    if live.all():
+    if _all_rows_live(g_norm):
         return _steihaug_live_rows(G, g_norm, delta, np.arange(G.shape[0]), hvp,
                                    max_iters, residual_tol)
     # the zero-gradient rows keep zeros; the others are solved as one stack
-    rows = np.flatnonzero(live)
+    rows = np.flatnonzero(g_norm)
     out = (np.zeros_like(G), np.zeros(G.shape[0]), np.zeros(G.shape[0]),
            np.zeros(G.shape[0], dtype=np.int64))
     if rows.size:
@@ -363,11 +369,9 @@ def exact_trs_rows(
 
     Dense path, intended for small dimensions (n <= ~500).
     """
-    _check_gradient_norms(g_norm)
-    live = g_norm != 0.0
-    if live.all():
+    if _all_rows_live(g_norm):
         return _exact_live_rows(G, g_norm, delta, H, eig, tol)
-    rows = np.flatnonzero(live)
+    rows = np.flatnonzero(g_norm)
     S = G.shape[0]
     out = (np.zeros_like(G), np.full(S, np.nan), np.zeros(S), np.zeros(S))
     if rows.size:

@@ -20,14 +20,13 @@ from trish import (
     make_quartic_bowl,
     run_trish,
 )
-from trish.core import matvec, rng_stream
+from trish.core import rng_stream
 from trish.problems import (
     LogisticProblem,
     MiniBatchSampler,
     QuadraticProblem,
     QuarticBowlProblem,
     RosenbrockProblem,
-    _curvature,
     _sigmoid,
     make_quartic_bowl,
 )
@@ -184,7 +183,7 @@ class TestLogisticKernels:
 
 
 class TestMarginMemo:
-    """value, grad and hvp share a one-entry margin memo; every call must
+    """value and grad share a one-entry margin memo; every call must
     return what a problem with an empty memo returns."""
 
     @staticmethod
@@ -221,25 +220,6 @@ class TestMarginMemo:
         prob.value(zeros)
         self.assert_fresh(prob, negative_zeros)
         self.assert_fresh(prob, zeros)
-
-    @pytest.mark.parametrize("lanes", [None, 1, 4])
-    def test_hvp_reads_the_memo_bit_for_bit(self, lanes):
-        """hvp takes sigma'(X @ x) from the memoized margins, on a hit
-        (after value) and on a miss (a fresh problem, or another point
-        memoized last), for one point or a row stack."""
-        rng = np.random.default_rng(lanes or 0)
-        shape = (LOGI.dim,) if lanes is None else (lanes, LOGI.dim)
-        x, other = 3.0 * rng.standard_normal(shape), rng.standard_normal(shape)
-        vectors = [rng.standard_normal(shape)]
-        if lanes is None:
-            vectors.append(np.eye(LOGI.dim))  # a dense build's stacked identity
-        for v in vectors:
-            expected = LOGI._batch_hvp(_curvature(matvec(LOGI.X, x)), v, LOGI.X).tobytes()
-            hit, moved = fresh_logistic(), fresh_logistic()
-            hit.value(x)
-            moved.value(other)
-            for prob in (fresh_logistic(), hit, moved, hit):
-                assert prob.hvp(x, v).tobytes() == expected
 
     def test_runs_identical_without_memo_hits(self):
         """A run whose value and grad go to two separate problems never

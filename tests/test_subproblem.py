@@ -421,6 +421,19 @@ class TestNonFiniteCurvature:
         with pytest.raises(NumericalError, match="gradient norm"):
             exact_trs(g, H, 1.0) if exact else steihaug_cg(g, op(H), 1.0)
 
+    def test_gradient_norm_check_names_the_row(self):
+        """Finite norms whose sum overflows pass the check; a NaN norm
+        on a later row is reported with its row by both solvers."""
+        G, H, delta = np.array([[1e308, 0.0], [0.0, -1e308]]), np.eye(2), np.ones(2)
+        g_norm = np.array([1e308, 1e308])
+        s, *_ = steihaug_cg_rows(G, g_norm, delta, None)
+        np.testing.assert_allclose(np.linalg.norm(s, axis=1), delta)
+        g_norm[1] = np.nan
+        with pytest.raises(NumericalError, match=r"= nan in row 1"):
+            steihaug_cg_rows(G, g_norm, delta, None)
+        with pytest.raises(NumericalError, match=r"= nan in row 1"):
+            exact_trs_rows(G, g_norm, delta, H, checked_eigh(H))
+
     def test_row_solver_raises_too(self):
         G = np.array([[1.0, 2.0], [0.5, -1.0]])
         with pytest.raises(NumericalError, match="curvature"):
