@@ -11,13 +11,11 @@ convergence envelope the library claims.
 from .core import (
     ConfigurationError,
     EvaluationError,
-    HessianEstimate,
     NoiseModel,
     NumericalError,
     ProblemOracle,
     hvp_finite_difference,
     rng_stream,
-    sample_hessian,
 )
 from .subproblem import (
     RadiusCase,

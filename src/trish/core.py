@@ -39,6 +39,15 @@ class NumericalError(RuntimeError):
     """An iterative numerical routine failed to converge."""
 
 
+def require_finite(**values: float | None) -> None:
+    """Raise ``ConfigurationError`` naming the first of ``values`` that is
+    NaN or infinite (None passes).  Range checks alone let NaN through,
+    since every comparison with it is False."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value!r}")
+
+
 def rng_stream(seed: int, purpose: int) -> np.random.Generator:
     """Named, seeded RNG stream for a (run, purpose) pair."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(purpose,)))
@@ -146,6 +155,7 @@ class NoiseModel:
             raise ConfigurationError(f"unknown gradient noise kind {self.kind!r}")
         if self.hessian_kind not in HESSIAN_KINDS:
             raise ConfigurationError(f"unknown hessian kind {self.hessian_kind!r}")
+        require_finite(m_g=self.m_g, m_h=self.m_h, perturbation=self.perturbation)
         if self.kind != "none" and self.m_g < 0:
             raise ConfigurationError("m_g must be nonnegative")
         if self.kind == "geometric" and not 0.0 < self.zeta < 1.0:
@@ -162,35 +172,6 @@ class NoiseModel:
         if self.kind == "stepwise":
             return self.m_g * alpha_k
         return self.m_g * self.zeta ** (k - 1)
-
-
-@dataclass(frozen=True)
-class HessianEstimate:
-    """Symmetric linear operator with a certified operator-norm bound."""
-
-    apply: Callable[[Array], Array]
-    norm_bound: float
-
-    @property
-    def is_zero(self) -> bool:
-        """A certified norm bound of 0 makes this the zero operator, so
-        solvers skip its products (first-order runs cost no Hessian
-        products)."""
-        return self.norm_bound == 0.0
-
-    @staticmethod
-    def zero(dim: int) -> "HessianEstimate":
-        return HessianEstimate(apply=lambda v: np.zeros(dim), norm_bound=0.0)
-
-    def dense(self, dim: int) -> Array:
-        """Materialize the operator (small dims only) as a C-ordered matrix
-        whose column j is ``apply(e_j)``: no product for the zero
-        operator, else one product per column (``stacked_dense`` builds
-        the same matrix from one product of a row-stacked ``apply``)."""
-        if self.is_zero:
-            return np.zeros((dim, dim))
-        eye = _identity(dim)
-        return np.column_stack([self.apply(eye[:, j]) for j in range(dim)])
 
 
 def stacked_dense(apply: Callable[[Array], Array], dim: int) -> Array:
@@ -234,35 +215,44 @@ def hessian_cap(oracle: ProblemOracle, noise: NoiseModel) -> float:
     return min(1.0, noise.m_h / oracle.grad_lipschitz)
 
 
-def sample_hessian(
-    oracle: ProblemOracle,
-    x: Array,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-) -> HessianEstimate:
-    """Hessian estimate whose certified norm bound never exceeds ``m_h``.
+def hessian_estimate(oracle: ProblemOracle, noise: NoiseModel,
+                     seeds: list[int]) -> tuple[Callable, float]:
+    """A noise model's Hessian estimate in row-stacked product form, and
+    its certified bound, which never exceeds ``m_h``.
 
-    A nonzero estimate's ``apply`` also maps an (m, n) stack of vectors
-    row by row, as the oracle's ``hvp`` does."""
+    Returns ``(at, bound)``.  ``at(X, lanes)`` draws the estimates at the
+    rows of the (S, n) stack X, row i that of lane ``lanes[i]``, and
+    returns ``hvp(r, V)``: the products of the estimates of the rows
+    ``r`` (an index array) with the matching rows of V, or of row ``r``
+    (one int) with every row of V.  It returns None for the zero
+    estimate, whose bound is 0.  ``exact-capped`` scales the true
+    Hessian by ``hessian_cap``; ``perturbed`` adds a symmetric
+    perturbation of operator norm ``perturbation``, drawn at every call
+    from the Hessian stream of lane j's seed ``seeds[j]``, and re-caps
+    the sum by min{1, m_h / (tau L_g + perturbation)}.
+    """
     if noise.hessian_kind == "zero":
-        return HessianEstimate.zero(oracle.dim)
+        return (lambda X, lanes: None), 0.0
     tau = hessian_cap(oracle, noise)
     if noise.hessian_kind == "exact-capped":
-        return HessianEstimate(
-            apply=lambda v: tau * oracle.hvp(x, v),
-            norm_bound=tau * oracle.grad_lipschitz,
-        )
+        def capped(X, lanes):
+            return lambda r, V: tau * oracle.hvp(X[r], V)
 
-    # perturbed: one symmetric perturbation per estimate, fixed across applies
-    pert = draw_perturbation(rng, oracle.dim, noise.perturbation)
-    recap, bound = perturbed_cap(oracle, noise)
-    return HessianEstimate(
-        apply=lambda v: recap * (tau * oracle.hvp(x, v) + matvec(pert, v)),
-        norm_bound=bound,
-    )
+        return capped, tau * oracle.grad_lipschitz
+
+    n, scale = oracle.dim, noise.perturbation
+    raw_bound = tau * oracle.grad_lipschitz + scale
+    recap = min(1.0, noise.m_h / raw_bound)
+    streams = [rng_stream(seed, HESSIAN_STREAM) for seed in seeds]
+
+    def perturbed(X, lanes):
+        P = np.stack([_perturbation(streams[lane], n, scale) for lane in lanes])
+        return lambda r, V: recap * (tau * oracle.hvp(X[r], V) + matvec(P[r], V))
+
+    return perturbed, recap * raw_bound
 
 
-def draw_perturbation(rng: np.random.Generator, dim: int, scale: float) -> Array:
+def _perturbation(rng: np.random.Generator, dim: int, scale: float) -> Array:
     """The symmetric (dim, dim) perturbation of operator norm ``scale`` that
     one perturbed estimate draws from its Hessian stream (zero when
     ``scale`` or the draw's norm is 0; the draw is made either way)."""
@@ -272,14 +262,6 @@ def draw_perturbation(rng: np.random.Generator, dim: int, scale: float) -> Array
     if sym_norm > 0.0 and scale > 0.0:
         return (scale / sym_norm) * sym
     return np.zeros((dim, dim))
-
-
-def perturbed_cap(oracle: ProblemOracle, noise: NoiseModel) -> tuple[float, float]:
-    """The factor min{1, m_h / (tau L_g + perturbation)} that re-caps a
-    perturbed estimate, and the certified bound of the re-capped estimate."""
-    raw_bound = hessian_cap(oracle, noise) * oracle.grad_lipschitz + noise.perturbation
-    recap = min(1.0, noise.m_h / raw_bound)
-    return recap, recap * raw_bound
 
 
 def hvp_finite_difference(

@@ -20,7 +20,8 @@ each iteration, model re-evaluation in the solver) are excluded.
 A run draws every estimate from one source, ``TrishConfig.noise`` (a
 ``NoiseModel`` on the oracle or a ``MiniBatchSampler``), which its
 ``Trajectory.config`` carries.  First-order TRish and SG turn its Hessian
-estimate off (``_zero_hessian``); a zero estimate has ``norm_bound`` 0.
+estimate off (``_zero_hessian``); the zero estimate has bound 0 and costs
+no products.
 
 Every runner takes ``on_iterate(k, x)``, called with the iterate at
 k = 0 and after every recorded iteration, including the last row of a
@@ -44,14 +45,10 @@ from .core import (
     ConfigurationError,
     EvaluationError,
     GRADIENT_STREAM,
-    HESSIAN_STREAM,
     NoiseModel,
     ProblemOracle,
     draw_noise_block,
-    draw_perturbation,
-    hessian_cap,
-    matvec,
-    perturbed_cap,
+    hessian_estimate,
     rng_stream,
     row_norms,
     rowdot,
@@ -377,17 +374,14 @@ def run_lanes(
     if not np.all(np.isfinite(X)):
         raise ConfigurationError("initial point must be finite")
 
-    # The estimate's certified bound and, for synthetic noise, its caps:
-    # tau scales the true Hessian, recap a perturbed estimate.
-    tau = recap = bound = 0.0
+    # The estimate's certified bound and a noise model's estimate itself
+    # (a sampler forms its own in ``draw_rows``).
+    estimate, bound = None, 0.0
     if K > 0:
         if sampled:
             bound = source.norm_bound
-        elif source.hessian_kind != "zero":
-            tau = hessian_cap(oracle, source)
-            recap, bound = (perturbed_cap(oracle, source) if source.hessian_kind == "perturbed"
-                            else (1.0, tau * oracle.grad_lipschitz))
-    exact = algorithm != "sg" and solver.kind == "exact"
+        else:
+            estimate, bound = hessian_estimate(oracle, source, [c.seed for c in configs])
 
     # (K+1, S) schedule tables indexed by k (NaN in row 0, as in the
     # trace), one column per distinct schedule pair spread over its lanes,
@@ -435,8 +429,8 @@ def run_lanes(
     if true_grad:
         cols["grad_norm_true"][0] = row_norms(TG)
     cols["cost_units"][0] = 0.0
-    draw = _lane_draw(oracle, source, configs, K, (tau, recap), VARIANCE, exact)
-    if exact:
+    draw = _lane_draw(oracle, source, configs, K, estimate, VARIANCE)
+    if algorithm != "sg" and solver.kind == "exact":
         # a zero bound is the zero estimate; a zero L_H certifies a constant Hessian
         constant = bound == 0.0 or (not sampled and source.hessian_kind == "exact-capped"
                                     and oracle.hess_lipschitz == 0.0)
@@ -500,27 +494,22 @@ def run_lanes(
     return LaneRun(algorithm, configs, cols, rows, final_x, aborted, true_grad)
 
 
-def _lane_draw(oracle, source, configs, K, caps, VARIANCE, exact):
-    """The lanes' draw ``(k, ids, at, X, TG) -> (G, hess)`` for the running
+def _lane_draw(oracle, source, configs, K, estimate, VARIANCE):
+    """The lanes' draw ``(k, ids, at, X, TG) -> (G, hvp)`` for the running
     lanes ``ids`` (columns ``at``) at iterates X with true gradients TG
     (which a sampler does not read).
 
     Every ``LANE_CHUNK`` iterations each running lane draws its next
-    block of gradient noise or mini-batch rows from its gradient stream;
-    a perturbed estimate draws each running lane's perturbation from its
-    Hessian stream every iteration, as ``sample_hessian`` does.  ``hess``
-    is None for the zero estimate.  Otherwise it is ``hvp(r, V)``, the
-    estimates of the running rows r applied to the rows of V, or with
-    ``exact`` ``dense(i)``, the estimate of running row i as the matrix
-    ``HessianEstimate.dense`` builds.  ``caps`` is (tau, recap) of
-    ``sample_hessian``.
+    block of gradient noise or mini-batch rows from its gradient stream.
+    ``hvp`` is the running rows' Hessian estimates in the one product
+    form (None: the zero estimate), from the sampler's ``draw_rows`` or
+    the noise model's ``estimate`` (see ``hessian_estimate``), which
+    draws a perturbed estimate's perturbations every iteration.
     """
     S, n = len(configs), oracle.dim
     rngs = [rng_stream(c.seed, GRADIENT_STREAM) for c in configs]
     if isinstance(source, MiniBatchSampler):
         rows = np.zeros((S, LANE_CHUNK, source.batch_size), dtype=np.int64)
-        # the exact step builds its matrices itself: no stacked products
-        stacked = replace(source, hessian=False) if exact else source
 
         def draw(k, ids, at, X, TG):
             j = (k - 1) % LANE_CHUNK
@@ -528,20 +517,13 @@ def _lane_draw(oracle, source, configs, K, caps, VARIANCE, exact):
                 count = min(LANE_CHUNK, K - k + 1)
                 for lane in ids:
                     rows[lane, :count] = source.indices(rngs[lane], count)
-            G, hvp = stacked.draw_rows(X, rows[at, j], k)
-            if exact and source.hessian:
-                return G, lambda i: source.hessian_at(X[i], rows[ids[i], j]).dense(n)
-            return G, hvp
+            return source.draw_rows(X, rows[at, j], k)
 
         return draw
 
     block = np.zeros((S, LANE_CHUNK, n))
     drawn = VARIANCE > 0.0  # no noise, and no draw, at variance 0
     every = drawn.all(axis=1).tolist()
-    kind = source.hessian_kind
-    tau, recap = caps
-    hess_rngs = ([rng_stream(c.seed, HESSIAN_STREAM) for c in configs]
-                 if kind == "perturbed" else None)
 
     def draw(k, ids, at, X, TG):
         j = (k - 1) % LANE_CHUNK
@@ -554,18 +536,7 @@ def _lane_draw(oracle, source, configs, K, caps, VARIANCE, exact):
             raise EvaluationError(f"non-finite gradient at x = {X[bad]!r}")
         G = TG + block[at, j] if every[k] else np.where(drawn[k, at][:, None],
                                                          TG + block[at, j], TG)
-        if kind == "zero":
-            return G, None
-        if kind == "exact-capped":
-            if exact:
-                return G, lambda i: stacked_dense(lambda E: tau * oracle.hvp(X[i], E), n)
-            return G, lambda r, V: tau * oracle.hvp(X[r], V)
-        P = np.stack([draw_perturbation(hess_rngs[lane], n, source.perturbation)
-                      for lane in ids.tolist()])
-        if exact:
-            return G, lambda i: stacked_dense(
-                lambda E: recap * (tau * oracle.hvp(X[i], E) + matvec(P[i], E)), n)
-        return G, lambda r, V: recap * (tau * oracle.hvp(X[r], V) + matvec(P[r], V))
+        return G, estimate(X, ids)
 
     return draw
 
@@ -604,16 +575,17 @@ def _exact_lane_step(constant, products):
     """TRish's exact-solver lane step rule: the radius from each row's
     ||g||, one ``exact_trs_rows`` solve of every row, and x + s.
 
-    The rule takes ``dense(i)`` (None: the zero estimate) from the draw.
-    It builds the dense H of each running lane with a nonzero gradient,
-    checks and decomposes them in one ``checked_eigh`` call and solves
-    through ``exact_trs_rows``; a ``constant`` estimate is built and
-    decomposed once, at the first step that needs it, and shared.  A
-    lane with a nonzero gradient costs 1 + ``products`` units.
+    The rule takes ``hvp(r, V)`` (None: the zero estimate) from the
+    draw.  It builds the dense H of each running lane i with a nonzero
+    gradient as ``stacked_dense`` of ``hvp(i, E)``, one product on the
+    identity rows, checks and decomposes them in one ``checked_eigh``
+    call and solves through ``exact_trs_rows``; a ``constant`` estimate
+    is built and decomposed once, at the first step that needs it, and
+    shared.  A lane with a nonzero gradient costs 1 + ``products`` units.
     """
     shared = []  # the (H, eig) of a constant estimate, once built
 
-    def step(X, G, gn, TG, dense, alpha, gamma1, gamma2, solver):
+    def step(X, G, gn, TG, hvp, alpha, gamma1, gamma2, solver):
         delta, case = radius_rows(gn, alpha, gamma1, gamma2)
         live = gn != 0.0
         H = eig = None
@@ -621,14 +593,15 @@ def _exact_lane_step(constant, products):
             H, eig = shared[0]
         elif live.any():
             n = X.shape[1]
-            if dense is None:
+            if hvp is None:
                 H = np.zeros((n, n))
             elif constant:
-                H = dense(int(np.argmax(live)))
+                i = int(np.argmax(live))
+                H = stacked_dense(lambda E: hvp(i, E), n)
             else:
                 H = np.zeros((len(X), n, n))
                 for i in np.flatnonzero(live).tolist():
-                    H[i] = dense(i)
+                    H[i] = stacked_dense(lambda E: hvp(i, E), n)
             eig = checked_eigh(H)
             if constant:
                 shared.append((H, eig))

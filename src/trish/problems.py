@@ -20,9 +20,9 @@ from .core import (
     Array,
     ConfigurationError,
     EvaluationError,
-    HessianEstimate,
     libm_pow,
     matvec,
+    require_finite,
     rowdot,
 )
 
@@ -210,20 +210,6 @@ class LogisticProblem:
         X_b, y_b = self.X[idx], self.y[idx]
         return self._batch_grad(x, X_b, y_b, _sigmoid(-y_b * matvec(X_b, x)))
 
-    def batch_hessian(self, x: Array, idx: Array, m_h: float | None = None) -> HessianEstimate:
-        """Same-batch Hessian estimate, optionally capped at ``m_h``."""
-        X_b = self.X[idx]
-        curv = _curvature(matvec(X_b, x))
-        tau = self._batch_cap(m_h)
-        return HessianEstimate(
-            apply=lambda v: tau * self._batch_hvp(curv, v, X_b),
-            norm_bound=tau * self.grad_lipschitz,  # the global bound covers every sub-batch
-        )
-
-    def _batch_cap(self, m_h: float | None) -> float:
-        """The factor min{1, m_h / L_g} that caps a mini-batch Hessian estimate."""
-        return 1.0 if m_h is None else min(1.0, m_h / self.grad_lipschitz)
-
     def validation_loss(self, x: Array) -> float:
         if self.holdout_X is None:
             return self.value(x)
@@ -235,14 +221,13 @@ class LogisticProblem:
 class MiniBatchSampler:
     """Uniform-with-replacement mini-batch sampler of a logistic problem.
 
-    A call is one iteration's draw ``(x, k, alpha_k, grad_rng,
-    hess_rng) -> (g, H)``: one index draw of ``batch_size`` rows from
-    the gradient stream parameterizes both the gradient estimate and
+    One iteration's draw at a point takes ``batch_size`` rows from the
+    gradient stream; they parameterize both the gradient estimate and
     (with ``hessian``) the same-batch Hessian estimate, capped at
     ``m_h`` when given, so gradient streams stay aligned across
-    algorithms that share a seed.  ``indices`` and ``draw_rows`` are
-    the same draws for lockstep lanes, many iterations or many points
-    at a time.
+    algorithms that share a seed.  ``indices`` draws the rows, many
+    iterations at a time, and ``draw_rows`` forms the estimates at many
+    points at once.
     """
 
     problem: LogisticProblem
@@ -253,12 +238,20 @@ class MiniBatchSampler:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
+        require_finite(m_h=self.m_h)
+        if self.m_h is not None and self.m_h <= 0:
+            raise ConfigurationError("a mini-batch Hessian cap m_h must be positive")
+
+    @property
+    def _cap(self) -> float:
+        """The factor min{1, m_h / L_g} that caps every Hessian estimate
+        (1 without ``m_h``); L_g bounds every sub-batch's Hessian."""
+        return 1.0 if self.m_h is None else min(1.0, self.m_h / self.problem.grad_lipschitz)
 
     @property
     def norm_bound(self) -> float:
-        """The certified bound of every Hessian estimate a call returns."""
-        p = self.problem
-        return p._batch_cap(self.m_h) * p.grad_lipschitz if self.hessian else 0.0
+        """The certified bound of every Hessian estimate a draw returns."""
+        return self._cap * self.problem.grad_lipschitz if self.hessian else 0.0
 
     def indices(self, rng: np.random.Generator, count: int | None = None) -> Array:
         """One iteration's batch rows, or a (count, batch_size) block whose
@@ -266,25 +259,14 @@ class MiniBatchSampler:
         size = self.batch_size if count is None else (count, self.batch_size)
         return rng.integers(0, self.problem.n_samples, size=size)
 
-    def __call__(self, x, k, alpha_k, grad_rng, hess_rng):
-        idx = self.indices(grad_rng)
-        g = self.problem.batch_gradient(x, idx)
-        _check_finite(g, k, x)
-        return g, self.hessian_at(x, idx)
-
-    def hessian_at(self, x: Array, idx: Array) -> HessianEstimate:
-        """The Hessian estimate of a draw of the batch rows ``idx`` at x."""
-        if self.hessian:
-            return self.problem.batch_hessian(x, idx, self.m_h)
-        return HessianEstimate.zero(self.problem.dim)
-
     def draw_rows(self, X: Array, idx: Array, k: int):
         """The draws at the rows of X, row i with the batch rows ``idx[i]``.
 
-        Returns the (S, dim) gradient estimates, row i bit for bit what a
-        call at ``X[i]`` drawing ``idx[i]`` returns, and ``hvp(r, V)``,
-        the products of the Hessian estimates of rows ``r`` with the rows
-        of V, or None without ``hessian`` (the zero estimate).
+        Returns the (S, dim) gradient estimates and ``hvp(r, V)``, the
+        products of the Hessian estimates of the rows ``r`` (an index
+        array) with the matching rows of V, or of row ``r`` (one int)
+        with every row of V; None without ``hessian`` (the zero
+        estimate).
         """
         p = self.problem
         G = p.batch_gradient(X, idx)
@@ -292,10 +274,9 @@ class MiniBatchSampler:
         if not self.hessian:
             return G, None
         X_b = p.X[idx]
-        # from the raw X_b @ x, as batch_hessian computes it: sigma'(m) and
-        # sigma'(-m) can differ in the last bit
+        # from the raw X_b @ x: sigma'(m) and sigma'(-m) can differ in the last bit
         curv = _curvature(matvec(X_b, X))
-        tau = p._batch_cap(self.m_h)
+        tau = self._cap
         return G, lambda r, V: tau * p._batch_hvp(curv[r], V, X_b[r])
 
 

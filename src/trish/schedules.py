@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ConfigurationError
+from .core import ConfigurationError, require_finite
 
 
 @dataclass(frozen=True)
@@ -20,6 +20,7 @@ class StepsizeSchedule:
     b: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(alpha=self.alpha, a=self.a, b=self.b)
         if self.kind == "constant":
             if self.alpha <= 0:
                 raise ConfigurationError("constant stepsize must be positive")
@@ -54,6 +55,7 @@ class GammaSchedule:
     eta: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(gamma1=self.gamma1, gamma2=self.gamma2, eta=self.eta)
         if self.kind == "constant":
             if not 0.0 < self.gamma2 <= self.gamma1:
                 raise ConfigurationError(

@@ -2,9 +2,12 @@
 
 ``reference_run`` writes the TRish iteration out directly, one point at
 a time: draw g and H through ``sample_gradient`` and ``sample_hessian``
-(or one ``MiniBatchSampler`` call), step with ``trish_step`` (or
-x - alpha g for SG), and record one ``TRACE_DTYPE`` row.  It has no
-hooks, no logging and no stepsize enforcement.
+(or ``minibatch_draw``), step with ``trish_step`` (or x - alpha g for
+SG), and record one ``TRACE_DTYPE`` row.  It has no hooks, no logging
+and no stepsize enforcement.  Its Hessian estimates are ``Operator``s
+that it builds itself, column by column, so it shares no estimate code
+with the library: only the oracles' 1-D ``hvp`` and, for mini-batches,
+the plain-``@`` logistic kernels below.
 
 ``trish_step`` takes the radius from ||g|| and solves the one
 subproblem with ``steihaug_cg`` or ``exact_trs``, the one-point solvers
@@ -18,6 +21,7 @@ library's rows solvers, as a stack of one row.
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +29,6 @@ from trish import (
     ConfigurationError,
     EvaluationError,
     GammaSchedule,
-    HessianEstimate,
     MiniBatchSampler,
     NumericalError,
     RadiusCase,
@@ -33,7 +36,6 @@ from trish import (
     gammas_at,
     radius,
     rng_stream,
-    sample_hessian,
 )
 from trish.core import GRADIENT_STREAM, HESSIAN_STREAM, matvec, norm, row_norms
 from trish.optimizer import DIVERGENCE_MARGIN, TRACE_DTYPE, Trajectory
@@ -51,6 +53,100 @@ def sample_gradient(oracle, x, noise, k, alpha_k, rng):
     if variance > 0.0:
         g = g + rng.normal(0.0, np.sqrt(variance / oracle.dim), size=oracle.dim)
     return g
+
+
+@dataclass(frozen=True)
+class Operator:
+    """A Hessian estimate at one point: a symmetric linear map of one
+    vector, with a certified operator-norm bound."""
+
+    apply: Callable[[np.ndarray], np.ndarray]
+    norm_bound: float
+
+    @property
+    def is_zero(self):
+        """A certified bound of 0 makes this the zero operator, whose
+        products the solvers skip."""
+        return self.norm_bound == 0.0
+
+    @staticmethod
+    def zero(dim):
+        return Operator(apply=lambda v: np.zeros(dim), norm_bound=0.0)
+
+    def dense(self, dim):
+        """The matrix whose column j is ``apply(e_j)``, one product per
+        column (none for the zero operator)."""
+        if self.is_zero:
+            return np.zeros((dim, dim))
+        eye = np.eye(dim)
+        return np.column_stack([self.apply(eye[:, j]) for j in range(dim)])
+
+
+def sample_hessian(oracle, x, noise, rng):
+    """The noise model's Hessian estimate at x: the true Hessian scaled by
+    tau = min{1, m_h / L_g}, plus for ``perturbed`` one symmetric
+    perturbation of operator norm ``perturbation`` drawn from ``rng``,
+    the sum re-capped by min{1, m_h / (tau L_g + perturbation)}."""
+    n = oracle.dim
+    if noise.hessian_kind == "zero":
+        return Operator.zero(n)
+    if noise.m_h <= 0:
+        raise ConfigurationError("exact-capped/perturbed Hessian estimates require m_h > 0")
+    tau = min(1.0, noise.m_h / oracle.grad_lipschitz)
+    if noise.hessian_kind == "exact-capped":
+        return Operator(lambda v: tau * oracle.hvp(x, v), tau * oracle.grad_lipschitz)
+    raw = rng.standard_normal((n, n))
+    sym = 0.5 * (raw + raw.T)
+    sym_norm = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
+    scale = noise.perturbation
+    pert = (scale / sym_norm) * sym if sym_norm > 0.0 and scale > 0.0 else np.zeros((n, n))
+    raw_bound = tau * oracle.grad_lipschitz + scale
+    recap = min(1.0, noise.m_h / raw_bound)
+    return Operator(lambda v: recap * (tau * oracle.hvp(x, v) + pert @ v), recap * raw_bound)
+
+
+# The logistic kernels written plainly: the masked sigmoid, the logaddexp
+# loss, and the curvature recomputed per product.
+def masked_sigmoid(t):
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return out
+
+
+def reference_loss(prob, x, X, y):
+    return float(np.mean(np.logaddexp(0.0, -y * (X @ x))) + 0.5 * prob.l2 * x @ x)
+
+
+def reference_grad(prob, x, X, y):
+    weights = -y * masked_sigmoid(-y * (X @ x))
+    return X.T @ weights / X.shape[0] + prob.l2 * x
+
+
+def reference_hvp(prob, x, v, X):
+    sig = masked_sigmoid(X @ x)
+    curv = sig * (1.0 - sig)
+    return X.T @ (curv * (X @ v)) / X.shape[0] + prob.l2 * v
+
+
+def minibatch_draw(sampler, x, k, rng):
+    """One iteration's mini-batch draw at x: ``batch_size`` rows from
+    ``rng`` give the gradient estimate and, with ``hessian``, the
+    same-batch Hessian estimate, scaled by min{1, m_h / L_g} when
+    ``m_h`` is given."""
+    prob = sampler.problem
+    idx = rng.integers(0, prob.n_samples, size=sampler.batch_size)
+    X_b, y_b = prob.X[idx], prob.y[idx]
+    g = reference_grad(prob, x, X_b, y_b)
+    if not np.all(np.isfinite(g)):
+        raise EvaluationError(f"non-finite mini-batch gradient at k={k}, x = {x!r}")
+    if not sampler.hessian:
+        return g, Operator.zero(prob.dim)
+    tau = 1.0 if sampler.m_h is None else min(1.0, sampler.m_h / prob.grad_lipschitz)
+    return g, Operator(lambda v: tau * reference_hvp(prob, x, v, X_b),
+                       tau * prob.grad_lipschitz)
 
 
 @dataclass(frozen=True)
@@ -75,7 +171,7 @@ class TRStep:
 
 
 def _apply(hess, v):
-    if isinstance(hess, HessianEstimate):
+    if isinstance(hess, Operator):
         return hess.apply(v)
     return np.asarray(hess) @ v
 
@@ -123,8 +219,8 @@ def _boundary_tau(s, d, delta):
 @np.errstate(over="ignore", invalid="ignore")  # for an overflowing candidate, see below
 def steihaug_cg(g, hess, delta, max_iters=3, residual_tol=1e-10, case=None):
     """Truncated CG on the subproblem, exiting at the boundary on
-    negative curvature or radius crossing; ``hess`` is a
-    ``HessianEstimate``, and one whose norm bound is 0 the zero Hessian."""
+    negative curvature or radius crossing; ``hess`` is an
+    ``Operator``, and one whose norm bound is 0 the zero Hessian."""
     if max_iters < 1:
         raise ConfigurationError("max_iters must be >= 1")
     if delta <= 0.0:
@@ -392,7 +488,7 @@ def reference_run(problem, x0, config, algorithm="trish"):
     for k in range(1, config.iterations + 1):
         alpha = config.stepsizes.at(k)
         if sampled:
-            g, hess = source(x, k, alpha, grad_rng, hess_rng)
+            g, hess = minibatch_draw(source, x, k, grad_rng)
         else:
             g = sample_gradient(problem, x, source, k, alpha, grad_rng)
             hess = sample_hessian(problem, x, source, hess_rng)

@@ -5,15 +5,15 @@ from hypothesis import strategies as st
 
 from trish import (
     ConfigurationError,
-    HessianEstimate,
+    GammaSchedule,
+    MiniBatchSampler,
     NoiseModel,
     StepsizeSchedule,
     hvp_finite_difference,
     rng_stream,
     run_sg,
-    sample_hessian,
 )
-from trish.core import draw_noise_block, rowdot, stacked_dense
+from trish.core import draw_noise_block, hessian_estimate, rowdot, stacked_dense
 from trish.problems import (
     QuadraticProblem,
     RosenbrockProblem,
@@ -22,7 +22,7 @@ from trish.problems import (
     make_quartic_bowl,
 )
 
-from reference import sample_gradient
+from reference import sample_gradient, sample_hessian
 
 
 def diag_quadratic(entries):
@@ -88,64 +88,95 @@ def test_noise_model_validation():
         NoiseModel(kind="none", hessian_kind="sketchy")
 
 
+# one constructor per parameter, at a value v of that parameter alone
+PARAMETERS = {
+    "alpha": lambda v: StepsizeSchedule.constant(v),
+    "a": lambda v: StepsizeSchedule.diminishing(v, 1.0),
+    "b": lambda v: StepsizeSchedule.diminishing(1.0, v),
+    "gamma1": lambda v: GammaSchedule.constant(v, 1.0),
+    "gamma2": lambda v: GammaSchedule.constant(2.0, v),
+    "eta": lambda v: GammaSchedule.merging(1.0, v),
+    "m_g": lambda v: NoiseModel(kind="bounded", m_g=v),
+    "m_h": lambda v: NoiseModel(hessian_kind="exact-capped", m_h=v),
+    "perturbation": lambda v: NoiseModel(hessian_kind="perturbed", m_h=1.0, perturbation=v),
+    "sampler.m_h": lambda v: MiniBatchSampler(make_logistic(20, 2, l2=0.1, seed=0), 4,
+                                              hessian=True, m_h=v),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", sorted(PARAMETERS))
+def test_non_finite_parameters_rejected(field, value):
+    # NaN fails no range check (every comparison with it is False)
+    PARAMETERS[field](1.0)
+    with pytest.raises(ConfigurationError, match=f"^{field.split('.')[-1]} must be finite"):
+        PARAMETERS[field](value)
+
+
+def estimate_at(prob, x, noise, seed=0):
+    """The library's estimate at the one point x, as the lanes draw it:
+    ``(hvp, bound)``, the perturbation from the Hessian stream of ``seed``."""
+    at, bound = hessian_estimate(prob, noise, [seed])
+    return at(np.asarray(x, dtype=float)[None], [0]), bound
+
+
 class TestSampleHessian:
     def test_zero_kind(self):
         prob = diag_quadratic([1.0, 4.0])
-        est = sample_hessian(prob, np.zeros(2), NoiseModel(kind="none"), rng_stream(0, 1))
-        assert est.is_zero
-        assert est.norm_bound == 0.0
-        assert np.array_equal(est.apply(np.array([3.0, -2.0])), np.zeros(2))
+        assert estimate_at(prob, np.zeros(2), NoiseModel(kind="none")) == (None, 0.0)
 
     def test_zero_is_a_zero_norm_bound(self):
-        assert HessianEstimate(lambda v: 0.0 * v, 0.0).is_zero
-        assert not HessianEstimate(lambda v: v, 1.0).is_zero
-        assert HessianEstimate.zero(3).is_zero
+        # both sources give the zero estimate as no product form and bound 0
+        prob = make_logistic(30, 3, l2=0.1, seed=1)
+        sampler = MiniBatchSampler(prob, 4)
+        assert sampler.norm_bound == 0.0
+        assert sampler.draw_rows(np.zeros((2, 3)), np.zeros((2, 4), dtype=np.int64), 1)[1] is None
+        assert MiniBatchSampler(prob, 4, hessian=True).norm_bound > 0.0
+        zero = NoiseModel(kind="none", hessian_kind="zero", m_h=5.0)
+        assert estimate_at(prob, np.zeros(3), zero) == (None, 0.0)
 
     def test_exact_capped_no_scaling_needed(self):
         # m_h = 10 >= L_g = 4: tau = 1, operator is the true Hessian
         prob = diag_quadratic([1.0, 4.0])
         noise = NoiseModel(kind="none", hessian_kind="exact-capped", m_h=10.0)
-        est = sample_hessian(prob, np.zeros(2), noise, rng_stream(0, 1))
-        v = np.array([1.0, 1.0])
-        assert np.array_equal(est.apply(v), np.array([1.0, 4.0]))
+        hvp, bound = estimate_at(prob, np.zeros(2), noise)
+        assert np.array_equal(hvp(0, np.array([[1.0, 1.0]])), [[1.0, 4.0]])
+        assert bound == 4.0
 
     def test_exact_capped_scales_down(self):
         # m_h = 2 < L_g = 4: tau = 0.5
         prob = diag_quadratic([1.0, 4.0])
         noise = NoiseModel(kind="none", hessian_kind="exact-capped", m_h=2.0)
-        est = sample_hessian(prob, np.zeros(2), noise, rng_stream(0, 1))
-        assert np.allclose(est.apply(np.array([0.0, 1.0])), np.array([0.0, 2.0]))
-        assert est.norm_bound == pytest.approx(2.0)
+        hvp, bound = estimate_at(prob, np.zeros(2), noise)
+        assert np.allclose(hvp(0, np.array([[0.0, 1.0]])), [[0.0, 2.0]])
+        assert bound == pytest.approx(2.0)
 
     def test_perturbed_respects_cap_and_symmetry(self):
         prob = diag_quadratic([1.0, 4.0, 2.0])
         noise = NoiseModel(kind="none", hessian_kind="perturbed", m_h=3.0,
                            perturbation=1.0)
-        est = sample_hessian(prob, np.zeros(3), noise, rng_stream(5, 1))
-        dense = est.dense(3)
+        hvp, bound = estimate_at(prob, np.zeros(3), noise, seed=5)
+        dense = stacked_dense(lambda E: hvp(0, E), 3)
         assert np.max(np.abs(dense - dense.T)) < 1e-12
         assert np.max(np.abs(np.linalg.eigvalsh(dense))) <= 3.0 * (1 + 1e-12)
-        assert est.norm_bound <= 3.0 * (1 + 1e-12)
+        assert bound <= 3.0 * (1 + 1e-12)
 
     def test_invalid_cap_raises(self):
         prob = diag_quadratic([1.0, 4.0])
         noise = NoiseModel(kind="none", hessian_kind="exact-capped")
         with pytest.raises(ConfigurationError):
-            sample_hessian(prob, np.zeros(2), noise, rng_stream(0, 1))
-
-
-def column_loop(est, n):
-    """The per-column materialization: column j is ``apply(e_j)``."""
-    eye = np.eye(n)
-    return np.column_stack([est.apply(eye[:, j]) for j in range(n)])
+            hessian_estimate(prob, noise, [0])
 
 
 @settings(max_examples=40, deadline=None)
 @given(family=st.sampled_from(["quadratic", "rosenbrock", "logistic", "quartic"]),
        kind=st.sampled_from(["exact-capped", "perturbed"]),
        n=st.integers(2, 24), seed=st.integers(0, 2**32 - 1),
-       cap=st.sampled_from([0.5, 1.0, 2.0]))
-def test_row_stacked_dense_matches_column_loop(family, kind, n, seed, cap):
+       cap=st.sampled_from([0.5, 1.0, 2.0]), lanes=st.integers(1, 4))
+def test_row_stacked_dense_matches_column_loop(family, kind, n, seed, cap, lanes):
+    """Each lane's dense estimate, one stacked product of the library's row
+    form, is the reference's column loop at that lane's point, drawn
+    from the same Hessian stream."""
     rng = np.random.default_rng(seed)
     if family == "quadratic":
         prob = make_quadratic(n, 1.0, 10.0, seed=int(rng.integers(1 << 30)))
@@ -157,38 +188,30 @@ def test_row_stacked_dense_matches_column_loop(family, kind, n, seed, cap):
     else:
         prob = make_logistic(int(rng.integers(1, 400)), n, l2=0.01,
                              seed=int(rng.integers(1 << 30)))
-    x = rng.uniform(-2.0, 2.0, n)
+    X = rng.uniform(-2.0, 2.0, (lanes, n))
     noise = NoiseModel(kind="none", hessian_kind=kind, m_h=cap * prob.grad_lipschitz,
                        perturbation=0.3 * prob.grad_lipschitz)
-    est = sample_hessian(prob, x, noise, rng_stream(seed, 1))
-    dense = stacked_dense(est.apply, n)
-    expected = column_loop(est, n)
-    assert dense.flags.c_contiguous
-    assert dense.shape == expected.shape and dense.tobytes() == expected.tobytes()
-    assert est.dense(n).tobytes() == expected.tobytes()
+    seeds = [seed + i for i in range(lanes)]
+    at, bound = hessian_estimate(prob, noise, seeds)
+    hvp = at(X, np.arange(lanes))
+    for i in range(lanes):
+        est = sample_hessian(prob, X[i], noise, rng_stream(seeds[i], 1))
+        dense = stacked_dense(lambda E: hvp(i, E), n)
+        expected = est.dense(n)
+        assert dense.flags.c_contiguous
+        assert dense.shape == expected.shape and dense.tobytes() == expected.tobytes()
+        assert bound == est.norm_bound
 
 
 class TestDenseMaterialization:
-    def test_custom_operator_keeps_column_loop(self):
-        M = make_quadratic(6, 1.0, 5.0, seed=3).A
-        calls = []
-
-        def apply(v):
-            calls.append(v.shape)
-            return M @ v
-
-        dense = HessianEstimate(apply=apply, norm_bound=5.0).dense(6)
-        assert calls == [(6,)] * 6
-        assert dense.flags.c_contiguous
-        assert dense.tobytes() == column_loop(HessianEstimate(lambda v: M @ v, 5.0), 6).tobytes()
-
     def test_one_product_for_row_stacked_oracle(self):
         prob = make_quadratic(7, 1.0, 5.0, seed=4)
         calls = []
         hvp = prob.hvp
         prob.hvp = lambda x, v: calls.append(v.shape) or hvp(x, v)
         noise = NoiseModel(kind="none", hessian_kind="exact-capped", m_h=2.0)
-        stacked_dense(sample_hessian(prob, np.ones(7), noise, rng_stream(0, 1)).apply, 7)
+        product, _ = estimate_at(prob, np.ones(7), noise)
+        stacked_dense(lambda E: product(0, E), 7)
         assert calls == [(7, 7)]
 
 

@@ -389,6 +389,20 @@ class TestCLI:
         cfg.write_text(json.dumps(base_config(bogus_key=1)))
         assert main(["run", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("overrides", [
+        {"stepsizes": {"kind": "constant", "alpha": float("nan")}},
+        {"problem": {"kind": "logistic", "n_samples": 40, "dim": 3, "seed": 1}, "batch_size": 4,
+         "noise": {"kind": "none", "hessian": {"kind": "exact-capped", "m_h": float("nan")}}},
+    ], ids=["alpha", "batch-m_h"])
+    def test_non_finite_parameter_exits_2(self, tmp_path, capsys, overrides):
+        # json.load parses NaN, and the schema's range checks let it through
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_config(output_dir=str(tmp_path), **overrides)))
+        assert "NaN" in cfg.read_text()
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "must be finite, got nan" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_verify_quick_suite(self, capsys):
         assert main(["verify", "--suite", "radius", "--quick"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -442,6 +456,23 @@ class TestCLI:
                         [0, 1], 15, noise=noise, solver=SolverSpec(kind="exact"), x0=x0)
         assert printed["leaderboard"] == [{"setting": e.setting, "mean_loss": e.mean_loss}
                                           for e in expected.leaderboard]
+
+
+def test_oracles_suite_checks_the_lanes_estimate(monkeypatch):
+    """Capping the one Hessian estimate the lanes draw at 2 tau instead of
+    tau fails the oracles suite's cap check."""
+    from trish import core
+    from trish.harness.suites import verify
+    cap = core.hessian_cap
+    monkeypatch.setattr(core, "hessian_cap", lambda oracle, noise: 2.0 * cap(oracle, noise))
+    noise = NoiseModel(hessian_kind="exact-capped", m_h=2.0)
+    config = TrishConfig(StepsizeSchedule.constant(0.01), GammaSchedule.constant(2.0, 1.0), 1,
+                         noise=noise)
+    lanes = run_lanes(make_quadratic(4, 1.0, 4.0, seed=3), np.ones(4), [config])
+    assert lanes.column("hess_bound")[1, 0] == 4.0  # the lanes step with 2 m_h
+    check, = [c for c in verify("oracles", quick=True).checks
+              if c.name.startswith("hessian estimates: operator norm within cap")]
+    assert not check.passed and check.stats["worst_cap_excess"] > 0.0
 
 
 def test_verify_unknown_suite_is_config_error():

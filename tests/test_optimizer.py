@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trish import (
@@ -534,8 +534,21 @@ def lane_cases(draw):
     return problem, x0, configs, algorithm, [alone]
 
 
+def minibatch_exact_case():
+    """Mini-batch exact lanes: each step builds every lane's dense H from
+    the sampler's row form and the reference from its column loop."""
+    problem = make_logistic(50, 4, l2=0.01, seed=7)
+    sampler = MiniBatchSampler(problem, 6, hessian=True, m_h=0.5 * problem.grad_lipschitz)
+    configs = [TrishConfig(StepsizeSchedule.constant(1.0 / problem.grad_lipschitz),
+                           GammaSchedule.constant(2.0, 1.0), 40, seed,
+                           solver=SolverSpec(kind="exact"), noise=sampler)
+               for seed in (3, 11, 29)]
+    return problem, np.zeros(4), configs, "trish", [1]
+
+
 @settings(max_examples=80, deadline=None)
 @given(lane_cases())
+@example(minibatch_exact_case())
 def test_lanes_bit_identical_to_scalar(case):
     assert_lanes_match_scalar(*case)
 

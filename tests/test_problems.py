@@ -20,7 +20,7 @@ from trish import (
     make_quartic_bowl,
     run_trish,
 )
-from trish.core import rng_stream
+from trish.core import rng_stream, stacked_dense
 from trish.problems import (
     LogisticProblem,
     MiniBatchSampler,
@@ -29,6 +29,14 @@ from trish.problems import (
     RosenbrockProblem,
     _sigmoid,
     make_quartic_bowl,
+)
+
+from reference import (
+    masked_sigmoid,
+    minibatch_draw,
+    reference_grad,
+    reference_hvp,
+    reference_loss,
 )
 
 
@@ -111,32 +119,6 @@ class TestLogistic:
             LogisticProblem(np.ones((3, 2)), np.array([0.0, 1.0, -1.0]))
 
 
-# The logistic kernels these replaced, kept as references: the masked
-# sigmoid, the logaddexp loss, and the curvature recomputed per product.
-def masked_sigmoid(t):
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
-
-
-def reference_loss(prob, x, X, y):
-    return float(np.mean(np.logaddexp(0.0, -y * (X @ x))) + 0.5 * prob.l2 * x @ x)
-
-
-def reference_grad(prob, x, X, y):
-    weights = -y * masked_sigmoid(-y * (X @ x))
-    return X.T @ weights / X.shape[0] + prob.l2 * x
-
-
-def reference_hvp(prob, x, v, X):
-    sig = masked_sigmoid(X @ x)
-    curv = sig * (1.0 - sig)
-    return X.T @ (curv * (X @ v)) / X.shape[0] + prob.l2 * v
-
-
 LOGI = make_logistic(60, 5, l2=0.1, seed=31)
 
 
@@ -170,9 +152,11 @@ class TestLogisticKernels:
         assert prob.hvp(x, v).tobytes() == reference_hvp(prob, x, v, prob.X).tobytes()
         assert (prob.batch_gradient(x, idx).tobytes()
                 == reference_grad(prob, x, X_b, y_b).tobytes())
-        apply = prob.batch_hessian(x, idx).apply
-        for w in (v, -2.0 * v, v):
-            assert apply(w).tobytes() == reference_hvp(prob, x, w, X_b).tobytes()
+        # the sampler's row form at one point, row 0's estimate on a stack of vectors
+        _, hvp = MiniBatchSampler(prob, 10, hessian=True).draw_rows(x[None], idx[None], 1)
+        W = np.stack([v, -2.0 * v, v])
+        for w, product in zip(W, hvp(0, W)):
+            assert product.tobytes() == reference_hvp(prob, x, w, X_b).tobytes()
         held = reference_loss(prob, x, prob.holdout_X, prob.holdout_y)
         assert abs(prob.validation_loss(x) - held) <= 1e-15 * abs(held)
 
@@ -241,7 +225,9 @@ class TestMarginMemo:
 @given(seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 9), batch=st.integers(1, 30),
        scale=st.sampled_from([0.0, 1e-3, 1.0, 50.0]), m_h=st.sampled_from([None, 0.3]))
 def test_minibatch_draw_rows_match_calls(seed, lanes, batch, scale, m_h):
-    """Row i of a stacked draw is what a call at X[i] drawing idx[i] returns."""
+    """Row i of a stacked draw is the reference's one-point draw at X[i]
+    from the same stream, and its dense Hessian, one stacked product, is
+    the reference's column loop."""
     rng = np.random.default_rng(seed)
     prob = make_logistic(int(rng.integers(1, 300)), 6, l2=0.01, seed=seed % 1000)
     sampler = MiniBatchSampler(prob, batch, hessian=True, m_h=m_h)
@@ -253,18 +239,26 @@ def test_minibatch_draw_rows_match_calls(seed, lanes, batch, scale, m_h):
     rows = np.arange(lanes)[::-1]  # a subset order of rows, as Steihaug passes them
     products = hvp(rows, V[rows])
     for i in range(lanes):
-        g, est = sampler(X[i], 3, 0.1, rng_stream(seed + i, 0), None)
+        g, est = minibatch_draw(sampler, X[i], 3, rng_stream(seed + i, 0))
         assert g.tobytes() == G[i].tobytes()
         assert est.apply(V[i]).tobytes() == products[lanes - 1 - i].tobytes()
         assert est.norm_bound == sampler.norm_bound
+        dense = stacked_dense(lambda E: hvp(i, E), prob.dim)
+        assert dense.tobytes() == est.dense(prob.dim).tobytes()
     assert replace(sampler, hessian=False).draw_rows(X, idx, 3)[1] is None
+
+
+@pytest.mark.parametrize("m_h", [0.0, -1.0])
+def test_minibatch_sampler_rejects_nonpositive_cap(m_h):
+    # a cap of 0 would step with products of a zero-bound estimate, and a
+    # negative one would certify a negative bound
+    with pytest.raises(ConfigurationError, match="m_h must be positive"):
+        MiniBatchSampler(make_logistic(20, 2, l2=0.1, seed=0), 4, hessian=True, m_h=m_h)
 
 
 def test_minibatch_sampler_rejects_non_finite_gradient():
     prob = make_logistic(40, 3, l2=0.1, seed=5)
     sample = MiniBatchSampler(prob, 4)
-    with pytest.raises(EvaluationError, match="k=7"):
-        sample(np.array([np.inf, 0.0, 0.0]), 7, 0.1, rng_stream(0, 0), rng_stream(0, 1))
     X = np.array([[0.0, 0.0, 0.0], [0.0, np.inf, 0.0]])
     with pytest.raises(EvaluationError, match=r"k=7, x = array\(\[ 0., inf,  0.\]\)"):
         sample.draw_rows(X, np.zeros((2, 4), dtype=np.int64), 7)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from trish import (
     ConfigurationError,
     GammaSchedule,
-    HessianEstimate,
     NumericalError,
     StepsizeSchedule,
     gammas_at,
@@ -18,7 +17,7 @@ from trish import (
 from trish.core import libm_pow, row_norms
 from trish.subproblem import checked_eigh, exact_trs_rows, radius_rows, steihaug_cg_rows
 
-from reference import cauchy_point, exact_trs, model_value, solve_row, steihaug_cg
+from reference import Operator, cauchy_point, exact_trs, model_value, solve_row, steihaug_cg
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -146,7 +145,7 @@ def test_row_solver_matches_scalar_solver(n, rows, seed, cap, curved, alpha):
         if g_norm[i] == 0.0:
             assert not steps[i].any() and iters[i] == 0
             continue
-        ref = steihaug_cg(G[i], op_of(mats[i]) if curved else HessianEstimate.zero(n),
+        ref = steihaug_cg(G[i], op_of(mats[i]) if curved else Operator.zero(n),
                           delta[i], cap)
         assert np.array_equal(steps[i], ref.s)
         assert (model_dec[i], cauchy_dec[i], iters[i]) == (
@@ -154,7 +153,7 @@ def test_row_solver_matches_scalar_solver(n, rows, seed, cap, curved, alpha):
 
 
 def op_of(matrix):
-    return HessianEstimate(apply=lambda v: matrix @ v, norm_bound=1.0)
+    return Operator(apply=lambda v: matrix @ v, norm_bound=1.0)
 
 
 def symmetric_with_spectrum(rng, eigs):

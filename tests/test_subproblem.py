@@ -5,7 +5,6 @@ import pytest
 
 from trish import (
     ConfigurationError,
-    HessianEstimate,
     NumericalError,
     RadiusCase,
     kkt_residuals,
@@ -14,12 +13,12 @@ from trish import (
 from trish.core import matvec
 from trish.subproblem import checked_eigh, exact_trs_rows, steihaug_cg_rows
 
-from reference import exact_trs, model_value, solve_row, steihaug_cg
+from reference import Operator, exact_trs, model_value, solve_row, steihaug_cg
 
 
 def op(matrix):
     matrix = np.asarray(matrix, float)
-    return HessianEstimate(apply=lambda v: matrix @ v,
+    return Operator(apply=lambda v: matrix @ v,
                            norm_bound=float(np.max(np.abs(np.linalg.eigvalsh(matrix)))))
 
 
@@ -56,7 +55,7 @@ class TestModelValue:
 
     def test_linear_model(self):
         g = np.array([1.0, 0.0])
-        assert model_value(g, HessianEstimate.zero(2), np.array([-2.0, 0.0])) == pytest.approx(-2.0)
+        assert model_value(g, Operator.zero(2), np.array([-2.0, 0.0])) == pytest.approx(-2.0)
 
 
 def grid_cauchy_oracle(g, H, delta, n_grid=200_001):
