@@ -17,11 +17,7 @@ from .core import (
     hvp_finite_difference,
     rng_stream,
 )
-from .subproblem import (
-    RadiusCase,
-    kkt_residuals,
-    radius,
-)
+from .subproblem import kkt_residuals
 from .schedules import (
     GammaSchedule,
     StepsizeSchedule,

@@ -1,9 +1,10 @@
-"""Per-step contract checks evaluated on recorded trajectories.
+"""Per-step contract checks evaluated on recorded lane runs.
 
 Every trust-region step a run records must satisfy the feasibility,
 Cauchy-decrease, and steplength contracts; on problems with a certified
 gradient-Lipschitz constant the per-step Taylor upper bound is also
-assertable.  Suites stream trajectories through these counters so the
+assertable.  Suites pass their ``LaneRun``s whole through these checks,
+which read the (K+1, S) columns over each lane's recorded rows, so the
 acceptance gate can report zero violations over everything that ran.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..optimizer import LaneRun, Trajectory
+from ..optimizer import LaneRun
 
 CAUCHY_TOL = 1e-10
 FEAS_TOL = 1e-12
@@ -42,19 +43,17 @@ class StepContractCounter:
             + self.nonfinite_violations
         )
 
-    def update(self, trace: Trajectory | LaneRun) -> None:
-        """Check every recorded step of a trajectory or of a set of lanes.
+    def update(self, run: LaneRun) -> None:
+        """Check every TRish step each lane of ``run`` recorded.
 
-        Works on the trace's columns (1-D for one run, (K+1, S) for
-        lanes).  Rows without subproblem diagnostics (SG rows, the
-        padding after a lane stopped) are NaN there and skipped; rows
-        with ``g_norm == 0`` are counted but not checked.
+        SG steps solve no subproblem and are not checked; steps with
+        ``g_norm == 0`` are counted but not checked.
         """
         g_norm, delta, model_dec, cauchy_dec, hess_bound, step_norm, alpha, gamma1 = (
-            np.asarray(trace.column(name))[1:] for name in (
+            run.column(name)[1:] for name in (
                 "g_norm", "delta", "model_dec", "cauchy_dec", "hess_bound", "step_norm",
                 "alpha", "gamma1"))
-        rows = ~np.isnan(g_norm) & ~np.isnan(delta)
+        rows = _subproblem_steps(run)
         self.checked += int(np.count_nonzero(rows))
         finite = np.isfinite(model_dec) & np.isfinite(cauchy_dec) & np.isfinite(step_norm)
         self.nonfinite_violations += int(np.count_nonzero(rows & ~finite))
@@ -72,15 +71,14 @@ class StepContractCounter:
         # -model(s) >= 0.5 ||g|| min{delta, ||g||/B}; B = 0 degenerates
         # to the delta branch.  The certified bound B only weakens the
         # asserted inequality relative to the true estimate norm.
-        bound = np.where(np.isnan(hess_bound), 0.0, hess_bound)
-        curved = bound > 0.0
+        curved = hess_bound > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            ref = np.where(curved, np.minimum(delta, g_norm / bound), delta)
+            ref = np.where(curved, np.minimum(delta, g_norm / hess_bound), delta)
             # second Cauchy bound on the reference decrease itself:
             # cauchy_dec >= min{delta ||g|| - delta^2 B / 2, ||g||^2 / (2B)}
             ref2 = np.where(curved,
-                            np.minimum(delta * g_norm - 0.5 * delta**2 * bound,
-                                       0.5 * g_norm**2 / bound),
+                            np.minimum(delta * g_norm - 0.5 * delta**2 * hess_bound,
+                                       0.5 * g_norm**2 / hess_bound),
                             delta * g_norm)
         self.cauchy_bound_violations += count(model_dec < 0.5 * g_norm * ref - CAUCHY_TOL)
         self.cauchy_second_bound_violations += count(cauchy_dec < ref2 - CAUCHY_TOL)
@@ -101,8 +99,22 @@ class StepContractCounter:
         }
 
 
-def taylor_violations(traj: Trajectory, grad_lipschitz: float) -> tuple[int, int]:
-    """Count violations of the per-step Taylor upper bound.
+def _recorded_steps(run: LaneRun) -> np.ndarray:
+    """(K, S) mask of the steps each lane recorded: entry (k - 1, i) for
+    iteration k of lane i, up to the row where its divergence guard
+    stopped it."""
+    return np.arange(1, run.column("f").shape[0])[:, None] < run.rows
+
+
+def _subproblem_steps(run: LaneRun) -> np.ndarray:
+    """``_recorded_steps`` of a TRish run; none of an SG run, whose steps
+    solve no subproblem."""
+    return _recorded_steps(run) & (run.algorithm != "sg")
+
+
+def taylor_violations(run: LaneRun, grad_lipschitz: float) -> tuple[int, int]:
+    """Count the steps checked and the violations of the per-step Taylor
+    upper bound over every lane of ``run``.
 
     f(x_k) <= f(x_{k-1}) + g's + s'Hs/2 + (grad f - g)'s
     + (L_g + B) ||s||^2 / 2 + tol, using the certified Hessian-norm
@@ -110,33 +122,33 @@ def taylor_violations(traj: Trajectory, grad_lipschitz: float) -> tuple[int, int
     weakens the asserted bound).  Valid wherever ``grad_lipschitz``
     certifies the true Hessian along the step.
     """
-    steps = traj.recorded("model_dec")[1:]  # no SG step: no model
-    f = traj.column("f")
+    steps = _subproblem_steps(run)  # no SG step: no model
+    f = run.column("f")
     prev_f, f = f[:-1][steps], f[1:][steps]
     model_dec, noise_step_dot, hess_bound, step_norm = (
-        traj.column(name)[1:][steps]
+        run.column(name)[1:][steps]
         for name in ("model_dec", "noise_step_dot", "hess_bound", "step_norm"))
     rhs = (prev_f - model_dec + noise_step_dot
            + 0.5 * (grad_lipschitz + hess_bound) * step_norm**2)
     return int(np.count_nonzero(steps)), int(np.count_nonzero(f > rhs + TAYLOR_TOL))
 
 
-def cost_accounting_ok(traj: Trajectory) -> bool:
-    """Whether every iteration cost one unit for its stochastic gradient
-    plus the Hessian products its step may consume, read off the run's
-    own trace and config: none for a zero sampled gradient or a zero
-    estimate (``hess_bound == 0``, which every SG step records);
-    ``final_x.size`` for an exact solve (the dense materialization); 1
-    to the CG cap ``config.solver.max_iters`` for Steihaug.
+def cost_accounting_ok(run: LaneRun) -> bool:
+    """Whether every recorded iteration of every lane cost one unit for
+    its stochastic gradient plus the Hessian products its step may
+    consume, read off the run's own columns and configs: none for a zero
+    sampled gradient or a zero estimate (``hess_bound == 0``, which
+    every SG step records); n for an exact solve (the dense
+    materialization); 1 to the CG cap ``solver.max_iters`` for Steihaug.
     """
-    products = np.diff(traj.column("cost_units")) - 1
-    free = (traj.column("g_norm")[1:] == 0.0) | (traj.column("hess_bound")[1:] == 0.0)
-    solver = traj.config.solver
+    products = np.diff(run.column("cost_units"), axis=0) - 1
+    free = (run.column("g_norm")[1:] == 0.0) | (run.column("hess_bound")[1:] == 0.0)
+    solver = run.configs[0].solver  # the lanes share it
     if solver.kind == "exact":
-        charged = products == traj.final_x.size
+        charged = products == run.final_x.shape[1]
     else:
         charged = (1 <= products) & (products <= solver.max_iters)
-    return bool(np.all(np.where(free, products == 0, charged)))
+    return bool(np.all(np.where(free, products == 0, charged)[_recorded_steps(run)]))
 
 
 def seed_mean_and_se(per_seed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,8 +2,9 @@
 
 Subcommands: ``run`` (experiment -> CSV traces), ``tune`` (grid search),
 ``verify`` (named verification suite), ``baseline-g`` (grid anchor
-statistic).  Exit codes: 0 success/pass, 1 failure, 2 configuration
-error.
+statistic).  Exit codes: 0 success/pass, 1 failure (a failed check, or
+a run-time error such as a diverged run, whose message goes to stderr),
+2 configuration error.
 """
 
 from __future__ import annotations
@@ -27,12 +28,7 @@ EXIT_CONFIG = 2
 
 def _cmd_run(args) -> int:
     doc = load_config(args.config)
-    try:
-        paths = run_experiment(doc, output_dir=args.output_dir)
-    except RuntimeError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_FAIL
-    for path in paths:
+    for path in run_experiment(doc, output_dir=args.output_dir):
         print(path)
     return EXIT_OK
 
@@ -111,6 +107,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except RuntimeError as exc:  # a run that diverged or a solver that failed
+        print(str(exc), file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

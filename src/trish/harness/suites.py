@@ -44,7 +44,6 @@ from ..optimizer import (
     TrishConfig,
     run_lanes,
     run_sg,
-    run_trish,
     run_trish_first_order,
 )
 from ..problems import (
@@ -59,7 +58,6 @@ from ..subproblem import (
     checked_eigh,
     exact_trs_rows,
     kkt_residuals,
-    radius,
     radius_rows,
     steihaug_cg_rows,
 )
@@ -208,29 +206,29 @@ def suite_radius(quick: bool = False) -> SuiteOutcome:
     """Three-case table, breakpoint agreement, steplength continuity."""
     checks = []
 
+    # rows of (g_norm, alpha, gamma1, gamma2) and their (delta, case)
     table = [
         ((0.05, 0.1, 10.0, 1.0), (0.05, 1)),
         ((0.5, 0.1, 10.0, 1.0), (0.1, 2)),
         ((4.0, 0.1, 10.0, 1.0), (0.4, 3)),
         ((0.1, 0.1, 10.0, 1.0), (0.1, 2)),  # breakpoint tie -> middle case
     ]
-    exact = all(
-        radius(*args) == (delta, case) for args, (delta, case) in table
-    )
+    delta, case = radius_rows(*np.array([args for args, _ in table]).T)
+    exact = list(zip(delta.tolist(), case.tolist())) == [want for _, want in table]
     checks.append(CheckResult("three-case examples match exactly", exact,
                               {"cases": len(table)}))
 
     rng = np.random.default_rng(321)
-    worst_bp = 0.0
+    draws = []
     for _ in range(200):
         gamma1 = float(rng.uniform(0.5, 20.0))
         gamma2 = float(rng.uniform(0.05, 1.0)) * gamma1
-        alpha = float(10.0 ** rng.uniform(-3, 0))
-        d1, _ = radius(1.0 / gamma1, alpha, gamma1, gamma2)
-        d2, _ = radius(1.0 / gamma2, alpha, gamma1, gamma2)
-        worst_bp = max(worst_bp,
-                       abs(gamma1 * alpha * (1.0 / gamma1) - d1),
-                       abs(gamma2 * alpha * (1.0 / gamma2) - d2))
+        draws.append((gamma1, gamma2, float(10.0 ** rng.uniform(-3, 0))))
+    gamma1, gamma2, alpha = np.array(draws).T
+    d1, _ = radius_rows(1.0 / gamma1, alpha, gamma1, gamma2)
+    d2, _ = radius_rows(1.0 / gamma2, alpha, gamma1, gamma2)
+    worst_bp = float(max(0.0, np.max(np.abs(gamma1 * alpha * (1.0 / gamma1) - d1)),
+                         np.max(np.abs(gamma2 * alpha * (1.0 / gamma2) - d2))))
     checks.append(CheckResult("adjacent-case formulas agree at both breakpoints",
                               worst_bp <= 1e-12, {"worst_gap": worst_bp}))
 
@@ -240,7 +238,7 @@ def suite_radius(quick: bool = False) -> SuiteOutcome:
     n_pts = 1000 if quick else 10_000
     norms = np.sort(np.concatenate([
         np.linspace(0.0, 2.0, n_pts - 2), [1.0 / gamma1, 1.0 / gamma2]]))
-    deltas = np.array([radius(t, alpha, gamma1, gamma2)[0] for t in norms])
+    deltas, _ = radius_rows(norms, alpha, gamma1, gamma2)
     jumps = np.abs(np.diff(deltas))
     allowed = gamma1 * alpha * np.diff(norms) + 1e-12
     checks.append(CheckResult(
@@ -323,22 +321,19 @@ def suite_lemmas(quick: bool = False) -> SuiteOutcome:
         noise=replace(base.noise, hessian_kind="perturbed", m_h=m_pert, perturbation=1.0))
     exact = replace(base, iterations=max(50, iters // 4), solver=SolverSpec(kind="exact"))
 
-    # each config's 3 seeds as one lane run, checked seed-major
+    # each config's 3 seeds as one lane run, checked whole
     lane_runs = [
         run_lanes(problem, x0, [replace(config, seed=offset + seed) for seed in range(3)],
                   algorithm)
         for config, offset, algorithm in ((base, 0, "trish"), (perturbed, 100, "trish"),
                                           (exact, 200, "trish"), (base, 300, "trish1"))]
     taylor_checked = taylor_bad = 0
-    cost_ok = True
-    for seed in range(3):
-        for run in lane_runs:
-            traj = run.trajectory(seed)
-            counter.update(traj)
-            n, bad = taylor_violations(traj, problem.grad_lipschitz)
-            taylor_checked += n
-            taylor_bad += bad
-            cost_ok = cost_ok and cost_accounting_ok(traj)
+    for run in lane_runs:
+        counter.update(run)
+        n, bad = taylor_violations(run, problem.grad_lipschitz)
+        taylor_checked += n
+        taylor_bad += bad
+    cost_ok = all(cost_accounting_ok(run) for run in lane_runs)
 
     checks.append(CheckResult(
         "Taylor upper bound holds every step (quadratic, certified L_g)",
@@ -659,9 +654,8 @@ def suite_complexity(quick: bool = False) -> SuiteOutcome:
         delta_hi = 2.0 * sqrt_eps / (lam3 * L_H)
         decrease_floor = eps**1.5 / (3.0 * L_H**2) - 1e-12
 
-        traj = None
         horizon = 3000
-        for _ in range(4):  # fixed-budget runs, escalating until upsilon drops
+        for _ in range(4):  # fixed-budget one-lane runs, escalating until upsilon drops
             inside = []  # problem.in_ball at each iterate
             cfg = TrishConfig(
                 stepsizes=StepsizeSchedule.constant(alpha),
@@ -673,13 +667,13 @@ def suite_complexity(quick: bool = False) -> SuiteOutcome:
                                  m_h=problem.grad_lipschitz),
             )
             with _quiet_optimizer_warnings():
-                traj = run_trish(problem, x0, cfg,
-                                 on_iterate=lambda k, x: inside.append(problem.in_ball(x)))
-            dropped = np.flatnonzero(traj.column("upsilon")[1:] <= sqrt_eps)
+                run = run_lanes(problem, x0, [cfg],
+                                on_iterate=lambda k, X: inside.append(problem.in_ball(X[0])))
+            dropped = np.flatnonzero(run.column("upsilon")[1:, 0] <= sqrt_eps)
             if dropped.size:
                 break
             horizon *= 4
-        counter.update(traj)
+        counter.update(run)
 
         stop = int(dropped[0]) if dropped.size else None
         stats = {"eps": eps, "alpha": alpha, "stop_iteration": stop,
@@ -690,11 +684,11 @@ def suite_complexity(quick: bool = False) -> SuiteOutcome:
                 False, stats))
             continue
 
-        counted = traj.records[1 : stop + 1]  # all have upsilon > sqrt(eps)
-        f_values = traj.column("f")
+        # rows 1..stop all have upsilon > sqrt(eps)
+        f_values = run.column("f")[:, 0]
         decreases = f_values[:stop] - f_values[1 : stop + 1]
         min_dec = float(np.min(decreases)) if stop > 0 else np.inf
-        deltas, g_norms = counted.delta, counted.g_norm
+        deltas, g_norms = (run.column(name)[1 : stop + 1, 0] for name in ("delta", "g_norm"))
         in_ball = all(inside[: stop + 2])
         stats.update({
             "counted_iterations": stop,

@@ -56,7 +56,7 @@ from .core import (
 )
 from .problems import MiniBatchSampler
 from .schedules import GammaSchedule, StepsizeSchedule, gammas_at, validate_stepsize
-from .subproblem import checked_eigh, exact_trs_rows, radius, radius_rows, steihaug_cg_rows
+from .subproblem import checked_eigh, exact_trs_rows, radius_rows, steihaug_cg_rows
 
 logger = logging.getLogger(__name__)
 
@@ -264,12 +264,15 @@ class LaneRun:
 
     ``columns[name]`` is a (K+1, S) array of the ``TRACE_DTYPE`` field
     ``name`` for every lane (``k`` is not kept).  Lane i ran
-    ``configs[i]`` and recorded ``rows[i]`` rows; the rows after a
-    tripped divergence guard are NaN, and ``aborted[i]`` gives the
-    reason.  The ``SCHEDULE_COLUMNS`` are read-only and NaN in row 0;
-    when every lane runs the same schedules they are views of one (K+1,)
-    table broadcast over the lanes.  They hold the schedule on a stopped
-    lane's rows too; ``g_norm`` and ``delta`` are NaN there.
+    ``configs[i]``, the config its one-lane run reports (for ``trish1``
+    and ``sg``, the given config with the source's Hessian estimate off;
+    see ``run_trish_first_order`` and ``run_sg``), and recorded
+    ``rows[i]`` rows; the rows after a tripped divergence guard are NaN,
+    and ``aborted[i]`` gives the reason.  The ``SCHEDULE_COLUMNS`` are
+    read-only and NaN in row 0; when every lane runs the same schedules
+    they are views of one (K+1,) table broadcast over the lanes.  They
+    hold the schedule on a stopped lane's rows too; ``g_norm`` and
+    ``delta`` are NaN there.
     ``wall_ns`` is the lockstep time, the nanoseconds from the start of
     the run to the end of each row: one read-only (K+1,) table broadcast
     over the lanes, NaN after the last row any lane ran.  ``true_grad``
@@ -290,17 +293,12 @@ class LaneRun:
     def trajectory(self, i: int) -> Trajectory:
         """Lane i as a ``Trajectory``: the one its one-lane run returns,
         config included, but for ``wall_ns``, which is the lockstep time."""
-        config = self.configs[i]
-        if self.algorithm == "sg":
-            config = _sg_config(config.stepsizes, config.noise, config.iterations, config.seed)
-        elif self.algorithm == "trish1":
-            config = replace(config, noise=_zero_hessian(config.noise))
         rows = int(self.rows[i])
         records = np.empty(rows, dtype=TRACE_DTYPE)
         records["k"] = np.arange(rows)
         for name in TRACE_DTYPE.names[1:]:
             records[name] = self.columns[name][:rows, i]
-        return Trajectory(self.algorithm, config, records.view(np.recarray),
+        return Trajectory(self.algorithm, self.configs[i], records.view(np.recarray),
                           self.final_x[i].copy(), self.aborted[i], self.true_grad)
 
 
@@ -361,8 +359,14 @@ def run_lanes(
     if any((c.iterations, c.solver, c.noise, c.enforce_stepsize_bound) != shared for c in configs):
         raise ConfigurationError("lanes share the iteration count, solver, estimate source "
                                  "(noise) and stepsize enforcement")
-    if algorithm != "trish":
+    # the configs the lanes run: first-order TRish and SG turn the source's
+    # Hessian estimate off, and SG runs the config it equals
+    if algorithm == "sg":
+        configs = [_sg_config(c.stepsizes, c.noise, c.iterations, c.seed) for c in configs]
+    elif algorithm == "trish1":
         source = _zero_hessian(source)
+        configs = [replace(c, noise=source) for c in configs]
+    source = configs[0].noise
     sampled = isinstance(source, MiniBatchSampler)
     true_grad = true_grad or not sampled
     S, n = len(configs), oracle.dim
@@ -402,8 +406,6 @@ def run_lanes(
             pairs, violation = [(np.nan, np.nan)] * K, None
         else:
             pairs = [gammas_at(gammas, stepsizes, k) for k in ks]
-            for a, (g1, g2) in zip(alphas, pairs):
-                radius(1.0, a, g1, g2)  # validates alpha > 0 and 0 < gamma2 <= gamma1
             violation = next((k for k, a, (g1, g2) in zip(ks, alphas, pairs) if not
                               validate_stepsize(a, g1, g2, oracle.grad_lipschitz, bound)), None)
         first_violation.append(violation)

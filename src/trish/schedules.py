@@ -44,7 +44,11 @@ class StepsizeSchedule:
             raise ConfigurationError("iteration index k is 1-based")
         if self.kind == "constant":
             return self.alpha
-        return self.a / (self.b + k)
+        alpha = self.a / (self.b + k)
+        if alpha == 0.0:
+            raise ConfigurationError(f"diminishing stepsize alpha_{k} = a / (b + k) "
+                                     f"underflows to 0 ({self.a=} {self.b=})")
+        return alpha
 
 
 @dataclass(frozen=True)

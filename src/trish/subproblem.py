@@ -10,7 +10,6 @@ loop; a single subproblem is a stack of one row.
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
@@ -31,39 +30,16 @@ from .core import (
 _EPS = float(np.finfo(float).eps)
 
 
-class RadiusCase(enum.IntEnum):
-    """Which branch of the radius rule fired, keyed by the gradient norm."""
-
-    CASE1 = 1  # ||g|| in [0, 1/gamma1)
-    CASE2 = 2  # ||g|| in [1/gamma1, 1/gamma2]
-    CASE3 = 3  # ||g|| in (1/gamma2, inf)
-
-
-def radius(g_norm: float, alpha: float, gamma1: float, gamma2: float) -> tuple[float, RadiusCase]:
-    """Trust-region radius from the gradient norm.
-
-    Returns ``gamma1 * alpha * g_norm`` below the first breakpoint
-    ``1/gamma1``, ``alpha`` on the closed middle interval, and
-    ``gamma2 * alpha * g_norm`` above ``1/gamma2``.  Breakpoint ties go
-    to the middle case; the induced steplength is continuous in
-    ``g_norm``.
-    """
-    if not 0.0 < gamma2 <= gamma1:
-        raise ConfigurationError(f"need 0 < gamma2 <= gamma1, got {gamma1=} {gamma2=}")
-    if alpha <= 0.0:
-        raise ConfigurationError("stepsize alpha must be positive")
-    if g_norm < 1.0 / gamma1:
-        return gamma1 * alpha * g_norm, RadiusCase.CASE1
-    if g_norm <= 1.0 / gamma2:
-        return alpha, RadiusCase.CASE2
-    return gamma2 * alpha * g_norm, RadiusCase.CASE3
-
-
 def radius_rows(g_norm: Array, alpha, gamma1, gamma2) -> tuple[Array, Array]:
-    """``radius`` over arrays of gradient norms (and per-row parameters).
+    """Trust-region radii from an array of gradient norms (and per-row
+    parameters), with the case each row's rule took.
 
-    Returns the radii and the case numbers; each row equals the scalar
-    rule bit for bit.  Parameters are not validated here.
+    Case 1 gives ``gamma1 * alpha * g_norm`` below the first breakpoint
+    ``1/gamma1``, case 2 ``alpha`` on the closed middle interval, and
+    case 3 ``gamma2 * alpha * g_norm`` above ``1/gamma2``.  Breakpoint
+    ties go to the middle case; the induced steplength is continuous in
+    ``g_norm``.  The parameters are not validated here: the schedules
+    refuse any ``alpha <= 0`` or gammas outside ``0 < gamma2 <= gamma1``.
     """
     case1 = g_norm < 1.0 / gamma1
     case2 = g_norm <= 1.0 / gamma2

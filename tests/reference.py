@@ -12,8 +12,10 @@ the plain-``@`` logistic kernels below.
 ``trish_step`` takes the radius from ||g|| and solves the one
 subproblem with ``steihaug_cg`` or ``exact_trs``, the one-point solvers
 that ``steihaug_cg_rows`` and ``exact_trs_rows`` equal row by row, bit
-for bit.  They share no solver code with the library: only the radius
-rule, the Euclidean norm and ``checked_eigh``'s input checks.
+for bit.  They share no solver code with the library: only the
+Euclidean norm and ``checked_eigh``'s input checks.  ``radius`` is the
+reference's own scalar radius rule, which ``radius_rows`` equals row by
+row.
 
 ``solve_row`` is the other direction: one subproblem through the
 library's rows solvers, as a stack of one row.
@@ -31,10 +33,8 @@ from trish import (
     GammaSchedule,
     MiniBatchSampler,
     NumericalError,
-    RadiusCase,
     TrishConfig,
     gammas_at,
-    radius,
     rng_stream,
 )
 from trish.core import GRADIENT_STREAM, HESSIAN_STREAM, matvec, norm, row_norms
@@ -42,6 +42,17 @@ from trish.optimizer import DIVERGENCE_MARGIN, TRACE_DTYPE, Trajectory
 from trish.subproblem import checked_eigh, exact_trs_rows, steihaug_cg_rows
 
 _EPS = float(np.finfo(float).eps)
+
+
+def radius(g_norm, alpha, gamma1, gamma2):
+    """The trust-region radius from the gradient norm, and its case:
+    ``gamma1 * alpha * g_norm`` (1) below ``1/gamma1``, ``alpha`` (2) up
+    to ``1/gamma2`` inclusive, ``gamma2 * alpha * g_norm`` (3) above."""
+    if g_norm < 1.0 / gamma1:
+        return gamma1 * alpha * g_norm, 1
+    if g_norm <= 1.0 / gamma2:
+        return alpha, 2
+    return gamma2 * alpha * g_norm, 3
 
 
 def sample_gradient(oracle, x, noise, k, alpha_k, rng):
@@ -161,7 +172,7 @@ class TRStep:
 
     s: np.ndarray
     delta: float
-    case: RadiusCase | None
+    case: int | None
     model_decrease: float
     cauchy_decrease: float
     cg_iterations: int
@@ -402,7 +413,7 @@ def trish_step(x, g, hess, alpha, gamma1, gamma2, solver):
     if g_norm == 0.0:
         # radius rule gives delta = 0; the step degenerates to zero
         zero = np.zeros_like(x)
-        return x.copy(), TRStep(zero, 0.0, RadiusCase.CASE1, 0.0, 0.0, 0, False)
+        return x.copy(), TRStep(zero, 0.0, 1, 0.0, 0.0, 0, False)
     delta, case = radius(g_norm, alpha, gamma1, gamma2)
     if solver.kind == "steihaug":
         step = steihaug_cg(g, hess, delta, solver.max_iters, solver.tol, case)

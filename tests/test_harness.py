@@ -12,9 +12,7 @@ from trish import (
     TrishConfig,
     make_quadratic,
     run_lanes,
-    run_sg,
     run_trish,
-    run_trish_first_order,
 )
 from trish.core import ConfigurationError
 from trish.harness.checks import StepContractCounter, cost_accounting_ok, taylor_violations
@@ -23,7 +21,7 @@ from trish.harness.config import build_inputs, load_config, validate_config
 from trish.harness.experiment import CSV_COLUMNS, run_experiment, write_trace_csv
 from trish.harness.grid import GridSpec, baseline_gradient_norm, build_grid, tune
 from trish.optimizer import TRACE_DTYPE
-from trish.problems import MiniBatchSampler, QuadraticProblem
+from trish.problems import MiniBatchSampler, QuadraticProblem, RosenbrockProblem
 
 from reference import reference_run
 
@@ -458,6 +456,32 @@ class TestCLI:
                                           for e in expected.leaderboard]
 
 
+    @pytest.mark.parametrize("command,doc", [
+        # SG at the baseline stepsize 0.1 diverges on lam_max = 1000
+        ("baseline-g", base_config(problem={"kind": "quadratic", "n": 4, "lam_min": 1.0,
+                                            "lam_max": 1000.0, "seed": 3},
+                                   baseline={"iterations": 200, "seed": 0})),
+        ("tune", base_config(problem={"kind": "quadratic", "n": 4, "lam_min": 1.0,
+                                      "lam_max": 1000.0, "seed": 3},
+                             grid={"lambda_exponents": [-2.0], "a_exponents": [1.0],
+                                   "b_exponents": [1.0]},
+                             baseline={"iterations": 200, "seed": 0})),
+        # the baseline holds, and SG diverges at every grid stepsize
+        ("tune", base_config(algorithm="sg", iterations=40,
+                             grid={"lambda_exponents": [3.0], "a_exponents": [3.0],
+                                   "b_exponents": [1.0]},
+                             baseline={"iterations": 20, "seed": 0})),
+    ], ids=["baseline-g", "tune-baseline", "tune-grid"])
+    def test_run_time_error_exits_1_with_one_line(self, tmp_path, capsys, command, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "diverged" in captured.err and "Traceback" not in captured.err
+
+
 def test_oracles_suite_checks_the_lanes_estimate(monkeypatch):
     """Capping the one Hessian estimate the lanes draw at 2 tau instead of
     tau fails the oracles suite's cap check."""
@@ -481,6 +505,10 @@ def test_verify_unknown_suite_is_config_error():
         verify("made-up-suite")
 
 
+def one_lane(prob, cfg, algorithm="trish"):
+    return run_lanes(prob, np.ones(prob.dim), [cfg], algorithm)
+
+
 class TestStepContractCounter:
     def trace(self, lanes=False):
         prob = make_quadratic(4, 1.0, 4.0, seed=2)
@@ -489,7 +517,7 @@ class TestStepContractCounter:
                                                hessian_kind="exact-capped", m_h=4.0))
         if lanes:
             return run_lanes(prob, np.ones(4), [replace(cfg, seed=seed) for seed in range(3)])
-        return run_trish(prob, np.ones(4), cfg)
+        return one_lane(prob, cfg)
 
     def test_clean_run_has_no_violations(self):
         for trace, steps in ((self.trace(), 30), (self.trace(lanes=True), 3 * 30)):
@@ -501,13 +529,13 @@ class TestStepContractCounter:
             assert np.isfinite(counter.worst_cauchy_margin)
 
     def test_nan_step_counts_as_violation(self):
-        traj = self.trace()
+        run = self.trace()
         clean = StepContractCounter()
-        clean.update(traj)
-        traj.column("model_dec")[5] = np.nan
-        traj.column("step_norm")[5] = np.nan
+        clean.update(run)
+        run.column("model_dec")[5] = np.nan
+        run.column("step_norm")[5] = np.nan
         counter = StepContractCounter()
-        counter.update(traj)
+        counter.update(run)
         assert counter.nonfinite_violations == 1
         assert counter.total_violations == 1
         assert counter.checked == 30
@@ -522,6 +550,64 @@ class TestStepContractCounter:
         assert counter.total_violations >= 1
 
 
+def taylor_by_rows(traj, grad_lipschitz):
+    """``taylor_violations`` of one lane, row by row over its trajectory."""
+    if traj.algorithm == "sg":
+        return 0, 0
+    violations = 0
+    for prev, rec in zip(traj.records[:-1], traj.records[1:]):
+        rhs = (float(prev.f) - float(rec.model_dec) + float(rec.noise_step_dot)
+               + 0.5 * (grad_lipschitz + float(rec.hess_bound)) * float(rec.step_norm)**2)
+        violations += float(rec.f) > rhs + 1e-9
+    return len(traj.records) - 1, violations
+
+
+def cost_ok_by_rows(traj):
+    """``cost_accounting_ok`` of one lane, row by row over its trajectory."""
+    solver = traj.config.solver
+    for prev, rec in zip(traj.records[:-1], traj.records[1:]):
+        products = float(rec.cost_units) - float(prev.cost_units) - 1
+        if rec.g_norm == 0.0 or rec.hess_bound == 0.0:
+            ok = products == 0
+        elif solver.kind == "exact":
+            ok = products == traj.final_x.size
+        else:
+            ok = 1 <= products <= solver.max_iters
+        if not ok:
+            return False
+    return True
+
+
+def counter_by_rows(run):
+    """``StepContractCounter(run).stats()``, row by row over each lane's
+    trajectory."""
+    stats = dict.fromkeys(StepContractCounter().stats(), 0)
+    worst = np.inf
+    for i in range(len(run.rows)):
+        traj = run.trajectory(i)
+        if traj.algorithm == "sg":
+            continue
+        for rec in traj.records[1:]:
+            g, d, b = float(rec.g_norm), float(rec.delta), float(rec.hess_bound)
+            m, c, s = float(rec.model_dec), float(rec.cauchy_dec), float(rec.step_norm)
+            stats["steps_checked"] += 1
+            stats["nonfinite_violations"] += not all(map(np.isfinite, (m, c, s)))
+            if g == 0.0:
+                continue
+            if not np.isnan(m - c):
+                worst = min(worst, m - c)
+            stats["cauchy_violations"] += m - c < -1e-10
+            ref = min(d, g / b) if b > 0.0 else d
+            ref2 = min(d * g - 0.5 * d**2 * b, 0.5 * g**2 / b) if b > 0.0 else d * g
+            stats["cauchy_bound_violations"] += m < 0.5 * g * ref - 1e-10
+            stats["cauchy_second_bound_violations"] += c < ref2 - 1e-10
+            stats["feasibility_violations"] += s > d * (1.0 + 1e-12)
+            limit = float(rec.alpha) * max(1.0, float(rec.gamma1) * g)
+            stats["steplength_violations"] += s > limit * (1.0 + 1e-12)
+    stats["worst_cauchy_margin"] = None if stats["steps_checked"] == 0 else worst
+    return stats
+
+
 class TestColumnReaders:
     """The column readers against a row-by-row reference."""
 
@@ -530,39 +616,26 @@ class TestColumnReaders:
         cfg = TrishConfig(StepsizeSchedule.constant(0.005), GammaSchedule.constant(2.0, 1.0),
                           30, seed=1, noise=NoiseModel(kind="bounded", m_g=1.0,
                                                        hessian_kind="exact-capped", m_h=4.0))
-        sg = run_sg(prob, np.ones(4), StepsizeSchedule.constant(0.005),
-                    NoiseModel(kind="bounded", m_g=1.0), 30, seed=1)
-        return prob, run_trish(prob, np.ones(4), cfg), run_trish_first_order(prob, np.ones(4), cfg), sg
-
-    @staticmethod
-    def taylor_by_rows(traj, grad_lipschitz):
-        if traj.algorithm == "sg":
-            return 0, 0
-        violations = 0
-        for prev, rec in zip(traj.records[:-1], traj.records[1:]):
-            rhs = (float(prev.f) - float(rec.model_dec) + float(rec.noise_step_dot)
-                   + 0.5 * (grad_lipschitz + float(rec.hess_bound)) * float(rec.step_norm)**2)
-            violations += float(rec.f) > rhs + 1e-9
-        return len(traj.records) - 1, violations
+        return (prob, *(one_lane(prob, cfg, algorithm) for algorithm in ("trish", "trish1", "sg")))
 
     def test_taylor_violations_match_row_loop(self):
         prob, trish, trish1, sg = self.runs()
         trish.column("f")[[7, 20]] += 1.0  # each breaks the bound of the step into it
-        for traj in (trish, trish1, sg):
-            assert taylor_violations(traj, prob.grad_lipschitz) == self.taylor_by_rows(
-                traj, prob.grad_lipschitz)
+        for run in (trish, trish1, sg):
+            assert taylor_violations(run, prob.grad_lipschitz) == taylor_by_rows(
+                run.trajectory(0), prob.grad_lipschitz)
         assert taylor_violations(trish, prob.grad_lipschitz) == (30, 2)
         assert taylor_violations(sg, prob.grad_lipschitz) == (0, 0)
 
     def test_cost_accounting(self):
         prob, trish, trish1, sg = self.runs()
-        exact = run_trish(prob, np.ones(4), replace(trish.config, solver=SolverSpec(kind="exact")))
-        for traj in (trish, trish1, sg, exact):
-            assert cost_accounting_ok(traj)
-            cost = traj.column("cost_units")
+        exact = one_lane(prob, replace(trish.configs[0], solver=SolverSpec(kind="exact")))
+        for run in (trish, trish1, sg, exact):
+            assert cost_accounting_ok(run)
+            cost = run.column("cost_units")
             for change in (-1, 4):  # iteration 12 charged one unit less, then four more
                 cost[12:] += change
-                assert not cost_accounting_ok(traj), (traj.algorithm, change)
+                assert not cost_accounting_ok(run), (run.algorithm, change)
                 cost[12:] -= change
 
     def test_cost_accounting_reads_the_cg_cap(self):
@@ -570,10 +643,45 @@ class TestColumnReaders:
         cfg = TrishConfig(StepsizeSchedule.constant(0.5), GammaSchedule.constant(2.0, 1.0),
                           30, seed=1, noise=NoiseModel(kind="bounded", m_g=1.0,
                                                        hessian_kind="exact-capped", m_h=10.0))
-        wide = run_trish(prob, np.ones(10), replace(cfg, solver=SolverSpec(max_iters=5)))
-        assert np.max(np.diff(wide.column("cost_units"))) == 6  # steps reach the cap of 5
+        wide = one_lane(prob, replace(cfg, solver=SolverSpec(max_iters=5)))
+        assert np.max(np.diff(wide.column("cost_units"), axis=0)) == 6  # steps reach the cap
         assert cost_accounting_ok(wide)
-        narrow = run_trish(prob, np.ones(10), replace(cfg, solver=SolverSpec(max_iters=1)))
+        narrow = one_lane(prob, replace(cfg, solver=SolverSpec(max_iters=1)))
         assert cost_accounting_ok(narrow)
         narrow.column("cost_units")[12:] += 2  # iteration 12 costs 4 units: 3 products
         assert not cost_accounting_ok(narrow)
+
+
+class TestLaneReaders:
+    """The readers on lanes that the divergence guard stops partway read
+    each lane up to its last row, as a row loop over its trajectory does."""
+
+    @pytest.mark.parametrize("algorithm, solver", [
+        ("trish", "steihaug"), ("trish", "exact"), ("trish1", "steihaug"), ("sg", "steihaug")])
+    def test_readers_match_row_loop_over_trajectories(self, algorithm, solver):
+        # seeds 1 and 6 diverge under the noise, seed 6 at k = 42 of 60
+        prob = RosenbrockProblem(4)
+        config = TrishConfig(StepsizeSchedule.constant(0.006), GammaSchedule.constant(1.0, 1.0),
+                             60, solver=SolverSpec(kind=solver),
+                             noise=NoiseModel(kind="bounded", m_g=300.0,
+                                              hessian_kind="exact-capped", m_h=10.0))
+        run = run_lanes(prob, np.zeros(4), [replace(config, seed=seed) for seed in range(8)],
+                        algorithm)
+        assert run.rows[6] == 43 and run.aborted[6] is not None
+        # junk on the rows after lane 6 stopped, which no reader may count
+        for name, junk in (("g_norm", 1.0), ("delta", 1.0), ("step_norm", 1e9),
+                           ("model_dec", -1.0), ("cauchy_dec", np.nan), ("f", 1e9),
+                           ("cost_units", 1e9), ("noise_step_dot", 0.0)):
+            run.column(name)[43:, 6] = junk
+        run.column("f")[[7, 20], 3] += 1.0  # two steps break the Taylor bound
+        trajs = [run.trajectory(i) for i in range(8)]
+
+        counter = StepContractCounter()
+        counter.update(run)
+        assert counter.stats() == counter_by_rows(run)
+        L_g = prob.grad_lipschitz
+        assert taylor_violations(run, L_g) == tuple(
+            np.sum([taylor_by_rows(traj, L_g) for traj in trajs], axis=0))
+        assert cost_accounting_ok(run) and all(map(cost_ok_by_rows, trajs))
+        run.column("cost_units")[30:, 2] += 4  # lane 2 pays four units too many at k = 30
+        assert not cost_accounting_ok(run) and not cost_ok_by_rows(run.trajectory(2))

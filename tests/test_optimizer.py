@@ -36,7 +36,7 @@ from trish.problems import (
     make_quartic_bowl,
 )
 
-from reference import reference_run
+from reference import reference_run, reported_config
 
 
 @pytest.fixture(autouse=True)
@@ -640,6 +640,36 @@ class TestLanes:
                           10, enforce_stepsize_bound=True)
         with pytest.raises(ConfigurationError, match="k=1"):
             run_lanes(prob, np.zeros(3), [cfg])
+
+    @pytest.mark.parametrize("solver", ["steihaug", "exact"])
+    @pytest.mark.parametrize("stepsizes, gammas", [
+        # alpha_1 = 5e-324 / 2 underflows to 0.0
+        (StepsizeSchedule.diminishing(5e-324, 1.0), GammaSchedule.constant(2.0, 1.0)),
+        # alpha_1 > 0 already fails a precondition bound that underflows to 0,
+        # and alpha_2 = 5e-324 / 2.5 underflows to 0.0
+        (StepsizeSchedule.diminishing(5e-324, 0.5), GammaSchedule.constant(1e200, 1e-200)),
+    ], ids=["alpha_1", "alpha_2"])
+    def test_underflowing_stepsize_refused_before_the_first_step(self, stepsizes, gammas,
+                                                                 solver):
+        prob = make_quadratic(3, 1.0, 2.0, seed=1)
+        seen = []
+        cfg = TrishConfig(stepsizes, gammas, 3, solver=SolverSpec(kind=solver),
+                          noise=NoiseModel(kind="bounded", m_g=1.0))
+        with pytest.raises(ConfigurationError):
+            run_lanes(prob, np.zeros(3), [cfg], on_iterate=lambda k, X: seen.append(k))
+        assert seen == []
+
+    @pytest.mark.parametrize("algorithm", ["trish", "trish1", "sg"])
+    def test_lane_configs_are_the_configs_run(self, algorithm):
+        # the configs the lanes ran, as each one-lane run reports its own
+        prob = make_quadratic(3, 1.0, 2.0, seed=1)
+        configs = [replace(self.config(alpha, hessian="exact-capped"), seed=seed)
+                   for alpha, seed in ((0.01, 0), (0.02, 1))]
+        lanes = run_lanes(prob, np.zeros(3), configs, algorithm)
+        assert lanes.configs == [reported_config(c, algorithm) for c in configs]
+        for i, config in enumerate(configs):
+            assert lanes.trajectory(i).config is lanes.configs[i]
+            assert lanes.configs[i] == run_one_lane(prob, np.zeros(3), config, algorithm).config
 
     @pytest.mark.parametrize("change", [
         {"iterations": 59},

@@ -12,12 +12,13 @@ from trish import (
     StepsizeSchedule,
     gammas_at,
     kkt_residuals,
-    radius,
 )
 from trish.core import libm_pow, row_norms
 from trish.subproblem import checked_eigh, exact_trs_rows, radius_rows, steihaug_cg_rows
 
-from reference import Operator, cauchy_point, exact_trs, model_value, solve_row, steihaug_cg
+from reference import (
+    Operator, cauchy_point, exact_trs, model_value, radius, solve_row, steihaug_cg,
+)
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -30,25 +31,29 @@ def radius_params(draw):
     return gamma1, gamma2, alpha
 
 
-@given(radius_params(), st.floats(0.0, 100.0, **finite))
-def test_radius_case_matches_interval_definition(params, g_norm):
+@given(radius_params(), st.lists(st.floats(0.0, 100.0, **finite), min_size=1, max_size=6))
+def test_radius_case_matches_interval_definition(params, g_norms):
+    # radius_rows on the drawn norms and both breakpoints, row by row
+    # against the interval definition and the reference's scalar rule
     gamma1, gamma2, alpha = params
-    delta, case = radius(g_norm, alpha, gamma1, gamma2)
-    if g_norm < 1.0 / gamma1:
-        assert case == 1 and delta == gamma1 * alpha * g_norm
-    elif g_norm <= 1.0 / gamma2:
-        assert case == 2 and delta == alpha
-    else:
-        assert case == 3 and delta == gamma2 * alpha * g_norm
-    assert delta >= 0.0
+    norms = [*g_norms, 1.0 / gamma1, 1.0 / gamma2]
+    deltas, cases = radius_rows(np.array(norms), alpha, gamma1, gamma2)
+    for g_norm, delta, case in zip(norms, deltas.tolist(), cases.tolist()):
+        if g_norm < 1.0 / gamma1:
+            assert case == 1 and delta == gamma1 * alpha * g_norm
+        elif g_norm <= 1.0 / gamma2:
+            assert case == 2 and delta == alpha
+        else:
+            assert case == 3 and delta == gamma2 * alpha * g_norm
+        assert delta >= 0.0
+        assert (delta, case) == radius(g_norm, alpha, gamma1, gamma2)
 
 
 @given(radius_params())
 def test_radius_breakpoint_agreement(params):
     gamma1, gamma2, alpha = params
-    d1, _ = radius(1.0 / gamma1, alpha, gamma1, gamma2)
+    (d1, d2), _ = radius_rows(np.array([1.0 / gamma1, 1.0 / gamma2]), alpha, gamma1, gamma2)
     assert abs(gamma1 * alpha / gamma1 - d1) <= 1e-12 * max(1.0, alpha)
-    d2, _ = radius(1.0 / gamma2, alpha, gamma1, gamma2)
     assert abs(gamma2 * alpha / gamma2 - d2) <= 1e-12 * max(1.0, alpha)
 
 

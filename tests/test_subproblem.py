@@ -5,15 +5,16 @@ import pytest
 
 from trish import (
     ConfigurationError,
+    GammaSchedule,
     NumericalError,
-    RadiusCase,
+    StepsizeSchedule,
+    gammas_at,
     kkt_residuals,
-    radius,
 )
 from trish.core import matvec
-from trish.subproblem import checked_eigh, exact_trs_rows, steihaug_cg_rows
+from trish.subproblem import checked_eigh, exact_trs_rows, radius_rows, steihaug_cg_rows
 
-from reference import Operator, exact_trs, model_value, solve_row, steihaug_cg
+from reference import Operator, exact_trs, model_value, radius, solve_row, steihaug_cg
 
 
 def op(matrix):
@@ -27,22 +28,36 @@ def exact_row(g, H, delta, **options):
 
 
 class TestRadius:
+    """``radius_rows``, the library's radius rule, against the reference's
+    scalar rule."""
+
     @pytest.mark.parametrize("g_norm,alpha,g1,g2,delta,case", [
-        (0.05, 0.1, 10.0, 1.0, 0.05, RadiusCase.CASE1),
-        (0.5, 0.1, 10.0, 1.0, 0.1, RadiusCase.CASE2),
-        (4.0, 0.1, 10.0, 1.0, 0.4, RadiusCase.CASE3),
-        (0.1, 0.1, 10.0, 1.0, 0.1, RadiusCase.CASE2),  # tie goes to the middle case
+        (0.05, 0.1, 10.0, 1.0, 0.05, 1),
+        (0.5, 0.1, 10.0, 1.0, 0.1, 2),
+        (4.0, 0.1, 10.0, 1.0, 0.4, 3),
+        (0.1, 0.1, 10.0, 1.0, 0.1, 2),  # tie goes to the middle case
     ])
     def test_three_case_table(self, g_norm, alpha, g1, g2, delta, case):
-        assert radius(g_norm, alpha, g1, g2) == (delta, case)
+        d, c = radius_rows(np.array([g_norm]), alpha, g1, g2)
+        assert (d.item(), c.item()) == (delta, case) == radius(g_norm, alpha, g1, g2)
+
+    def test_rows_take_their_own_parameters(self):
+        args = np.array([(0.05, 0.1, 10.0, 1.0), (0.5, 0.2, 10.0, 1.0), (4.0, 0.1, 5.0, 0.5),
+                         (2.0, 0.3, 4.0, 0.5), (0.25, 0.3, 4.0, 0.5)])
+        delta, case = radius_rows(*args.T)
+        assert list(zip(delta.tolist(), case.tolist())) == [radius(*row) for row in args.tolist()]
 
     def test_breakpoint_continuity(self):
-        d, _ = radius(1.0 / 10.0, 0.1, 10.0, 1.0)
-        assert abs(10.0 * 0.1 * (1.0 / 10.0) - d) <= 1e-12
+        d, _ = radius_rows(np.array([1.0 / 10.0]), 0.1, 10.0, 1.0)
+        assert abs(10.0 * 0.1 * (1.0 / 10.0) - d[0]) <= 1e-12
 
     def test_gamma_ordering_enforced(self):
+        """The rule takes its gammas from the schedules, which refuse any
+        pair outside 0 < gamma2 <= gamma1."""
         with pytest.raises(ConfigurationError):
-            radius(1.0, 0.1, 1.0, 2.0)
+            GammaSchedule.constant(1.0, 2.0)
+        with pytest.raises(ConfigurationError):  # eta * alpha_1 >= 2: gamma2_1 <= 0
+            gammas_at(GammaSchedule.merging(1.0, 4.0), StepsizeSchedule.constant(0.5), 1)
 
 
 class TestModelValue:
