@@ -53,21 +53,23 @@ def rng_stream(seed: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(purpose,)))
 
 
-# Row-stacked linear algebra.  Both forms reach the same BLAS kernel per
-# row (ddot, gemv) as their 1-D counterparts, so row i is bit-identical
-# to ``x @ y`` and ``A @ x`` as long as the rows are unit-stride (a
-# strided row takes another kernel path); ``X @ A.T``, einsum and
-# ``norm(axis=1)`` are not.
+# Row-stacked linear algebra, on numpy's row gufuncs (numpy >= 2.2).
+# ``np.vecdot`` and ``np.matvec`` reach the same BLAS kernel per row
+# (ddot, gemv) as the 1-D ``x @ y`` and ``A @ x``, so row i is
+# bit-identical to those as long as the rows are unit-stride (a strided
+# row takes another kernel path); a transposed matrix (``A.swapaxes``)
+# takes gemv's transposed path, as ``A.T @ x`` does.  ``X @ A.T``,
+# einsum and ``norm(axis=1)`` are not bit-identical.
 
 
 def rowdot(X: Array, Y: Array) -> Array:
     """Row-wise dot products; row i equals ``X[i] @ Y[i]`` bit for bit."""
-    return np.matmul(X[..., None, :], Y[..., :, None])[..., 0, 0]
+    return np.vecdot(X, Y)
 
 
 def matvec(A: Array, X: Array) -> Array:
     """Row-wise ``A @ x`` over the rows of ``X``, bit for bit."""
-    return np.matmul(A, X[..., None])[..., 0]
+    return np.matvec(A, X)
 
 
 def norm(x: Array) -> float:

@@ -19,6 +19,8 @@ import csv
 import os
 from pathlib import Path
 
+import numpy as np
+
 from ..core import ConfigurationError
 from ..optimizer import SolverSpec, Trajectory, TrishConfig, run_lanes
 from ..schedules import GammaSchedule, StepsizeSchedule
@@ -34,17 +36,33 @@ OUTPUT_DIR_ENV = "TRISH_OUTPUT_DIR"
 
 
 def _cells(traj: Trajectory, name: str) -> list[str]:
-    """Column ``name`` as CSV cells: integers, float reprs, or empty."""
-    fmt = (lambda v: str(int(v))) if name in INT_COLUMNS else repr
-    return [fmt(v) if kept else "" for v, kept in
-            zip(traj.column(name).tolist(), traj.recorded(name).tolist())]
+    """Column ``name`` as CSV cells: integers, float reprs, or empty.
+
+    Only the recorded cells are formatted, in one pass.  In every layout
+    but the exact solver's ``upsilon`` (skipped where g = 0) they run
+    from their first row to the last, and fill that slice at once."""
+    values = traj.column(name)
+    rows = np.flatnonzero(traj.recorded(name))
+    kept = values[rows].tolist()
+    cells = map(str, map(int, kept)) if name in INT_COLUMNS else map(repr, kept)
+    out = [""] * len(values)
+    if rows.size and rows.size == len(values) - rows[0]:
+        out[int(rows[0]):] = cells
+    else:
+        for i, cell in zip(rows.tolist(), cells):
+            out[i] = cell
+    return out
 
 
 def write_trace_csv(traj: Trajectory, path: Path) -> None:
+    """Write ``traj`` as CSV: the ``csv`` module's excel dialect (comma,
+    ``\\r\\n``), whose minimal quoting never quotes a number or an empty
+    cell of a many-column row, so the rows are written as joined cells."""
+    end = csv.excel.lineterminator
+    columns = [_cells(traj, name) for name in CSV_COLUMNS]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(zip(*(_cells(traj, name) for name in CSV_COLUMNS)))
+        fh.write(",".join(CSV_COLUMNS) + end)
+        fh.writelines(",".join(row) + end for row in zip(*columns))
 
 
 def resolve_output_dir(doc: dict, override: str | None = None) -> Path:

@@ -20,7 +20,6 @@ from .core import (
     Array,
     ConfigurationError,
     NumericalError,
-    libm_pow,
     matvec,
     norm,
     rowdot,
@@ -45,7 +44,7 @@ def radius_rows(g_norm: Array, alpha, gamma1, gamma2) -> tuple[Array, Array]:
     case2 = g_norm <= 1.0 / gamma2
     delta = np.where(case1, gamma1 * alpha * g_norm,
                      np.where(case2, alpha, gamma2 * alpha * g_norm))
-    case = np.where(case1, 1, np.where(case2, 2, 3))
+    case = 3 - case1 - case2  # case1 implies case2, as 1/gamma1 <= 1/gamma2
     return delta, case
 
 
@@ -69,6 +68,22 @@ def _cube(v: float) -> float:
         return v**3
     except OverflowError:
         return math.nan
+
+
+def _cauchy_t(g_norm: float, delta: float, gHg: float) -> float:
+    """The Cauchy point t g of one subproblem with ||g|| = ``g_norm``,
+    radius ``delta`` and curvature ``gHg = g'Hg``, in Python floats:
+    t = -||g||^2 / g'Hg where that point is inside the radius, else
+    -delta / ||g||."""
+    if gHg > 0.0 and _cube(g_norm) <= delta * gHg:
+        return -g_norm**2 / gHg
+    return -delta / g_norm
+
+
+def _cauchy_decrease(g_norm: float, delta: float, gHg: float) -> float:
+    """The model decrease -(t ||g||^2 + t^2 g'Hg / 2) at ``_cauchy_t``."""
+    t = _cauchy_t(g_norm, delta, gHg)
+    return -(t * g_norm**2 + 0.5 * t * t * gHg)
 
 
 def _all_rows_live(g_norm: Array) -> bool:
@@ -149,56 +164,77 @@ def _steihaug_live_rows(g, gn, dl, rows, hvp, max_iters, residual_tol):
     Each sweep runs over every row: it takes the product of every row's
     direction and commits the update of each row still iterating through
     row masks, so a stopped row's stale values are computed and discarded
-    (its curvature is never checked).  The sweeps end once no row
-    iterates, after at most ``max_iters``.
+    (its curvature is never checked).  The rows in each state are counted
+    once per sweep, and a sweep in which every row shares its state
+    (all iterate, all stay inside, all leave) takes no mask.  The sweeps
+    end once no row iterates, after at most ``max_iters``.
     """
     if hvp is None:
         # Linear model: steepest descent straight to the boundary.
         dec = dl * gn
         return -(dl / gn)[:, None] * g, dec, dec, np.ones(gn.size, dtype=np.int64)
 
+    S = gn.size
     s = np.zeros_like(g)
     r = -g
     d = r
     rr = rowdot(r, r)
-    it = np.zeros(gn.size, dtype=np.int64)
-    act = np.ones(gn.size, dtype=bool)  # rows still iterating
+    r_tol = residual_tol * gn
+    it = np.zeros(S, dtype=np.int64)
+    act, n_act = None, S  # the rows still iterating and their count (None: every row)
     Hg = None
     for sweep in range(max_iters):
         Hd = hvp(rows, d)
         if sweep == 0:
             Hg = -Hd  # d_0 = -g, so this product doubles as H g
         dHd = rowdot(d, Hd)
-        it += act
-        bad = act & ~np.isfinite(dHd)
-        if np.count_nonzero(bad):
-            i = int(np.argmax(bad))
-            raise _curvature_error(float(dHd[i]), float(dl[i]))
+        it += 1 if act is None else act
+        # a sum of floats is finite only if every term is: the row test
+        # runs only when it is not, and skips a stopped row's stale value
+        if not math.isfinite(sum(dHd.tolist())):
+            bad = ~np.isfinite(dHd)
+            if act is not None:
+                bad &= act
+            if np.count_nonzero(bad):
+                i = int(np.argmax(bad))
+                raise _curvature_error(float(dHd[i]), float(dl[i]))
         step = (rr / dHd)[:, None]
         s_try = s + step * d
         # dHd is finite on the rows still iterating, so there dHd > 0 negates dHd <= 0
-        inner = act & (dHd > 0.0) & (np.sqrt(rowdot(s_try, s_try)) < dl)  # NaN: outside
-        hit = act ^ inner
-        if np.count_nonzero(hit):
-            np.copyto(s, s + _boundary_tau_rows(s, d, dl)[:, None] * d, where=hit[:, None])
-        if not np.count_nonzero(inner):
+        inner = (dHd > 0.0) & (np.sqrt(rowdot(s_try, s_try)) < dl)  # NaN: outside
+        if act is not None:
+            inner &= act
+        n_in = np.count_nonzero(inner)
+        if n_in < n_act:  # some rows leave through the boundary
+            # at sweep 0, s = 0 and d d = rr: the root's s terms vanish bit for bit
+            tau = np.sqrt(rr * (dl * dl)) / rr if sweep == 0 else _boundary_tau_rows(s, d, dl)
+            s_out = s + tau[:, None] * d
+            if n_in == 0 and n_act == S:
+                s = s_out
+            else:
+                np.copyto(s, s_out, where=(~inner if act is None else act ^ inner)[:, None])
+        if not n_in:
             break
-        np.copyto(s, s_try, where=inner[:, None])
+        if n_in == S:
+            s = s_try
+        else:
+            np.copyto(s, s_try, where=inner[:, None])
         r = r - step * Hd
         rr_next = rowdot(r, r)
-        act = inner & ~(np.sqrt(rr_next) <= residual_tol * gn)
-        if not np.count_nonzero(act):
-            break
+        stop = np.sqrt(rr_next) <= r_tol
+        if np.count_nonzero(stop):
+            act = inner & ~stop
+            n_act = np.count_nonzero(act)
+            if not n_act:
+                break
+        else:
+            act, n_act = (None if n_in == S else inner), n_in
         d = r + (rr_next / rr)[:, None] * d
         rr = rr_next
 
-    # Reference decrease at the Cauchy point from the first product.
-    gHg = rowdot(g, Hg)
-    gn2 = libm_pow(gn, 2)
-    cube = np.array([_cube(v) for v in gn.tolist()])
-    interior = (gHg > 0.0) & (cube <= dl * gHg)
-    t = np.where(interior, -gn2 / gHg, -dl / gn)
-    cauchy_dec = -(t * gn2 + 0.5 * t * t * gHg)
+    # Reference decrease at the Cauchy point from the first product
+    cauchy_dec = np.array([_cauchy_decrease(*row) for row in
+                           zip(gn.tolist(), dl.tolist(), rowdot(g, Hg).tolist())])
     model_dec = -(rowdot(g, s) + 0.5 * rowdot(s, hvp(rows, s)))
     return s, model_dec, cauchy_dec, it
 
@@ -448,8 +484,7 @@ def _exact_live_rows(G, gn, dl, H, eig, tol):
     model_dec = -(rowdot(G, s) + 0.5 * rowdot(s, matvec(H, s)))
     # the Cauchy point t g (t in Python floats) and its model value
     gHg = rowdot(G, matvec(H, G)).tolist()
-    t = [-(g**2 / c) if c > 0.0 and _cube(g) <= d * c else -(d / g)
-         for g, d, c in zip(gn_, dl_, gHg)]
+    t = [_cauchy_t(*row) for row in zip(gn_, dl_, gHg)]
     c = np.array(t)[:, None] * G
     cauchy_dec = -(rowdot(G, c) + 0.5 * rowdot(c, matvec(H, c)))
     return s, np.array(ups), model_dec, cauchy_dec

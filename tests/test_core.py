@@ -13,7 +13,7 @@ from trish import (
     rng_stream,
     run_sg,
 )
-from trish.core import draw_noise_block, hessian_estimate, rowdot, stacked_dense
+from trish.core import draw_noise_block, hessian_estimate, matvec, rowdot, stacked_dense
 from trish.problems import (
     QuadraticProblem,
     RosenbrockProblem,
@@ -65,7 +65,7 @@ def test_noise_block_equals_successive_sample_gradient_draws():
     variances = np.array([noise.gradient_variance(k, a) for k, a in enumerate(alphas, start=1)])
     bulk = prob.grad(x) + draw_noise_block(rng_stream(7, 0), variances, prob.dim)
     assert np.array_equal(bulk, scalar)
-    assert np.array_equal(rowdot(bulk, bulk), [g @ g for g in scalar])
+    assert rowdot(bulk, bulk).tobytes() == np.array([g @ g for g in scalar]).tobytes()
 
 
 def test_geometric_noise_variance_target():
@@ -201,6 +201,50 @@ def test_row_stacked_dense_matches_column_loop(family, kind, n, seed, cap, lanes
         assert dense.flags.c_contiguous
         assert dense.shape == expected.shape and dense.tobytes() == expected.tobytes()
         assert bound == est.norm_bound
+
+
+def signed_draw(rng, *shape):
+    """Normal draws with some entries set to 0.0 and -0.0, so that a
+    kernel that loses the sign of a zero product differs in its bytes."""
+    x = rng.standard_normal(shape)
+    x[rng.random(shape) < 0.1] = 0.0
+    x[rng.random(shape) < 0.1] = -0.0
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=st.sampled_from(["rows", "shared", "data", "transposed", "stacks"]),
+       S=st.integers(1, 9), n=st.integers(0, 48), B=st.integers(1, 16),
+       seed=st.integers(0, 2**32 - 1))
+def test_row_kernels_are_the_per_row_products(layout, S, n, B, seed):
+    """``rowdot`` and ``matvec`` equal the 1-D ``@`` of each row byte for
+    byte, on every layout the library passes them: (S, n) rows, one
+    shared matrix (the logistic data shape among them), a transposed
+    ``swapaxes`` view, and (S, B, dim) stacks."""
+    rng = np.random.default_rng(seed)
+    if layout == "rows":
+        X, Y = signed_draw(rng, S, n), signed_draw(rng, S, n)
+        pairs = [(rowdot(X, Y), [x @ y for x, y in zip(X, Y)])]
+    elif layout == "shared":
+        A, X = signed_draw(rng, n, n), signed_draw(rng, S, n)
+        pairs = [(matvec(A, X), [A @ x for x in X])]
+    elif layout == "data":  # N = 2000 samples of dimension 20, and its transpose
+        A, X, W = signed_draw(rng, 2000, 20), signed_draw(rng, S, 20), signed_draw(rng, S, 2000)
+        pairs = [(matvec(A, X), [A @ x for x in X]),
+                 (matvec(A.swapaxes(-1, -2), W), [A.T @ w for w in W])]
+    elif layout == "transposed":  # the exact solver's Q.T, shared and stacked
+        Q, Qs, X = signed_draw(rng, n, n), signed_draw(rng, S, n, n), signed_draw(rng, S, n)
+        pairs = [(matvec(Q.swapaxes(-1, -2), X), [Q.T @ x for x in X]),
+                 (matvec(Qs.swapaxes(-1, -2), X), [q.T @ x for q, x in zip(Qs, X)])]
+    else:  # mini-batch stacks: (S, B, dim) data, (S, dim) points, (S, B) weights
+        Xb, Yb = signed_draw(rng, S, B, n), signed_draw(rng, S, B, n)
+        x, v = signed_draw(rng, S, n), signed_draw(rng, S, B)
+        pairs = [(matvec(Xb, x), [a @ b for a, b in zip(Xb, x)]),
+                 (matvec(Xb.swapaxes(-1, -2), v), [a.T @ b for a, b in zip(Xb, v)]),
+                 (rowdot(Xb, Yb), [[a @ b for a, b in zip(P, R)] for P, R in zip(Xb, Yb)])]
+    for got, expected in pairs:
+        expected = np.array(expected, dtype=float).reshape(got.shape)
+        assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
 
 
 class TestDenseMaterialization:

@@ -1,4 +1,6 @@
+import csv
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,9 +20,9 @@ from trish.core import ConfigurationError
 from trish.harness.checks import StepContractCounter, cost_accounting_ok, taylor_violations
 from trish.harness.cli import main
 from trish.harness.config import build_inputs, load_config, validate_config
-from trish.harness.experiment import CSV_COLUMNS, run_experiment, write_trace_csv
+from trish.harness.experiment import CSV_COLUMNS, INT_COLUMNS, run_experiment, write_trace_csv
 from trish.harness.grid import GridSpec, baseline_gradient_norm, build_grid, tune
-from trish.optimizer import TRACE_DTYPE
+from trish.optimizer import TRACE_DTYPE, Trajectory
 from trish.problems import MiniBatchSampler, QuadraticProblem, RosenbrockProblem
 
 from reference import reference_run
@@ -308,6 +310,62 @@ class TestTraceCSV:
         assert strip_wall_ns(",".join(last.values())) == (
             "7,nan,nan,2.04808999802562e+76,2.0480899980256198e+88,3,nan,"
             "8.38897664002936e+176,1,,14")
+
+
+class TestTraceCSVBytes:
+    """The files' raw bytes: the line tests read ``splitlines()`` and a
+    ``csv.reader`` reads through both quoting and line endings, so
+    neither pins the excel dialect's ``\\r\\n`` or its unquoted cells."""
+
+    HEADER = (b"k,f,grad_norm_true,g_norm,delta,case,model_dec,cauchy_dec,cg_iters,"
+              b"upsilon,cost_units,wall_ns\r\n")
+
+    @pytest.mark.parametrize("variant", ["trish", "sg", "exact"])
+    def test_fixed_seed_trace_bytes(self, tmp_path, variant):
+        # a Steihaug trace, an SG trace (empty step cells) and an exact
+        # trace with upsilon, each with its wall_ns cells masked
+        overrides, expected = GOLDEN_CSV[variant]
+        doc = base_config(**overrides)
+        if doc["algorithm"] == "sg":
+            del doc["gammas"]
+        raw = run_experiment(doc, output_dir=str(tmp_path))[0].read_bytes()
+        masked, walls = re.subn(rb",[0-9]+\r\n", b",\r\n", raw)
+        assert walls == len(expected)
+        assert masked == self.HEADER + b"".join(line.encode() + b",\r\n" for line in expected)
+
+    def test_scattered_cells_are_the_csv_modules(self, tmp_path):
+        """An exact-solver trace whose gradient vanishes on some rows
+        records ``upsilon`` only on the others; the file is what
+        ``csv.writer`` writes from cell-by-cell formatting."""
+        rng = np.random.default_rng(3)
+        records = np.empty(9, dtype=TRACE_DTYPE).view(np.recarray)
+        for name in TRACE_DTYPE.names:
+            records[name] = rng.standard_normal(9) * 1e3
+        records.k = np.arange(9)
+        for name in ("case", "cg_iters", "cost_units", "wall_ns"):
+            records[name] = rng.integers(0, 2**40, 9)
+        records.g_norm[[2, 5, 6]] = 0.0
+        records.f[3], records.model_dec[4], records.delta[7] = np.nan, -np.inf, -0.0
+        config = TrishConfig(StepsizeSchedule.constant(0.1), GammaSchedule.constant(1.0, 1.0),
+                             8, solver=SolverSpec(kind="exact"))
+        traj = Trajectory("trish", config, records, np.zeros(2))
+        path = tmp_path / "scattered.csv"
+        write_trace_csv(traj, path)
+
+        def cell(name, k):
+            if not traj.recorded(name)[k]:
+                return ""
+            value = records[name][k].item()
+            return str(int(value)) if name in INT_COLUMNS else repr(value)
+
+        with open(tmp_path / "expected.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([CSV_COLUMNS] + [[cell(name, k) for name in CSV_COLUMNS]
+                                                      for k in range(9)])
+        assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        upsilon = [row[CSV_COLUMNS.index("upsilon")]
+                   for row in csv.reader(path.read_text().splitlines()[1:])]
+        assert [cell == "" for cell in upsilon] == [True, False, True, False, False,
+                                                    True, True, False, False]
 
 
 def reference_of(doc, seed):

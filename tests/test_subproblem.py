@@ -11,7 +11,7 @@ from trish import (
     gammas_at,
     kkt_residuals,
 )
-from trish.core import matvec
+from trish.core import matvec, row_norms
 from trish.subproblem import checked_eigh, exact_trs_rows, radius_rows, steihaug_cg_rows
 
 from reference import Operator, exact_trs, model_value, radius, solve_row, steihaug_cg
@@ -192,6 +192,62 @@ class TestSteihaugCG:
             norm_bound = np.max(np.abs(np.linalg.eigvalsh(H)))
             bound = 0.5 * np.linalg.norm(g) * min(delta, np.linalg.norm(g) / norm_bound)
             assert model_dec >= bound - 1e-10
+
+
+# One subproblem per way a Steihaug row stops: (g, H, delta) and the
+# reference's (iterations, boundary hit) at the default max_iters = 3.
+_D4 = np.diag([1.0, 2.0, 3.0, 4.0])
+STEIHAUG_EXITS = {
+    # a zero entry of g: the boundary step's entry is 0.0 + tau * -0.0 = +0.0
+    "boundary-sweep-0": ((np.array([1.0, 1.0, 1.0, 0.0]), _D4, 0.1), (1, True)),
+    "boundary-sweep-1": ((np.ones(4), _D4, 0.9), (2, True)),
+    "negative-curvature-sweep-0": ((np.array([1.0, 0.1, 0.1, 0.1]),
+                                    np.diag([-1.0, 2.0, 3.0, 4.0]), 1.0), (1, True)),
+    "negative-curvature-sweep-1": ((np.array([0.1, 1.0, 1.0, 1.0]),
+                                    np.diag([-1.0, 5.0, 5.0, 5.0]), 10.0), (2, True)),
+    # H = 2I: the first CG step zeroes the residual exactly
+    "residual-tolerance": ((np.array([1.0, 2.0, 3.0, 4.0]), 2.0 * np.eye(4), 100.0), (1, False)),
+    "inside-at-max-iters": ((np.ones(4), _D4, 100.0), (3, False)),
+    "zero-gradient": ((np.zeros(4), _D4, 1.0), (0, False)),
+    # ||g||^3 overflows: the Cauchy point is on the boundary
+    "overflowing-cube": ((1e103 * np.ones(4), np.eye(4), 1.0), (1, True)),
+}
+
+
+class TestSteihaugExitMix:
+    """Stacks whose rows stop in different ways, or all in one way: each
+    row equals the reference solver bit for bit, whichever sweep rows
+    take together and whichever take through row masks."""
+
+    @pytest.mark.parametrize("name", sorted(STEIHAUG_EXITS))
+    def test_reference_stops_each_row_as_named(self, name):
+        (g, H, delta), (iters, boundary) = STEIHAUG_EXITS[name]
+        ref = steihaug_cg(g, op(H), delta)
+        assert (ref.cg_iterations, ref.boundary_hit) == (iters, boundary)
+
+    @pytest.mark.parametrize("S, mixed", [(1, False), (4, False), (4, True), (33, False),
+                                          (33, True)])
+    @pytest.mark.parametrize("first", range(len(STEIHAUG_EXITS)))
+    def test_rows_equal_the_reference(self, S, mixed, first):
+        names = sorted(STEIHAUG_EXITS)
+        rows = [STEIHAUG_EXITS[names[(first + i * mixed) % len(names)]][0] for i in range(S)]
+        G = np.array([g for g, _, _ in rows])
+        mats = [H for _, H, _ in rows]
+        delta = np.array([d for _, _, d in rows])
+
+        def hvp(live, V):
+            return np.array([mats[i] @ v for i, v in zip(live, V)])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            steps, model_dec, cauchy_dec, iters = steihaug_cg_rows(
+                G, row_norms(G), delta, hvp)
+        for i, (g, H, d) in enumerate(rows):
+            ref = steihaug_cg(g, op(H), d)
+            assert steps[i].tobytes() == ref.s.tobytes()
+            assert np.array([model_dec[i], cauchy_dec[i]]).tobytes() == \
+                np.array([ref.model_decrease, ref.cauchy_decrease]).tobytes()
+            assert iters[i] == ref.cg_iterations
 
 
 class TestExactTRS:
