@@ -200,11 +200,19 @@ def draw_noise_block(rng: np.random.Generator, variances: Array, dim: int) -> Ar
     i is bit-identical to the i-th of successive ``rng.normal(0,
     sqrt(variances[i] / dim), size=dim)`` draws on the same stream; rows
     whose variance is 0 stay zero and consume no random numbers.
+    ``Generator.normal`` computes ``loc + scale * z`` per element from
+    the same standard normals, so scaling one ``standard_normal`` block
+    as ``0.0 + scale * z`` gives its bits.
     """
     drawn = variances > 0.0
+    if drawn.all():
+        block = rng.standard_normal((drawn.size, dim))
+        block *= np.sqrt(variances / dim)[:, None]
+        block += 0.0
+        return block
     out = np.zeros((drawn.size, dim))
     scale = np.sqrt(variances[drawn] / dim)[:, None]
-    out[drawn] = rng.normal(0.0, scale, size=(scale.size, dim))
+    out[drawn] = 0.0 + scale * rng.standard_normal((scale.size, dim))
     return out
 
 

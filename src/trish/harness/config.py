@@ -1,16 +1,19 @@
-"""Experiment configuration: one JSON document, schema-validated.
+"""Experiment configuration: one JSON document, validated field by field.
 
 Unknown keys are rejected everywhere so typos fail loudly instead of
 silently running a different experiment.  The same document drives
 ``run``, ``tune`` (which additionally needs ``grid``/``baseline``),
-and ``baseline-g``.
+and ``baseline-g``.  Every refusal is a ``ConfigurationError`` naming
+the dotted path of the field, e.g. ``problem.n must be an integer >= 1,
+got 4.0``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 
-import jsonschema
 import numpy as np
 
 from ..core import ConfigurationError, NoiseModel
@@ -24,194 +27,156 @@ from ..problems import (
     make_quartic_bowl,
 )
 
-_NOISE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "kind": {"enum": ["none", "bounded", "stepwise", "geometric"]},
-        "m_g": {"type": "number", "minimum": 0},
-        "zeta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "hessian": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["zero", "exact-capped", "perturbed"]},
-                "m_h": {"type": "number", "exclusiveMinimum": 0},
-                "scale": {"type": "number", "minimum": 0},
-            },
-            "required": ["kind"],
-        },
-    },
-    "required": ["kind"],
-}
+# A rule is a function ``check(path, value)`` that raises a
+# ConfigurationError naming ``path`` when ``value`` breaks it.
 
-_PROBLEM_SCHEMA = {
-    "type": "object",
-    "oneOf": [
-        {
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"const": "quadratic"},
-                "n": {"type": "integer", "minimum": 1},
-                "lam_min": {"type": "number", "exclusiveMinimum": 0},
-                "lam_max": {"type": "number", "exclusiveMinimum": 0},
-                "seed": {"type": "integer"},
-            },
-            "required": ["kind", "n", "lam_min", "lam_max", "seed"],
-        },
-        {
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"const": "logistic"},
-                "n_samples": {"type": "integer", "minimum": 1},
-                "dim": {"type": "integer", "minimum": 1},
-                "l2": {"type": "number", "minimum": 0},
-                "seed": {"type": "integer"},
-            },
-            "required": ["kind", "n_samples", "dim", "seed"],
-        },
-        {
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"const": "rosenbrock"},
-                "n": {"type": "integer", "minimum": 2},
-                "box_halfwidth": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["kind", "n"],
-        },
-        {
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"const": "quartic"},
-                "n": {"type": "integer", "minimum": 1},
-                "lam_min": {"type": "number", "exclusiveMinimum": 0},
-                "lam_max": {"type": "number", "exclusiveMinimum": 0},
-                "quartic": {"type": "number", "exclusiveMinimum": 0},
-                "radius": {"type": "number", "exclusiveMinimum": 0},
-                "start_offset": {"type": "number", "exclusiveMinimum": 0},
-                "seed": {"type": "integer"},
-            },
-            "required": ["kind", "n", "lam_min", "lam_max", "seed"],
-        },
-        {
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"const": "quadratic_csv"},
-                "path": {"type": "string"},
-            },
-            "required": ["kind", "path"],
-        },
-        {
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"const": "logistic_csv"},
-                "path": {"type": "string"},
-                "l2": {"type": "number", "minimum": 0},
-            },
-            "required": ["kind", "path"],
-        },
-    ],
-}
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "problem": _PROBLEM_SCHEMA,
-        "algorithm": {"enum": ["trish", "trish1", "sg"]},
-        "iterations": {"type": "integer", "minimum": 0},
-        "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-        "stepsizes": {
-            "type": "object",
-            "oneOf": [
-                {
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"const": "constant"},
-                        "alpha": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                    "required": ["kind", "alpha"],
-                },
-                {
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"const": "diminishing"},
-                        "a": {"type": "number", "exclusiveMinimum": 0},
-                        "b": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                    "required": ["kind", "a", "b"],
-                },
-            ],
-        },
-        "gammas": {
-            "type": "object",
-            "oneOf": [
-                {
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"const": "constant"},
-                        "gamma1": {"type": "number", "exclusiveMinimum": 0},
-                        "gamma2": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                    "required": ["kind", "gamma1", "gamma2"],
-                },
-                {
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"const": "merging"},
-                        "gamma1": {"type": "number", "exclusiveMinimum": 0},
-                        "eta": {"type": "number", "minimum": 0},
-                    },
-                    "required": ["kind", "gamma1", "eta"],
-                },
-            ],
-        },
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["steihaug", "exact"]},
-                "max_iters": {"type": "integer", "minimum": 1},
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["kind"],
-        },
-        "noise": _NOISE_SCHEMA,
-        "batch_size": {"type": "integer", "minimum": 1},
-        "x0": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "output_dir": {"type": "string"},
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "lambda_exponents": {"type": "array", "items": {"type": "number"},
-                                     "minItems": 1},
-                "a_exponents": {"type": "array", "items": {"type": "number"},
-                                "minItems": 1},
-                "b_exponents": {"type": "array", "items": {"type": "number"},
-                                "minItems": 1},
-            },
-            "required": ["lambda_exponents", "a_exponents", "b_exponents"],
-        },
-        "baseline": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "iterations": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
-            },
-            "required": ["iterations", "seed"],
-        },
-    },
-    "required": ["problem", "algorithm", "iterations", "seeds", "stepsizes"],
-}
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _integer(floor: int):
+    """A JSON integer (not a float, not a bool) >= ``floor``."""
+    def check(path, value):
+        if isinstance(value, bool) or not isinstance(value, int) or value < floor:
+            raise ConfigurationError(f"{path} must be an integer >= {floor}, got {value!r}")
+    return check
+
+
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
+
+
+def _finite(value: int | float) -> bool:
+    """Finite as a float: a JSON integer past the float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _number(gt=None, ge=None, lt=None):
+    """A finite JSON number (not a bool) within the given bounds."""
+    bounds = [(op, bound) for op, bound in ((">", gt), (">=", ge), ("<", lt)) if bound is not None]
+    rule = " and ".join(f"{op} {bound}" for op, bound in bounds)
+    def check(path, value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigurationError(f"{path} must be a number, got {value!r}")
+        if not _finite(value):
+            raise ConfigurationError(f"{path} must be finite, got {value!r}")
+        if not all(_COMPARE[op](value, bound) for op, bound in bounds):
+            raise ConfigurationError(f"{path} must be {rule}, got {value!r}")
+    return check
+
+
+def _enum(*choices: str):
+    def check(path, value):
+        if not isinstance(value, str) or value not in choices:
+            raise ConfigurationError(
+                f"{path} must be one of {', '.join(map(repr, choices))}, got {value!r}")
+    return check
+
+
+def _string(path, value):
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{path} must be a string, got {value!r}")
+
+
+def _list(item):
+    """A non-empty JSON array whose every element passes ``item``."""
+    def check(path, value):
+        if not isinstance(value, list) or not value:
+            raise ConfigurationError(f"{path} must be a non-empty list, got {value!r}")
+        for i, element in enumerate(value):
+            item(f"{path}[{i}]", element)
+    return check
+
+
+def _expect_object(path, value):
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{path or 'the config'} must be an object, got {value!r}")
+
+
+def _object(required: dict, optional: dict | None = None):
+    """A JSON object with every ``required`` key and no key outside
+    ``required`` and ``optional``, each value checked by its rule."""
+    rules = {**required, **(optional or {})}
+    def check(path, value):
+        _expect_object(path, value)
+        for key in required:
+            if key not in value:
+                raise ConfigurationError(f"{_join(path, key)} is required")
+        for key, field in value.items():
+            if key not in rules:
+                raise ConfigurationError(
+                    f"unknown field {_join(path, key)} (allowed: {', '.join(rules)})")
+            rules[key](_join(path, key), field)
+    return check
+
+
+def _by_kind(variants: dict):
+    """An object whose required ``kind`` picks the (required, optional)
+    fields it takes."""
+    kind_rule = _enum(*variants)
+    objects = {kind: _object({"kind": kind_rule, **required}, optional)
+               for kind, (required, optional) in variants.items()}
+    def check(path, value):
+        _expect_object(path, value)
+        if "kind" not in value:
+            raise ConfigurationError(f"{_join(path, 'kind')} is required")
+        kind_rule(_join(path, "kind"), value["kind"])
+        objects[value["kind"]](path, value)
+    return check
+
+
+_POSITIVE = _number(gt=0)
+_NON_NEGATIVE = _number(ge=0)
+_SEED = _integer(0)
+_EXPONENTS = _list(_number())
+
+_CONFIG = _object({
+    "problem": _by_kind({
+        "quadratic": ({"n": _integer(1), "lam_min": _POSITIVE, "lam_max": _POSITIVE,
+                       "seed": _SEED}, None),
+        "logistic": ({"n_samples": _integer(1), "dim": _integer(1), "seed": _SEED},
+                     {"l2": _NON_NEGATIVE}),
+        "rosenbrock": ({"n": _integer(2)}, {"box_halfwidth": _POSITIVE}),
+        "quartic": ({"n": _integer(1), "lam_min": _POSITIVE, "lam_max": _POSITIVE,
+                     "seed": _SEED},
+                    {"quartic": _POSITIVE, "radius": _POSITIVE, "start_offset": _POSITIVE}),
+        "quadratic_csv": ({"path": _string}, None),
+        "logistic_csv": ({"path": _string}, {"l2": _NON_NEGATIVE}),
+    }),
+    "algorithm": _enum("trish", "trish1", "sg"),
+    "iterations": _integer(0),
+    "seeds": _list(_SEED),
+    "stepsizes": _by_kind({
+        "constant": ({"alpha": _POSITIVE}, None),
+        "diminishing": ({"a": _POSITIVE, "b": _POSITIVE}, None),
+    }),
+}, {
+    "gammas": _by_kind({
+        "constant": ({"gamma1": _POSITIVE, "gamma2": _POSITIVE}, None),
+        "merging": ({"gamma1": _POSITIVE, "eta": _NON_NEGATIVE}, None),
+    }),
+    "solver": _object({"kind": _enum("steihaug", "exact")},
+                      {"max_iters": _integer(1), "tol": _POSITIVE}),
+    "noise": _object({"kind": _enum("none", "bounded", "stepwise", "geometric")}, {
+        "m_g": _NON_NEGATIVE,
+        "zeta": _number(gt=0, lt=1),
+        "hessian": _object({"kind": _enum("zero", "exact-capped", "perturbed")},
+                           {"m_h": _POSITIVE, "scale": _NON_NEGATIVE}),
+    }),
+    "batch_size": _integer(1),
+    "x0": _list(_number()),
+    "output_dir": _string,
+    "grid": _object({"lambda_exponents": _EXPONENTS, "a_exponents": _EXPONENTS,
+                     "b_exponents": _EXPONENTS}),
+    "baseline": _object({"iterations": _integer(1), "seed": _SEED}),
+})
 
 
 def validate_config(doc: dict) -> dict:
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigurationError(f"invalid config: {exc.message}") from exc
+    _CONFIG("", doc)
     if doc["algorithm"] in ("trish", "trish1") and "gammas" not in doc:
         raise ConfigurationError("trish/trish1 configs require 'gammas'")
     if "batch_size" in doc:

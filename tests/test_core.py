@@ -64,8 +64,24 @@ def test_noise_block_equals_successive_sample_gradient_draws():
                        for k, a in enumerate(alphas, start=1)])
     variances = np.array([noise.gradient_variance(k, a) for k, a in enumerate(alphas, start=1)])
     bulk = prob.grad(x) + draw_noise_block(rng_stream(7, 0), variances, prob.dim)
-    assert np.array_equal(bulk, scalar)
+    assert bulk.tobytes() == scalar.tobytes()
     assert rowdot(bulk, bulk).tobytes() == np.array([g @ g for g in scalar]).tobytes()
+    # per-coordinate scales from 1e-150 to 1e150, in blocks with some rows,
+    # every row and no row drawn, and with zero rows: the same bits as
+    # successive rng.normal draws, and the stream left where they leave it
+    meta = np.random.default_rng(20)
+    for case in range(60):
+        rows, dim = int(meta.integers(0, 12)), int(meta.integers(1, 8))
+        variances = 10.0 ** meta.uniform(-300, 300, rows) * dim
+        if case % 3 == 1:
+            variances[meta.random(rows) < 0.5] = 0.0
+        elif case % 3 == 2 and rows:
+            variances[:] = 0.0
+        one_by_one, block = rng_stream(case, 0), rng_stream(case, 0)
+        expected = np.array([one_by_one.normal(0.0, np.sqrt(v / dim), size=dim) if v > 0.0
+                             else np.zeros(dim) for v in variances]).reshape(rows, dim)
+        assert draw_noise_block(block, variances, dim).tobytes() == expected.tobytes()
+        assert block.random() == one_by_one.random()
 
 
 def test_geometric_noise_variance_target():

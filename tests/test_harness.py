@@ -1,7 +1,13 @@
+import copy
 import csv
+import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +87,202 @@ GOLDEN_CSV = {
 }
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+# one valid spec of each problem kind, every optional field given
+PROBLEMS = {
+    "quadratic": {"kind": "quadratic", "n": 4, "lam_min": 1.0, "lam_max": 4.0, "seed": 3},
+    "logistic": {"kind": "logistic", "n_samples": 40, "dim": 3, "l2": 0.1, "seed": 1},
+    "rosenbrock": {"kind": "rosenbrock", "n": 2, "box_halfwidth": 2.0},
+    "quartic": {"kind": "quartic", "n": 3, "lam_min": 1, "lam_max": 4, "quartic": 1.0,
+                "radius": 4.0, "start_offset": 1.5, "seed": 0},
+    "quadratic_csv": {"kind": "quadratic_csv", "path": "quad.csv"},
+    "logistic_csv": {"kind": "logistic_csv", "path": "data.csv", "l2": 0.1},
+}
+
+
+def full_config(problem="quadratic", **overrides):
+    """base_config with every optional section and field given."""
+    doc = base_config(
+        problem=copy.deepcopy(PROBLEMS[problem]),
+        solver={"kind": "steihaug", "max_iters": 3, "tol": 1e-10},
+        noise={"kind": "geometric", "m_g": 1.0, "zeta": 0.5,
+               "hessian": {"kind": "perturbed", "m_h": 4.0, "scale": 0.1}},
+        x0=[0.0, 1, -2.5, 0.0],
+        output_dir="out",
+        grid={"lambda_exponents": [-1.0, 0], "a_exponents": [1.0], "b_exponents": [2.0]},
+        baseline={"iterations": 20, "seed": 0},
+    )
+    doc.update(overrides)
+    return doc
+
+
+MISSING = object()
+
+
+def refusal(path, value, named=None, problem="quadratic", **sections):
+    """A mutation of ``full_config(problem, **sections)``: the field at
+    dotted ``path`` set to ``value`` (or removed, for MISSING), which
+    validation must refuse naming ``named`` (default ``path``)."""
+    shown = "missing" if value is MISSING else repr(value)
+    return pytest.param(path, value, named or path, problem, sections,
+                        id=f"{problem}-{path}={shown}")
+
+
+MERGING = {"kind": "merging", "gamma1": 1.0, "eta": 1.0}
+DIMINISHING = {"kind": "diminishing", "a": 3.0, "b": 135.0}
+
+# every rule of the config format: unknown keys, required keys, enums,
+# types, bounds and non-empty lists, section by section
+REFUSALS = [
+    # unknown keys, one per section
+    refusal("stepsize_multiplier", 2.0),
+    *(refusal("problem.condition", 10, problem=kind) for kind in PROBLEMS),
+    refusal("stepsizes.a", 1.0),
+    refusal("stepsizes.alpha", 1.0, stepsizes=DIMINISHING),
+    refusal("gammas.eta", 1.0),
+    refusal("gammas.gamma2", 1.0, gammas=MERGING),
+    refusal("solver.cap", 3),
+    refusal("noise.m_h", 1.0),
+    refusal("noise.hessian.m_g", 1.0),
+    refusal("grid.alpha_exponents", [1.0]),
+    refusal("baseline.alpha", 0.1),
+    # required keys
+    *(refusal(key, MISSING) for key in ("problem", "algorithm", "iterations", "seeds",
+                                        "stepsizes")),
+    refusal("problem.kind", MISSING),
+    *(refusal(f"problem.{key}", MISSING) for key in ("n", "lam_min", "lam_max", "seed")),
+    *(refusal(f"problem.{key}", MISSING, problem="logistic")
+      for key in ("n_samples", "dim", "seed")),
+    *(refusal(f"problem.{key}", MISSING, problem="quartic")
+      for key in ("n", "lam_min", "lam_max", "seed")),
+    refusal("problem.n", MISSING, problem="rosenbrock"),
+    refusal("problem.path", MISSING, problem="quadratic_csv"),
+    refusal("problem.path", MISSING, problem="logistic_csv"),
+    refusal("stepsizes.kind", MISSING),
+    refusal("stepsizes.alpha", MISSING),
+    refusal("stepsizes.a", MISSING, stepsizes=DIMINISHING),
+    refusal("stepsizes.b", MISSING, stepsizes=DIMINISHING),
+    refusal("gammas.kind", MISSING),
+    refusal("gammas.gamma1", MISSING),
+    refusal("gammas.gamma2", MISSING),
+    refusal("gammas.eta", MISSING, gammas=MERGING),
+    refusal("solver.kind", MISSING),
+    refusal("noise.kind", MISSING),
+    refusal("noise.hessian.kind", MISSING),
+    *(refusal(f"grid.{key}", MISSING)
+      for key in ("lambda_exponents", "a_exponents", "b_exponents")),
+    refusal("baseline.iterations", MISSING),
+    refusal("baseline.seed", MISSING),
+    # enums
+    refusal("algorithm", "newton"),
+    refusal("problem.kind", "cubic"),
+    refusal("stepsizes.kind", "adaptive"),
+    refusal("gammas.kind", "adaptive"),
+    refusal("solver.kind", "lanczos"),
+    refusal("noise.kind", "heavy-tailed"),
+    refusal("noise.hessian.kind", "exact"),
+    # types
+    refusal("problem", 3),
+    refusal("stepsizes", "constant"),
+    refusal("gammas", [2.0, 1.0]),
+    refusal("noise.hessian", "zero"),
+    refusal("seeds", 0),
+    refusal("x0", "0, 0"),
+    refusal("x0", [0.0, "1"], named="x0[1]"),
+    refusal("stepsizes.alpha", "0.1"),
+    refusal("output_dir", 3),
+    refusal("problem.path", 3, problem="quadratic_csv"),
+    refusal("algorithm", ["trish"]),
+    # JSON integers: no floats, no bools; and no bools where a number is due
+    refusal("problem.n", 4.0),
+    refusal("problem.n", True),
+    refusal("iterations", 3.0),
+    refusal("seeds", [0.0], named="seeds[0]"),
+    refusal("solver.max_iters", 3.0),
+    refusal("baseline.iterations", 20.0),
+    refusal("problem.dim", 3.0, problem="logistic"),
+    refusal("stepsizes.alpha", True),
+    refusal("noise.m_g", False),
+    # bounds, each rule's edge
+    refusal("problem.n", 0),
+    refusal("problem.lam_min", 0.0),
+    refusal("problem.lam_max", -1.0),
+    refusal("problem.n_samples", 0, problem="logistic"),
+    refusal("problem.dim", 0, problem="logistic"),
+    refusal("problem.l2", -0.1, problem="logistic"),
+    refusal("problem.n", 1, problem="rosenbrock"),
+    refusal("problem.box_halfwidth", 0.0, problem="rosenbrock"),
+    refusal("problem.n", 0, problem="quartic"),
+    refusal("problem.quartic", 0.0, problem="quartic"),
+    refusal("problem.radius", 0.0, problem="quartic"),
+    refusal("problem.start_offset", 0.0, problem="quartic"),
+    refusal("problem.l2", -0.1, problem="logistic_csv"),
+    refusal("iterations", -1),
+    refusal("stepsizes.alpha", 0.0),
+    refusal("stepsizes.a", 0.0, stepsizes=DIMINISHING),
+    refusal("stepsizes.b", 0.0, stepsizes=DIMINISHING),
+    refusal("gammas.gamma1", 0.0),
+    refusal("gammas.gamma2", 0.0),
+    refusal("gammas.eta", -1.0, gammas=MERGING),
+    refusal("solver.max_iters", 0),
+    refusal("solver.tol", 0.0),
+    refusal("noise.m_g", -1.0),
+    refusal("noise.zeta", 0.0),
+    refusal("noise.zeta", 1.0),
+    refusal("noise.hessian.m_h", 0.0),
+    refusal("noise.hessian.scale", -0.1),
+    refusal("batch_size", 0, problem="logistic"),
+    refusal("baseline.iterations", 0),
+    # seeds >= 0
+    refusal("seeds", [0, -1], named="seeds[1]"),
+    refusal("problem.seed", -3),
+    refusal("problem.seed", -1, problem="quartic"),
+    refusal("baseline.seed", -1),
+    # finite numbers
+    refusal("stepsizes.alpha", float("nan")),
+    refusal("problem.lam_max", float("inf")),
+    refusal("noise.m_g", float("inf")),
+    refusal("noise.zeta", float("nan")),
+    refusal("x0", [0.0, float("-inf")], named="x0[1]"),
+    refusal("grid.a_exponents", [float("nan")], named="grid.a_exponents[0]"),
+    # non-empty lists
+    refusal("seeds", []),
+    refusal("x0", []),
+    *(refusal(f"grid.{key}", []) for key in ("lambda_exponents", "a_exponents", "b_exponents")),
+]
+
+
+def readme_configs():
+    """The README's config examples: each jsonc block with its comments
+    stripped, plus every section alternative its comments give."""
+    def code_and_comments(block):
+        lines = [line.split("//", 1) for line in block.splitlines()]
+        return (json.loads("".join(line[0] for line in lines)),
+                " ".join(line[1] for line in lines if len(line) == 2))
+
+    blocks = re.findall(r"```jsonc\n(.*?)```", (REPO / "README.md").read_text(), re.S)
+    (doc, comments), (tuning, _) = map(code_and_comments, blocks)
+    doc.update(tuning)
+    sections = {"diminishing": "stepsizes", "merging": "gammas", "exact": "solver"}
+    docs = [doc]
+    for alternative in map(json.loads, re.findall(r"\{[^{}]*\}", comments)):
+        docs.append({**doc, sections.get(alternative["kind"], "problem"): alternative})
+    return docs
+
+
+def benchmark_configs():
+    """The configs of the benchmark workloads, all 16 input variants."""
+    spec = importlib.util.spec_from_file_location("workloads", REPO / "benchmarks" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    docs = []
+    for variant in range(workloads.VARIANTS):
+        docs.append(workloads.TuneLogistic(variant, None).doc)
+        docs += [w.experiment_doc(variant) for w in (workloads.RunTrace, workloads.RunExact)]
+    return docs
+
+
 class TestConfigValidation:
     def test_valid_config_accepted(self):
         validate_config(base_config())
@@ -120,6 +322,55 @@ class TestConfigValidation:
         path.write_text("{not json")
         with pytest.raises(ConfigurationError):
             load_config(str(path))
+
+    @pytest.mark.parametrize("path, value, named, problem, sections", REFUSALS)
+    def test_refusal_names_the_field(self, path, value, named, problem, sections):
+        doc = full_config(problem, **copy.deepcopy(sections))
+        validate_config(copy.deepcopy(doc))  # the unmutated config is valid
+        *parents, key = path.split(".")
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        if value is MISSING:
+            del target[key]
+        else:
+            target[key] = value
+        with pytest.raises(ConfigurationError) as exc:
+            validate_config(doc)
+        assert f" {named} " in f" {exc.value} "
+
+    def test_integer_past_the_float_range_is_not_finite(self):
+        doc = full_config()
+        doc["problem"]["lam_max"] = 2**1024
+        with pytest.raises(ConfigurationError, match=r"^problem\.lam_max must be finite, got 1797"):
+            validate_config(doc)
+
+    def test_shipped_configs_validate(self):
+        docs = [base_config(), *(base_config(**overrides) for overrides, _ in GOLDEN_CSV.values()),
+                *(full_config(kind) for kind in PROBLEMS), full_config(gammas=MERGING),
+                full_config(stepsizes=DIMINISHING), *readme_configs(), *benchmark_configs()]
+        assert len(docs) == 1 + 4 + 6 + 2 + 9 + 48
+        for doc in docs:
+            snapshot = copy.deepcopy(doc)
+            assert validate_config(doc) is doc
+            assert doc == snapshot  # validation leaves the document as it was
+
+    def test_harness_imports_only_numpy_and_the_standard_library(self):
+        # -S keeps site start-up hooks out of sys.modules; the paths of
+        # trish and numpy are given instead
+        import numpy
+
+        script = (
+            "import sys\n"
+            "import trish.harness\n"
+            f"trish.harness.validate_config({base_config()!r})\n"
+            "loaded = {name.split('.')[0] for name in sys.modules}\n"
+            "print(sorted(loaded - set(sys.stdlib_module_names) - {'__main__', 'numpy', 'trish'}))\n"
+        )
+        path = os.pathsep.join([str(REPO / "src"), str(Path(numpy.__file__).parents[1])])
+        out = subprocess.run([sys.executable, "-S", "-c", script], env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestMiniBatchSource:
@@ -451,12 +702,36 @@ class TestCLI:
          "noise": {"kind": "none", "hessian": {"kind": "exact-capped", "m_h": float("nan")}}},
     ], ids=["alpha", "batch-m_h"])
     def test_non_finite_parameter_exits_2(self, tmp_path, capsys, overrides):
-        # json.load parses NaN, and the schema's range checks let it through
+        # json.load parses NaN; validation refuses it, naming the field
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(base_config(output_dir=str(tmp_path), **overrides)))
         assert "NaN" in cfg.read_text()
         assert main(["run", "--config", str(cfg)]) == 2
         assert "must be finite, got nan" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"problem": {"kind": "quadratic", "n": 4.0, "lam_min": 1.0, "lam_max": 4.0, "seed": 3}},
+         "problem.n"),
+        ({"problem": {"kind": "quadratic", "n": True, "lam_min": 1.0, "lam_max": 4.0, "seed": 3}},
+         "problem.n"),
+        ({"iterations": 3.0}, "iterations"),
+        ({"seeds": [0.0]}, "seeds[0]"),
+        ({"seeds": [-1]}, "seeds[0]"),
+        ({"problem": {"kind": "quadratic", "n": 4, "lam_min": 1.0, "lam_max": 4.0, "seed": -3}},
+         "problem.seed"),
+        ({"baseline": {"iterations": 20, "seed": -1}}, "baseline.seed"),
+    ], ids=["n-float", "n-bool", "iterations-float", "seed-float", "seed-negative",
+            "problem-seed-negative", "baseline-seed-negative"])
+    def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, overrides, field):
+        # all but n-bool used to pass validation and crash the run; n-bool was
+        # refused without naming its field
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_config(output_dir=str(tmp_path), **overrides)))
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {field} must be an integer >= ")
+        assert len(err.splitlines()) == 1
         assert not list(tmp_path.glob("*.csv"))
 
     def test_verify_quick_suite(self, capsys):
