@@ -10,6 +10,7 @@ convergence envelope the library claims.
 
 from .core import (
     ConfigurationError,
+    EstimateSource,
     EvaluationError,
     NoiseModel,
     NumericalError,

@@ -1,4 +1,4 @@
-"""Problem oracles, noise models, and stochastic derivative estimators.
+"""Problem oracles, estimate sources, noise models, and stochastic derivative estimators.
 
 Every noise regime used by the optimizer and the verification suites is
 synthesized here with exactly known moments, so that unbiasedness and
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
@@ -25,6 +25,7 @@ HESSIAN_STREAM = 1
 
 GRADIENT_NOISE_KINDS = ("none", "bounded", "stepwise", "geometric")
 HESSIAN_KINDS = ("zero", "exact-capped", "perturbed")
+LANE_CHUNK = 64  # iterations of gradient noise or mini-batch rows drawn per lane at once
 
 
 class ConfigurationError(ValueError):
@@ -126,6 +127,52 @@ class ProblemOracle(Protocol):
     def hvp(self, x: Array, v: Array) -> Array: ...
 
 
+@runtime_checkable
+class EstimateSource(Protocol):
+    """Where a run draws its gradient and Hessian estimates from.
+
+    The convergence theory asks of a source only that its gradient
+    estimate be unbiased with bounded variance and its Hessian estimate
+    bounded in norm by a certified constant.  ``NoiseModel`` (synthetic
+    noise on an oracle's true derivatives) and ``problems.MiniBatchSampler``
+    (same-batch mini-batch estimates) implement this protocol; the lane
+    runner asks nothing else of a source, so a new kind of source runs on
+    lanes without an edit to it.
+
+    - ``reads_true_gradient``: whether a draw reads the true gradient at
+      the iterates (``TG`` below).  When False, a run may skip it.
+    - ``hessian_bound(oracle)``: the certified bound of every Hessian
+      estimate drawn on ``oracle``; 0 for the zero estimate.  Raises
+      ``ConfigurationError`` when the source cannot certify one.
+    - ``without_hessian()``: the source with its Hessian estimate turned
+      off (the zero estimate, bound 0), drawing the same gradients from
+      the same streams; first-order TRish and SG run it.
+    - ``constant_hessian(oracle)``: whether every Hessian estimate drawn
+      on ``oracle`` is one and the same operator (the zero estimate is);
+      the exact solver then builds and decomposes it once per run.
+    - ``lane_draw(oracle, seeds, alphas)``: the draw of S lanes, lane i
+      seeded ``seeds[i]``, over the (K+1, S) stepsize table ``alphas``
+      (row k holds each lane's alpha_k; row 0 is NaN).  It returns
+      ``draw(k, ids, at, X, TG) -> (G, hvp)``, which the runner calls
+      once per iteration k = 1..K, in order, for the running lanes
+      ``ids`` (their columns ``at``, an index array or a slice) at the
+      (len(ids), n) iterates X with true gradients TG (None when the
+      run skipped them).  G is the gradient estimates, row i lane
+      ``ids[i]``'s; ``hvp(r, V)`` gives the products of the Hessian
+      estimates of rows ``r`` (an index array) with the matching rows of
+      V, or of row ``r`` (one int) with every row of V, and is None for
+      the zero estimate.  Lane i's draws must not depend on the other
+      lanes, so that it equals its one-lane run bit for bit.
+    """
+
+    reads_true_gradient: bool
+
+    def hessian_bound(self, oracle: ProblemOracle) -> float: ...
+    def without_hessian(self) -> EstimateSource: ...
+    def constant_hessian(self, oracle: ProblemOracle) -> bool: ...
+    def lane_draw(self, oracle: ProblemOracle, seeds: list[int], alphas: Array) -> Callable: ...
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """How stochastic gradient/Hessian estimates are synthesized.
@@ -143,7 +190,11 @@ class NoiseModel:
     min{1, m_h / L_g}), ``perturbed`` (exact-capped plus a symmetric
     random perturbation of operator norm <= ``perturbation``, re-capped
     so the certified bound never exceeds ``m_h``).
+
+    An ``EstimateSource`` whose Hessian estimate is ``hessian_estimate``'s.
     """
+
+    reads_true_gradient = True
 
     kind: str = "none"
     m_g: float = 0.0
@@ -174,6 +225,47 @@ class NoiseModel:
         if self.kind == "stepwise":
             return self.m_g * alpha_k
         return self.m_g * self.zeta ** (k - 1)
+
+    def hessian_bound(self, oracle: ProblemOracle) -> float:
+        return hessian_estimate(oracle, self, [])[1]
+
+    def without_hessian(self) -> NoiseModel:
+        return replace(self, hessian_kind="zero", m_h=0.0, perturbation=0.0)
+
+    def constant_hessian(self, oracle: ProblemOracle) -> bool:
+        # a zero L_H certifies a constant true Hessian
+        return self.hessian_kind == "zero" or (self.hessian_kind == "exact-capped"
+                                               and oracle.hess_lipschitz == 0.0)
+
+    def lane_draw(self, oracle: ProblemOracle, seeds: list[int], alphas: Array) -> Callable:
+        """Every ``LANE_CHUNK`` iterations each running lane draws its next
+        block of gradient noise, G = TG + noise, from its gradient stream."""
+        S, n = len(seeds), oracle.dim
+        estimate = hessian_estimate(oracle, self, list(seeds))[0]
+        rngs = [rng_stream(seed, GRADIENT_STREAM) for seed in seeds]
+        if self.kind == "stepwise":  # m_g * alpha_k, the only variance that reads alpha_k
+            variance = self.m_g * alphas
+        else:  # one column for all lanes; geometric keeps Python's zeta ** (k-1)
+            column = [np.nan, *(self.gradient_variance(k, np.nan) for k in range(1, len(alphas)))]
+            variance = np.broadcast_to(np.array(column)[:, None], alphas.shape)
+        block = np.zeros((S, LANE_CHUNK, n))
+        drawn = variance > 0.0  # no noise, and no draw, at variance 0
+        every = drawn.all(axis=1).tolist()
+
+        def draw(k, ids, at, X, TG):
+            j = (k - 1) % LANE_CHUNK
+            if j == 0:
+                for lane in ids:
+                    variances = variance[k:k + LANE_CHUNK, lane]
+                    block[lane, :variances.size] = draw_noise_block(rngs[lane], variances, n)
+            if not np.all(np.isfinite(TG)):
+                bad = int(np.argmin(np.isfinite(TG).all(axis=1)))
+                raise EvaluationError(f"non-finite gradient at x = {X[bad]!r}")
+            G = TG + block[at, j] if every[k] else np.where(drawn[k, at][:, None],
+                                                             TG + block[at, j], TG)
+            return G, estimate(X, ids)
+
+        return draw
 
 
 def stacked_dense(apply: Callable[[Array], Array], dim: int) -> Array:
@@ -232,10 +324,8 @@ def hessian_estimate(oracle: ProblemOracle, noise: NoiseModel,
 
     Returns ``(at, bound)``.  ``at(X, lanes)`` draws the estimates at the
     rows of the (S, n) stack X, row i that of lane ``lanes[i]``, and
-    returns ``hvp(r, V)``: the products of the estimates of the rows
-    ``r`` (an index array) with the matching rows of V, or of row ``r``
-    (one int) with every row of V.  It returns None for the zero
-    estimate, whose bound is 0.  ``exact-capped`` scales the true
+    returns their ``hvp(r, V)`` (see ``EstimateSource``), None for the
+    zero estimate, whose bound is 0.  ``exact-capped`` scales the true
     Hessian by ``hessian_cap``; ``perturbed`` adds a symmetric
     perturbation of operator norm ``perturbation``, drawn at every call
     from the Hessian stream of lane j's seed ``seeds[j]``, and re-caps

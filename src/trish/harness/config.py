@@ -268,7 +268,7 @@ def build_sampler(problem, doc: dict) -> MiniBatchSampler | None:
     """Mini-batch sampler for logistic configs with ``batch_size``; else None.
 
     Its same-batch Hessian estimate is capped at ``noise.hessian.m_h``
-    when given; ``trish1`` and ``sg`` turn it off (``_zero_hessian``).
+    when given; ``trish1`` and ``sg`` run its ``without_hessian()``.
     """
     if "batch_size" not in doc:
         return None

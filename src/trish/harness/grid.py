@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import ConfigurationError, NoiseModel, NumericalError
+from ..core import ConfigurationError, EstimateSource, NoiseModel, NumericalError
 from ..optimizer import SolverSpec, TrishConfig, run_lanes, run_sg
 from ..problems import MiniBatchSampler
 from ..schedules import GammaSchedule, StepsizeSchedule
@@ -69,7 +69,7 @@ def _source(noise, sampler):
 
 def baseline_gradient_norm(
     problem,
-    noise: NoiseModel | MiniBatchSampler,
+    noise: EstimateSource,
     iterations: int,
     seed: int,
     x0: np.ndarray | None = None,
@@ -134,7 +134,7 @@ def tune(
     grid: HyperGrid,
     seeds: list[int],
     iterations: int,
-    noise: NoiseModel | MiniBatchSampler | None = None,
+    noise: EstimateSource | None = None,
     solver: SolverSpec | None = None,
     x0: np.ndarray | None = None,
     sampler: MiniBatchSampler | None = None,

@@ -17,11 +17,11 @@ Cost accounting equates one stochastic gradient with one
 Hessian-vector product; diagnostic evaluations (true f and gradient
 each iteration, model re-evaluation in the solver) are excluded.
 
-A run draws every estimate from one source, ``TrishConfig.noise`` (a
-``NoiseModel`` on the oracle or a ``MiniBatchSampler``), which its
-``Trajectory.config`` carries.  First-order TRish and SG turn its Hessian
-estimate off (``_zero_hessian``); the zero estimate has bound 0 and costs
-no products.
+A run draws every estimate from one source, ``TrishConfig.noise``, which
+its ``Trajectory.config`` carries: any ``core.EstimateSource`` (a
+``NoiseModel``, a ``MiniBatchSampler`` or the caller's own), read only
+through that protocol.  First-order TRish and SG run its
+``without_hessian()``; the zero estimate has bound 0 and costs no products.
 
 Every runner takes ``on_iterate(k, x)``, called with the iterate at
 k = 0 and after every recorded iteration, including the last row of a
@@ -43,18 +43,14 @@ import numpy as np
 from .core import (
     Array,
     ConfigurationError,
-    EvaluationError,
-    GRADIENT_STREAM,
+    LANE_CHUNK,
+    EstimateSource,
     NoiseModel,
     ProblemOracle,
-    draw_noise_block,
-    hessian_estimate,
-    rng_stream,
     row_norms,
     rowdot,
     stacked_dense,
 )
-from .problems import MiniBatchSampler
 from .schedules import GammaSchedule, StepsizeSchedule, gammas_at, validate_stepsize
 from .subproblem import checked_eigh, exact_trs_rows, radius_rows, steihaug_cg_rows
 
@@ -76,6 +72,11 @@ class SolverSpec:
             raise ConfigurationError("solver max_iters must be >= 1")
 
 
+# The classes whose instances passed the structural ``EstimateSource`` check,
+# which costs tens of microseconds on Python 3.11: one check per class.
+_SOURCE_CLASSES: set[type] = set()
+
+
 @dataclass(frozen=True)
 class TrishConfig:
     stepsizes: StepsizeSchedule
@@ -83,16 +84,18 @@ class TrishConfig:
     iterations: int
     seed: int = 0
     solver: SolverSpec = field(default_factory=SolverSpec)
-    noise: NoiseModel | MiniBatchSampler = field(default_factory=NoiseModel)
+    noise: EstimateSource = field(default_factory=NoiseModel)
     # advisory by default; verification suites turn this on to fail fast
     enforce_stepsize_bound: bool = False
 
     def __post_init__(self) -> None:
         if self.iterations < 0:
             raise ConfigurationError("iterations must be >= 0")
-        if not isinstance(self.noise, (NoiseModel, MiniBatchSampler)):
-            raise ConfigurationError(f"noise must be a NoiseModel or a MiniBatchSampler, "
-                                     f"got {type(self.noise).__name__}")
+        if type(self.noise) not in _SOURCE_CLASSES:
+            if not isinstance(self.noise, EstimateSource):
+                raise ConfigurationError(f"noise must be an EstimateSource, "
+                                         f"got {type(self.noise).__name__}")
+            _SOURCE_CLASSES.add(type(self.noise))
 
 
 # One trace row.  Row 0 is the initial point.  For row k >= 1 the step
@@ -110,7 +113,7 @@ TRACE_DTYPE = np.dtype([(name, np.float64) for name in (
     "alpha", "gamma1", "gamma2", "step_norm", "hess_bound", "noise_step_dot",
 )])
 STEP_FIELDS = TRACE_DTYPE.names[5:]
-# the fields read from the true gradient; a sampler run may skip it (``run_lanes``)
+# the fields read from the true gradient, which a run may skip (``run_lanes``)
 TRUE_GRAD_FIELDS = ("grad_norm_true", "noise_step_dot")
 # the step fields an SG step records; its hess_bound is 0, the zero estimate
 SG_FIELDS = ("g_norm", "alpha", "step_norm", "hess_bound")
@@ -201,14 +204,6 @@ def run_trish(
     return run_lanes(oracle, x0, [config], "trish", _first_lane(on_iterate)).trajectory(0)
 
 
-def _zero_hessian(source):
-    """``source`` with its Hessian estimate turned off: a noise model's is
-    the zero operator, and a sampler draws the same batches without one."""
-    if isinstance(source, MiniBatchSampler):
-        return replace(source, hessian=False)
-    return replace(source, hessian_kind="zero", m_h=0.0, perturbation=0.0)
-
-
 def run_trish_first_order(
     oracle: ProblemOracle,
     x0: Array,
@@ -216,7 +211,7 @@ def run_trish_first_order(
     on_iterate=None,
 ) -> Trajectory:
     """TRish with the Hessian estimate pinned to zero (cost: 1 unit/iteration):
-    the run's config is ``config`` with ``_zero_hessian`` applied to its source."""
+    the run's config is ``config`` with its source's ``without_hessian()``."""
     return run_lanes(oracle, x0, [config], "trish1", _first_lane(on_iterate)).trajectory(0)
 
 
@@ -224,7 +219,7 @@ def run_sg(
     oracle: ProblemOracle,
     x0: Array,
     stepsizes: StepsizeSchedule,
-    noise: NoiseModel | MiniBatchSampler,
+    noise: EstimateSource,
     iterations: int,
     seed: int,
     on_iterate=None,
@@ -246,13 +241,12 @@ def _sg_config(stepsizes, noise, iterations, seed) -> TrishConfig:
     """The ``TrishConfig`` an SG run equals: gammas (1, 1) and the estimate
     source ``noise`` with its Hessian estimate turned off."""
     return TrishConfig(stepsizes, GammaSchedule.constant(1.0, 1.0), iterations, seed,
-                       noise=_zero_hessian(noise))
+                       noise=noise.without_hessian())
 
 
 # ---------------------------------------------------------------------------
 # lockstep lanes
 
-LANE_CHUNK = 64  # iterations of gradient noise or mini-batch rows drawn per lane at once
 SCHEDULE_COLUMNS = ("alpha", "gamma1", "gamma2", "hess_bound")  # one table per schedule
 LANE_COLUMNS = tuple(name for name in TRACE_DTYPE.names
                      if name not in ("k", "wall_ns") + SCHEDULE_COLUMNS)
@@ -324,29 +318,27 @@ def run_lanes(
     before the first step.  The configs may differ in seed, stepsizes
     and gammas and share the rest.
 
-    Each step is computed for all running lanes at once: SG's, and
-    TRish's through ``steihaug_cg_rows`` or ``exact_trs_rows`` with
-    each lane's own estimate (a perturbed one draws each lane's
-    perturbation from that lane's Hessian stream every iteration).  An
-    exact step builds each running lane's dense H at the lane's own
-    point and decomposes them with one stacked ``eigh``; an estimate
-    that cannot change (the zero estimate, or ``exact-capped`` on an
-    oracle with ``hess_lipschitz == 0.0``) is built and decomposed once
-    per run and shared by every lane and step.  ``cost_units`` charges
-    n products per exact step either way.  An error in any lane ends the
-    run.  ``x0`` is one point, shape (n,), or one row per lane, shape
+    Each step draws the running lanes' estimates from the source's
+    ``lane_draw`` and is computed for them all at once: SG's, and
+    TRish's through ``steihaug_cg_rows`` or ``exact_trs_rows`` with each
+    lane's own estimate.  An exact step builds each running lane's dense
+    H at the lane's own point and decomposes them with one stacked
+    ``eigh``; a ``constant_hessian`` estimate is built and decomposed
+    once per run and shared by every lane and step.  ``cost_units``
+    charges n products per exact step either way.  An error in any lane
+    ends the run.  ``x0`` is one point, shape (n,), or one row per lane, shape
     (S, n); ``on_iterate(k, X)`` is the runners' hook (see the module
     docstring).
 
     The true gradient of f at every iterate fills the ``grad_norm_true``
-    and ``noise_step_dot`` columns.  Under a ``MiniBatchSampler`` source
-    nothing else reads it, and ``true_grad=False`` skips it: the run
-    makes no ``oracle.grad`` call, those two columns hold NaN on every
-    row (``LaneRun.true_grad`` is False, so ``Trajectory.recorded`` says
-    they are not recorded), and every other column, the iterates, the
-    row counts and the abort reasons are bit for bit the default run's.
-    Under a ``NoiseModel`` source the estimates are formed from the true
-    gradient (g = grad f + noise), and ``true_grad`` changes nothing.
+    and ``noise_step_dot`` columns.  When the source's draw does not read
+    it (``reads_true_gradient`` is False, as for a ``MiniBatchSampler``),
+    ``true_grad=False`` skips it: the run makes no ``oracle.grad`` call,
+    those two columns hold NaN on every row (``LaneRun.true_grad`` is
+    False, so ``Trajectory.recorded`` says they are not recorded), and
+    everything else is bit for bit the default run's.  When it does
+    (g = grad f + noise for a ``NoiseModel``), ``true_grad`` changes
+    nothing.
     """
     configs = list(configs)
     if not configs:
@@ -364,11 +356,10 @@ def run_lanes(
     if algorithm == "sg":
         configs = [_sg_config(c.stepsizes, c.noise, c.iterations, c.seed) for c in configs]
     elif algorithm == "trish1":
-        source = _zero_hessian(source)
+        source = source.without_hessian()
         configs = [replace(c, noise=source) for c in configs]
     source = configs[0].noise
-    sampled = isinstance(source, MiniBatchSampler)
-    true_grad = true_grad or not sampled
+    true_grad = true_grad or source.reads_true_gradient
     S, n = len(configs), oracle.dim
     x0 = np.asarray(x0, dtype=float)
     if x0.shape not in ((n,), (S, n)):
@@ -378,14 +369,7 @@ def run_lanes(
     if not np.all(np.isfinite(X)):
         raise ConfigurationError("initial point must be finite")
 
-    # The estimate's certified bound and a noise model's estimate itself
-    # (a sampler forms its own in ``draw_rows``).
-    estimate, bound = None, 0.0
-    if K > 0:
-        if sampled:
-            bound = source.norm_bound
-        else:
-            estimate, bound = hessian_estimate(oracle, source, [c.seed for c in configs])
+    bound = source.hessian_bound(oracle) if K > 0 else 0.0
 
     # (K+1, S) schedule tables indexed by k (NaN in row 0, as in the
     # trace), one column per distinct schedule pair spread over its lanes,
@@ -418,9 +402,6 @@ def run_lanes(
     ALPHA, GAMMA1, GAMMA2, BOUND = (spread(rows) for rows in zip(*tables))
     for table in (ALPHA, GAMMA1, GAMMA2, BOUND):
         table.flags.writeable = False
-    # a noise model's gradient variance at each k, from each pair's stepsizes
-    VARIANCE = None if sampled else spread(
-        [[np.nan, *map(source.gradient_variance, ks, table[0][1:])] for table in tables])
 
     cols = {name: np.full((K + 1, S), np.nan) for name in LANE_COLUMNS}
     wall = np.full(K + 1, np.nan)
@@ -431,12 +412,9 @@ def run_lanes(
     if true_grad:
         cols["grad_norm_true"][0] = row_norms(TG)
     cols["cost_units"][0] = 0.0
-    draw = _lane_draw(oracle, source, configs, K, estimate, VARIANCE)
+    draw = source.lane_draw(oracle, [c.seed for c in configs], ALPHA) if K > 0 else None
     if algorithm != "sg" and solver.kind == "exact":
-        # a zero bound is the zero estimate; a zero L_H certifies a constant Hessian
-        constant = bound == 0.0 or (not sampled and source.hessian_kind == "exact-capped"
-                                    and oracle.hess_lipschitz == 0.0)
-        step = _exact_lane_step(constant, 0 if bound == 0.0 else n)
+        step = _exact_lane_step(source.constant_hessian(oracle), 0 if bound == 0.0 else n)
     else:
         step = _sg_lane_step if algorithm == "sg" else _trish_lane_step
     rows = np.full(S, K + 1)
@@ -494,53 +472,6 @@ def run_lanes(
         cols[name] = table
     cols["wall_ns"] = np.broadcast_to(wall[:, None], (K + 1, S))
     return LaneRun(algorithm, configs, cols, rows, final_x, aborted, true_grad)
-
-
-def _lane_draw(oracle, source, configs, K, estimate, VARIANCE):
-    """The lanes' draw ``(k, ids, at, X, TG) -> (G, hvp)`` for the running
-    lanes ``ids`` (columns ``at``) at iterates X with true gradients TG
-    (which a sampler does not read).
-
-    Every ``LANE_CHUNK`` iterations each running lane draws its next
-    block of gradient noise or mini-batch rows from its gradient stream.
-    ``hvp`` is the running rows' Hessian estimates in the one product
-    form (None: the zero estimate), from the sampler's ``draw_rows`` or
-    the noise model's ``estimate`` (see ``hessian_estimate``), which
-    draws a perturbed estimate's perturbations every iteration.
-    """
-    S, n = len(configs), oracle.dim
-    rngs = [rng_stream(c.seed, GRADIENT_STREAM) for c in configs]
-    if isinstance(source, MiniBatchSampler):
-        rows = np.zeros((S, LANE_CHUNK, source.batch_size), dtype=np.int64)
-
-        def draw(k, ids, at, X, TG):
-            j = (k - 1) % LANE_CHUNK
-            if j == 0:
-                count = min(LANE_CHUNK, K - k + 1)
-                for lane in ids:
-                    rows[lane, :count] = source.indices(rngs[lane], count)
-            return source.draw_rows(X, rows[at, j], k)
-
-        return draw
-
-    block = np.zeros((S, LANE_CHUNK, n))
-    drawn = VARIANCE > 0.0  # no noise, and no draw, at variance 0
-    every = drawn.all(axis=1).tolist()
-
-    def draw(k, ids, at, X, TG):
-        j = (k - 1) % LANE_CHUNK
-        if j == 0:
-            for lane in ids:
-                variances = VARIANCE[k:k + LANE_CHUNK, lane]
-                block[lane, :variances.size] = draw_noise_block(rngs[lane], variances, n)
-        if not np.all(np.isfinite(TG)):
-            bad = int(np.argmin(np.isfinite(TG).all(axis=1)))
-            raise EvaluationError(f"non-finite gradient at x = {X[bad]!r}")
-        G = TG + block[at, j] if every[k] else np.where(drawn[k, at][:, None],
-                                                         TG + block[at, j], TG)
-        return G, estimate(X, ids)
-
-    return draw
 
 
 def _moved(X, steps, gn):

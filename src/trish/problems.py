@@ -12,17 +12,21 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
+    GRADIENT_STREAM,
+    LANE_CHUNK,
     Array,
     ConfigurationError,
     EvaluationError,
+    ProblemOracle,
     libm_pow,
     matvec,
     require_finite,
+    rng_stream,
     rowdot,
 )
 
@@ -227,8 +231,11 @@ class MiniBatchSampler:
     ``m_h`` when given, so gradient streams stay aligned across
     algorithms that share a seed.  ``indices`` draws the rows, many
     iterations at a time, and ``draw_rows`` forms the estimates at many
-    points at once.
+    points at once.  An ``EstimateSource`` that never reads the true
+    gradient; its Hessian estimate is the same-batch one.
     """
+
+    reads_true_gradient = False
 
     problem: LogisticProblem
     batch_size: int
@@ -253,6 +260,31 @@ class MiniBatchSampler:
         """The certified bound of every Hessian estimate a draw returns."""
         return self._cap * self.problem.grad_lipschitz if self.hessian else 0.0
 
+    def hessian_bound(self, oracle: ProblemOracle) -> float:
+        return self.norm_bound
+
+    def without_hessian(self) -> MiniBatchSampler:
+        return replace(self, hessian=False)
+
+    def constant_hessian(self, oracle: ProblemOracle) -> bool:
+        return not self.hessian
+
+    def lane_draw(self, oracle: ProblemOracle, seeds: list[int], alphas: Array):
+        """Each lane draws ``LANE_CHUNK`` iterations' batch rows at once."""
+        K = len(alphas) - 1
+        rngs = [rng_stream(seed, GRADIENT_STREAM) for seed in seeds]
+        rows = np.zeros((len(seeds), LANE_CHUNK, self.batch_size), dtype=np.int64)
+
+        def draw(k, ids, at, X, TG):
+            j = (k - 1) % LANE_CHUNK
+            if j == 0:
+                count = min(LANE_CHUNK, K - k + 1)
+                for lane in ids:
+                    rows[lane, :count] = self.indices(rngs[lane], count)
+            return self.draw_rows(X, rows[at, j], k)
+
+        return draw
+
     def indices(self, rng: np.random.Generator, count: int | None = None) -> Array:
         """One iteration's batch rows, or a (count, batch_size) block whose
         row i is bit for bit the i-th of ``count`` successive draws."""
@@ -262,11 +294,9 @@ class MiniBatchSampler:
     def draw_rows(self, X: Array, idx: Array, k: int):
         """The draws at the rows of X, row i with the batch rows ``idx[i]``.
 
-        Returns the (S, dim) gradient estimates and ``hvp(r, V)``, the
-        products of the Hessian estimates of the rows ``r`` (an index
-        array) with the matching rows of V, or of row ``r`` (one int)
-        with every row of V; None without ``hessian`` (the zero
-        estimate).
+        Returns the (S, dim) gradient estimates and their Hessian
+        estimates' ``hvp(r, V)`` (see ``EstimateSource``); None without
+        ``hessian`` (the zero estimate).
         """
         p = self.problem
         G = p.batch_gradient(X, idx)

@@ -2,7 +2,8 @@
 
 Each test prints one PASS/FAIL line (visible with ``pytest -s`` or in
 captured output).  The heavy Monte-Carlo suites run once per session
-and are shared across criteria.
+and are shared across criteria.  Their reports, and those of the quick
+suites, must also equal the pinned ones (``tests/suite_reports.py``).
 """
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 
 from trish.harness.grid import GridSpec, build_grid
 from trish.harness.suites import verify
+
+import suite_reports
 
 ALL_SUITES = (
     "radius", "equivalence", "lemmas", "trs-oracle", "pl-fixed", "pl-merging",
@@ -20,6 +23,11 @@ ALL_SUITES = (
 @pytest.fixture(scope="session")
 def reports():
     return {name: verify(name) for name in ALL_SUITES}
+
+
+@pytest.fixture(scope="session")
+def quick_reports():
+    return {name: verify(name, quick=True) for name in ALL_SUITES}
 
 
 def _gate(number, description, passed, detail=""):
@@ -125,3 +133,12 @@ def test_criterion_11_oracle_hygiene(reports):
     rep = reports["oracles"]
     _gate(11, "derivative checks at 1e-6 and noise moments within 3 MC SE",
           rep.passed, f"({len(rep.checks)} oracle checks)")
+
+
+@pytest.mark.parametrize("size", ["full", "quick"])
+def test_reports_match_pinned(size, request):
+    reports = request.getfixturevalue("reports" if size == "full" else "quick_reports")
+    pinned = suite_reports.load()[size]
+    assert sorted(pinned) == sorted(ALL_SUITES)
+    found = {name: suite_reports.summary(reports[name]) for name in ALL_SUITES}
+    assert suite_reports.mismatches(pinned, found) == []

@@ -356,7 +356,7 @@ class TestFirstOrder:
         assert np.array_equal(traj.final_x, without.final_x)  # the same batches
 
     def test_noise_must_be_an_estimate_source(self):
-        with pytest.raises(ConfigurationError, match="NoiseModel or a MiniBatchSampler"):
+        with pytest.raises(ConfigurationError, match="must be an EstimateSource, got str"):
             TrishConfig(StepsizeSchedule.constant(0.1), GammaSchedule.constant(2.0, 1.0), 5,
                         noise="bounded")
 
@@ -791,6 +791,83 @@ class TestSkippedTrueGradient:
         for name in TRACE_DTYPE.names[1:]:
             if name != "wall_ns":
                 assert lanes.column(name).tobytes() == full.column(name).tobytes(), name
+
+
+class DelegatingSource:
+    """An estimate source the library does not know: it forwards every
+    ``EstimateSource`` member to ``inner`` and counts each lane's draws
+    (``draws``, set by ``lane_draw``)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.draws = None
+
+    @property
+    def reads_true_gradient(self):
+        return self.inner.reads_true_gradient
+
+    def hessian_bound(self, oracle):
+        return self.inner.hessian_bound(oracle)
+
+    def without_hessian(self):
+        return DelegatingSource(self.inner.without_hessian())
+
+    def constant_hessian(self, oracle):
+        return self.inner.constant_hessian(oracle)
+
+    def lane_draw(self, oracle, seeds, alphas):
+        inner = self.inner.lane_draw(oracle, seeds, alphas)
+        self.draws = np.zeros(len(seeds), dtype=int)
+
+        def draw(k, ids, at, X, TG):
+            self.draws[ids] += 1
+            return inner(k, ids, at, X, TG)
+
+        return draw
+
+
+class TestUnknownSource:
+    """A source defined here runs on lanes through the protocol alone, bit
+    for bit like the source it wraps."""
+
+    @staticmethod
+    def source(kind):
+        if kind == "capped":  # a constant Hessian: the exact solver builds it once
+            prob = make_quadratic(4, 1.0, 10.0, seed=2)
+            return prob, NoiseModel(kind="stepwise", m_g=1.0, hessian_kind="exact-capped",
+                                    m_h=1e-3)
+        prob = make_logistic(60, 4, l2=0.01, seed=3)
+        if kind == "perturbed":
+            return prob, NoiseModel(kind="geometric", m_g=0.5, zeta=0.9,
+                                    hessian_kind="perturbed", m_h=0.2, perturbation=0.05)
+        return prob, MiniBatchSampler(prob, 5, hessian=True, m_h=0.2)
+
+    @pytest.mark.parametrize("solver", ["steihaug", "exact"])
+    @pytest.mark.parametrize("algorithm", ["trish", "trish1", "sg"])
+    @pytest.mark.parametrize("kind", ["capped", "perturbed", "sampler"])
+    def test_wrapped_source_runs_like_the_source(self, kind, algorithm, solver):
+        prob, inner = self.source(kind)
+        # lane 1's stepsize trips the divergence guard inside the first block of draws
+        alpha_seeds = ((0.1, 0), (1e7, 1), (0.5, 2))
+        runs = []
+        for source in (inner, DelegatingSource(inner)):
+            configs = [TrishConfig(StepsizeSchedule.constant(alpha),
+                                   GammaSchedule.constant(2.0, 1.0), LANE_CHUNK + 10, seed,
+                                   solver=SolverSpec(kind=solver), noise=source)
+                       for alpha, seed in alpha_seeds]
+            runs.append(run_lanes(prob, np.ones(4), configs, algorithm, true_grad=False))
+        plain, wrapped = runs
+        assert wrapped.rows.tolist() == plain.rows.tolist()
+        assert 1 < plain.rows[1] < LANE_CHUNK
+        assert wrapped.aborted == plain.aborted
+        assert wrapped.true_grad == plain.true_grad == (kind != "sampler")
+        assert wrapped.final_x.tobytes() == plain.final_x.tobytes()
+        for name in TRACE_DTYPE.names[1:]:
+            if name != "wall_ns":
+                assert wrapped.column(name).tobytes() == plain.column(name).tobytes(), name
+        ran = wrapped.configs[0].noise
+        assert ran.inner == plain.configs[0].noise  # the source with the Hessian off, if so
+        assert ran.draws.tolist() == (wrapped.rows - 1).tolist()
 
 
 def test_index_block_equals_successive_draws():
