@@ -152,10 +152,14 @@ def cost_accounting_ok(run: LaneRun) -> bool:
 
 
 def seed_mean_and_se(per_seed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error across the seed axis (axis 0)."""
+    """Mean and standard error across the seed axis (axis 0).  Where a
+    seed holds +inf (a lane that stopped), the mean is +inf and the SE
+    NaN; a deviation whose square overflows gives an SE of +inf.  Neither
+    warns."""
     mean = per_seed.mean(axis=0)
     if per_seed.shape[0] > 1:
-        se = per_seed.std(axis=0, ddof=1) / np.sqrt(per_seed.shape[0])
+        with np.errstate(invalid="ignore", over="ignore"):
+            se = per_seed.std(axis=0, ddof=1) / np.sqrt(per_seed.shape[0])
     else:
         se = np.zeros_like(mean)
     return mean, se

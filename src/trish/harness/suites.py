@@ -7,6 +7,14 @@ KKT certificates against a brute-force oracle, and one Monte-Carlo
 envelope test per convergence guarantee.  ``--quick`` shrinks seed
 counts and horizons for smoke runs; the full sizes are the acceptance
 configuration.
+
+The Monte-Carlo suites run their seeds as one lane run (``_lane_run``).
+The four PL envelope suites state an ``EnvelopeRow`` each, what differs
+between them, and share one runner, ``_run_envelope``, which starts the
+lanes at gap 10 on their shared quadratic and checks the seed-mean gap
+against the row's envelope.  Under the stepsize precondition they
+enforce, their Steihaug steps are first-order steps (README, "What the
+guarantees cover").
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import time
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -31,6 +40,7 @@ from ..bounds import (
 )
 from ..core import (
     ConfigurationError,
+    EstimateSource,
     NoiseModel,
     draw_noise_block,
     hessian_estimate,
@@ -146,42 +156,64 @@ def _point_with_gap(problem, gap: float, seed: int) -> np.ndarray:
     return problem.x_star + r * u
 
 
-def _gap_matrix(problem, x0, config, seeds, on_iterate=None):
-    """Per-seed optimality-gap trajectories plus pooled contract counts.
-
-    The seeds run ``config`` as lockstep lanes; a seed's gaps past its
-    last recorded row are +inf.  Also returns the lane run itself.
-    """
+def _lane_run(problem, x0, config, seeds, on_iterate=None):
+    """``config`` run at each of ``seeds`` as lockstep lanes: the run, the
+    step-contract counter that pooled its recorded steps, and the number
+    of lanes that stopped early."""
     run = run_lanes(problem, x0, [replace(config, seed=seed) for seed in seeds],
                     on_iterate=on_iterate)
     counter = StepContractCounter()
     counter.update(run)
-    aborted = sum(reason is not None for reason in run.aborted)
+    return run, counter, sum(reason is not None for reason in run.aborted)
+
+
+@dataclass(frozen=True)
+class EnvelopeRow:
+    """What one PL envelope suite sets; ``_run_envelope`` does the rest."""
+
+    label: str
+    quick: tuple[int, int]  # (seeds, horizon) under --quick
+    full: tuple[int, int]  # (seeds, horizon) at the acceptance size
+    start_seed: int  # draws the start point at gap 10
+    seed_base: int  # lane i runs seed seed_base + i
+    stepsizes: StepsizeSchedule
+    gammas: GammaSchedule
+    noise: EstimateSource
+    envelope: Callable[[int, float], float]  # (k, gap0) -> the bound at iteration k
+
+
+def _run_envelope(problem, row: EnvelopeRow, quick: bool):
+    """Run ``row``'s lanes from a start point at gap 10 and check the
+    seed-mean gap against its envelope and the step contracts.
+
+    Returns the checks, the counter, the (seeds, horizon + 1) gaps, +inf
+    past a lane's last recorded row, and the run.
+    """
+    n_seeds, horizon = row.quick if quick else row.full
+    x0 = _point_with_gap(problem, gap=10.0, seed=row.start_seed)
+    gap0 = problem.value(x0) - problem.f_min
+    config = TrishConfig(row.stepsizes, row.gammas, horizon, noise=row.noise,
+                         enforce_stepsize_bound=True)
+    run, counter, aborted = _lane_run(problem, x0, config,
+                                      range(row.seed_base, row.seed_base + n_seeds))
     # seed-major C order, so the seed-axis mean and SE sum in the same order as
     # over one row per seed's run
     gaps = np.ascontiguousarray(run.column("f").T) - problem.f_min
-    gaps[np.arange(config.iterations + 1)[None, :] >= run.rows[:, None]] = np.inf
-    return gaps, counter, aborted, run
+    gaps[np.arange(horizon + 1)[None, :] >= run.rows[:, None]] = np.inf
+    envelope = np.array([row.envelope(k + 1, gap0) for k in range(horizon + 1)])
 
-
-def _envelope_checks(
-    label: str,
-    gaps: np.ndarray,
-    envelope: np.ndarray,
-    aborted: int,
-    counter: StepContractCounter,
-) -> list[CheckResult]:
     mean, se = seed_mean_and_se(gaps)
     ok = mean <= envelope + 3.0 * se
-    slack = envelope + 3.0 * se - mean
+    # -inf where a stopped lane's gaps are +inf, from the row it stopped at on
+    slack = np.where(np.isinf(mean), -np.inf, envelope + 3.0 * se - mean)
     worst = int(np.argmin(slack))
-    return [
+    checks = [
         CheckResult(
-            f"{label}: seed-mean gap within envelope + 3 SE at every k",
+            f"{row.label}: seed-mean gap within envelope + 3 SE at every k",
             bool(np.all(ok)) and aborted == 0,
             {
-                "seeds": int(gaps.shape[0]),
-                "horizon": int(gaps.shape[1] - 1),
+                "seeds": n_seeds,
+                "horizon": horizon,
                 "aborted_runs": aborted,
                 "violations": int(np.sum(~ok)),
                 "worst_slack": float(slack[worst]),
@@ -191,11 +223,12 @@ def _envelope_checks(
             },
         ),
         CheckResult(
-            f"{label}: step contracts hold on every recorded step",
+            f"{row.label}: step contracts hold on every recorded step",
             counter.total_violations == 0,
             counter.stats(),
         ),
     ]
+    return checks, counter, gaps, run
 
 
 # ---------------------------------------------------------------------------
@@ -407,33 +440,24 @@ def suite_trs_oracle(quick: bool = False) -> SuiteOutcome:
 # envelope suites
 
 
+def _envelope_quadratic():
+    """The PL envelope suites' problem: n = 10, spectrum [1, 10]."""
+    return make_quadratic(10, 1.0, 10.0, seed=101)
+
+
 def suite_pl_fixed(quick: bool = False) -> SuiteOutcome:
     """Linear-to-neighborhood envelope under bounded noise, fixed parameters."""
-    n_seeds, horizon = (30, 400) if quick else (200, 2000)
-    problem = make_quadratic(10, 1.0, 10.0, seed=101)
+    problem = _envelope_quadratic()
     gamma1, gamma2, m_g = 2.0, 1.0, 1.0
     m_h = problem.grad_lipschitz  # exact Hessian within the norm cap
     alpha = gamma2 / (4.0 * gamma1**2 * (problem.grad_lipschitz + m_h))
-    x0 = _point_with_gap(problem, gap=10.0, seed=202)
-    gap0 = problem.value(x0) - problem.f_min
     c = problem.pl_constant
-
-    config = TrishConfig(
-        stepsizes=StepsizeSchedule.constant(alpha),
-        gammas=GammaSchedule.constant(gamma1, gamma2),
-        iterations=horizon,
-        noise=NoiseModel(kind="bounded", m_g=m_g,
-                         hessian_kind="exact-capped", m_h=m_h),
-        enforce_stepsize_bound=True,
-    )
-    seeds = range(1000, 1000 + n_seeds)
-
-    gaps, counter, aborted, _ = _gap_matrix(problem, x0, config, seeds)
-    envelope = np.array([
-        pl_fixed_envelope(k + 1, gamma1, gamma2, alpha, m_g, c, gap0)
-        for k in range(horizon + 1)
-    ])
-    checks = _envelope_checks("pl-fixed", gaps, envelope, aborted, counter)
+    checks, counter, gaps, _ = _run_envelope(problem, EnvelopeRow(
+        "pl-fixed", quick=(30, 400), full=(200, 2000), start_seed=202, seed_base=1000,
+        stepsizes=StepsizeSchedule.constant(alpha), gammas=GammaSchedule.constant(gamma1, gamma2),
+        noise=NoiseModel(kind="bounded", m_g=m_g, hessian_kind="exact-capped", m_h=m_h),
+        envelope=lambda k, gap0: pl_fixed_envelope(k, gamma1, gamma2, alpha, m_g, c, gap0),
+    ), quick)
 
     theta = pl_fixed_constants(gamma1, gamma2, alpha, m_g, c).theta
     mean, se = seed_mean_and_se(gaps)
@@ -448,82 +472,55 @@ def suite_pl_fixed(quick: bool = False) -> SuiteOutcome:
 
 def suite_pl_merging(quick: bool = False) -> SuiteOutcome:
     """Sublinear envelope with diminishing stepsizes and merging gammas."""
-    n_seeds, horizon = (30, 400) if quick else (200, 2000)
-    problem = make_quadratic(10, 1.0, 10.0, seed=101)
+    problem = _envelope_quadratic()
     gamma1, eta, m_g = 1.0, 1.0, 1.0
     m_h = eta / (2.0 * gamma1) * 0.999  # respects the merging Hessian cap
     a, b = 3.0, 135.0
     steps = StepsizeSchedule.diminishing(a, b)
     gammas = GammaSchedule.merging(gamma1, eta)
     c = problem.pl_constant
-    x0 = _point_with_gap(problem, gap=10.0, seed=203)
-    gap0 = problem.value(x0) - problem.f_min
     gamma2_first = gammas_at(gammas, steps, 1)[1]
+    checks, counter, _, run = _run_envelope(problem, EnvelopeRow(
+        "pl-merging", quick=(30, 400), full=(200, 2000), start_seed=203, seed_base=3000,
+        stepsizes=steps, gammas=gammas,
+        noise=NoiseModel(kind="bounded", m_g=m_g, hessian_kind="exact-capped", m_h=m_h),
+        envelope=lambda k, gap0: pl_sublinear_envelope(
+            k, a, b, eta, gamma1, gamma2_first, c, problem.grad_lipschitz, m_h, m_g, gap0),
+    ), quick)
 
     precondition_ok = all(
         validate_stepsize(steps.at(k), gamma1, gammas_at(gammas, steps, k)[1],
                           problem.grad_lipschitz, m_h, mode="merging", eta=eta)
         and steps.at(k) <= 2.0 / (gamma2_first * c)
-        for k in range(1, horizon + 1)
+        for k in range(1, run.configs[0].iterations + 1)
     )
-
-    config = TrishConfig(
-        stepsizes=steps,
-        gammas=gammas,
-        iterations=horizon,
-        noise=NoiseModel(kind="bounded", m_g=m_g,
-                         hessian_kind="exact-capped", m_h=m_h),
-        enforce_stepsize_bound=True,
-    )
-    seeds = range(3000, 3000 + n_seeds)
-
-    gaps, counter, aborted, _ = _gap_matrix(problem, x0, config, seeds)
-    envelope = np.array([
-        pl_sublinear_envelope(k + 1, a, b, eta, gamma1, gamma2_first, c,
-                              problem.grad_lipschitz, m_h, m_g, gap0)
-        for k in range(horizon + 1)
-    ])
-    checks = [CheckResult(
+    return [CheckResult(
         "pl-merging: stepsize/Hessian/gap preconditions hold for every k",
         precondition_ok,
         {"alpha_1": steps.at(1), "gamma2_1": gamma2_first, "m_h": m_h},
-    )]
-    checks += _envelope_checks("pl-merging", gaps, envelope, aborted, counter)
-    return checks, counter
+    )] + checks, counter
 
 
 def suite_pl_sublinear(quick: bool = False) -> SuiteOutcome:
     """Sublinear envelope with fixed gammas and stepsize-proportional noise."""
-    n_seeds, horizon = (30, 400) if quick else (200, 2000)
-    problem = make_quadratic(10, 1.0, 10.0, seed=101)
+    problem = _envelope_quadratic()
     gamma1 = gamma2 = 1.0
     m_g = 1.0
     a, b = 20.0, 799.0  # alpha_1 = 1/40 sits exactly on the basic bound
-    steps = StepsizeSchedule.diminishing(a, b)
     c = problem.pl_constant
-    x0 = _point_with_gap(problem, gap=10.0, seed=204)
-    gap0 = problem.value(x0) - problem.f_min
-
-    config = TrishConfig(
-        stepsizes=steps,
+    checks, counter, _, run = _run_envelope(problem, EnvelopeRow(
+        "pl-sublinear", quick=(30, 400), full=(200, 2000), start_seed=204, seed_base=5000,
+        stepsizes=StepsizeSchedule.diminishing(a, b),
         gammas=GammaSchedule.constant(gamma1, gamma2),
-        iterations=horizon,
         noise=NoiseModel(kind="stepwise", m_g=m_g, hessian_kind="zero"),
-        enforce_stepsize_bound=True,
-    )
-    seeds = range(5000, 5000 + n_seeds)
+        envelope=lambda k, gap0: pl_sublinear_fixed_gamma_envelope(
+            k, a, b, gamma1, gamma2, m_g, c, gap0),
+    ), quick)
 
-    gaps, counter, aborted, run = _gap_matrix(problem, x0, config, seeds)
-    norms = run.column("grad_norm_true")
-    grad_ratio = norms[run.rows - 1, np.arange(n_seeds)] / norms[0]
-    envelope = np.array([
-        pl_sublinear_fixed_gamma_envelope(k + 1, a, b, gamma1, gamma2, m_g, c, gap0)
-        for k in range(horizon + 1)
-    ])
-    checks = _envelope_checks("pl-sublinear", gaps, envelope, aborted, counter)
     # testable consequence of almost-sure gradient convergence in the
     # diminishing-step regime: true gradient norms shrink along the run
-    ratio = float(np.mean(grad_ratio))
+    norms = run.column("grad_norm_true")
+    ratio = float(np.mean(norms[run.rows - 1, np.arange(run.rows.size)] / norms[0]))
     checks.append(CheckResult(
         "pl-sublinear: true gradient norm vanishes along diminishing-step runs",
         ratio <= 0.1,
@@ -534,31 +531,18 @@ def suite_pl_sublinear(quick: bool = False) -> SuiteOutcome:
 
 def suite_geometric(quick: bool = False) -> SuiteOutcome:
     """Linear-rate envelope under geometrically decaying noise."""
-    n_seeds, horizon = (30, 200) if quick else (200, 500)
-    problem = make_quadratic(10, 1.0, 10.0, seed=101)
+    problem = _envelope_quadratic()
     gamma1 = gamma2 = 1.0
     m_g, zeta = 1.0, 0.5
     alpha = gamma2 / (4.0 * gamma1**2 * problem.grad_lipschitz)
     c = problem.pl_constant
-    x0 = _point_with_gap(problem, gap=10.0, seed=205)
-    gap0 = problem.value(x0) - problem.f_min
-
-    config = TrishConfig(
-        stepsizes=StepsizeSchedule.constant(alpha),
-        gammas=GammaSchedule.constant(gamma1, gamma2),
-        iterations=horizon,
-        noise=NoiseModel(kind="geometric", m_g=m_g, zeta=zeta,
-                         hessian_kind="zero"),
-        enforce_stepsize_bound=True,
-    )
-    seeds = range(7000, 7000 + n_seeds)
-
-    gaps, counter, aborted, _ = _gap_matrix(problem, x0, config, seeds)
-    envelope = np.array([
-        pl_geometric_envelope(k + 1, gamma1, gamma2, alpha, m_g, c, zeta, gap0)
-        for k in range(horizon + 1)
-    ])
-    checks = _envelope_checks("geometric", gaps, envelope, aborted, counter)
+    checks, counter, _, _ = _run_envelope(problem, EnvelopeRow(
+        "geometric", quick=(30, 200), full=(200, 500), start_seed=205, seed_base=7000,
+        stepsizes=StepsizeSchedule.constant(alpha), gammas=GammaSchedule.constant(gamma1, gamma2),
+        noise=NoiseModel(kind="geometric", m_g=m_g, zeta=zeta, hessian_kind="zero"),
+        envelope=lambda k, gap0: pl_geometric_envelope(k, gamma1, gamma2, alpha, m_g, c, zeta,
+                                                       gap0),
+    ), quick)
     return checks, counter
 
 
@@ -586,10 +570,11 @@ def suite_nonconvex_fixed(quick: bool = False) -> SuiteOutcome:
     def track_box(k, X):
         np.maximum(widest, np.max(np.abs(X), axis=1), out=widest)
 
-    _, counter, aborted, run = _gap_matrix(problem, x0, config, seeds,
-                                           on_iterate=track_box)
-    grads = run.column("grad_norm_true")[:horizon]  # iterates x_1..x_K
-    avg_sq = np.array([np.mean(grads[: run.rows[i], i] ** 2) for i in range(n_seeds)])
+    run, counter, aborted = _lane_run(problem, x0, config, seeds, on_iterate=track_box)
+    # each lane's mean over its recorded iterates among x_1..x_K; lane-major,
+    # so each lane's terms sum in the order np.mean sums its own column
+    grads = np.ascontiguousarray(run.column("grad_norm_true")[:horizon].T)
+    avg_sq = np.mean(grads**2, axis=1, where=np.arange(horizon) < run.rows[:, None])
     in_box = bool(np.all(widest <= problem.box_halfwidth))
 
     bound = nonconvex_fixed_bound(horizon, gamma1, gamma2, alpha, m_g, f1,

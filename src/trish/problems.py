@@ -255,13 +255,9 @@ class MiniBatchSampler:
         (1 without ``m_h``); L_g bounds every sub-batch's Hessian."""
         return 1.0 if self.m_h is None else min(1.0, self.m_h / self.problem.grad_lipschitz)
 
-    @property
-    def norm_bound(self) -> float:
+    def hessian_bound(self, oracle: ProblemOracle) -> float:
         """The certified bound of every Hessian estimate a draw returns."""
         return self._cap * self.problem.grad_lipschitz if self.hessian else 0.0
-
-    def hessian_bound(self, oracle: ProblemOracle) -> float:
-        return self.norm_bound
 
     def without_hessian(self) -> MiniBatchSampler:
         return replace(self, hessian=False)

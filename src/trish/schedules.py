@@ -116,6 +116,14 @@ def validate_stepsize(
 
     Advisory: returns False instead of raising, since tuning sweeps
     legitimately explore stepsizes outside the theoretical range.
+
+    What it covers: under either mode every radius is at most
+    ||g|| / (4 (L_g + M_H)), since delta <= gamma1 alpha_k ||g|| and
+    gamma2 <= gamma1.  Steihaug's first CG step along -g is at least
+    ||g|| / M_H long for any estimate with ||H|| <= M_H, or meets
+    negative curvature.  So every Steihaug solve exits at its first
+    iteration with the first-order step -delta g / ||g||, whatever the
+    estimate and the CG cap (README, "What the guarantees cover").
     """
     if min(alpha_k, gamma1, gamma2, grad_lipschitz) <= 0 or hess_bound < 0:
         raise ConfigurationError("validate_stepsize requires positive constants")

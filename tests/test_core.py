@@ -145,9 +145,9 @@ class TestSampleHessian:
         # both sources give the zero estimate as no product form and bound 0
         prob = make_logistic(30, 3, l2=0.1, seed=1)
         sampler = MiniBatchSampler(prob, 4)
-        assert sampler.norm_bound == 0.0
+        assert sampler.hessian_bound(prob) == 0.0
         assert sampler.draw_rows(np.zeros((2, 3)), np.zeros((2, 4), dtype=np.int64), 1)[1] is None
-        assert MiniBatchSampler(prob, 4, hessian=True).norm_bound > 0.0
+        assert MiniBatchSampler(prob, 4, hessian=True).hessian_bound(prob) > 0.0
         zero = NoiseModel(kind="none", hessian_kind="zero", m_h=5.0)
         assert estimate_at(prob, np.zeros(3), zero) == (None, 0.0)
 

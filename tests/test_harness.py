@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from trish.optimizer import TRACE_DTYPE, Trajectory
 from trish.problems import MiniBatchSampler, QuadraticProblem, RosenbrockProblem
 
 from reference import reference_run
+from test_optimizer import DelegatingSource
 
 
 def base_config(**overrides):
@@ -836,6 +838,47 @@ def test_verify_unknown_suite_is_config_error():
     from trish.harness.suites import verify
     with pytest.raises(ConfigurationError):
         verify("made-up-suite")
+
+
+class SpikedSource(DelegatingSource):
+    """``inner`` with lane 0's gradient estimate at iteration ``k`` scaled
+    by ``factor``."""
+
+    def __init__(self, inner, k, factor):
+        super().__init__(inner)
+        self.k, self.factor = k, factor
+
+    def lane_draw(self, oracle, seeds, alphas):
+        inner = self.inner.lane_draw(oracle, seeds, alphas)
+
+        def draw(k, ids, at, X, TG):
+            G, hvp = inner(k, ids, at, X, TG)
+            if k == self.k:
+                G = np.where((ids == 0)[:, None], self.factor * G, G)
+            return G, hvp
+
+        return draw
+
+
+@pytest.mark.parametrize("factor", [1e10, 1e150])
+def test_envelope_report_of_a_stopped_lane(monkeypatch, factor):
+    """A spike at iteration 50 trips lane 0's divergence guard.  Its gaps
+    from row 51 on are +inf: the envelope check fails at worst slack -inf
+    there, and nothing warns.  The 1e150 spike's last recorded gap is so
+    large that its squared deviation overflows."""
+    from trish.harness import suites
+    run_envelope = suites._run_envelope
+    monkeypatch.setattr(suites, "_run_envelope", lambda problem, row, quick: run_envelope(
+        problem, replace(row, noise=SpikedSource(row.noise, 50, factor)), quick))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = suites.verify("geometric", quick=True)
+    envelope, contracts = report.checks
+    assert not envelope.passed and contracts.passed
+    assert envelope.stats["aborted_runs"] == 1
+    assert envelope.stats["worst_row"] == 51 and envelope.stats["violations"] == 150
+    assert envelope.stats["worst_slack"] == -np.inf
+    assert json.loads(report.to_json())["checks"][0]["stats"]["worst_slack"] == -np.inf
 
 
 def one_lane(prob, cfg, algorithm="trish"):

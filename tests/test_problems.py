@@ -242,7 +242,7 @@ def test_minibatch_draw_rows_match_calls(seed, lanes, batch, scale, m_h):
         g, est = minibatch_draw(sampler, X[i], 3, rng_stream(seed + i, 0))
         assert g.tobytes() == G[i].tobytes()
         assert est.apply(V[i]).tobytes() == products[lanes - 1 - i].tobytes()
-        assert est.norm_bound == sampler.norm_bound
+        assert est.norm_bound == sampler.hessian_bound(prob)
         dense = stacked_dense(lambda E: hvp(i, E), prob.dim)
         assert dense.tobytes() == est.dense(prob.dim).tobytes()
     assert replace(sampler, hessian=False).draw_rows(X, idx, 3)[1] is None

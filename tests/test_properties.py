@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trish import (
@@ -12,6 +12,7 @@ from trish import (
     StepsizeSchedule,
     gammas_at,
     kkt_residuals,
+    validate_stepsize,
 )
 from trish.core import libm_pow, row_norms
 from trish.subproblem import checked_eigh, exact_trs_rows, radius_rows, steihaug_cg_rows
@@ -245,6 +246,47 @@ def test_exact_row_solver_matches_scalar_solver(n, rows, seed, kind, shared, cas
         assert steps[i].tobytes() == s.tobytes()
         assert np.array([ups[i], model_dec[i], cauchy_dec[i]]).tobytes() == \
             np.array([u, m, c]).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 20), st.integers(0, 2**32 - 1),
+       st.sampled_from(["none", "zero", "psd", "indefinite"]), st.sampled_from([1, 2, 3, 5, 50]),
+       st.sampled_from(["basic", "merging"]))
+def test_steihaug_takes_the_first_order_step_under_the_precondition(n, rows, seed, kind, cap,
+                                                                   mode):
+    # README, "What the guarantees cover": when alpha, gamma1 and gamma2
+    # pass validate_stepsize for L_g and M_H, every radius is at most
+    # ||g|| / (4 M_H), so for any estimate with ||H|| <= M_H and any CG
+    # cap the first CG step leaves the radius: one iteration, s = -delta g/||g||
+    rng = np.random.default_rng(seed)
+    L_g = float(10.0 ** rng.uniform(-2.0, 2.0))
+    gamma1 = float(10.0 ** rng.uniform(-1.0, 1.7))
+    eta = float(10.0 ** rng.uniform(-2.0, 2.0)) if mode == "merging" else None
+    m_h = 2.0 * L_g if eta is None else min(2.0 * L_g, eta / (2.0 * gamma1))
+    m_h *= 0.0 if kind in ("none", "zero") else float(rng.uniform(0.0, 1.0))
+    total = L_g + m_h
+    if eta is None:
+        gamma2 = gamma1 * float(rng.uniform(0.01, 1.0))
+        alpha = float(rng.uniform(1e-3, 1.0)) * (gamma2 / (4.0 * gamma1**2 * total))
+    else:  # alpha_k <= 1/6eta keeps gamma2_k >= 11 gamma1 / 12, so this meets the basic bound
+        alpha = float(rng.uniform(1e-3, 1.0)) * min(1.0 / (6.0 * eta + 2.0 * gamma1 * total),
+                                                   1.0 / (8.0 * gamma1 * total))
+        gamma2 = gamma1 * (1.0 - 0.5 * eta * alpha)  # gammas_at's merging gamma2_k
+    assume(validate_stepsize(alpha, gamma1, gamma2, L_g, m_h, mode=mode, eta=eta))
+
+    eigs = rng.uniform(-1.0 if kind == "indefinite" else 0.0, 1.0, (rows, n))
+    mats = [symmetric_with_spectrum(rng, w * (m_h / max(np.max(np.abs(w)), 1e-300)))
+            for w in eigs]
+    G = rng.standard_normal((rows, n))
+    G *= (10.0 ** rng.uniform(-4.0, 4.0, rows) / row_norms(G))[:, None]
+    g_norm = row_norms(G)
+    delta, _ = radius_rows(g_norm, alpha, gamma1, gamma2)
+    hvp = None if kind == "none" else (
+        lambda r, V: np.stack([mats[i] @ v for i, v in zip(r, V)]))
+    steps, _, _, iters = steihaug_cg_rows(G, g_norm, delta, hvp, cap)
+    assert iters.tolist() == [1] * rows
+    first_order = -delta[:, None] * (G / g_norm[:, None])
+    assert np.all(row_norms(steps - first_order) <= 8.0 * np.finfo(float).eps * delta)
 
 
 @pytest.mark.parametrize("p", [2, 3])
